@@ -111,18 +111,20 @@ def main(argv=None) -> int:
     for verb in ("exp-growth", "charfun", "sandwich"):
         sp = sub.add_parser(verb, help=f"run the {verb} experiment")
         sp.add_argument("--kind", choices=("radial", "tensor"), default="radial")
-        sp.add_argument("--b-list", default="-2,-1,0,0.5,1,2")
-        sp.add_argument("--p-list", default="1,inf")
-        sp.add_argument("--m-min", type=int, default=3)
-        sp.add_argument("--m-max", type=int, default=10)
-        sp.add_argument("--shape", choices=("cube", "halfspace"), default="cube")
-        sp.add_argument("--seed", type=int, default=0)
+        if verb == "exp-growth":
+            sp.add_argument("--b-list", default="-2,-1,0,0.5,1,2")
+            sp.add_argument("--p-list", default="1,inf")
+        if verb == "charfun":
+            sp.add_argument("--shape", choices=("cube", "halfspace"), default="cube")
+        else:
+            sp.add_argument("--m-min", type=int, default=3)
+            sp.add_argument("--m-max", type=int, default=10)
 
     args = parser.parse_args(argv)
     j, dim = args.grid
-    grid = GridSpec(dim, j)
 
     try:
+        grid = GridSpec(dim, j)
         if args.verb == "partition-check":
             config = ExperimentConfig(name="partition-check", dim=dim, log2_samples=j, kind=args.kind)
             table = RUNNERS["partition-check"](config)
@@ -169,20 +171,16 @@ def main(argv=None) -> int:
             print(json.dumps({"lower_bound": bound, "argmax": name}))
             return 0
 
-        # experiment verbs
-        b_list = tuple(float(x) for x in args.b_list.split(","))
-        p_list = tuple(_parse_exponent(x) for x in args.p_list.split(","))
-        config = ExperimentConfig(
-            name=args.verb,
-            dim=dim,
-            log2_samples=j,
-            kind=args.kind,
-            b_list=b_list,
-            p_list=p_list,
-            m_range=(args.m_min, args.m_max),
-            shape=args.shape,
-            seed=args.seed,
-        )
+        # experiment verbs: each flag is registered only where its runner reads it
+        fields = {}
+        if args.verb == "exp-growth":
+            fields["b_list"] = tuple(float(x) for x in args.b_list.split(","))
+            fields["p_list"] = tuple(_parse_exponent(x) for x in args.p_list.split(","))
+        if args.verb == "charfun":
+            fields["shape"] = args.shape
+        else:
+            fields["m_range"] = (args.m_min, args.m_max)
+        config = ExperimentConfig(name=args.verb, dim=dim, log2_samples=j, kind=args.kind, **fields)
         table = RUNNERS[args.verb](config)
         return _emit_table(table, args)
     except LogBesovError as exc:

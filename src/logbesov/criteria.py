@@ -96,15 +96,11 @@ def _cube_sup_means(
     dec: SpectralDecomposition, r: float, levels: range
 ) -> np.ndarray:
     """mat[k, l] = sup over level-l cubes of (mean_Q |S_k f|^r)^{1/r}."""
-    grid = dec.grid
     out = np.zeros((dec.k_max + 1, len(levels)))
     for k, piece in enumerate(dec.pieces):
-        data = np.abs(piece.values) ** r
-        table = CubeMeanTable(grid, data)
-        for col, l in enumerate(levels):
-            means = level_cube_means(grid, data, l, table=table)
-            out[k, col] = means.max() ** (1.0 / r)
-    return out
+        table = CubeMeanTable(dec.grid, np.abs(piece.values) ** r)
+        out[k] = [table.means(l).max() for l in levels]
+    return out ** (1.0 / r)
 
 
 def suff_term2(
@@ -272,24 +268,22 @@ def nece_term2(
     if p == 1.0:
         return suff_term2(f, partition, 1.0, b, dec=dec)
     pprime = conjugate_exponent(p)
-    grid = dec.grid
-    k_top = dec.k_max
-    l_top = min(grid.l_max, k_top)
-    per_level = []
+    l_top = min(dec.grid.l_max, dec.k_max)
+    acc = [0.0] * (l_top + 1)  # acc[l]: per-cube k-sums over the level-l cubes
+    inner_norms = [[] for _ in range(l_top + 1)]
+    for k, piece in enumerate(dec.pieces):
+        table = CubeMeanTable(dec.grid, np.abs(piece.values) ** pprime)
+        for l in range(min(k, l_top) + 1):
+            means = table.means(l) ** (1.0 / pprime)
+            w = ((1.0 + l) / (1.0 + k)) ** b
+            acc[l] = acc[l] + w * means
+            inner_norms[l].append(w * float(means.max()))
+    per_level = [float(a.max()) for a in acc]
     divergent = False
     tails = []
     scale = float(dec.sup_norms().max())
-    for l in range(l_top + 1):
-        acc = None
-        inner_norms = []
-        for k in range(l, k_top + 1):
-            data = np.abs(dec.pieces[k].values) ** pprime
-            means = level_cube_means(grid, data, l) ** (1.0 / pprime)
-            w = ((1.0 + l) / (1.0 + k)) ** b
-            acc = w * means if acc is None else acc + w * means
-            inner_norms.append(w * float(means.max()))
-        per_level.append(float(acc.max()) if acc is not None else 0.0)
-        tail, bad = _tail_estimate(np.asarray(inner_norms), scale=scale)
+    for norms in inner_norms:
+        tail, bad = _tail_estimate(np.asarray(norms), scale=scale)
         tails.append(tail)
         divergent = divergent or bad
     values = np.asarray(per_level)
@@ -330,19 +324,15 @@ def nece_term3(
     if p < 1:
         raise InvalidInputError("nece_term3 needs p >= 1")
     levels = range(0, min(dec.grid.l_max, k_top) + 1)
-    grid = dec.grid
+    sup_means = _cube_sup_means(dec, p, levels)
     per_level = [0.0, 0.0]
     clamped = False
     for k in range(2, k_top + 1):
-        data = np.abs(dec.pieces[k].values) ** p
-        table = CubeMeanTable(grid, data)
         j_top = min(k - 2, levels.stop - 1)
         clamped = clamped or (k - 2 > j_top)
-        total = 0.0
-        for j in range(0, j_top + 1):
-            means = level_cube_means(grid, data, j, table=table)
-            total += ((1.0 + k) / (1.0 + j)) ** (b * p) * float(means.max())
-        per_level.append(total ** (1.0 / p))
+        js = np.arange(0, j_top + 1)
+        w = ((1.0 + k) / (1.0 + js)) ** (b * p)
+        per_level.append(float(np.sum(w * sup_means[k, : j_top + 1] ** p)) ** (1.0 / p))
     values = np.asarray(per_level)
     note = "cube levels clamped at l_max" if clamped else ""
     return TermReport(float(values.max()), per_level, 0.0, _sup_unsaturated(values[2:]), note)

@@ -1,11 +1,16 @@
 """Dyadic cubes Q_{l,nu} = 2^{-l}(nu + [0,1)^n) and averaged-power queries.
 
 Cube averages are Riemann means over the grid samples falling inside the
-cube.  A summed-area (prefix-sum) table makes every cube mean at a level an
-O(1) lookup, so scanning all cubes of one level costs O(#cubes) after an
-O(N^dim) table build.  Cubes are genuine dyadic cubes (edge 2^{-l}); their
-faces do not align with the sampling lattice, so a cube's sample window is
-the set of grid points inside it, guarded to >= 8 samples per axis.
+cube.  Cubes are genuine dyadic cubes (edge 2^{-l}); their faces do not
+align with the sampling lattice, so a cube's sample window is the set of
+grid points inside it, guarded to >= 8 samples per axis.
+
+All cubes of one level are reduced in one `ufunc.reduceat` pass over the
+level's sample boundaries (`np.add` for means, `np.maximum` for maxes).
+The windows nest exactly: level-l boundaries are every other
+level-(l+1) boundary, bit for bit, so `CubeMeanTable` reduces once at
+l_max and adds child pairs down to level 0.  Sums of nonnegative data are
+sums of nonnegative terms, so the means are nonnegative by construction.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .grid import INF, GridSpec, SampledFunction, check_exponent, is_inf
+from .grid import GridSpec, SampledFunction, check_exponent, is_inf
 
 PI = math.pi
 _EPS = 1e-9
@@ -40,10 +45,6 @@ class DyadicCube:
     @property
     def corner(self) -> tuple[float, ...]:
         return tuple(self.edge * nu for nu in self.index)
-
-
-def max_cube_level(grid: GridSpec) -> int:
-    return grid.l_max
 
 
 def level_index_range(level: int) -> tuple[int, int]:
@@ -112,79 +113,64 @@ def level_boundaries(grid: GridSpec, level: int) -> np.ndarray:
     return np.ceil((edge * nus + PI) / dx - _EPS).astype(np.int64)
 
 
+def _reduce(ufunc, data: np.ndarray, bounds: np.ndarray, dim: int) -> np.ndarray:
+    """`ufunc` over the index boxes between consecutive `bounds` on every axis."""
+    block = data[(slice(bounds[0], bounds[-1]),) * dim]
+    for axis in range(dim):
+        block = ufunc.reduceat(block, bounds[:-1] - bounds[0], axis=axis)
+    return block
+
+
+def _counts(grid: GridSpec, level: int) -> np.ndarray:
+    c = np.diff(level_boundaries(grid, level))
+    return c if grid.dim == 1 else c[:, None] * c[None, :]
+
+
 class CubeMeanTable:
-    """Prefix-sum table over a nonnegative array for O(1) cube-window sums."""
+    """Cube means of a nonnegative array at every level 0..l_max.
+
+    One reduction at l_max, then each coarser level adds its child pairs:
+    level-l cube nu is the union of level-(l+1) cubes 2 nu and 2 nu + 1, and
+    their sample windows tile it exactly.
+    """
 
     def __init__(self, grid: GridSpec, data: np.ndarray):
         self.grid = grid
-        c = np.asarray(data, dtype=np.float64)
-        for axis in range(grid.dim):
-            c = np.cumsum(c, axis=axis)
-        pad = [(1, 0)] * grid.dim
-        self._table = np.pad(c, pad)
+        data = np.asarray(data, dtype=np.float64)
+        self._sums = [_reduce(np.add, data, level_boundaries(grid, grid.l_max), grid.dim)]
+        for level in range(grid.l_max - 1, -1, -1):
+            nu_min, nu_max = level_index_range(level)
+            start = 2 * nu_min - level_index_range(level + 1)[0]
+            children = np.arange(start, start + 2 * (nu_max - nu_min + 1) + 1, 2)
+            self._sums.insert(0, _reduce(np.add, self._sums[0], children, grid.dim))
 
-    def window_sums(self, bounds: list[np.ndarray]) -> np.ndarray:
-        """Sums over the index boxes spanned by consecutive boundary pairs."""
-        t = self._table
-        if self.grid.dim == 1:
-            b = bounds[0]
-            return t[b[1:]] - t[b[:-1]]
-        bi, bj = bounds
-        sub = t[np.ix_(bi, bj)]
-        return sub[1:, 1:] - sub[:-1, 1:] - sub[1:, :-1] + sub[:-1, :-1]
+    def means(self, level: int) -> np.ndarray:
+        """Mean over every admissible cube at `level` (array over the nu-grid)."""
+        _check_level(self.grid, level)
+        return self._sums[level] / _counts(self.grid, level)
 
 
-def level_cube_means(
-    grid: GridSpec, data: np.ndarray, level: int, table: CubeMeanTable | None = None
-) -> np.ndarray:
+def level_cube_means(grid: GridSpec, data: np.ndarray, level: int) -> np.ndarray:
     """Mean of `data` over every admissible cube at `level` (array over nu-grid)."""
     _check_level(grid, level)
-    b = level_boundaries(grid, level)
-    counts_1d = np.diff(b)
-    if table is None:
-        table = CubeMeanTable(grid, data)
-    if grid.dim == 1:
-        sums = table.window_sums([b])
-        return sums / counts_1d
-    sums = table.window_sums([b, b])
-    counts = counts_1d[:, None] * counts_1d[None, :]
-    return sums / counts
+    data = np.asarray(data, dtype=np.float64)
+    return _reduce(np.add, data, level_boundaries(grid, level), grid.dim) / _counts(grid, level)
 
 
 def level_cube_maxes(grid: GridSpec, data: np.ndarray, level: int) -> np.ndarray:
-    """Max of `data` over every admissible cube at `level`."""
+    """Max of |data| over every admissible cube at `level`."""
     _check_level(grid, level)
-    b = level_boundaries(grid, level)
-    a = np.abs(np.asarray(data))
-    if grid.dim == 1:
-        seg = a[b[0] : b[-1]]
-        return np.maximum.reduceat(seg, b[:-1] - b[0])
-    seg = a[b[0] : b[-1], b[0] : b[-1]]
-    rows = np.maximum.reduceat(seg, b[:-1] - b[0], axis=0)
-    return np.maximum.reduceat(rows, b[:-1] - b[0], axis=1)
+    return _reduce(np.maximum, np.abs(data), level_boundaries(grid, level), grid.dim)
 
 
-def sup_over_cubes(
-    f: SampledFunction,
-    level: int,
-    r: float,
-    *,
-    data: np.ndarray | None = None,
-    table: CubeMeanTable | None = None,
-) -> float:
-    """max over grid-aligned dyadic cubes of `level` of (mean_Q |f|^r)^(1/r).
-
-    `data` may carry a precomputed |f|^r array and `table` its prefix sums,
-    so sweeps over many levels share the O(N^dim) build.
-    """
+def sup_over_cubes(f: SampledFunction, level: int, r: float) -> float:
+    """max over grid-aligned dyadic cubes of `level` of (mean_Q |f|^r)^(1/r)."""
     check_exponent(r)
     _check_level(f.grid, level)
+    a = np.abs(f.values)
     if is_inf(r):
-        return float(level_cube_maxes(f.grid, np.abs(f.values), level).max())
-    if data is None:
-        data = np.abs(f.values) ** r
-    means = level_cube_means(f.grid, data, level, table=table)
-    return float(means.max() ** (1.0 / r))
+        return float(level_cube_maxes(f.grid, a, level).max())
+    return float(level_cube_means(f.grid, a**r, level).max() ** (1.0 / r))
 
 
 def sliding_window_mean_max(f_abs: np.ndarray, grid: GridSpec, halfwidth: float) -> float:

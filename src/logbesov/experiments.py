@@ -1,7 +1,7 @@
 """Batch experiments reproducing the quantitative asymptotics at desk scale.
 
 Each runner returns a Table (ordered rows plus pass/fail checks); identical
-config and seed give byte-identical serialized output.  Every row carries an
+config gives byte-identical serialized output.  Every row carries an
 `asymptote` tag naming the predicted growth law it is tested against.
 """
 
@@ -38,7 +38,6 @@ class ExperimentConfig:
     p_list: tuple[float, ...] = (1.0, INF)
     m_range: tuple[int, int] = (3, 10)
     shape: str = "cube"
-    seed: int = 0
 
     def grid(self) -> GridSpec:
         return GridSpec(self.dim, self.log2_samples)

@@ -311,20 +311,6 @@ def make_modulated_packet(grid: GridSpec, spec: PacketSpec) -> SampledFunction:
 _PACKET_J0 = 1  # lowest modulation level of the packet families
 
 
-def expo7_alpha(b: float, m: int) -> tuple[str, dict[int, complex]]:
-    """Coefficient pattern of the lower-bound packet family at parameter b."""
-    js = range(_PACKET_J0, m - 1)
-    if b < -0.5:
-        return "case5", {m: 1.0}
-    if b < 0.0:
-        return "case4", {j: (1.0 + j) ** (-b) for j in js}
-    if b < 0.5:
-        return "case1", {j: 1.0 for j in js}
-    if b == 0.5:
-        return "case2", {j: (1.0 + j) ** (-0.5) for j in js}
-    return "case3", {j: (1.0 + j) ** (-b) for j in js}
-
-
 def expo7_family(
     grid: GridSpec, m: int, b: float, cases=(1, 2, 3, 4, 5)
 ) -> list[tuple[str, SampledFunction]]:

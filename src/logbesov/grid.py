@@ -130,9 +130,6 @@ class SampledFunction:
             )
         self.values = vals.reshape(self.grid.shape)
 
-    def copy(self) -> "SampledFunction":
-        return SampledFunction(self.grid, self.values.copy())
-
     def _check_same_grid(self, other: "SampledFunction") -> None:
         if other.grid != self.grid:
             raise InvalidInputError("grid mismatch between operands")
@@ -181,10 +178,6 @@ class FrequencyField:
 def spectrum(f: SampledFunction) -> np.ndarray:
     """Fourier coefficients c_m with f(x) = sum_m c_m e^{i m.x} on samples."""
     return np.fft.fftn(f.values) / f.values.size
-
-
-def frequency_field(f: SampledFunction) -> FrequencyField:
-    return FrequencyField(f.grid, spectrum(f))
 
 
 def synthesize(grid: GridSpec, coeffs: np.ndarray) -> SampledFunction:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from logbesov.cli import main
 from logbesov.fileio import save_sfn
 from logbesov.gallery import make_exponential
@@ -75,6 +77,28 @@ def test_error_exit_code(capsys):
     code = main(["norm", "--space", "besov"])  # no input source
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_error_exit_code_bad_grid(capsys):
+    code = main(["--grid", "J=3", "charfun"])  # below the 64-sample minimum
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["charfun", "--b-list", "0"],
+        ["charfun", "--m-min", "4"],
+        ["exp-growth", "--shape", "cube"],
+        ["sandwich", "--p-list", "1"],
+        ["exp-growth", "--seed", "1"],
+    ],
+)
+def test_experiment_flags_only_where_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_partition_export(tmp_path):

@@ -310,6 +310,16 @@ def test_verdict_halfspace_p2_brackets_only(part12):
     assert 0 < lo <= hi
 
 
+def test_verdict_2d_cube_finite_bracket():
+    """At 2D J=10 the cube indicator's cube means of |S_k f|^2 are tiny; they
+    must stay nonnegative so the necessity side of the bracket stays finite."""
+    g = GridSpec(2, 10)
+    rep = verdict(make_indicator(g, "cube"), build_partition(g), 2.0, 0.5)
+    lo, hi = rep.bracket
+    assert math.isfinite(lo) and math.isfinite(hi)
+    assert 0 <= lo <= hi
+
+
 def test_verdict_smooth_multiplier_pinf(part12):
     from logbesov.experiments import mollify
 

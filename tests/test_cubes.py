@@ -1,11 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logbesov.cubes import (
+    CubeMeanTable,
     DyadicCube,
     cube_mean_power,
+    level_cube_maxes,
     level_cube_means,
     level_index_range,
     sliding_window_mean_max,
@@ -87,15 +92,29 @@ def test_sup_over_cubes_r_monotone(grid10, rng):
         assert vals[-1] <= lp_norm(f, INF) * (1 + 1e-12)
 
 
-def test_level_cube_means_match_single_cube(grid10, rng):
-    f = random_band_limited(grid10, 30, rng)
-    data = np.abs(f.values) ** 2
-    level = 3
-    means = level_cube_means(grid10, data, level)
-    lo, hi = level_index_range(level)
-    for i, nu in enumerate(range(lo, hi + 1)):
-        direct = cube_mean_power(f, DyadicCube(level, (nu,)), 2.0) ** 2
-        assert means[i] == pytest.approx(direct, rel=1e-12)
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([1, 2]), data=st.data())
+def test_level_cube_means_match_single_cube(dim, data):
+    """Nested and single-level means equal the brute-force mean of every cube,
+    are nonnegative, and the single-level maxes equal the brute-force max."""
+    grid = GridSpec(dim, data.draw(st.integers(6, 12 if dim == 1 else 8), label="J"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # nonnegative samples over twelve decades, a fifth of them exactly zero
+    values = 10.0 ** rng.uniform(-12.0, 0.0, grid.shape) * (rng.random(grid.shape) > 0.2)
+    f = SampledFunction(grid, values)
+    table = CubeMeanTable(grid, values)
+    for level in range(grid.l_max + 1):
+        lo, hi = level_index_range(level)
+        nested = table.means(level)
+        single = level_cube_means(grid, values, level)
+        maxes = level_cube_maxes(grid, values, level)
+        assert nested.min() >= 0.0 and single.min() >= 0.0
+        for idx in itertools.product(range(hi - lo + 1), repeat=dim):
+            cube = DyadicCube(level, tuple(lo + i for i in idx))
+            direct = cube_mean_power(f, cube, 1.0)
+            assert nested[idx] == pytest.approx(direct, rel=1e-12)
+            assert single[idx] == pytest.approx(direct, rel=1e-12)
+            assert maxes[idx] == cube_mean_power(f, cube, INF)
 
 
 def test_level_cube_means_2d(grid2d, rng):
