@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubes import CubeMeanTable, level_cube_means, sliding_window_mean_max
+from .cubes import level_cube_means, sliding_window_mean_max
 from .errors import CapabilityError, InvalidInputError
 from .grid import (
     INF,
@@ -27,6 +27,7 @@ from .grid import (
 from .partition import DyadicPartition, SpectralDecomposition, decompose
 
 _SLOPE_DIVERGENT = -1.05  # inner terms ~ (1+k)^slope: summable iff slope < -1
+_TIE = 1e-9  # relative gap below which the greedy cube choice treats values as equal
 
 
 @dataclass
@@ -97,8 +98,8 @@ def _cube_sup_means(
 ) -> np.ndarray:
     """mat[k, l] = sup over level-l cubes of (mean_Q |S_k f|^r)^{1/r}."""
     out = np.zeros((dec.k_max + 1, len(levels)))
-    for k, piece in enumerate(dec.pieces):
-        table = CubeMeanTable(dec.grid, np.abs(piece.values) ** r)
+    for k in range(dec.k_max + 1):
+        table = dec.cube_table(k, r)
         out[k] = [table.means(l).max() for l in levels]
     return out ** (1.0 / r)
 
@@ -271,8 +272,8 @@ def nece_term2(
     l_top = min(dec.grid.l_max, dec.k_max)
     acc = [0.0] * (l_top + 1)  # acc[l]: per-cube k-sums over the level-l cubes
     inner_norms = [[] for _ in range(l_top + 1)]
-    for k, piece in enumerate(dec.pieces):
-        table = CubeMeanTable(dec.grid, np.abs(piece.values) ** pprime)
+    for k in range(dec.k_max + 1):
+        table = dec.cube_table(k, pprime)
         for l in range(min(k, l_top) + 1):
             means = table.means(l) ** (1.0 / pprime)
             w = ((1.0 + l) / (1.0 + k)) ** b
@@ -376,19 +377,22 @@ def nece_mixed_at_level(
         return rep.per_level[l]
     pprime = conjugate_exponent(p)
     js = list(range(l, k_top + 1))
-    cube_vals = []
-    for j in js:
-        data = np.abs(dec.pieces[j].values) ** pprime
-        means = level_cube_means(grid, data, l) ** (1.0 / pprime)
-        w = ((1.0 + l) / (1.0 + j)) ** b
-        cube_vals.append(w * means.ravel())
-    mat = np.asarray(cube_vals)  # shape (len(js), n_cubes)
+    mat = np.asarray([
+        ((1.0 + l) / (1.0 + j)) ** b * (dec.cube_table(j, pprime).means(l) ** (1.0 / pprime)).ravel()
+        for j in js
+    ])  # shape (len(js), n_cubes)
     n_cubes = mat.shape[1]
     if strategy == "greedy":
-        picks = np.argmax(mat, axis=1)
+        # Cubes within _TIE of a row's best tie (mirror cubes agree only to
+        # rounding); the tie goes to the cube already carrying the largest
+        # load (again within _TIE), then to the lowest index.  A NaN row ties
+        # everywhere and so reaches the result.
         loads = np.zeros(n_cubes)
-        for row, q in enumerate(picks):
-            loads[q] += mat[row, q]
+        for row in mat:
+            ties = np.flatnonzero(~(row < (1.0 - _TIE) * row.max()))
+            tied = loads[ties]
+            q = ties[np.flatnonzero(~(tied < (1.0 - _TIE) * tied.max()))[0]]
+            loads[q] += row[q]
         return float(np.sum(loads**p) ** (1.0 / p))
     if strategy == "exhaustive":
         if grid.dim != 1 or l > 3:
@@ -562,20 +566,23 @@ def verdict(
     MULTIPLIER or NOT_MULTIPLIER from the divergence diagnostics.  For
     p in (1, inf) only a bracket [necessity, sufficiency] exists; the report
     stays at BRACKET, or UNDECIDED when the two sides disagree by more than
-    an order of magnitude.
+    an order of magnitude.  A non-finite L^inf norm, term value or bracket
+    end makes the report INVALID (an infinite `tail` only marks divergence).
     """
     dec = _dec(f, partition, dec)
     linf = lp_norm(f, INF)
-    if p == 1.0:
-        t2 = suff_term2(f, partition, 1.0, b, dec=dec)
-        t3 = suff_term3(f, partition, 1.0, b, dec=dec)
+    if p == 1.0 or is_inf(p):
+        if p == 1.0:
+            t2 = suff_term2(f, partition, 1.0, b, dec=dec)
+            t3 = suff_term3(f, partition, 1.0, b, dec=dec)
+        else:
+            t2 = pinf_term2(f, partition, b, dec=dec)
+            t3 = pinf_term3(f, partition, b, dec=dec)
+        combined = linf + t2.value + t3.value
         state = "NOT_MULTIPLIER" if (t2.divergent or t3.divergent) else "MULTIPLIER"
-        return CriterionReport(p, b, linf, t2, t3, linf + t2.value + t3.value, state)
-    if is_inf(p):
-        t2 = pinf_term2(f, partition, b, dec=dec)
-        t3 = pinf_term3(f, partition, b, dec=dec)
-        state = "NOT_MULTIPLIER" if (t2.divergent or t3.divergent) else "MULTIPLIER"
-        return CriterionReport(p, b, linf, t2, t3, linf + t2.value + t3.value, state)
+        if not all(map(math.isfinite, (linf, t2.value, t3.value))):
+            state = "INVALID"
+        return CriterionReport(p, b, linf, t2, t3, combined, state)
     if p < 1:
         raise InvalidInputError("verdict needs p in [1, inf]")
     t2 = suff_term2(f, partition, p, b, dec=dec)
@@ -587,4 +594,6 @@ def verdict(
     state = "BRACKET"
     if lower > 0 and upper / lower > 10.0:
         state = "UNDECIDED"
+    if not all(map(math.isfinite, (linf, t2.value, t3.value, n2.value, n3.value, lower, upper))):
+        state = "INVALID"
     return CriterionReport(p, b, linf, t2, t3, upper, state, (lower, upper))

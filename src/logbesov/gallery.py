@@ -352,48 +352,44 @@ def make_lacunary(grid: GridSpec, coeffs, kind: str = "cos") -> SampledFunction:
 # kernel calibration and the necessity packets
 
 
-def kernel_phi1_radial(rho: np.ndarray, dim: int, quad_points: int = 4096) -> np.ndarray:
-    """Continuum inverse transform of phi_1 at the given radii.
+def _kernel_radial(k: int, rho: np.ndarray, dim: int, quad_points: int) -> np.ndarray:
+    """Continuum inverse transform of phi_k (k >= 1) at radii `rho`.
 
-    phi_1 is radial with support {1 <= |xi| <= 3}; the transform reduces to a
-    1D radial quadrature (cosine in dim 1, Bessel J_0 in dim 2).
+    phi_k is radial with support {2^{k-1} <= |xi| <= 3 2^{k-1}}; the
+    transform reduces to a 1D radial quadrature (cosine in dim 1, Bessel J_0
+    in dim 2).
     """
-    r = np.linspace(1.0, 3.0, quad_points)
-    w = generator_profile(r / 2.0) - generator_profile(r)
-    rho = np.abs(np.atleast_1d(np.asarray(rho, dtype=np.float64)))
+    scale = float(1 << (k - 1))
+    r = np.linspace(scale, 3.0 * scale, quad_points)
+    w = generator_profile(r / (2.0 * scale)) - generator_profile(r / scale)
     if dim == 1:
         core = _trapz(w[None, :] * np.cos(np.outer(rho, r)), r, axis=1)
         return (2.0 * PI) ** -0.5 * 2.0 * core
-    core = _trapz(w[None, :] * bessel_j0(np.outer(rho, r)) * r[None, :], r, axis=1)
-    return core
+    return _trapz(w[None, :] * bessel_j0(np.outer(rho, r)) * r[None, :], r, axis=1)
+
+
+def kernel_phi1_radial(rho: np.ndarray, dim: int, quad_points: int = 4096) -> np.ndarray:
+    """Continuum inverse transform of phi_1 at the given radii."""
+    rho = np.abs(np.atleast_1d(np.asarray(rho, dtype=np.float64)))
+    return _kernel_radial(1, rho, dim, quad_points)
 
 
 def kernel_phi1(points: np.ndarray, dim: int, quad_points: int = 4096) -> np.ndarray:
     """Continuum inverse transform of phi_1 at the given spatial points
     (rows of `points` in dim 2)."""
-    pts = np.asarray(points, dtype=np.float64)
-    if dim == 1:
-        rho = np.abs(np.atleast_1d(pts))
-    else:
-        rho = np.linalg.norm(np.atleast_2d(pts), axis=-1)
-    return kernel_phi1_radial(rho, dim, quad_points)
+    return kernel_phi(1, points, dim, quad_points)
 
 
 def kernel_phi(k: int, points: np.ndarray, dim: int, quad_points: int = 4096) -> np.ndarray:
     """Continuum inverse transform of phi_k (radial quadrature at level k)."""
     if k < 1:
         raise InvalidInputError("kernel_phi handles levels k >= 1")
-    scale = float(1 << (k - 1))
-    r = np.linspace(scale, 3.0 * scale, quad_points)
-    w = generator_profile(r / (2.0 * scale)) - generator_profile(r / scale)
-    pts = np.atleast_1d(np.asarray(points, dtype=np.float64))
+    pts = np.asarray(points, dtype=np.float64)
     if dim == 1:
-        rho = np.abs(pts)
-        core = _trapz(w[None, :] * np.cos(np.outer(rho, r)), r, axis=1)
-        return (2.0 * PI) ** -0.5 * 2.0 * core
-    rho = np.linalg.norm(np.atleast_2d(pts), axis=-1)
-    core = _trapz(w[None, :] * bessel_j0(np.outer(rho, r)) * r[None, :], r, axis=1)
-    return core
+        rho = np.abs(np.atleast_1d(pts))
+    else:
+        rho = np.linalg.norm(np.atleast_2d(pts), axis=-1)
+    return _kernel_radial(k, rho, dim, quad_points)
 
 
 @dataclass(frozen=True)

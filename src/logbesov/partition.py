@@ -9,16 +9,30 @@ symbols are built as differences of rescaled generators,
 which makes the telescoping identity sum_{k<=K} phi_k = phi_0(2^-K .) exact
 in floating point.  The TENSOR kind replaces |xi| by per-axis profiles
 (product generator); it is what the product-indicator factorization uses.
+
+Both phi_0(2^-k .) and phi_k vanish outside the box |m_i| < 3/2 2^k, so a
+partition stores level k only on that box (FFT layout, two index ranges
+per axis).  `symbol` and `cumulative_symbol` expand it to the full lattice
+on each call, bit-identical to evaluating the formula there; `decompose`
+multiplies the box by the matching coefficients only.
+
+`SpectralDecomposition` holds the pieces of one function and caches the
+reductions the criterion terms share: the sup norms and, per (k, r), the
+all-levels `CubeMeanTable` of |S_k f|^r.  Terms called on one
+decomposition build each table once; a decomposition made per call
+builds its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
+from .cubes import CubeMeanTable
 from .errors import InvalidInputError, LevelOverflowError
 from .grid import GridSpec, SampledFunction, apply_symbol
 
@@ -55,9 +69,19 @@ def generator_profile(r: np.ndarray | float) -> np.ndarray:
         return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
 
+def _box_top(k: int) -> int:
+    """Largest integer M with M < 3/2 2^k: the level-k box is |m_i| <= M."""
+    return math.ceil(1.5 * (1 << k)) - 1
+
+
 @dataclass
 class DyadicPartition:
-    """Symbols phi_0..phi_K_max on the frequency lattice of `grid`."""
+    """Symbols phi_0..phi_K_max on the frequency lattice of `grid`.
+
+    Level k is stored only on its box |m_i| < 3/2 2^k (per axis, FFT
+    layout), which holds the support of both phi_0(2^-k .) and phi_k for
+    either kind; `symbol` and `cumulative_symbol` expand it to the lattice.
+    """
 
     grid: GridSpec
     kind: PartitionKind = PartitionKind.RADIAL
@@ -67,22 +91,45 @@ class DyadicPartition:
     def k_max(self) -> int:
         return self.grid.k_max
 
-    def _cumulative(self, k: int) -> np.ndarray:
-        """phi_0(2^-k xi) on the lattice (= sum of symbols 0..k, exactly)."""
-        key = ("cum", k)
+    def _blocks(self, k: int) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
+        """(lattice, box) slice pairs tiling the level-k box.
+
+        Per axis the box holds frequencies 0..M then -M..-1, i.e. lattice
+        indices [0, M] and [N - M, N).
+        """
+        key = ("blocks", k)
         if key not in self._cache:
-            scale = float(1 << k)
-            if self.kind is PartitionKind.RADIAL:
-                rho = self.grid.freq_radius()
-                self._cache[key] = generator_profile(rho / scale)
-            else:
-                m = self.grid.freq_axis().astype(np.float64)
-                prof = generator_profile(np.abs(m) / scale)
-                if self.grid.dim == 1:
-                    self._cache[key] = prof
-                else:
-                    self._cache[key] = prof[:, None] * prof[None, :]
+            n = self.grid.n_samples
+            top = _box_top(k)
+            axis = [(slice(0, top + 1), slice(0, top + 1)), (slice(n - top, n), slice(top + 1, 2 * top + 1))]
+            self._cache[key] = [
+                tuple(zip(*pairs)) for pairs in itertools.product(axis, repeat=self.grid.dim)
+            ]
         return self._cache[key]
+
+    def _profile(self, k: int, scale: float) -> np.ndarray:
+        """phi_0(xi / scale) on the level-k box."""
+        top = _box_top(k)
+        m = np.concatenate([np.arange(top + 1), np.arange(-top, 0)]).astype(np.float64)
+        if self.kind is PartitionKind.RADIAL:
+            rho = np.abs(m) if self.grid.dim == 1 else np.hypot(m[:, None], m[None, :])
+            return generator_profile(rho / scale)
+        prof = generator_profile(np.abs(m) / scale)
+        return prof if self.grid.dim == 1 else prof[:, None] * prof[None, :]
+
+    def _box(self, k: int, cumulative: bool) -> np.ndarray:
+        """phi_0(2^-k .) (cumulative) or phi_k on the level-k box."""
+        key = ("cum" if cumulative else "sym", k)
+        if key not in self._cache:
+            self._cache[("cum", k)] = cum = self._profile(k, float(1 << k))
+            self._cache[("sym", k)] = cum if k == 0 else cum - self._profile(k, float(1 << (k - 1)))
+        return self._cache[key]
+
+    def _expand(self, k: int, box: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.grid.shape)
+        for lattice, sub in self._blocks(k):
+            out[lattice] = box[sub]
+        return out
 
     def _check_level(self, k: int) -> None:
         if k < 0 or k > self.k_max:
@@ -91,17 +138,12 @@ class DyadicPartition:
     def symbol(self, k: int) -> np.ndarray:
         """phi_k on the frequency lattice (FFT layout)."""
         self._check_level(k)
-        key = ("sym", k)
-        if key not in self._cache:
-            if k == 0:
-                self._cache[key] = self._cumulative(0)
-            else:
-                self._cache[key] = self._cumulative(k) - self._cumulative(k - 1)
-        return self._cache[key]
+        return self._expand(k, self._box(k, cumulative=False))
 
     def cumulative_symbol(self, k: int) -> np.ndarray:
+        """phi_0(2^-k .) on the frequency lattice (= sum of symbols 0..k, exactly)."""
         self._check_level(k)
-        return self._cumulative(k)
+        return self._expand(k, self._box(k, cumulative=True))
 
 
 def build_partition(grid: GridSpec, kind: PartitionKind | str = PartitionKind.RADIAL) -> DyadicPartition:
@@ -132,10 +174,16 @@ def partial_sum(f: SampledFunction, partition: DyadicPartition, k: int) -> Sampl
 
 @dataclass
 class SpectralDecomposition:
-    """The list (S_0 f, ..., S_K_max f) of frequency pieces of one function."""
+    """The list (S_0 f, ..., S_K_max f) of frequency pieces of one function.
+
+    Per-piece reductions are computed on first use and kept for the life of
+    the object, so every term that reads one decomposition shares them.
+    """
 
     partition: DyadicPartition
     pieces: list[SampledFunction]
+    _sup_norms: np.ndarray | None = field(default=None, repr=False)
+    _tables: dict = field(default_factory=dict, repr=False)
 
     @property
     def grid(self) -> GridSpec:
@@ -151,17 +199,33 @@ class SpectralDecomposition:
         return self.pieces[k]
 
     def sup_norms(self) -> np.ndarray:
-        return np.array([np.abs(p.values).max() for p in self.pieces])
+        """||S_k f||_inf for every k (read-only, shared between callers)."""
+        if self._sup_norms is None:
+            self._sup_norms = np.array([np.abs(p.values).max() for p in self.pieces])
+            self._sup_norms.setflags(write=False)
+        return self._sup_norms
+
+    def cube_table(self, k: int, r: float) -> CubeMeanTable:
+        """Cube means of |S_k f|^r at every level 0..l_max."""
+        key = (k, float(r))
+        if key not in self._tables:
+            self._tables[key] = CubeMeanTable(self.grid, np.abs(self.pieces[k].values) ** r)
+        return self._tables[key]
 
 
 def decompose(f: SampledFunction, partition: DyadicPartition) -> SpectralDecomposition:
     if f.grid != partition.grid:
         raise InvalidInputError("function and partition live on different grids")
     coeffs = np.fft.fftn(f.values)
-    pieces = [
-        SampledFunction(f.grid, np.fft.ifftn(partition.symbol(k) * coeffs))
-        for k in range(partition.k_max + 1)
-    ]
+    # Boxes grow with k and each one is written whole, so the spectrum stays
+    # zero outside the current box without being cleared.
+    spectrum = np.zeros(f.grid.shape, dtype=np.complex128)
+    pieces = []
+    for k in range(partition.k_max + 1):
+        box = partition._box(k, cumulative=False)
+        for lattice, sub in partition._blocks(k):
+            spectrum[lattice] = box[sub] * coeffs[lattice]
+        pieces.append(SampledFunction(f.grid, np.fft.ifftn(spectrum)))
     return SpectralDecomposition(partition, pieces)
 
 

@@ -18,9 +18,11 @@ from logbesov.criteria import (
 )
 from logbesov.errors import CapabilityError, InvalidInputError
 from logbesov.gallery import BumpSpec, make_bump, make_exponential, make_indicator
-from logbesov.grid import INF, GridSpec, make_constant, random_band_limited
+import logbesov.criteria as criteria
+from logbesov.cubes import CubeMeanTable
+from logbesov.grid import INF, GridSpec, SampledFunction, make_constant, random_band_limited
 from logbesov.norms import tl_norm_inf
-from logbesov.partition import build_partition, decompose
+from logbesov.partition import SpectralDecomposition, build_partition, decompose
 
 
 # --- sufficiency terms -----------------------------------------------------
@@ -199,6 +201,21 @@ def test_nece_mixed_greedy_leq_exhaustive():
         assert lo <= hi * (1 + 1e-12)
 
 
+def test_nece_mixed_greedy_stable_under_rounding():
+    """The cube indicator's mirror cubes tie to about 1e-16; nudging every
+    piece by 1e-13 relative must not move the greedy value."""
+    g = GridSpec(1, 14)
+    part = build_partition(g)
+    f = make_indicator(g, "cube")
+    dec = decompose(f, part)
+    noise = np.random.default_rng(0).standard_normal(g.shape)
+    nudged = SpectralDecomposition(
+        part, [SampledFunction(g, piece.values * (1.0 + 1e-13 * noise)) for piece in dec.pieces]
+    )
+    base = nece_mixed(f, part, 2.0, 0.5, dec=dec)
+    assert abs(nece_mixed(f, part, 2.0, 0.5, dec=nudged) - base) < 1e-9 * base
+
+
 def test_nece_mixed_capability_guards(part10, rng):
     f = random_band_limited(part10.grid, 50, rng)
     with pytest.raises(CapabilityError):
@@ -318,6 +335,55 @@ def test_verdict_2d_cube_finite_bracket():
     lo, hi = rep.bracket
     assert math.isfinite(lo) and math.isfinite(hi)
     assert 0 <= lo <= hi
+
+
+@pytest.mark.parametrize(
+    "p, term", [(1.0, "suff_term2"), (INF, "pinf_term3"), (2.0, "suff_term3"), (2.0, "nece_term2")]
+)
+def test_verdict_invalid_on_nonfinite_term(part10, monkeypatch, p, term):
+    real = getattr(criteria, term)
+
+    def nan_term(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.value = math.nan
+        return rep
+
+    monkeypatch.setattr(criteria, term, nan_term)
+    rep = verdict(make_indicator(part10.grid, "cube"), part10, p, 0.5)
+    assert rep.verdict == "INVALID"
+
+
+def test_verdict_infinite_tail_is_not_invalid(part10):
+    rep = verdict(make_indicator(part10.grid, "cube"), part10, 1.0, 0.0)
+    assert math.isinf(rep.term2.tail)
+    assert rep.verdict == "NOT_MULTIPLIER"
+
+
+def test_verdict_p2_builds_one_table_per_piece(part10, monkeypatch):
+    builds = []
+    real = CubeMeanTable.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CubeMeanTable, "__init__", counting)
+    f = make_indicator(part10.grid, "halfspace")
+    dec = decompose(f, part10)
+    verdict(f, part10, 2.0, 0.5, dec=dec)
+    assert len(builds) == part10.k_max + 1
+    verdict(f, part10, 2.0, 1.0, dec=dec)
+    assert len(builds) == part10.k_max + 1
+
+
+def test_terms_on_shared_dec_match_fresh(part10):
+    f = make_indicator(part10.grid, "cube")
+    shared = decompose(f, part10)
+    for p in (2.0, 4.0):
+        for fn in (suff_term2, suff_term3, nece_term2, nece_term3):
+            assert fn(f, part10, p, 0.5, dec=shared).to_dict() == fn(f, part10, p, 0.5).to_dict()
+        assert nece_mixed(f, part10, p, 0.5, dec=shared) == nece_mixed(f, part10, p, 0.5)
+    assert verdict(f, part10, 2.0, 0.5, dec=shared).to_dict() == verdict(f, part10, 2.0, 0.5).to_dict()
 
 
 def test_verdict_smooth_multiplier_pinf(part12):

@@ -132,6 +132,39 @@ def test_annulus_energy_of_pieces(part10, rng):
         assert c[outside].sum() / total < 1e-10
 
 
+def _full_lattice_cumulative(grid, kind, k):
+    """phi_0(2^-k .) evaluated on the whole lattice, from scratch."""
+    scale = float(1 << k)
+    if kind is PartitionKind.RADIAL:
+        return generator_profile(grid.freq_radius() / scale)
+    prof = generator_profile(np.abs(grid.freq_axis().astype(np.float64)) / scale)
+    return prof if grid.dim == 1 else prof[:, None] * prof[None, :]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    kind=st.sampled_from(list(PartitionKind)),
+    data=st.data(),
+)
+def test_boxed_symbols_match_full_lattice(dim, kind, data):
+    """Symbols stored on their boxes expand to the full-lattice formula bit
+    for bit, and decompose's boxed products give |S_k f| of `project`."""
+    J = data.draw(st.integers(6, 11 if dim == 1 else 8), label="J")
+    g = GridSpec(dim, J)
+    part = build_partition(g, kind)
+    f = random_band_limited(g, 2.0 ** (g.k_max - 1), np.random.default_rng(data.draw(st.integers(0, 9999))))
+    dec = decompose(f, part)
+    prev = None
+    for k in range(part.k_max + 1):
+        cum = _full_lattice_cumulative(g, kind, k)
+        sym = cum if prev is None else cum - prev
+        assert part.cumulative_symbol(k).tobytes() == cum.tobytes()
+        assert part.symbol(k).tobytes() == sym.tobytes()
+        assert np.array_equal(np.abs(dec.pieces[k].values), np.abs(project(f, part, k).values))
+        prev = cum
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 9999), k=st.integers(0, 6))
 def test_telescoping_property(seed, k):
