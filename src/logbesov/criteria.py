@@ -552,6 +552,11 @@ class CriterionReport:
         }
 
 
+def _invalid_if_nonfinite(state: str, *sums: float) -> str:
+    """INVALID when a sum is non-finite, which it is whenever one of its terms is."""
+    return state if all(map(math.isfinite, sums)) else "INVALID"
+
+
 def verdict(
     f: SampledFunction,
     partition: DyadicPartition,
@@ -571,18 +576,18 @@ def verdict(
     """
     dec = _dec(f, partition, dec)
     linf = lp_norm(f, INF)
-    if p == 1.0 or is_inf(p):
-        if p == 1.0:
-            t2 = suff_term2(f, partition, 1.0, b, dec=dec)
-            t3 = suff_term3(f, partition, 1.0, b, dec=dec)
-        else:
-            t2 = pinf_term2(f, partition, b, dec=dec)
-            t3 = pinf_term3(f, partition, b, dec=dec)
-        combined = linf + t2.value + t3.value
+    if p == 1.0:
+        t2 = suff_term2(f, partition, 1.0, b, dec=dec)
+        t3 = suff_term3(f, partition, 1.0, b, dec=dec)
         state = "NOT_MULTIPLIER" if (t2.divergent or t3.divergent) else "MULTIPLIER"
-        if not all(map(math.isfinite, (linf, t2.value, t3.value))):
-            state = "INVALID"
-        return CriterionReport(p, b, linf, t2, t3, combined, state)
+        combined = linf + t2.value + t3.value
+        return CriterionReport(p, b, linf, t2, t3, combined, _invalid_if_nonfinite(state, combined))
+    if is_inf(p):
+        t2 = pinf_term2(f, partition, b, dec=dec)
+        t3 = pinf_term3(f, partition, b, dec=dec)
+        state = "NOT_MULTIPLIER" if (t2.divergent or t3.divergent) else "MULTIPLIER"
+        combined = linf + t2.value + t3.value
+        return CriterionReport(p, b, linf, t2, t3, combined, _invalid_if_nonfinite(state, combined))
     if p < 1:
         raise InvalidInputError("verdict needs p in [1, inf]")
     t2 = suff_term2(f, partition, p, b, dec=dec)
@@ -594,6 +599,5 @@ def verdict(
     state = "BRACKET"
     if lower > 0 and upper / lower > 10.0:
         state = "UNDECIDED"
-    if not all(map(math.isfinite, (linf, t2.value, t3.value, n2.value, n3.value, lower, upper))):
-        state = "INVALID"
+    state = _invalid_if_nonfinite(state, lower, upper)
     return CriterionReport(p, b, linf, t2, t3, upper, state, (lower, upper))

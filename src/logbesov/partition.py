@@ -85,7 +85,7 @@ class DyadicPartition:
 
     grid: GridSpec
     kind: PartitionKind = PartitionKind.RADIAL
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def k_max(self) -> int:
@@ -182,8 +182,8 @@ class SpectralDecomposition:
 
     partition: DyadicPartition
     pieces: list[SampledFunction]
-    _sup_norms: np.ndarray | None = field(default=None, repr=False)
-    _tables: dict = field(default_factory=dict, repr=False)
+    _sup_norms: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def grid(self) -> GridSpec:

@@ -9,6 +9,7 @@ from logbesov.grid import GridSpec, SampledFunction, lp_norm, make_constant, ran
 from logbesov.norms import seq_norm
 from logbesov.partition import (
     PartitionKind,
+    SpectralDecomposition,
     build_partition,
     decompose,
     generator_profile,
@@ -301,3 +302,13 @@ def test_peetre_full_grid_matches_window(rng):
     # the kernel is below (1+W)^{-a} outside the window, so the two agree
     assert np.abs(windowed.values - full.values).max() < 1e-6
     assert np.all(full.values.real + 1e-14 >= windowed.values.real - 1e-12)
+
+
+def test_decomposition_caches_are_not_parameters():
+    f = make_indicator(GridSpec(1, 6), "cube")
+    dec = decompose(f, build_partition(f.grid))
+    with pytest.raises(TypeError):
+        SpectralDecomposition(dec.partition, dec.pieces, _tables={})
+    fresh = SpectralDecomposition(dec.partition, dec.pieces)
+    assert fresh.cube_table(0, 2.0) is fresh.cube_table(0, 2.0)
+    assert fresh.cube_table(0, 2.0) is not dec.cube_table(0, 2.0)
