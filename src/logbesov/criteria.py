@@ -2,20 +2,31 @@
 p = 1, p = infinity, and general p, the mixed cube-sequence functional, the
 ball-average criterion, and the refined high-low log bounds.
 
-All k-sums are truncated at K_max; every term carries a tail estimate from
-the trailing terms' power-law trend, and sup-type terms flag an argmax
-pinned at the truncation boundary.  Those diagnostics feed the verdict; they
-are numerical indicators, not proofs.
+The terms form two families, each evaluated by one reducer over the sup
+norms and cube tables a `SpectralDecomposition` caches.  Low-high terms,
+sup_l sum_{k>=l} ((1+l)/(1+k))^b (cube average of S_k f), go through
+`_low_high` (`suff_term2` sums the per-row sups, `nece_term2` takes the
+sup of the per-cube sums); `pinf_term2` shares a running-sum loop with
+`norms.tl_norm_inf`.  High-low terms, sup_k sum_{j<=k-2} ((1+k)/(1+j))^b
+(cube sup of S_k f), go through `_high_low` (`suff_term3`, `nece_term3`;
+`pinf_term3` and `pi3_log_bound` as one closed-form weight per k).
+
+Every term reports through `_report`: the sup of its per-level values,
+tail estimates of its truncated k-series (inf and `divergent` when not
+summable), `divergent` also for a sup still climbing at the scan boundary,
+and a `note` joining ("; ") "non-finite per-level value", "cube levels
+clamped at l_max" and "sup still climbing at the scan boundary".  These are
+numerical indicators for the verdict, not proofs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cubes import level_cube_means, sliding_window_mean_max
+from .cubes import sliding_window_mean_max
 from .errors import CapabilityError, InvalidInputError
 from .grid import (
     INF,
@@ -24,7 +35,7 @@ from .grid import (
     is_inf,
     lp_norm,
 )
-from .partition import DyadicPartition, SpectralDecomposition, decompose
+from .partition import DyadicPartition, SpectralDecomposition, _ensure_decomposition, _running_cube_sups
 
 _SLOPE_DIVERGENT = -1.05  # inner terms ~ (1+k)^slope: summable iff slope < -1
 _TIE = 1e-9  # relative gap below which the greedy cube choice treats values as equal
@@ -41,20 +52,10 @@ class TermReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "per_level": self.per_level,
-            "tail": self.tail,
-            "divergent": self.divergent,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
-def _dec(f, partition, dec) -> SpectralDecomposition:
-    return dec if dec is not None else decompose(f, partition)
-
-
-def _tail_estimate(terms: np.ndarray, scale: float | None = None) -> tuple[float, bool]:
+def _tail_estimate(terms: np.ndarray, scale: float) -> tuple[float, bool]:
     """Estimate the truncated tail of sum_k terms from the trailing trend.
 
     Fits log(term) against log(1+k) on the last positive entries; a fitted
@@ -63,13 +64,11 @@ def _tail_estimate(terms: np.ndarray, scale: float | None = None) -> tuple[float
     the size of the whole computation) means the series has terminated.
     """
     t = np.asarray(terms, dtype=np.float64)
-    if t.size == 0:
-        return 0.0, False
-    floor = 1e-12 * max(t.max(), scale if scale is not None else 0.0, 1e-300)
+    floor = 1e-12 * max(t.max(), scale, 1e-300)
     if np.all(t[-3:] <= floor):
         return 0.0, False
     idx = np.nonzero(t > floor)[0]
-    use = idx[-4:] if idx.size >= 4 else idx
+    use = idx[-4:]
     if use.size < 2:
         return float(t[use].sum()), False
     xs = np.log1p(use.astype(np.float64))
@@ -78,30 +77,85 @@ def _tail_estimate(terms: np.ndarray, scale: float | None = None) -> tuple[float
     k_last = use[-1]
     if slope >= _SLOPE_DIVERGENT:
         return math.inf, True
-    tail = float(t[k_last]) * (1.0 + k_last) / (-slope - 1.0)
-    return tail, False
+    return float(t[k_last]) * (1.0 + k_last) / (-slope - 1.0), False
 
 
-def _sup_unsaturated(values: np.ndarray) -> bool:
-    """True when a sup over a truncated index range is still climbing at the
-    boundary (argmax at the last index and the trailing values increasing)."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size < 3 or v.max() <= 0:
-        return False
-    if int(np.argmax(v)) != v.size - 1:
-        return False
-    return bool(v[-1] > v[-2] > v[-3] > 0)
+def _report(
+    dec: SpectralDecomposition,
+    per_level: list[float],
+    *,
+    start: int = 0,
+    tails: list | tuple = (),
+    clamped: bool = False,
+) -> TermReport:
+    """The diagnostics path of every term: the sup of `per_level`, the tail
+    estimates of the truncated k-series `tails` (scaled by the largest
+    ||S_k f||_inf), and a sup over per_level[start:] still climbing at the
+    scan boundary (argmax at the last index, the last three values rising)."""
+    values = np.asarray(per_level, dtype=np.float64)
+    scale = float(dec.sup_norms().max()) if tails else 0.0
+    estimates = [_tail_estimate(series, scale) for series in tails]
+    v = values[start:]
+    climbing = bool(v.size >= 3 and np.argmax(v) == v.size - 1 and v[-1] > v[-2] > v[-3] > 0)
+    notes = {
+        "non-finite per-level value": not np.isfinite(values).all(),
+        "cube levels clamped at l_max": clamped,
+        "sup still climbing at the scan boundary": climbing,
+    }
+    return TermReport(
+        float(values.max()),
+        per_level,
+        max((t for t, _ in estimates), default=0.0),
+        any(bad for _, bad in estimates) or climbing,
+        "; ".join(text for text, flag in notes.items() if flag),
+    )
 
 
-def _cube_sup_means(
-    dec: SpectralDecomposition, r: float, levels: range
-) -> np.ndarray:
-    """mat[k, l] = sup over level-l cubes of (mean_Q |S_k f|^r)^{1/r}."""
-    out = np.zeros((dec.k_max + 1, len(levels)))
-    for k in range(dec.k_max + 1):
-        table = dec.cube_table(k, r)
-        out[k] = [table.means(l).max() for l in levels]
-    return out ** (1.0 / r)
+def _low_high(dec: SpectralDecomposition, r: float, b: float, per_cube: bool) -> TermReport:
+    """Low-high family: the rows w(l, k) (mean_Q |S_k f|^r)^{1/r}, w =
+    ((1+l)/(1+k))^b, k >= l, accumulated in ascending k.  Level l reads them
+    as the sup over Q of the per-cube k-sums (`per_cube`) or as the k-sum of
+    the per-row sups; the per-row sups are the tail series.  At r = inf a
+    row is w ||S_k f||_inf and the levels run to K_max instead of l_max."""
+    k_top = dec.k_max
+    l_top = k_top if is_inf(r) else min(dec.grid.l_max, k_top)
+    sups = [[] for _ in range(l_top + 1)]
+    sums = [0.0] * (l_top + 1)
+    for k in range(k_top + 1):
+        ws = ((1.0 + np.arange(min(k, l_top) + 1)) / (1.0 + k)) ** b
+        for l, w in enumerate(ws):
+            means = dec.sup_norms()[k] if is_inf(r) else dec.cube_table(k, r).means(l) ** (1.0 / r)
+            if per_cube:
+                sums[l] = sums[l] + w * means
+            sups[l].append(w * means.max())
+    per_level = [float(s.max()) for s in sums] if per_cube else [float(np.sum(row)) for row in sups]
+    return _report(dec, per_level, tails=sups)
+
+
+def _high_low(dec: SpectralDecomposition, r: float, b=0.0, q=1.0, *, weight=None, start=2) -> TermReport:
+    """High-low family: per_level[k] for k >= `start` (0 below) is
+
+    (sum_{j<=min(k-2, l_max)} ((1+k)/(1+j))^{bq} X_k(j)^q)^{1/q}, X_k(j) the
+    sup over level-j cubes of (mean_P |S_k f|^r)^{1/r}.  At r = inf (q = 1)
+    X_k(j) = ||S_k f||_inf for every j <= k-2, so the value is one weight
+    times ||S_k f||_inf: the summed weights, or `weight[k]` when given.
+    """
+    k_top = dec.k_max
+    if is_inf(r):
+        if weight is None:
+            weight = np.array([np.sum(((1.0 + k) / (1.0 + np.arange(k - 1))) ** b) for k in range(k_top + 1)])
+        vals = weight * dec.sup_norms()
+        vals[:start] = 0.0
+        return _report(dec, vals.tolist(), start=start)
+    j_cap = min(dec.grid.l_max, k_top)
+    x = np.array([[dec.cube_table(k, r).means(j).max() for j in range(j_cap + 1)] for k in range(k_top + 1)])
+    x = x ** (1.0 / r)
+    per_level = [0.0] * start
+    for k in range(start, k_top + 1):
+        n = min(k - 2, j_cap) + 1
+        w = ((1.0 + k) / (1.0 + np.arange(n))) ** (b * q)
+        per_level.append(float(np.sum(w * x[k, :n] ** q)) ** (1.0 / q))
+    return _report(dec, per_level, start=start, clamped=k_top - 2 > j_cap)
 
 
 def suff_term2(
@@ -119,37 +173,8 @@ def suff_term2(
     """
     if is_inf(p) or p < 1:
         raise InvalidInputError("suff_term2 needs p in [1, inf); use pinf_term2 at p=inf")
-    dec = _dec(f, partition, dec)
-    k_top = dec.k_max
-    pprime = conjugate_exponent(p)
-    if is_inf(pprime):
-        levels = range(0, k_top + 1)
-        sup_means = np.tile(dec.sup_norms()[:, None], (1, len(levels)))
-    else:
-        levels = range(0, min(dec.grid.l_max, k_top) + 1)
-        sup_means = _cube_sup_means(dec, pprime, levels)
-    per_level = []
-    tails = []
-    divergent = False
-    scale = float(sup_means.max())
-    for col, l in enumerate(levels):
-        ks = np.arange(l, k_top + 1)
-        inner = ((1.0 + l) / (1.0 + ks)) ** b * sup_means[l:, col]
-        per_level.append(float(inner.sum()))
-        tail, bad = _tail_estimate(inner, scale=scale)
-        tails.append(tail)
-        divergent = divergent or bad
-    values = np.asarray(per_level)
-    unsat = _sup_unsaturated(values)
-    note = "sup over l still climbing at the scan boundary" if unsat else ""
-    worst_tail = max((t for t in tails if math.isfinite(t)), default=0.0)
-    return TermReport(
-        float(values.max()) if values.size else 0.0,
-        per_level,
-        math.inf if divergent else worst_tail,
-        divergent or unsat,
-        note,
-    )
+    dec = _ensure_decomposition(f, partition, dec)
+    return _low_high(dec, conjugate_exponent(p), b, per_cube=False)
 
 
 def suff_term3(
@@ -165,26 +190,11 @@ def suff_term3(
     sup_{k>=2} sum_{j<=k-2} ((1+k)/(1+j))^b sup_{l(P)=2^-j} (mean_P |S_k f|^p)^{1/p};
     at p = INF the closed forms apply ((1+k)^b / (1+k) ln(1+k) / (1+k) by b).
     """
-    dec = _dec(f, partition, dec)
-    k_top = dec.k_max
-    if is_inf(p):
-        return pinf_term3(f, partition, b, dec=dec)
     if p < 1:
         raise InvalidInputError("suff_term3 needs p >= 1")
-    levels = range(0, min(dec.grid.l_max, k_top) + 1)
-    sup_means = _cube_sup_means(dec, p, levels)
-    per_level = [0.0, 0.0]
-    clamped = False
-    for k in range(2, k_top + 1):
-        j_top = min(k - 2, levels.stop - 1)
-        clamped = clamped or (k - 2 > j_top)
-        js = np.arange(0, j_top + 1)
-        w = ((1.0 + k) / (1.0 + js)) ** b
-        per_level.append(float(np.sum(w * sup_means[k, : j_top + 1])))
-    values = np.asarray(per_level)
-    unsat = _sup_unsaturated(values[2:])
-    note = "cube levels clamped at l_max" if clamped else ""
-    return TermReport(float(values.max()), per_level, 0.0, unsat, note)
+    if is_inf(p):
+        return pinf_term3(f, partition, b, dec=dec)
+    return _high_low(_ensure_decomposition(f, partition, dec), p, b)
 
 
 def pinf_term2(
@@ -198,29 +208,11 @@ def pinf_term2(
 
     sup_l (1+l)^b sup_{l(P)=2^-l} mean_P sum_{k>=l} (1+k)^{-b} |S_k f(y)| dy.
     """
-    dec = _dec(f, partition, dec)
-    grid = dec.grid
-    k_top = dec.k_max
-    l_top = min(grid.l_max, k_top)
-    running = np.zeros(grid.shape)
-    best = [0.0] * (l_top + 1)
-    for k in range(k_top, -1, -1):
-        running = running + (1.0 + k) ** (-b) * np.abs(dec.pieces[k].values)
-        if k <= l_top:
-            means = level_cube_means(grid, running, k)
-            best[k] = (1.0 + k) ** b * float(means.max())
-    sup_norms = dec.sup_norms()
-    inner = (1.0 + np.arange(k_top + 1)) ** (-b) * sup_norms
-    tail, divergent = _tail_estimate(inner, scale=float(inner.max()))
-    values = np.asarray(best)
-    unsat = _sup_unsaturated(values)
-    return TermReport(
-        float(values.max()),
-        best,
-        math.inf if divergent else tail,
-        divergent or unsat,
-        "",
-    )
+    dec = _ensure_decomposition(f, partition, dec)
+    sups = _running_cube_sups(dec, [(1.0 + k) ** (-b) for k in range(dec.k_max + 1)], 1.0)
+    per_level = [(1.0 + l) ** b * v for l, v in enumerate(sups)]
+    inner = (1.0 + np.arange(dec.k_max + 1)) ** (-b) * dec.sup_norms()
+    return _report(dec, per_level, tails=[inner])
 
 
 def pinf_term3(
@@ -235,19 +227,15 @@ def pinf_term3(
     b > 1: sup_{k>=2} (1+k)^b ||S_k f||_inf; b = 1: sup (1+k) ln(1+k) ||.||;
     b < 1: sup (1+k) ||S_k f||_inf.
     """
-    dec = _dec(f, partition, dec)
-    sup_norms = dec.sup_norms()
-    ks = np.arange(len(sup_norms), dtype=np.float64)
+    dec = _ensure_decomposition(f, partition, dec)
+    ks = np.arange(dec.k_max + 1, dtype=np.float64)
     if b > 1:
         w = (1.0 + ks) ** b
     elif b == 1:
         w = (1.0 + ks) * np.log(1.0 + ks)
     else:
         w = 1.0 + ks
-    vals = w * sup_norms
-    vals[:2] = 0.0  # the sup starts at k = 2
-    unsat = _sup_unsaturated(vals[2:])
-    return TermReport(float(vals.max()), list(vals), 0.0, unsat, "")
+    return _high_low(dec, INF, weight=w)
 
 
 def nece_term2(
@@ -265,38 +253,9 @@ def nece_term2(
     """
     if p < 1:
         raise InvalidInputError("nece_term2 needs p in [1, inf]")
-    dec = _dec(f, partition, dec)
     if p == 1.0:
         return suff_term2(f, partition, 1.0, b, dec=dec)
-    pprime = conjugate_exponent(p)
-    l_top = min(dec.grid.l_max, dec.k_max)
-    acc = [0.0] * (l_top + 1)  # acc[l]: per-cube k-sums over the level-l cubes
-    inner_norms = [[] for _ in range(l_top + 1)]
-    for k in range(dec.k_max + 1):
-        table = dec.cube_table(k, pprime)
-        for l in range(min(k, l_top) + 1):
-            means = table.means(l) ** (1.0 / pprime)
-            w = ((1.0 + l) / (1.0 + k)) ** b
-            acc[l] = acc[l] + w * means
-            inner_norms[l].append(w * float(means.max()))
-    per_level = [float(a.max()) for a in acc]
-    divergent = False
-    tails = []
-    scale = float(dec.sup_norms().max())
-    for norms in inner_norms:
-        tail, bad = _tail_estimate(np.asarray(norms), scale=scale)
-        tails.append(tail)
-        divergent = divergent or bad
-    values = np.asarray(per_level)
-    unsat = _sup_unsaturated(values)
-    worst_tail = max((t for t in tails if math.isfinite(t)), default=0.0)
-    return TermReport(
-        float(values.max()) if values.size else 0.0,
-        per_level,
-        math.inf if divergent else worst_tail,
-        divergent or unsat,
-        "",
-    )
+    return _low_high(_ensure_decomposition(f, partition, dec), conjugate_exponent(p), b, per_cube=True)
 
 
 def nece_term3(
@@ -312,31 +271,10 @@ def nece_term3(
     sup_{k>=2} ( sum_{j<=k-2} ((1+k)/(1+j))^{bp} sup_{l(P)=2^-j} mean_P |S_k f|^p )^{1/p};
     at p = INF it is sum_{l<=k-2} ((1+k)/(1+l))^b ||S_k f||_inf.
     """
-    dec = _dec(f, partition, dec)
-    k_top = dec.k_max
-    if is_inf(p):
-        sup_norms = dec.sup_norms()
-        per_level = [0.0, 0.0]
-        for k in range(2, k_top + 1):
-            ls = np.arange(0, k - 1)
-            per_level.append(float(np.sum(((1.0 + k) / (1.0 + ls)) ** b) * sup_norms[k]))
-        values = np.asarray(per_level)
-        return TermReport(float(values.max()), per_level, 0.0, _sup_unsaturated(values[2:]), "")
     if p < 1:
         raise InvalidInputError("nece_term3 needs p >= 1")
-    levels = range(0, min(dec.grid.l_max, k_top) + 1)
-    sup_means = _cube_sup_means(dec, p, levels)
-    per_level = [0.0, 0.0]
-    clamped = False
-    for k in range(2, k_top + 1):
-        j_top = min(k - 2, levels.stop - 1)
-        clamped = clamped or (k - 2 > j_top)
-        js = np.arange(0, j_top + 1)
-        w = ((1.0 + k) / (1.0 + js)) ** (b * p)
-        per_level.append(float(np.sum(w * sup_means[k, : j_top + 1] ** p)) ** (1.0 / p))
-    values = np.asarray(per_level)
-    note = "cube levels clamped at l_max" if clamped else ""
-    return TermReport(float(values.max()), per_level, 0.0, _sup_unsaturated(values[2:]), note)
+    dec = _ensure_decomposition(f, partition, dec)
+    return _high_low(dec, p, b, 1.0 if is_inf(p) else p)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +303,7 @@ def nece_mixed_at_level(
     """
     if p < 1:
         raise InvalidInputError("nece_mixed needs p in [1, inf]")
-    dec = _dec(f, partition, dec)
+    dec = _ensure_decomposition(f, partition, dec)
     grid = dec.grid
     k_top = dec.k_max
     if l > min(grid.l_max, k_top):
@@ -373,8 +311,7 @@ def nece_mixed_at_level(
     if p == 1.0 or is_inf(p):
         # Indicator weights integrate out (p=1) / the best chain stacks on one
         # cube (p=inf): both reduce to the sup-of-sums term at this level.
-        rep = nece_term2(f, partition, p, b, dec=dec)
-        return rep.per_level[l]
+        return nece_term2(f, partition, p, b, dec=dec).per_level[l]
     pprime = conjugate_exponent(p)
     js = list(range(l, k_top + 1))
     mat = np.asarray([
@@ -441,10 +378,13 @@ def nece_mixed(
     dec: SpectralDecomposition | None = None,
 ) -> float:
     """sup over l of the mixed cube-sequence functional (see nece_mixed_at_level)."""
-    dec = _dec(f, partition, dec)
+    dec = _ensure_decomposition(f, partition, dec)
     l_top = min(dec.grid.l_max, dec.k_max)
     if strategy == "exhaustive":
         l_top = min(l_top, 3)
+    if p == 1.0 or is_inf(p):
+        # nece_term2's per_level runs to K_max at p = 1; the functional stops at the cube guard
+        return max(nece_term2(f, partition, p, b, dec=dec).per_level[: l_top + 1])
     return max(
         nece_mixed_at_level(f, partition, p, b, l, strategy, dec=dec)
         for l in range(l_top + 1)
@@ -470,7 +410,7 @@ def netrusov(
     grid = f.grid
     if not (0.0 < s < grid.dim):
         raise InvalidInputError(f"s must lie in (0, {grid.dim}), got {s}")
-    dec = _dec(f, partition, dec)
+    dec = _ensure_decomposition(f, partition, dec)
     per_level = []
     for i in range(dec.k_max + 1):
         a = np.abs(dec.pieces[i].values)
@@ -478,8 +418,7 @@ def netrusov(
         for l in range(0, i + 1):
             total += 2.0 ** (-l * s) * sliding_window_mean_max(a, grid, 2.0**-l)
         per_level.append(2.0 ** (i * s) * total)
-    values = np.asarray(per_level)
-    return TermReport(float(values.max()), per_level, 0.0, _sup_unsaturated(values), "")
+    return _report(dec, per_level)
 
 
 def pi3_log_bound(
@@ -501,13 +440,10 @@ def pi3_log_bound(
     crit = 0.5 if p >= 2 else 1.0 / p
     expo = b if b >= crit else crit
     log_pow = crit if b == crit else 0.0
-    dec = _dec(f, partition, dec)
-    sup_norms = dec.sup_norms()
-    ks = np.arange(len(sup_norms), dtype=np.float64)
+    dec = _ensure_decomposition(f, partition, dec)
+    ks = np.arange(dec.k_max + 1, dtype=np.float64)
     w = (1.0 + ks) ** expo * np.log(1.0 + ks) ** log_pow
-    vals = w * sup_norms
-    vals[0] = 0.0  # the sup runs over j >= 1
-    return TermReport(float(vals.max()), list(vals), 0.0, _sup_unsaturated(vals[1:]), "")
+    return _high_low(dec, INF, weight=w, start=1)  # the sup runs over j >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +510,7 @@ def verdict(
     an order of magnitude.  A non-finite L^inf norm, term value or bracket
     end makes the report INVALID (an infinite `tail` only marks divergence).
     """
-    dec = _dec(f, partition, dec)
+    dec = _ensure_decomposition(f, partition, dec)
     linf = lp_norm(f, INF)
     if p == 1.0:
         t2 = suff_term2(f, partition, 1.0, b, dec=dec)

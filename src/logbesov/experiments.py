@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import pinf_term2, pinf_term3, suff_term2, suff_term3, verdict
+from .criteria import verdict
 from .errors import InvalidInputError
 from .gallery import (
     StackSpec,
@@ -143,16 +143,12 @@ def growth_law(p: float, b: float) -> tuple[float, float, str]:
 
 
 def _criterion_value(f, partition, p: float, b: float) -> float:
-    dec = decompose(f, partition)
     if p == 1.0:
-        t2 = suff_term2(f, partition, 1.0, b, dec=dec)
-        t3 = suff_term3(f, partition, 1.0, b, dec=dec)
-        return lp_norm(f, INF) + t2.value + t3.value
+        return verdict(f, partition, p, b).combined
     if is_inf(p):
         # the p = infinity sweep tracks the two criterion terms alone
-        t2 = pinf_term2(f, partition, b, dec=dec)
-        t3 = pinf_term3(f, partition, b, dec=dec)
-        return t2.value + t3.value
+        rep = verdict(f, partition, p, b)
+        return rep.term2.value + rep.term3.value
     raise InvalidInputError("criterion route only for p in {1, inf}")
 
 

@@ -16,7 +16,6 @@ from math import comb
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
-from .cubes import level_cube_means
 from .errors import InvalidInputError, ResolutionError
 from .grid import (
     INF,
@@ -27,7 +26,7 @@ from .grid import (
     is_inf,
     lp_norm,
 )
-from .partition import DyadicPartition, SpectralDecomposition, decompose
+from .partition import DyadicPartition, SpectralDecomposition, _ensure_decomposition, _running_cube_sups
 
 PI = math.pi
 LN2 = math.log(2.0)
@@ -75,14 +74,6 @@ class NormResult:
 
     def __float__(self) -> float:
         return self.value
-
-
-def _ensure_decomposition(
-    f: SampledFunction, partition: DyadicPartition, dec: SpectralDecomposition | None
-) -> SpectralDecomposition:
-    if dec is not None:
-        return dec
-    return decompose(f, partition)
 
 
 def _lq_combine(terms: np.ndarray, q: float) -> float:
@@ -138,24 +129,8 @@ def tl_norm_inf(
     """
     check_exponent(q, "q")
     dec = _ensure_decomposition(f, partition, dec)
-    grid = f.grid
-    k_top = min(partition.k_max, grid.l_max)
-    best_per_level: list[float] = [0.0] * (k_top + 1)
-    if is_inf(q):
-        running = np.zeros(grid.shape)
-        for k in range(partition.k_max, -1, -1):
-            w = 2.0 ** (k * s) * (1.0 + k) ** b
-            np.maximum(running, w * np.abs(dec.pieces[k].values), out=running)
-            if k <= k_top:
-                best_per_level[k] = float(running.max())
-    else:
-        running = np.zeros(grid.shape)
-        for k in range(partition.k_max, -1, -1):
-            w = 2.0 ** (k * s) * (1.0 + k) ** b
-            running += (w * np.abs(dec.pieces[k].values)) ** q
-            if k <= k_top:
-                means = level_cube_means(grid, running, k)
-                best_per_level[k] = float(means.max() ** (1.0 / q))
+    weights = [2.0 ** (k * s) * (1.0 + k) ** b for k in range(partition.k_max + 1)]
+    best_per_level = _running_cube_sups(dec, weights, q)
     tail = band_energy_fraction(f, 2.0 ** (partition.k_max - 1))
     return NormResult(max(best_per_level), tail, best_per_level)
 

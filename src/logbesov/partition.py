@@ -32,9 +32,9 @@ from enum import Enum
 
 import numpy as np
 
-from .cubes import CubeMeanTable
+from .cubes import CubeMeanTable, level_cube_means
 from .errors import InvalidInputError, LevelOverflowError
-from .grid import GridSpec, SampledFunction, apply_symbol
+from .grid import GridSpec, SampledFunction, apply_symbol, is_inf
 
 
 class PartitionKind(Enum):
@@ -227,6 +227,31 @@ def decompose(f: SampledFunction, partition: DyadicPartition) -> SpectralDecompo
             spectrum[lattice] = box[sub] * coeffs[lattice]
         pieces.append(SampledFunction(f.grid, np.fft.ifftn(spectrum)))
     return SpectralDecomposition(partition, pieces)
+
+
+def _ensure_decomposition(f, partition, dec) -> SpectralDecomposition:
+    """`dec` when the caller has one, else `decompose(f, partition)`."""
+    return dec if dec is not None else decompose(f, partition)
+
+
+def _running_cube_sups(dec: SpectralDecomposition, weights: list[float], q: float) -> list[float]:
+    """sup over level-l cubes Q of (mean_Q sum_{k>=l} (weights[k] |S_k f|)^q)^{1/q}
+    for l = 0..min(K_max, l_max), the k-sum run down from K_max; at q = INF
+    the sum is a pointwise max and the sup runs over all samples."""
+    grid = dec.grid
+    l_top = min(dec.k_max, grid.l_max)
+    best = [0.0] * (l_top + 1)
+    running = np.zeros(grid.shape)
+    for k in range(dec.k_max, -1, -1):
+        term = weights[k] * np.abs(dec.pieces[k].values)
+        if is_inf(q):
+            np.maximum(running, term, out=running)
+        else:
+            running += term**q
+        if k <= l_top:
+            sup = running.max() if is_inf(q) else level_cube_means(grid, running, k).max() ** (1.0 / q)
+            best[k] = float(sup)
+    return best
 
 
 def _torus_distance_sq(grid: GridSpec, shifts: np.ndarray) -> np.ndarray:

@@ -173,12 +173,21 @@ def test_nece_term3_exponential_counts(part12):
 # --- mixed cube-sequence functional ----------------------------------------------
 
 
-def test_nece_mixed_reductions(part10, rng):
+def test_nece_mixed_reductions(part10, rng, monkeypatch):
     f = random_band_limited(part10.grid, 2.0 ** (part10.k_max - 1), rng)
     dec = decompose(f, part10)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return nece_term2(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "nece_term2", counted)
     # p = 1 and p = inf collapse to the sup-of-sums term, any strategy
     for p in (1.0, INF):
+        calls.clear()
         got = nece_mixed(f, part10, p, 0.5, "greedy", dec=dec)
+        assert len(calls) == 1
         ref = nece_term2(f, part10, p, 0.5, dec=dec).value
         assert got == pytest.approx(ref, rel=1e-12)
 
@@ -351,6 +360,31 @@ def test_verdict_invalid_on_nonfinite_term(part10, monkeypatch, p, term):
     monkeypatch.setattr(criteria, term, nan_term)
     rep = verdict(make_indicator(part10.grid, "cube"), part10, p, 0.5)
     assert rep.verdict == "INVALID"
+
+
+def test_nonfinite_piece_noted_by_every_term(part10):
+    """A NaN piece reaches every term's per_level; each note flags it and
+    every verdict is INVALID."""
+    g = part10.grid
+    f = make_indicator(g, "cube")
+    pieces = list(decompose(f, part10).pieces)
+    pieces[3] = SampledFunction(g, np.full(g.shape, np.nan, dtype=np.complex128))
+    dec = SpectralDecomposition(part10, pieces)
+    reports = [
+        suff_term2(f, part10, 1.0, 0.5, dec=dec),
+        suff_term2(f, part10, 2.0, 0.5, dec=dec),
+        pinf_term2(f, part10, 0.5, dec=dec),
+        pinf_term3(f, part10, 0.5, dec=dec),
+        pi3_log_bound(f, part10, 4.0, 0.5, dec=dec),
+        netrusov(f, part10, 0.5, dec=dec),
+    ]
+    for p in (2.0, INF):
+        for term in (suff_term3, nece_term2, nece_term3):
+            reports.append(term(f, part10, p, 0.5, dec=dec))
+    for rep in reports:
+        assert "non-finite per-level value" in rep.note
+    for p in (1.0, 2.0, INF):
+        assert verdict(f, part10, p, 0.5, dec=dec).verdict == "INVALID"
 
 
 def test_verdict_infinite_tail_is_not_invalid(part10):
