@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .criteria import verdict
-from .errors import LogBesovError
+from .errors import InvalidInputError, LogBesovError
 from .experiments import RUNNERS, ExperimentConfig, Table
 from .fileio import load_sfn, save_dpu
 from .gallery import family_from_spec, gallery_from_spec
@@ -27,6 +27,13 @@ def _parse_exponent(text: str) -> float:
     if text.strip().lower() in ("inf", "infinity"):
         return INF
     return float(text)
+
+
+def _parse_list(flag: str, text: str, parse) -> tuple:
+    try:
+        return tuple(parse(x) for x in text.split(","))
+    except ValueError:
+        raise InvalidInputError(f"{flag}: cannot parse {text!r}") from None
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -126,7 +133,7 @@ def main(argv=None) -> int:
     try:
         grid = GridSpec(dim, j)
         if args.verb == "partition-check":
-            config = ExperimentConfig(name="partition-check", dim=dim, log2_samples=j, kind=args.kind)
+            config = ExperimentConfig(dim=dim, log2_samples=j, kind=args.kind)
             table = RUNNERS["partition-check"](config)
             if args.export:
                 save_dpu(args.export, build_partition(grid, args.kind))
@@ -174,13 +181,13 @@ def main(argv=None) -> int:
         # experiment verbs: each flag is registered only where its runner reads it
         fields = {}
         if args.verb == "exp-growth":
-            fields["b_list"] = tuple(float(x) for x in args.b_list.split(","))
-            fields["p_list"] = tuple(_parse_exponent(x) for x in args.p_list.split(","))
+            fields["b_list"] = _parse_list("--b-list", args.b_list, float)
+            fields["p_list"] = _parse_list("--p-list", args.p_list, _parse_exponent)
         if args.verb == "charfun":
             fields["shape"] = args.shape
         else:
             fields["m_range"] = (args.m_min, args.m_max)
-        config = ExperimentConfig(name=args.verb, dim=dim, log2_samples=j, kind=args.kind, **fields)
+        config = ExperimentConfig(dim=dim, log2_samples=j, kind=args.kind, **fields)
         table = RUNNERS[args.verb](config)
         return _emit_table(table, args)
     except LogBesovError as exc:

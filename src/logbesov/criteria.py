@@ -290,7 +290,6 @@ def nece_mixed_at_level(
     strategy: str = "greedy",
     *,
     dec: SpectralDecomposition | None = None,
-    budget: int = 2_000_000,
 ) -> float:
     """Level-l value of the mixed functional
 
@@ -299,7 +298,7 @@ def nece_mixed_at_level(
     optimized over the cube sequence {P_j}.  The L^p norm uses the exact
     dyadic volumes, so 2^{ln/p} and |P_j|^{1/p} cancel.  'greedy' assigns
     each j its own best cube (a valid lower bound); 'exhaustive' scans all
-    assignments (1D, l <= 3, bounded budget).
+    assignments (1D, l <= 3, at most 2e6 cube loads).
     """
     if p < 1:
         raise InvalidInputError("nece_mixed needs p in [1, inf]")
@@ -335,7 +334,7 @@ def nece_mixed_at_level(
         if grid.dim != 1 or l > 3:
             raise CapabilityError("exhaustive mixed search only for 1D and l <= 3")
         n = len(js)
-        if n > 14 or (1 << n) * n_cubes > budget:
+        if n > 14 or (1 << n) * n_cubes > 2_000_000:
             raise CapabilityError(
                 f"exhaustive search over {n} levels x {n_cubes} cubes exceeds the budget"
             )

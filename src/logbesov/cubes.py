@@ -15,6 +15,7 @@ sums of nonnegative terms, so the means are nonnegative by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,10 +87,7 @@ def cube_mean_power(f: SampledFunction, cube: DyadicCube, r: float) -> float:
     """Averaged integral (mean_Q |f|^r)^(1/r); r=INF is the max over the cube."""
     check_exponent(r)
     windows = cube_sample_windows(f.grid, cube)
-    block = f.values
-    for axis, (i0, i1) in enumerate(windows):
-        block = np.take(block, np.arange(i0, i1), axis=axis)
-    a = np.abs(block)
+    a = np.abs(f.values[tuple(slice(i0, i1) for i0, i1 in windows)])
     if is_inf(r):
         return float(a.max())
     return float(np.mean(a**r) ** (1.0 / r))
@@ -123,7 +121,7 @@ def _reduce(ufunc, data: np.ndarray, bounds: np.ndarray, dim: int) -> np.ndarray
 
 def _counts(grid: GridSpec, level: int) -> np.ndarray:
     c = np.diff(level_boundaries(grid, level))
-    return c if grid.dim == 1 else c[:, None] * c[None, :]
+    return functools.reduce(np.multiply.outer, [c] * grid.dim)
 
 
 class CubeMeanTable:

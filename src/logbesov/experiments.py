@@ -30,7 +30,6 @@ from .paraproducts import multiplier_lower_bound
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    name: str = "exp-growth"
     dim: int = 1
     log2_samples: int = 14
     kind: str = "radial"

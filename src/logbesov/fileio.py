@@ -29,14 +29,24 @@ def save_sfn(path, f: SampledFunction) -> None:
         fh.write(payload.tobytes())
 
 
+def _read(path, fmt: str) -> tuple[dict, np.ndarray]:
+    """Header and float64 payload of a `fmt` file; a bad file is an input error."""
+    try:
+        raw = Path(path).read_bytes()
+        nl = raw.index(b"\n")
+        header = json.loads(raw[:nl].decode("utf-8"))
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: {exc.strerror}") from None
+    except ValueError:  # no header line, or one that is not UTF-8 JSON
+        header = {}
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise InvalidInputError(f"{path}: not an .{fmt} file")
+    return header, np.frombuffer(raw[nl + 1 :], dtype="<f8")
+
+
 def load_sfn(path) -> SampledFunction:
-    raw = Path(path).read_bytes()
-    nl = raw.index(b"\n")
-    header = json.loads(raw[:nl].decode("utf-8"))
-    if header.get("format") != "sfn":
-        raise InvalidInputError(f"{path}: not an .sfn file")
+    header, payload = _read(path, "sfn")
     grid = GridSpec(int(header["dim"]), int(header["J"]))
-    payload = np.frombuffer(raw[nl + 1 :], dtype="<f8")
     expected = 2 * grid.n_samples**grid.dim
     if payload.size != expected:
         raise InvalidInputError(f"{path}: payload has {payload.size} f64, expected {expected}")
@@ -62,15 +72,10 @@ def save_dpu(path, partition: DyadicPartition) -> None:
 def load_dpu(path) -> tuple[DyadicPartition, list[np.ndarray]]:
     """Load a partition export; returns the rebuilt partition and the stored
     symbol arrays (so round-trip checks can compare them)."""
-    raw = Path(path).read_bytes()
-    nl = raw.index(b"\n")
-    header = json.loads(raw[:nl].decode("utf-8"))
-    if header.get("format") != "dpu":
-        raise InvalidInputError(f"{path}: not a .dpu file")
+    header, payload = _read(path, "dpu")
     grid = GridSpec(int(header.get("dim", 1)), int(header["J"]))
     partition = build_partition(grid, PartitionKind(header["kind"]))
     n = grid.n_samples**grid.dim
-    payload = np.frombuffer(raw[nl + 1 :], dtype="<f8")
     k_max = int(header["K_max"])
     if payload.size != (k_max + 1) * n:
         raise InvalidInputError(f"{path}: truncated symbol payload")

@@ -7,6 +7,7 @@ Every construction is pure and deterministic: same spec, same samples.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,10 +25,10 @@ from .errors import (
     LevelOverflowError,
 )
 from .grid import (
-    INF,
     FrequencyField,
     GridSpec,
     SampledFunction,
+    _radius,
     conjugate_exponent,
     is_inf,
     make_constant,
@@ -139,6 +140,8 @@ def make_bump(grid: GridSpec, spec: BumpSpec) -> SampledFunction:
     """
     if spec.level < 0:
         raise DomainError("bump level must be >= 0")
+    if spec.level > grid.k_max - 1:
+        raise LevelOverflowError(f"bump level {spec.level} exceeds K_max-1 = {grid.k_max - 1}")
     if len(spec.anchor) != grid.dim:
         raise InvalidInputError("anchor dimension does not match grid")
     for lo, hi in _bump_extent(spec):
@@ -154,15 +157,10 @@ def make_bump(grid: GridSpec, spec: BumpSpec) -> SampledFunction:
     fine = n * refine
     ax = -PI + (2.0 * PI / fine) * np.arange(fine)
     per_axis = [spec.scale() * (ax - a) for a in spec.anchor]
-    if grid.dim == 1:
-        h_fine = bump_profile((per_axis[0],))
-    else:
-        h_fine = bump_profile((per_axis[0][:, None], per_axis[1][None, :]))
+    h_fine = bump_profile(np.meshgrid(*per_axis, indexing="ij", sparse=True, copy=False))
     coeffs_fine = np.fft.fftn(h_fine) / h_fine.size
     keep = np.r_[0 : n // 2, fine - n // 2 : fine]
-    for axis in range(grid.dim):
-        coeffs_fine = np.take(coeffs_fine, keep, axis=axis)
-    out = synthesize(grid, coeffs_fine)
+    out = synthesize(grid, coeffs_fine[np.ix_(*[keep] * grid.dim)])
     out.values -= out.values.mean()
     return out
 
@@ -176,9 +174,9 @@ class StackSpec:
     """Sum over l of i^l 2^{(lm+n0) dim/p} (1+lm+n0)^{-b} h_{lm+n0}.
 
     `spacing` is the level stride m, `offset` the residue n0, `depth` the top
-    level N (levels lm+n0 <= N enter).  Anchors are the lower-left corners of
-    the plateau cubes; the default is the nested chain cornered at -1 on each
-    axis, which keeps every dilated support inside the torus.
+    level N (levels lm+n0 <= N enter).  The plateau cubes form the nested
+    chain cornered at -1 on each axis, which keeps every dilated support
+    inside the torus.
     """
 
     spacing: int
@@ -186,7 +184,6 @@ class StackSpec:
     depth: int = 0
     p: float = 2.0
     b: float = 0.0
-    anchors: tuple[tuple[float, ...], ...] | None = None
 
     def levels(self) -> list[int]:
         if not (0 <= self.offset < self.spacing):
@@ -216,20 +213,9 @@ def default_stack_spacing(dim: int, p: float, b: float) -> int:
 
 
 def make_stack(grid: GridSpec, spec: StackSpec) -> SampledFunction:
-    levels = spec.levels()
-    if levels[-1] > grid.k_max - 1:
-        raise LevelOverflowError(
-            f"deepest stack level {levels[-1]} exceeds K_max-1 = {grid.k_max - 1}"
-        )
-    if spec.anchors is None:
-        anchors = [(-1.0,) * grid.dim] * len(levels)
-    else:
-        anchors = [tuple(a) for a in spec.anchors]
-        if len(anchors) != len(levels):
-            raise InvalidInputError("need one anchor per stack level")
     over_p = 0.0 if is_inf(spec.p) else grid.dim / spec.p
     total = np.zeros(grid.shape, dtype=np.complex128)
-    for i, (lvl, anchor) in enumerate(zip(levels, anchors)):
+    for i, (lvl, anchor) in enumerate(stack_plateau_cubes(grid, spec)):
         coeff = (1j**i) * 2.0 ** (lvl * over_p) * (1.0 + lvl) ** (-spec.b)
         total += coeff * make_bump(grid, BumpSpec(lvl, anchor)).values
     return SampledFunction(grid, total)
@@ -237,33 +223,24 @@ def make_stack(grid: GridSpec, spec: StackSpec) -> SampledFunction:
 
 def stack_plateau_cubes(grid: GridSpec, spec: StackSpec) -> list[tuple[int, tuple[float, ...]]]:
     """(level, corner) of each plateau cube anchor + [0, 2^-level)^n."""
-    levels = spec.levels()
-    if spec.anchors is None:
-        anchors = [(-1.0,) * grid.dim] * len(levels)
-    else:
-        anchors = [tuple(a) for a in spec.anchors]
-    return list(zip(levels, anchors))
+    return [(lvl, (-1.0,) * grid.dim) for lvl in spec.levels()]
 
 
 # ---------------------------------------------------------------------------
 # exponential stacks (proof device for the p = infinity level-sum bound)
 
 
-def make_exp_stack(grid: GridSpec, k: int, b: float, anchor=None) -> SampledFunction:
-    """g_k(x) = sum_{l=0}^{k} (1+l)^{-b} e^{i 2^l (x_1 - z_1)}."""
+def make_exp_stack(grid: GridSpec, k: int, b: float) -> SampledFunction:
+    """g_k(x) = sum_{l=0}^{k} (1+l)^{-b} e^{i 2^l x_1}."""
     if k > grid.k_max - 1:
         raise LevelOverflowError(f"stack top {k} exceeds K_max-1 = {grid.k_max - 1}")
     if k < 0:
         raise InvalidInputError("stack top must be >= 0")
-    if anchor is None:
-        z1 = 0.0
-    else:
-        z1 = float(np.atleast_1d(anchor)[0])
     x1 = grid.points()[0]
     vals = np.zeros(grid.shape, dtype=np.complex128)
     for l in range(k + 1):
         vals = vals + (1.0 + l) ** (-b) * np.broadcast_to(
-            np.exp(1j * (1 << l) * (x1 - z1)), grid.shape
+            np.exp(1j * (1 << l) * x1), grid.shape
         )
     return SampledFunction(grid, vals)
 
@@ -289,7 +266,6 @@ class PacketSpec:
 
     m: int
     alpha: dict[int, complex]
-    envelope: FrequencyField | None = None
 
 
 def make_modulated_packet(grid: GridSpec, spec: PacketSpec) -> SampledFunction:
@@ -297,8 +273,7 @@ def make_modulated_packet(grid: GridSpec, spec: PacketSpec) -> SampledFunction:
         raise LevelOverflowError(f"packet base level {spec.m} exceeds K_max-2")
     if spec.m < 3:
         raise InvalidInputError("packet needs m >= 3")
-    env = spec.envelope if spec.envelope is not None else make_envelope(grid)
-    psi = env.to_function()
+    psi = make_envelope(grid).to_function()
     x1 = grid.points()[0]
     mod = np.zeros(grid.shape, dtype=np.complex128)
     for j, a in sorted(spec.alpha.items()):
@@ -335,16 +310,15 @@ def expo7_family(
 # lacunary series (rough-but-continuous gallery members)
 
 
-def make_lacunary(grid: GridSpec, coeffs, kind: str = "cos") -> SampledFunction:
-    """sum_j c_j cos(2^j x_1) (or complex exponentials with kind='exp')."""
+def make_lacunary(grid: GridSpec, coeffs) -> SampledFunction:
+    """sum_j c_j cos(2^j x_1)."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.size > grid.k_max:
         raise LevelOverflowError("too many lacunary levels for this grid")
     x1 = grid.points()[0]
     vals = np.zeros(grid.shape, dtype=np.complex128)
     for j, c in enumerate(coeffs):
-        osc = np.cos((1 << j) * x1) if kind == "cos" else np.exp(1j * (1 << j) * x1)
-        vals = vals + c * np.broadcast_to(osc, grid.shape)
+        vals = vals + c * np.broadcast_to(np.cos((1 << j) * x1), grid.shape)
     return SampledFunction(grid, vals)
 
 
@@ -352,7 +326,7 @@ def make_lacunary(grid: GridSpec, coeffs, kind: str = "cos") -> SampledFunction:
 # kernel calibration and the necessity packets
 
 
-def _kernel_radial(k: int, rho: np.ndarray, dim: int, quad_points: int) -> np.ndarray:
+def _kernel_radial(k: int, rho: np.ndarray, dim: int) -> np.ndarray:
     """Continuum inverse transform of phi_k (k >= 1) at radii `rho`.
 
     phi_k is radial with support {2^{k-1} <= |xi| <= 3 2^{k-1}}; the
@@ -360,7 +334,7 @@ def _kernel_radial(k: int, rho: np.ndarray, dim: int, quad_points: int) -> np.nd
     in dim 2).
     """
     scale = float(1 << (k - 1))
-    r = np.linspace(scale, 3.0 * scale, quad_points)
+    r = np.linspace(scale, 3.0 * scale, 4096)
     w = generator_profile(r / (2.0 * scale)) - generator_profile(r / scale)
     if dim == 1:
         core = _trapz(w[None, :] * np.cos(np.outer(rho, r)), r, axis=1)
@@ -368,20 +342,15 @@ def _kernel_radial(k: int, rho: np.ndarray, dim: int, quad_points: int) -> np.nd
     return _trapz(w[None, :] * bessel_j0(np.outer(rho, r)) * r[None, :], r, axis=1)
 
 
-def kernel_phi1_radial(rho: np.ndarray, dim: int, quad_points: int = 4096) -> np.ndarray:
+def kernel_phi1_radial(rho: np.ndarray, dim: int) -> np.ndarray:
     """Continuum inverse transform of phi_1 at the given radii."""
     rho = np.abs(np.atleast_1d(np.asarray(rho, dtype=np.float64)))
-    return _kernel_radial(1, rho, dim, quad_points)
+    return _kernel_radial(1, rho, dim)
 
 
-def kernel_phi1(points: np.ndarray, dim: int, quad_points: int = 4096) -> np.ndarray:
-    """Continuum inverse transform of phi_1 at the given spatial points
-    (rows of `points` in dim 2)."""
-    return kernel_phi(1, points, dim, quad_points)
-
-
-def kernel_phi(k: int, points: np.ndarray, dim: int, quad_points: int = 4096) -> np.ndarray:
-    """Continuum inverse transform of phi_k (radial quadrature at level k)."""
+def kernel_phi(k: int, points: np.ndarray, dim: int) -> np.ndarray:
+    """Continuum inverse transform of phi_k (radial quadrature at level k) at
+    the given spatial points (rows of `points` in dim 2)."""
     if k < 1:
         raise InvalidInputError("kernel_phi handles levels k >= 1")
     pts = np.asarray(points, dtype=np.float64)
@@ -389,7 +358,7 @@ def kernel_phi(k: int, points: np.ndarray, dim: int, quad_points: int = 4096) ->
         rho = np.abs(np.atleast_1d(pts))
     else:
         rho = np.linalg.norm(np.atleast_2d(pts), axis=-1)
-    return _kernel_radial(k, rho, dim, quad_points)
+    return _kernel_radial(k, rho, dim)
 
 
 @dataclass(frozen=True)
@@ -399,54 +368,38 @@ class KernelCalibration:
     lam: float
 
 
-def _kernel_profile(dim: int, rho_max: float, n_points: int = 4096):
-    """Tabulated radial kernel for fast interpolation during calibration."""
-    rho = np.linspace(0.0, rho_max, n_points)
-    return rho, kernel_phi1_radial(rho, dim)
+def _cell_radii(sigma: int, nu0: tuple[int, ...], ts: np.ndarray) -> np.ndarray:
+    """|x| at the sample points x = 2^{-sigma}(nu0 + t), t in ts^n, of a cell."""
+    axes = np.meshgrid(*[c + ts for c in nu0], indexing="ij", sparse=True)
+    return 2.0**-sigma * _radius(axes).ravel()
 
 
-def calibrate_kernel(
-    partition: DyadicPartition,
-    sigma_range=range(0, 4),
-    samples_per_axis: int = 17,
-) -> KernelCalibration:
+def calibrate_kernel(partition: DyadicPartition) -> KernelCalibration:
     """Find (sigma, nu0, lambda>0) with phi_1-kernel >= lambda on the doubled
     cube 2^{-sigma}(nu0 +- [0,1)^n), |nu0| in (2^sigma, 3 2^sigma), last
-    coordinate >= 0; lambda maximized by grid search."""
+    coordinate >= 1, sigma in 0..3; lambda maximized by a search over 17
+    samples per axis."""
     dim = partition.grid.dim
-    rho_tab, k_tab = _kernel_profile(dim, 3.0 + 2.0 * math.sqrt(dim))
+    rho_tab = np.linspace(0.0, 3.0 + 2.0 * math.sqrt(dim), 4096)
+    k_tab = kernel_phi1_radial(rho_tab, dim)
     best: KernelCalibration | None = None
-    ts = np.linspace(-1.0, 1.0, samples_per_axis)
-    for sigma in sigma_range:
+    ts = np.linspace(-1.0, 1.0, 17)
+    for sigma in range(4):
         lo, hi = 1 << sigma, 3 * (1 << sigma)
-        if dim == 1:
-            candidates = [(nu,) for nu in range(lo + 1, hi)]
-        else:
-            rng = range(-hi, hi + 1)
-            candidates = [
-                (n1, n2)
-                for n1 in rng
-                for n2 in range(1, hi + 1)
-                if lo < math.hypot(n1, n2) < hi
-            ]
+        candidates = [
+            head + (last,)
+            for head in itertools.product(range(-hi, hi + 1), repeat=dim - 1)
+            for last in range(1, hi + 1)
+            if lo < math.hypot(*head, last) < hi
+        ]
         for nu0 in candidates:
-            if dim == 1:
-                rho = np.abs(2.0**-sigma * (nu0[0] + ts))
-            else:
-                g1, g2 = np.meshgrid(nu0[0] + ts, nu0[1] + ts, indexing="ij")
-                rho = 2.0**-sigma * np.hypot(g1.ravel(), g2.ravel())
-            lam = float(np.interp(rho, rho_tab, k_tab).min())
+            lam = float(np.interp(_cell_radii(sigma, nu0, ts), rho_tab, k_tab).min())
             if best is None or lam > best.lam:
-                best = KernelCalibration(sigma, tuple(nu0), lam)
+                best = KernelCalibration(sigma, nu0, lam)
     assert best is not None
     # re-evaluate the winner exactly (the table scan interpolates)
     sigma, nu0 = best.sigma, best.nu0
-    if dim == 1:
-        rho = np.abs(2.0**-sigma * (nu0[0] + ts))
-    else:
-        g1, g2 = np.meshgrid(nu0[0] + ts, nu0[1] + ts, indexing="ij")
-        rho = 2.0**-sigma * np.hypot(g1.ravel(), g2.ravel())
-    best = KernelCalibration(sigma, nu0, float(kernel_phi1_radial(rho, dim).min()))
+    best = KernelCalibration(sigma, nu0, float(kernel_phi1_radial(_cell_radii(sigma, nu0, ts), dim).min()))
     if best.lam <= 0:
         raise CalibrationError(f"no positive kernel cell found; best lambda = {best.lam:.3e}")
     return best
@@ -484,6 +437,11 @@ def make_necessity_packet(
         )
     dec = decompose(f, partition)
     nu_min, nu_max = level_index_range(level)
+    # per axis, the window cubes w (as indices into the level's cube means)
+    # whose base w - nu0 is also inside the domain
+    admissible = [np.arange(max(0, o), nu_max - nu_min + 1 + min(0, o)) for o in cal.nu0]
+    if any(w.size == 0 for w in admissible):
+        raise DegenerateInputError(f"calibration offset {cal.nu0} leaves no cube at level {level}")
     terms = []
     # terms are normalized by local mass; numerically vanishing projections
     # must be dropped, not normalized into noise
@@ -496,34 +454,11 @@ def make_necessity_packet(
         sj = dec.piece(j).values
         absj = np.abs(sj)
         power = absj ** pprime
-        means = level_cube_means(grid, power, level)
-        # admissible base index nu: both nu and nu + nu0 inside the domain
-        if grid.dim == 1:
-            off = cal.nu0[0]
-            valid = np.arange(nu_min, nu_max + 1)
-            valid = valid[(valid + off >= nu_min) & (valid + off <= nu_max)]
-            if valid.size == 0:
-                continue
-            shifted = means[valid + off - nu_min]
-            pick = int(valid[np.argmax(shifted)])
-            best_mean = float(shifted.max())
-            base_index = (pick,)
-            window_index = (pick + off,)
-        else:
-            o1, o2 = cal.nu0
-            idx = np.arange(nu_min, nu_max + 1)
-            v1 = idx[(idx + o1 >= nu_min) & (idx + o1 <= nu_max)]
-            v2 = idx[(idx + o2 >= nu_min) & (idx + o2 <= nu_max)]
-            if v1.size == 0 or v2.size == 0:
-                continue
-            sub = means[np.ix_(v1 + o1 - nu_min, v2 + o2 - nu_min)]
-            flat = int(np.argmax(sub))
-            i1, i2 = np.unravel_index(flat, sub.shape)
-            best_mean = float(sub[i1, i2])
-            base_index = (int(v1[i1]), int(v2[i2]))
-            window_index = (base_index[0] + o1, base_index[1] + o2)
-        if best_mean <= floor:
+        sub = level_cube_means(grid, power, level)[np.ix_(*admissible)]
+        pick = np.unravel_index(np.argmax(sub), sub.shape)
+        if float(sub[pick]) <= floor:
             continue
+        window_index = tuple(nu_min + int(w[i]) for w, i in zip(admissible, pick))
         window = cube_sample_windows(grid, DyadicCube(level, window_index))
         mask = np.zeros(grid.shape, dtype=np.float64)
         sl = tuple(slice(i0, i1) for i0, i1 in window)
@@ -558,6 +493,23 @@ def _parse_kv(body: str) -> dict[str, str]:
     return out
 
 
+def _field(kv: dict[str, str], key: str, default: str, parse=int):
+    """Spec field `key` (or `default`) read by `parse`; a bad value is an input error."""
+    text = kv.get(key, default)
+    try:
+        return parse(text)
+    except ValueError:
+        raise InvalidInputError(f"bad value {text!r} for spec field {key!r}") from None
+
+
+def _case_list(text: str) -> tuple[int, ...]:
+    """'lo-hi' (inclusive range) or 'a;b;c'."""
+    if "-" in text:
+        lo, hi = text.split("-")
+        return tuple(range(int(lo), int(hi) + 1))
+    return tuple(int(c) for c in text.split(";"))
+
+
 def gallery_from_spec(grid: GridSpec, text: str) -> SampledFunction:
     """Build one gallery member from a CLI spec like 'exp:m=8,neg' or 'cube'."""
     head, _, body = text.partition(":")
@@ -565,9 +517,9 @@ def gallery_from_spec(grid: GridSpec, text: str) -> SampledFunction:
     kv = _parse_kv(body)
     if head == "exp":
         if "m" in kv:
-            k1 = 1 << int(kv["m"])
+            k1 = _field(kv, "m", "", lambda t: 1 << int(t))
         elif "k" in kv:
-            k1 = int(kv["k"])
+            k1 = _field(kv, "k", "")
         else:
             raise InvalidInputError("exp spec needs m= or k=")
         if kv.get("neg") == "true":
@@ -579,28 +531,28 @@ def gallery_from_spec(grid: GridSpec, text: str) -> SampledFunction:
     if head == "halfspace":
         return make_indicator(grid, "halfspace")
     if head == "const":
-        return make_constant(grid, complex(kv.get("c", "1")))
+        return make_constant(grid, _field(kv, "c", "1", complex))
     if head == "bump":
-        level = int(kv.get("l", "4"))
-        anchor = (float(kv.get("x", "0")),) * grid.dim
+        level = _field(kv, "l", "4")
+        anchor = (_field(kv, "x", "0", float),) * grid.dim
         return make_bump(grid, BumpSpec(level, anchor))
     if head == "stack":
         spec = StackSpec(
-            spacing=int(kv.get("m", "2")),
-            offset=int(kv.get("n0", "0")),
-            depth=int(kv.get("n", str(grid.k_max - 1))),
-            p=INF if kv.get("p", "2") == "inf" else float(kv.get("p", "2")),
-            b=float(kv.get("b", "0")),
+            spacing=_field(kv, "m", "2"),
+            offset=_field(kv, "n0", "0"),
+            depth=_field(kv, "n", str(grid.k_max - 1)),
+            p=_field(kv, "p", "2", float),
+            b=_field(kv, "b", "0", float),
         )
         return make_stack(grid, spec)
     if head == "packet":
-        m = int(kv.get("m", str(grid.k_max - 2)))
-        b = float(kv.get("b", "0"))
-        case = int(kv.get("case", "1"))
+        m = _field(kv, "m", str(grid.k_max - 2))
+        b = _field(kv, "b", "0", float)
+        case = _field(kv, "case", "1")
         return expo7_family(grid, m, b, cases=(case,))[0][1]
     if head == "lacunary":
-        beta = float(kv.get("beta", "0.5"))
-        levels = int(kv.get("levels", str(grid.k_max - 1)))
+        beta = _field(kv, "beta", "0.5", float)
+        levels = _field(kv, "levels", str(grid.k_max - 1))
         coeffs = [2.0 ** (-beta * j) for j in range(levels + 1)]
         return make_lacunary(grid, coeffs)
     raise InvalidInputError(f"unknown gallery spec {text!r}")
@@ -612,13 +564,7 @@ def family_from_spec(grid: GridSpec, text: str) -> list[tuple[str, SampledFuncti
     head = head.strip().lower()
     kv = _parse_kv(body)
     if head == "packets":
-        m = int(kv.get("m", str(grid.k_max - 2)))
-        b = float(kv.get("b", "0"))
-        spec = kv.get("cases", "1-5")
-        if "-" in spec:
-            lo, hi = spec.split("-")
-            cases = tuple(range(int(lo), int(hi) + 1))
-        else:
-            cases = tuple(int(c) for c in spec.split(";"))
-        return expo7_family(grid, m, b, cases=cases)
+        m = _field(kv, "m", str(grid.k_max - 2))
+        b = _field(kv, "b", "0", float)
+        return expo7_family(grid, m, b, cases=_field(kv, "cases", "1-5", _case_list))
     return [(text, gallery_from_spec(grid, text))]

@@ -43,6 +43,17 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _radius(axes) -> np.ndarray:
+    """Euclidean length of broadcastable per-axis coordinate arrays (float64).
+
+    The first axis is |a| as it stands, so one axis costs no `hypot` call.
+    """
+    rho = np.abs(axes[0]).astype(np.float64)
+    for a in axes[1:]:
+        rho = np.hypot(rho, a)
+    return rho
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling grid: N = 2^J points per axis on [-pi, pi)^dim, dim in {1, 2}."""
@@ -83,10 +94,7 @@ class GridSpec:
 
     def points(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays, broadcastable to the sample shape."""
-        x = self.axis()
-        if self.dim == 1:
-            return (x,)
-        return (x[:, None], x[None, :])
+        return tuple(np.meshgrid(*[self.axis()] * self.dim, indexing="ij", sparse=True, copy=False))
 
     def freq_axis(self) -> np.ndarray:
         """Integer frequencies in FFT layout."""
@@ -94,17 +102,11 @@ class GridSpec:
         return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
 
     def freqs(self) -> tuple[np.ndarray, ...]:
-        m = self.freq_axis()
-        if self.dim == 1:
-            return (m,)
-        return (m[:, None], m[None, :])
+        return tuple(np.meshgrid(*[self.freq_axis()] * self.dim, indexing="ij", sparse=True, copy=False))
 
     def freq_radius(self) -> np.ndarray:
         """Euclidean |m| over the frequency lattice, FFT layout."""
-        ms = self.freqs()
-        if self.dim == 1:
-            return np.abs(ms[0]).astype(np.float64)
-        return np.hypot(ms[0].astype(np.float64), ms[1].astype(np.float64))
+        return _radius(self.freqs())
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -148,10 +148,7 @@ def _difference_norm_grid(f: SampledFunction, shift, m: int, p: float) -> float:
     w = _binomial_weights(m)
     vals = np.zeros_like(f.values)
     for j in range(m + 1):
-        if f.grid.dim == 1:
-            vals += w[j] * np.roll(f.values, -j * shift[0])
-        else:
-            vals += w[j] * np.roll(f.values, (-j * shift[0], -j * shift[1]), axis=(0, 1))
+        vals += w[j] * np.roll(f.values, tuple(-j * s for s in shift), axis=tuple(range(f.grid.dim)))
     return lp_norm(SampledFunction(f.grid, vals), p)
 
 
@@ -205,16 +202,16 @@ def modulus(f: SampledFunction, m: int, t: float, p: float) -> float:
         raise ResolutionError(f"scale t={t:.3e} below one grid cell {f.grid.spacing:.3e}")
     check_exponent(p, "p")
     grid = f.grid
-    best = 0.0
     if grid.dim == 1:
-        for s in _shift_candidates_1d(grid, t):
-            best = max(best, _difference_norm_grid(f, s, m, p))
+        shifts = _shift_candidates_1d(grid, t)
         boundary_dirs = [np.array([1.0])]
     else:
-        for s in _shift_candidates_2d(grid, t):
-            best = max(best, _difference_norm_grid(f, s, m, p))
+        shifts = _shift_candidates_2d(grid, t)
         angles = np.linspace(0.0, PI, 32, endpoint=False)
         boundary_dirs = [np.array([math.cos(a), math.sin(a)]) for a in angles]
+    best = 0.0
+    for s in shifts:
+        best = max(best, _difference_norm_grid(f, s, m, p))
     coeffs = np.fft.fftn(f.values)
     r = t * (1.0 - 1e-9)
     for d in boundary_dirs:

@@ -25,6 +25,7 @@ builds its own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ import numpy as np
 
 from .cubes import CubeMeanTable, level_cube_means
 from .errors import InvalidInputError, LevelOverflowError
-from .grid import GridSpec, SampledFunction, apply_symbol, is_inf
+from .grid import GridSpec, SampledFunction, _radius, apply_symbol, is_inf
 
 
 class PartitionKind(Enum):
@@ -112,10 +113,10 @@ class DyadicPartition:
         top = _box_top(k)
         m = np.concatenate([np.arange(top + 1), np.arange(-top, 0)]).astype(np.float64)
         if self.kind is PartitionKind.RADIAL:
-            rho = np.abs(m) if self.grid.dim == 1 else np.hypot(m[:, None], m[None, :])
-            return generator_profile(rho / scale)
+            axes = np.meshgrid(*[m] * self.grid.dim, indexing="ij", sparse=True)
+            return generator_profile(_radius(axes) / scale)
         prof = generator_profile(np.abs(m) / scale)
-        return prof if self.grid.dim == 1 else prof[:, None] * prof[None, :]
+        return functools.reduce(np.multiply.outer, [prof] * self.grid.dim)
 
     def _box(self, k: int, cumulative: bool) -> np.ndarray:
         """phi_0(2^-k .) (cumulative) or phi_k on the level-k box."""
@@ -257,9 +258,7 @@ def _running_cube_sups(dec: SpectralDecomposition, weights: list[float], q: floa
 def _torus_distance_sq(grid: GridSpec, shifts: np.ndarray) -> np.ndarray:
     d = grid.spacing * shifts.astype(np.float64)
     d = (d + math.pi) % (2.0 * math.pi) - math.pi
-    if d.ndim == 1:
-        return d * d
-    return np.sum(d * d, axis=-1)
+    return d * d
 
 
 def peetre_maximal(
@@ -287,24 +286,14 @@ def peetre_maximal(
         radius = window_cells * 2.0**-j
     max_off = min(n // 2, int(math.ceil(radius / f.grid.spacing)))
     offsets = np.arange(-max_off, max_off + 1)
+    sq = dict(zip(offsets.tolist(), _torus_distance_sq(f.grid, offsets).tolist()))
+    axes = tuple(range(f.grid.dim))
     out = np.zeros_like(s)
     scale = float(1 << j)
-    if f.grid.dim == 1:
-        for o in offsets:
-            d = math.sqrt(_torus_distance_sq(f.grid, np.array([o]))[0])
-            if d > radius and o != 0:
-                continue
-            w = (1.0 + scale * d) ** (-a)
-            np.maximum(out, w * np.roll(s, o), out=out)
-    else:
-        for o1 in offsets:
-            d1 = _torus_distance_sq(f.grid, np.array([o1]))[0]
-            rolled1 = np.roll(s, o1, axis=0)
-            for o2 in offsets:
-                d2 = _torus_distance_sq(f.grid, np.array([o2]))[0]
-                d = math.sqrt(d1 + d2)
-                if d > radius and (o1, o2) != (0, 0):
-                    continue
-                w = (1.0 + scale * d) ** (-a)
-                np.maximum(out, w * np.roll(rolled1, o2, axis=1), out=out)
+    for o in itertools.product(offsets.tolist(), repeat=f.grid.dim):
+        d = math.sqrt(sum(sq[oi] for oi in o))
+        if d > radius and any(o):
+            continue
+        w = (1.0 + scale * d) ** (-a)
+        np.maximum(out, w * np.roll(s, o, axis=axes), out=out)
     return SampledFunction(f.grid, out)

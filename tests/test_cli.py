@@ -101,6 +101,33 @@ def test_experiment_flags_only_where_read(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exp-growth", "--b-list=abc"],
+        ["exp-growth", "--p-list=2,four"],
+        ["criteria", "--p", "2", "--b", "0", "--gallery", "exp:m=abc"],
+        ["criteria", "--p", "2", "--b", "0", "--gallery", "stack:n=x"],
+        ["--grid", "J=10", "lowerbound", "--f", "cube", "--family", "packets:cases=1-x", "--p", "2", "--b", "0"],
+        ["--grid", "J=10", "norm", "--input", "{missing}"],
+        ["--grid", "J=10", "norm", "--input", "{garbage}"],
+        ["--grid", "J=10", "criteria", "--p", "2", "--b", "0", "--gallery", "bump:l=40"],
+        ["--grid", "J=abc", "charfun"],
+    ],
+)
+def test_malformed_input_exits_2(argv, capsys, tmp_path):
+    garbage = tmp_path / "garbage.sfn"
+    garbage.write_bytes(b"\xff\xfe not a header")
+    argv = [a.format(missing=tmp_path / "missing.sfn", garbage=garbage) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    else:
+        assert "error:" in capsys.readouterr().err
+    assert code == 2
+
+
 def test_partition_export(tmp_path):
     out = tmp_path / "p.dpu"
     code = main(["--grid", "J=8", "--out", str(tmp_path), "partition-check",

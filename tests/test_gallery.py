@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from logbesov.cubes import DyadicCube, cube_mean_power, cube_sample_windows, level_index_range
 from logbesov.errors import (
     AliasingError,
     CapabilityError,
@@ -21,7 +23,6 @@ from logbesov.gallery import (
     expo7_family,
     gallery_from_spec,
     kernel_phi,
-    kernel_phi1,
     make_bump,
     make_envelope,
     make_exp_stack,
@@ -120,6 +121,13 @@ def test_bump_base_shape(grid12):
 def test_bump_support_overflow(grid10):
     with pytest.raises(DomainError):
         make_bump(grid10, BumpSpec(2, (3.0,)))
+
+
+def test_bump_level_beyond_grid(grid10):
+    # above K_max - 1 the samples no longer resolve h_l (its peak is noise)
+    assert np.abs(make_bump(grid10, BumpSpec(grid10.k_max - 1, (0.0,))).values).max() > 0.05
+    with pytest.raises(LevelOverflowError):
+        make_bump(grid10, BumpSpec(grid10.k_max, (0.0,)))
 
 
 def test_bump_translation_invariance(part12):
@@ -355,12 +363,12 @@ def test_calibrate_kernel_1d(part12):
     lo, hi = 1 << cal.sigma, 3 * (1 << cal.sigma)
     assert lo < abs(cal.nu0[0]) < hi
     # lambda cannot exceed the kernel's global maximum (attained at 0)
-    peak = float(kernel_phi1(np.array([0.0]), 1)[0])
+    peak = float(kernel_phi(1, np.array([0.0]), 1)[0])
     assert cal.lam <= peak + 1e-12
     # and the kernel really is >= lambda on the doubled cube
     ts = np.linspace(-1, 1, 41)
     pts = 2.0**-cal.sigma * (cal.nu0[0] + ts)
-    assert kernel_phi1(pts, 1).min() >= cal.lam - 1e-9
+    assert kernel_phi(1, pts, 1).min() >= cal.lam - 1e-9
 
 
 def test_kernel_scaling_identity():
@@ -368,7 +376,7 @@ def test_kernel_scaling_identity():
     xs = np.linspace(-0.5, 0.5, 11)
     for k in (2, 3, 4):
         lhs = kernel_phi(k, xs, 1)
-        rhs = 2.0 ** (k - 1) * kernel_phi1(2.0 ** (k - 1) * xs, 1)
+        rhs = 2.0 ** (k - 1) * kernel_phi(1, 2.0 ** (k - 1) * xs, 1)
         assert np.abs(lhs - rhs).max() < 1e-8 * max(1.0, np.abs(rhs).max())
 
 
@@ -404,6 +412,41 @@ def test_necessity_packet_exponential_single_term(part12):
     assert energy[~inside].sum() / energy.sum() < 1e-12
     val = besov_norm(gk, part12, BesovParams(0.0, 0.0, 2.0, INF)).value
     assert val < 5.0
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_necessity_packet_2d_matches_loop_oracle(p, rng):
+    """2D packet against its definition: each level's window is the best
+    cube_mean_power over every admissible base index, the term is rebuilt
+    with `project`."""
+    g = GridSpec(2, 9)
+    part = build_partition(g)
+    cal = calibrate_kernel(part)
+    assert (cal.sigma, cal.nu0) == (3, (-8, 1))
+    f = random_band_limited(g, 200.0, rng)
+    spec = NecessityPacketSpec(k=0, p=p, b=0.5, calibration=cal)
+    pprime = p / (p - 1.0)
+    level = spec.k + cal.sigma
+    nu_min, nu_max = level_index_range(level)
+    expected = np.zeros(g.shape, dtype=np.complex128)
+    for j in range(spec.k + spec.shift, part.k_max + 1):
+        sj = project(f, part, j)
+        best, window = -1.0, None
+        for base in itertools.product(range(nu_min, nu_max + 1), repeat=2):
+            idx = tuple(b + o for b, o in zip(base, cal.nu0))
+            if all(nu_min <= i <= nu_max for i in idx):
+                val = cube_mean_power(sj, DyadicCube(level, idx), pprime)
+                if val > best:
+                    best, window = val, idx
+        sl = tuple(slice(i0, i1) for i0, i1 in cube_sample_windows(g, DyadicCube(level, window)))
+        absj = np.abs(sj.values)
+        local = (np.sum(absj[sl] ** pprime) * g.cell_volume) ** (1.0 / pprime)
+        payload = np.zeros(g.shape, dtype=np.complex128)
+        payload[sl] = np.conj(sj.values[sl]) / absj[sl] * absj[sl] ** (pprime - 1.0)
+        weight = (1.0 + j) ** (-spec.b) * local ** (1.0 - pprime)
+        expected += weight * project(SampledFunction(g, payload), part, j).values
+    got = make_necessity_packet(f, part, spec).values
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_necessity_packet_uniform_bound(part12, rng):
@@ -456,7 +499,7 @@ def test_calibrate_kernel_2d():
     ts = np.linspace(-1, 1, 33)
     g1, g2 = np.meshgrid(cal.nu0[0] + ts, cal.nu0[1] + ts, indexing="ij")
     pts = 2.0**-cal.sigma * np.stack([g1.ravel(), g2.ravel()], axis=-1)
-    assert kernel_phi1(pts, 2).min() >= cal.lam - 1e-9
+    assert kernel_phi(1, pts, 2).min() >= cal.lam - 1e-9
 
 
 def test_bump_2d_shape():

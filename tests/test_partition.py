@@ -231,6 +231,31 @@ def test_peetre_large_a_near_max(part10, rng):
     assert np.all(star[near] <= s[near] * 1.05)
 
 
+@pytest.mark.parametrize("window", [None, 64])
+@pytest.mark.parametrize("j", [2, 4])
+def test_peetre_2d_matches_pairwise_oracle(j, window, rng):
+    """2D maximal function against its definition: max over all sample pairs
+    (x, y) of |S_j f(y)| (1 + 2^j |x - y|)^{-a}, |x - y| the torus distance,
+    pairs farther than the window radius skipped (rows in chunks)."""
+    g = GridSpec(2, 6)
+    part = build_partition(g)
+    a = 2.0
+    f = random_band_limited(g, 12.0, rng)
+    s = np.abs(project(f, part, j).values).ravel()
+    radius = np.pi * np.sqrt(2.0) if window is None else window * 2.0**-j
+    idx = np.indices(g.shape).reshape(2, -1).T
+    expected = np.empty(s.size)
+    for lo in range(0, s.size, 512):
+        diff = g.spacing * (idx[lo : lo + 512, None, :] - idx[None, :, :])
+        diff = (diff + np.pi) % (2.0 * np.pi) - np.pi
+        dist = np.sqrt(np.sum(diff**2, axis=-1))
+        w = (1.0 + 2.0**j * dist) ** (-a)
+        w[(dist > radius) & (dist > 0)] = 0.0
+        expected[lo : lo + 512] = np.max(w * s[None, :], axis=1)
+    got = peetre_maximal(f, part, j, a, window_cells=window).values.real.ravel()
+    assert np.abs(got - expected).max() <= 1e-12 * expected.max()
+
+
 def test_peetre_l1_bound_stable(part10, rng):
     # ||S*_j f||_1 <= C ||S_j f||_1 with C stable across j (a = 2n)
     f = random_band_limited(part10.grid, 2.0 ** (part10.k_max - 1), rng)
