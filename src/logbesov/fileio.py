@@ -9,6 +9,7 @@ frequency layout, row-major), k = 0..K_max.
 from __future__ import annotations
 
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +45,17 @@ def _read(path, fmt: str) -> tuple[dict, np.ndarray]:
     return header, np.frombuffer(raw[nl + 1 :], dtype="<f8")
 
 
+def _header_field(path, header: dict, key: str, parse=operator.index, default=None):
+    """Header field `key` read by `parse` (an integer by default); a bad value is an input error."""
+    try:
+        return parse(header.get(key, default))
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{path}: bad header field {key!r}: {header.get(key)!r}") from None
+
+
 def load_sfn(path) -> SampledFunction:
     header, payload = _read(path, "sfn")
-    grid = GridSpec(int(header["dim"]), int(header["J"]))
+    grid = GridSpec(_header_field(path, header, "dim"), _header_field(path, header, "J"))
     expected = 2 * grid.n_samples**grid.dim
     if payload.size != expected:
         raise InvalidInputError(f"{path}: payload has {payload.size} f64, expected {expected}")
@@ -73,10 +82,10 @@ def load_dpu(path) -> tuple[DyadicPartition, list[np.ndarray]]:
     """Load a partition export; returns the rebuilt partition and the stored
     symbol arrays (so round-trip checks can compare them)."""
     header, payload = _read(path, "dpu")
-    grid = GridSpec(int(header.get("dim", 1)), int(header["J"]))
-    partition = build_partition(grid, PartitionKind(header["kind"]))
+    grid = GridSpec(_header_field(path, header, "dim", default=1), _header_field(path, header, "J"))
+    partition = build_partition(grid, _header_field(path, header, "kind", PartitionKind))
     n = grid.n_samples**grid.dim
-    k_max = int(header["K_max"])
+    k_max = _header_field(path, header, "K_max")
     if payload.size != (k_max + 1) * n:
         raise InvalidInputError(f"{path}: truncated symbol payload")
     symbols = [

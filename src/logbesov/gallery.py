@@ -445,13 +445,11 @@ def make_necessity_packet(
     terms = []
     # terms are normalized by local mass; numerically vanishing projections
     # must be dropped, not normalized into noise
-    global_scale = max(
-        (float(np.abs(dec.piece(j).values).max()) for j in range(spec.k + spec.shift, partition.k_max + 1)),
-        default=0.0,
-    )
+    j_lo = max(0, spec.k + spec.shift)  # pieces below level 0 are zero and always dropped
+    global_scale = float(dec.sup_norms()[j_lo:].max(initial=0.0))
     floor = (1e-8 * max(global_scale, 1e-300)) ** conjugate_exponent(spec.p)
-    for j in range(spec.k + spec.shift, partition.k_max + 1):
-        sj = dec.piece(j).values
+    for j in range(j_lo, partition.k_max + 1):
+        sj = dec.pieces[j].values
         absj = np.abs(sj)
         power = absj ** pprime
         sub = level_cube_means(grid, power, level)[np.ix_(*admissible)]
@@ -553,6 +551,8 @@ def gallery_from_spec(grid: GridSpec, text: str) -> SampledFunction:
     if head == "lacunary":
         beta = _field(kv, "beta", "0.5", float)
         levels = _field(kv, "levels", str(grid.k_max - 1))
+        if levels < 0:
+            raise InvalidInputError(f"lacunary spec needs levels >= 0, got {levels}")
         coeffs = [2.0 ** (-beta * j) for j in range(levels + 1)]
         return make_lacunary(grid, coeffs)
     raise InvalidInputError(f"unknown gallery spec {text!r}")

@@ -187,12 +187,6 @@ def synthesize(grid: GridSpec, coeffs: np.ndarray) -> SampledFunction:
     return SampledFunction(grid, vals)
 
 
-def apply_symbol(f: SampledFunction, symbol: np.ndarray) -> SampledFunction:
-    """Fourier multiplier: F^{-1}(symbol * F f)."""
-    c = np.fft.fftn(f.values)
-    return SampledFunction(f.grid, np.fft.ifftn(symbol * c))
-
-
 def lp_norm(f: SampledFunction, p: float) -> float:
     """Discrete L^p norm: (sum |f(x_i)|^p dx)^(1/p); p=INF is max |f|."""
     check_exponent(p)
@@ -204,13 +198,14 @@ def lp_norm(f: SampledFunction, p: float) -> float:
     return float((np.sum(a**p) * f.grid.cell_volume) ** (1.0 / p))
 
 
-def band_energy_fraction(f: SampledFunction, radius: float) -> float:
-    """Fraction of spectral energy strictly above Euclidean frequency `radius`."""
+def band_energy_fraction(f: SampledFunction, radius_lo: float, radius_hi: float) -> float:
+    """Relative spectral energy of f outside the annulus radius_lo <= |m| <= radius_hi."""
     c = np.abs(spectrum(f)) ** 2
     total = float(c.sum())
     if total == 0.0:
         return 0.0
-    outside = float(c[f.grid.freq_radius() > radius].sum())
+    rho = f.grid.freq_radius()
+    outside = float(c[(rho < radius_lo) | (rho > radius_hi)].sum())
     return outside / total
 
 

@@ -95,21 +95,19 @@ def besov_norm(
     resolved annulus (2^{K_max - 1}); for band-limited inputs it is zero.
     """
     dec = _ensure_decomposition(f, partition, dec)
-    per = []
-    for k, piece in enumerate(dec.pieces):
-        w = 2.0 ** (k * params.s) * (1.0 + k) ** params.b
-        per.append(w * lp_norm(piece, params.p))
-    terms = np.asarray(per)
-    tail = band_energy_fraction(f, 2.0 ** (partition.k_max - 1))
-    return NormResult(_lq_combine(terms, params.q), tail, per)
+    per = _weighted_lp_norms(dec.pieces, params.s, params.b, params.p)
+    tail = band_energy_fraction(f, 0.0, 2.0 ** (partition.k_max - 1))
+    return NormResult(_lq_combine(np.asarray(per), params.q), tail, per)
+
+
+def _weighted_lp_norms(pieces, s: float, b: float, p: float) -> list[float]:
+    """2^{ks} (1+k)^b ||u_k||_p for the k-th function u_k of `pieces`."""
+    return [2.0 ** (k * s) * (1.0 + k) ** b * lp_norm(u, p) for k, u in enumerate(pieces)]
 
 
 def seq_norm(pieces, s: float, b: float, p: float, q: float) -> float:
     """Weighted sequence norm of a list of functions (the l^q_{s,b}(L^p) norm)."""
-    per = [
-        2.0 ** (k * s) * (1.0 + k) ** b * lp_norm(u, p) for k, u in enumerate(pieces)
-    ]
-    return _lq_combine(np.asarray(per), q)
+    return _lq_combine(np.asarray(_weighted_lp_norms(pieces, s, b, p)), q)
 
 
 def tl_norm_inf(
@@ -131,7 +129,7 @@ def tl_norm_inf(
     dec = _ensure_decomposition(f, partition, dec)
     weights = [2.0 ** (k * s) * (1.0 + k) ** b for k in range(partition.k_max + 1)]
     best_per_level = _running_cube_sups(dec, weights, q)
-    tail = band_energy_fraction(f, 2.0 ** (partition.k_max - 1))
+    tail = band_energy_fraction(f, 0.0, 2.0 ** (partition.k_max - 1))
     return NormResult(max(best_per_level), tail, best_per_level)
 
 

@@ -14,24 +14,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .grid import SampledFunction, lp_norm, spectrum
+from .grid import SampledFunction, band_energy_fraction as summand_band_energy, lp_norm  # noqa: F401
 from .norms import BesovParams, besov_norm
 from .partition import (
     DyadicPartition,
     SpectralDecomposition,
+    _ensure_decomposition,
     decompose,
     partial_sum,
 )
 
 
-def _cumsums(dec: SpectralDecomposition) -> list[np.ndarray]:
-    """Partial sums S^k f as arrays, k = 0..K_max (telescoped from pieces)."""
-    out = []
-    acc = np.zeros(dec.grid.shape, dtype=np.complex128)
-    for piece in dec.pieces:
-        acc = acc + piece.values
-        out.append(acc.copy())
-    return out
+def _pi2_terms(dec_f: SpectralDecomposition, dec_g: SpectralDecomposition, levels):
+    """The products (S_{k+i} f)(S_k g), i = -1, 0, 1, whose levels exist, k in `levels`."""
+    for k in levels:
+        for i in (-1, 0, 1):
+            if 0 <= k + i <= dec_f.k_max:
+                yield dec_f.pieces[k + i].values * dec_g.pieces[k].values
 
 
 def paraproduct(
@@ -52,23 +51,17 @@ def paraproduct(
     """
     if which not in (1, 2, 3):
         raise InvalidInputError("which must be 1, 2, or 3")
-    dec_f = dec_f or decompose(f, partition)
-    dec_g = dec_g or decompose(g, partition)
-    k_top = partition.k_max
+    dec_f = _ensure_decomposition(f, partition, dec_f)
+    dec_g = _ensure_decomposition(g, partition, dec_g)
     total = np.zeros(f.grid.shape, dtype=np.complex128)
-    if which == 1:
-        cums_f = _cumsums(dec_f)
-        for k in range(2, k_top + 1):
-            total += cums_f[k - 2] * dec_g.pieces[k].values
-    elif which == 3:
-        cums_g = _cumsums(dec_g)
-        for k in range(2, k_top + 1):
-            total += dec_f.pieces[k].values * cums_g[k - 2]
-    else:
-        for k in range(0, k_top + 1):
-            for i in (-1, 0, 1):
-                if 0 <= k + i <= k_top:
-                    total += dec_f.pieces[k + i].values * dec_g.pieces[k].values
+    if which == 2:
+        return SampledFunction(f.grid, sum(_pi2_terms(dec_f, dec_g, range(partition.k_max + 1)), total))
+    # Pi1, Pi3: one running partial sum S^{k-2} of the low factor; f stays on the left.
+    low, high = (dec_f, dec_g) if which == 1 else (dec_g, dec_f)
+    partial = np.zeros(f.grid.shape, dtype=np.complex128)
+    for k in range(2, partition.k_max + 1):
+        partial += low.pieces[k - 2].values
+        total += partial * high.pieces[k].values if which == 1 else high.pieces[k].values * partial
     return SampledFunction(f.grid, total)
 
 
@@ -82,13 +75,10 @@ def pi2_summand(
     dec_g: SpectralDecomposition | None = None,
 ) -> SampledFunction:
     """k-th comparable-frequency summand sum_{|i|<=1} (S_{k+i} f)(S_k g)."""
-    dec_f = dec_f or decompose(f, partition)
-    dec_g = dec_g or decompose(g, partition)
-    total = np.zeros(f.grid.shape, dtype=np.complex128)
-    for i in (-1, 0, 1):
-        if 0 <= k + i <= partition.k_max:
-            total += dec_f.pieces[k + i].values * dec_g.pieces[k].values
-    return SampledFunction(f.grid, total)
+    dec_f = _ensure_decomposition(f, partition, dec_f)
+    dec_g = _ensure_decomposition(g, partition, dec_g)
+    zero = np.zeros(f.grid.shape, dtype=np.complex128)
+    return SampledFunction(f.grid, sum(_pi2_terms(dec_f, dec_g, (k,)), zero))
 
 
 @dataclass
@@ -173,16 +163,3 @@ def multiplier_lower_bound(
         if ratio > best:
             best, best_name = ratio, name
     return best, best_name
-
-
-def summand_band_energy(
-    h: SampledFunction, radius_lo: float, radius_hi: float
-) -> float:
-    """Relative spectral energy of h outside the annulus [radius_lo, radius_hi]."""
-    c = np.abs(spectrum(h)) ** 2
-    total = float(c.sum())
-    if total == 0.0:
-        return 0.0
-    rho = h.grid.freq_radius()
-    outside = float(c[(rho < radius_lo) | (rho > radius_hi)].sum())
-    return outside / total

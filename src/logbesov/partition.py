@@ -13,8 +13,8 @@ in floating point.  The TENSOR kind replaces |xi| by per-axis profiles
 Both phi_0(2^-k .) and phi_k vanish outside the box |m_i| < 3/2 2^k, so a
 partition stores level k only on that box (FFT layout, two index ranges
 per axis).  `symbol` and `cumulative_symbol` expand it to the full lattice
-on each call, bit-identical to evaluating the formula there; `decompose`
-multiplies the box by the matching coefficients only.
+on each call, bit-identical to evaluating the formula there; `decompose`,
+`project` and `partial_sum` multiply the box by the coefficients only.
 
 `SpectralDecomposition` holds the pieces of one function and caches the
 reductions the criterion terms share: the sup norms and, per (k, r), the
@@ -35,7 +35,7 @@ import numpy as np
 
 from .cubes import CubeMeanTable, level_cube_means
 from .errors import InvalidInputError, LevelOverflowError
-from .grid import GridSpec, SampledFunction, _radius, apply_symbol, is_inf
+from .grid import GridSpec, SampledFunction, _radius, is_inf
 
 
 class PartitionKind(Enum):
@@ -126,6 +126,12 @@ class DyadicPartition:
             self._cache[("sym", k)] = cum if k == 0 else cum - self._profile(k, float(1 << (k - 1)))
         return self._cache[key]
 
+    def _multiply_box(self, coeffs: np.ndarray, k: int, cumulative: bool, out: np.ndarray) -> None:
+        """`out` := phi_0(2^-k .) (cumulative) or phi_k times `coeffs` on the level-k box."""
+        box = self._box(k, cumulative)
+        for lattice, sub in self._blocks(k):
+            out[lattice] = box[sub] * coeffs[lattice]
+
     def _expand(self, k: int, box: np.ndarray) -> np.ndarray:
         out = np.zeros(self.grid.shape)
         for lattice, sub in self._blocks(k):
@@ -153,24 +159,26 @@ def build_partition(grid: GridSpec, kind: PartitionKind | str = PartitionKind.RA
     return DyadicPartition(grid, kind)
 
 
-def project(f: SampledFunction, partition: DyadicPartition, k: int) -> SampledFunction:
-    """Frequency piece S_k f = F^{-1}(phi_k F f); S_j f := 0 for j < 0."""
+def _level_multiplier(f: SampledFunction, partition: DyadicPartition, k: int, cumulative: bool):
+    """F^{-1}(phi_0(2^-k .) F f) (cumulative) or F^{-1}(phi_k F f); 0 for k < 0."""
+    spectrum = np.zeros(f.grid.shape, dtype=np.complex128)
     if k < 0:
-        return SampledFunction(f.grid, np.zeros(f.grid.shape, dtype=np.complex128))
+        return SampledFunction(f.grid, spectrum)
     partition._check_level(k)
     if f.grid != partition.grid:
         raise InvalidInputError("function and partition live on different grids")
-    return apply_symbol(f, partition.symbol(k))
+    partition._multiply_box(np.fft.fftn(f.values), k, cumulative, spectrum)
+    return SampledFunction(f.grid, np.fft.ifftn(spectrum))
+
+
+def project(f: SampledFunction, partition: DyadicPartition, k: int) -> SampledFunction:
+    """Frequency piece S_k f = F^{-1}(phi_k F f); S_j f := 0 for j < 0."""
+    return _level_multiplier(f, partition, k, cumulative=False)
 
 
 def partial_sum(f: SampledFunction, partition: DyadicPartition, k: int) -> SampledFunction:
     """S^k f = sum_{j<=k} S_j f, applied as one multiplier (exact telescoping)."""
-    if k < 0:
-        return SampledFunction(f.grid, np.zeros(f.grid.shape, dtype=np.complex128))
-    partition._check_level(k)
-    if f.grid != partition.grid:
-        raise InvalidInputError("function and partition live on different grids")
-    return apply_symbol(f, partition.cumulative_symbol(k))
+    return _level_multiplier(f, partition, k, cumulative=True)
 
 
 @dataclass
@@ -193,11 +201,6 @@ class SpectralDecomposition:
     @property
     def k_max(self) -> int:
         return self.partition.k_max
-
-    def piece(self, k: int) -> SampledFunction:
-        if k < 0 or k > self.k_max:
-            return SampledFunction(self.grid, np.zeros(self.grid.shape, dtype=np.complex128))
-        return self.pieces[k]
 
     def sup_norms(self) -> np.ndarray:
         """||S_k f||_inf for every k (read-only, shared between callers)."""
@@ -223,9 +226,7 @@ def decompose(f: SampledFunction, partition: DyadicPartition) -> SpectralDecompo
     spectrum = np.zeros(f.grid.shape, dtype=np.complex128)
     pieces = []
     for k in range(partition.k_max + 1):
-        box = partition._box(k, cumulative=False)
-        for lattice, sub in partition._blocks(k):
-            spectrum[lattice] = box[sub] * coeffs[lattice]
+        partition._multiply_box(coeffs, k, cumulative=False, out=spectrum)
         pieces.append(SampledFunction(f.grid, np.fft.ifftn(spectrum)))
     return SpectralDecomposition(partition, pieces)
 

@@ -111,6 +111,10 @@ def test_experiment_flags_only_where_read(argv):
         ["--grid", "J=10", "lowerbound", "--f", "cube", "--family", "packets:cases=1-x", "--p", "2", "--b", "0"],
         ["--grid", "J=10", "norm", "--input", "{missing}"],
         ["--grid", "J=10", "norm", "--input", "{garbage}"],
+        ["--grid", "J=10", "norm", "--input", "{no_grid}"],
+        ["--grid", "J=10", "norm", "--input", "{bad_J}"],
+        ["--grid", "J=10", "criteria", "--p", "2", "--b", "0", "--gallery", "lacunary:levels=-3"],
+        ["--grid", "J=10", "criteria", "--p", "2", "--b", "0", "--gallery", "lacunary:levels=-1"],
         ["--grid", "J=10", "criteria", "--p", "2", "--b", "0", "--gallery", "bump:l=40"],
         ["--grid", "J=abc", "charfun"],
     ],
@@ -118,7 +122,12 @@ def test_experiment_flags_only_where_read(argv):
 def test_malformed_input_exits_2(argv, capsys, tmp_path):
     garbage = tmp_path / "garbage.sfn"
     garbage.write_bytes(b"\xff\xfe not a header")
-    argv = [a.format(missing=tmp_path / "missing.sfn", garbage=garbage) for a in argv]
+    no_grid = tmp_path / "no_grid.sfn"
+    no_grid.write_bytes(b'{"format": "sfn"}\n')
+    bad_j = tmp_path / "bad_J.sfn"
+    bad_j.write_bytes(b'{"format": "sfn", "dim": 1, "J": "x"}\n')
+    files = {"missing": tmp_path / "missing.sfn", "garbage": garbage, "no_grid": no_grid, "bad_J": bad_j}
+    argv = [a.format(**files) for a in argv]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects the value itself

@@ -35,6 +35,31 @@ def test_sfn_rejects_garbage(tmp_path):
     path.write_bytes(b'{"format": "sfn", "dim": 1, "J": 8}\n' + b"\x00" * 16)
     with pytest.raises(InvalidInputError):
         load_sfn(path)
+    # header fields that are missing or not integers; the payload fits dim=1, J=8
+    for header in (b'{"format": "sfn"}', b'{"format": "sfn", "dim": 1}', b'{"format": "sfn", "dim": 1, "J": "x"}',
+                   b'{"format": "sfn", "dim": 1, "J": 8.5}', b'{"format": "sfn", "dim": null, "J": 8}'):
+        path.write_bytes(header + b"\n" + b"\x00" * (16 * 256))
+        with pytest.raises(InvalidInputError):
+            load_sfn(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b'{"format": "dpu", "kind": "radial", "dim": 1, "K_max": 6}',
+        b'{"format": "dpu", "kind": "radial", "dim": 1, "J": "8", "K_max": 6}',
+        b'{"format": "dpu", "dim": 1, "J": 8, "K_max": 6}',
+        b'{"format": "dpu", "kind": "spiral", "dim": 1, "J": 8, "K_max": 6}',
+        b'{"format": "dpu", "kind": "radial", "dim": 1, "J": 8}',
+        b'{"format": "dpu", "kind": "radial", "dim": 1, "J": 8, "K_max": [6]}',
+    ],
+)
+def test_dpu_header_fields_are_input_errors(tmp_path, header):
+    """Missing or malformed header fields; the payload fits a J=8 radial export."""
+    path = tmp_path / "bad.dpu"
+    path.write_bytes(header + b"\n" + b"\x00" * (8 * 7 * 256))
+    with pytest.raises(InvalidInputError):
+        load_dpu(path)
 
 
 def test_dpu_roundtrip(tmp_path):

@@ -177,3 +177,28 @@ def test_lower_bound_rejects_zero_member(part10):
         multiplier_lower_bound(f, part10, BesovParams(0, 0, 2.0, INF), [("z", zero)])
     with pytest.raises(InvalidInputError):
         multiplier_lower_bound(f, part10, BesovParams(0, 0, 2.0, INF), [])
+
+
+@pytest.mark.parametrize("dim, J", [(1, 10), (2, 7)])
+@pytest.mark.parametrize("shape", ["random", "cube"])
+def test_paraproducts_match_defining_sums(dim, J, shape):
+    """Pi1, Pi3 and Pi2 equal their defining sums built from `project`,
+    `partial_sum` and `pi2_summand`."""
+    from logbesov.grid import GridSpec
+    from logbesov.partition import build_partition, partial_sum, project
+
+    grid = GridSpec(dim, J)
+    part = build_partition(grid)
+    local = np.random.default_rng(17 * J + dim)
+    band = 2.0 ** (part.k_max - 3)
+    f = make_indicator(grid, "cube") if shape == "cube" else band_limited(grid, band, local)
+    h = band_limited(grid, band, local)
+    levels = range(2, part.k_max + 1)
+    oracles = {
+        1: sum(partial_sum(f, part, k - 2).values * project(h, part, k).values for k in levels),
+        2: sum(pi2_summand(f, h, part, k).values for k in range(part.k_max + 1)),
+        3: sum(project(f, part, k).values * partial_sum(h, part, k - 2).values for k in levels),
+    }
+    for which, oracle in oracles.items():
+        got = paraproduct(f, h, part, which).values
+        assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()

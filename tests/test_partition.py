@@ -150,19 +150,24 @@ def _full_lattice_cumulative(grid, kind, k):
 )
 def test_boxed_symbols_match_full_lattice(dim, kind, data):
     """Symbols stored on their boxes expand to the full-lattice formula bit
-    for bit, and decompose's boxed products give |S_k f| of `project`."""
+    for bit, and the boxed products of `decompose`, `project` and
+    `partial_sum` equal the full-lattice multiplier F^{-1}(symbol F f)."""
     J = data.draw(st.integers(6, 11 if dim == 1 else 8), label="J")
     g = GridSpec(dim, J)
     part = build_partition(g, kind)
     f = random_band_limited(g, 2.0 ** (g.k_max - 1), np.random.default_rng(data.draw(st.integers(0, 9999))))
     dec = decompose(f, part)
+    coeffs = np.fft.fftn(f.values)
     prev = None
     for k in range(part.k_max + 1):
         cum = _full_lattice_cumulative(g, kind, k)
         sym = cum if prev is None else cum - prev
         assert part.cumulative_symbol(k).tobytes() == cum.tobytes()
         assert part.symbol(k).tobytes() == sym.tobytes()
-        assert np.array_equal(np.abs(dec.pieces[k].values), np.abs(project(f, part, k).values))
+        piece = np.fft.ifftn(sym * coeffs)
+        assert np.array_equal(dec.pieces[k].values, piece)
+        assert np.array_equal(project(f, part, k).values, piece)
+        assert np.array_equal(partial_sum(f, part, k).values, np.fft.ifftn(cum * coeffs))
         prev = cum
 
 
