@@ -23,12 +23,6 @@ from .partition import build_partition
 from .paraproducts import multiplier_lower_bound
 
 
-def _parse_exponent(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return INF
-    return float(text)
-
-
 def _parse_list(flag: str, text: str, parse) -> tuple:
     try:
         return tuple(parse(x) for x in text.split(","))
@@ -50,16 +44,23 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return j, dim
 
 
+def _write_out(args, name: str, text: str) -> None:
+    """Write `text` to `--out DIR`/`name` when --out is given, else print it."""
+    if not args.out:
+        print(text)
+        return
+    path = Path(args.out) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: {exc.strerror}") from None
+    print(f"wrote {path}")
+
+
 def _emit_table(table: Table, args) -> int:
     text = table.to_csv() if args.format == "csv" else table.to_json()
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / f"{table.name}.{args.format}"
-        path.write_text(text)
-        print(f"wrote {path}")
-    else:
-        print(text)
+    _write_out(args, f"{table.name}.{args.format}", text)
     for check in table.checks:
         status = "PASS" if check.passed else "FAIL"
         detail = f"  ({check.detail})" if check.detail else ""
@@ -95,14 +96,14 @@ def main(argv=None) -> int:
     sp.add_argument("--s", type=float, default=0.0)
     sp.add_argument("--b", type=float, default=0.0)
     sp.add_argument("--d", type=float, default=0.0)
-    sp.add_argument("--p", type=_parse_exponent, default=INF)
-    sp.add_argument("--q", type=_parse_exponent, default=INF)
+    sp.add_argument("--p", type=float, default=INF)
+    sp.add_argument("--q", type=float, default=INF)
     sp.add_argument("--m", type=int, default=1, help="modulus order for --space diff")
     sp.add_argument("--input", default=None)
     sp.add_argument("--gallery", default=None)
 
     sp = sub.add_parser("criteria", help="multiplier criterion report")
-    sp.add_argument("--p", type=_parse_exponent, required=True)
+    sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--input", default=None)
     sp.add_argument("--gallery", default=None)
@@ -110,10 +111,10 @@ def main(argv=None) -> int:
     sp = sub.add_parser("lowerbound", help="multiplier-norm lower bound over a family")
     sp.add_argument("--f", required=True, help="gallery spec of the multiplier")
     sp.add_argument("--family", required=True, help="family spec, e.g. packets:cases=1-5,m=8,b=0")
-    sp.add_argument("--p", type=_parse_exponent, required=True)
+    sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--s", type=float, default=0.0)
-    sp.add_argument("--q", type=_parse_exponent, default=INF)
+    sp.add_argument("--q", type=float, default=INF)
 
     for verb in ("exp-growth", "charfun", "sandwich"):
         sp = sub.add_parser(verb, help=f"run the {verb} experiment")
@@ -158,14 +159,7 @@ def main(argv=None) -> int:
             f, grid = _load_input(args, grid)
             partition = build_partition(grid)
             report = verdict(f, partition, args.p, args.b)
-            text = json.dumps(report.to_dict(), indent=2)
-            if args.out:
-                outdir = Path(args.out)
-                outdir.mkdir(parents=True, exist_ok=True)
-                (outdir / "report.json").write_text(text)
-                print(f"wrote {outdir / 'report.json'}")
-            else:
-                print(text)
+            _write_out(args, "report.json", json.dumps(report.to_dict(), indent=2))
             return 0
 
         if args.verb == "lowerbound":
@@ -182,7 +176,7 @@ def main(argv=None) -> int:
         fields = {}
         if args.verb == "exp-growth":
             fields["b_list"] = _parse_list("--b-list", args.b_list, float)
-            fields["p_list"] = _parse_list("--p-list", args.p_list, _parse_exponent)
+            fields["p_list"] = _parse_list("--p-list", args.p_list, float)
         if args.verb == "charfun":
             fields["shape"] = args.shape
         else:

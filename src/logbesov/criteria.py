@@ -111,23 +111,30 @@ def _report(
     )
 
 
+def _low_high_row(dec: SpectralDecomposition, r: float, b: float, l: int, k: int):
+    """Low-high row ((1+l)/(1+k))^b (mean_Q |S_k f|^r)^{1/r} over the level-l
+    cubes Q; at r = inf the scalar ((1+l)/(1+k))^b ||S_k f||_inf.  The weight
+    goes through NumPy's power: where that is vectorized, Python's `**` can
+    differ from it in the last bit."""
+    means = dec.sup_norms()[k] if is_inf(r) else dec.cube_table(k, r).means(l) ** (1.0 / r)
+    return np.power((1.0 + l) / (1.0 + k), b) * means
+
+
 def _low_high(dec: SpectralDecomposition, r: float, b: float, per_cube: bool) -> TermReport:
-    """Low-high family: the rows w(l, k) (mean_Q |S_k f|^r)^{1/r}, w =
-    ((1+l)/(1+k))^b, k >= l, accumulated in ascending k.  Level l reads them
-    as the sup over Q of the per-cube k-sums (`per_cube`) or as the k-sum of
-    the per-row sups; the per-row sups are the tail series.  At r = inf a
-    row is w ||S_k f||_inf and the levels run to K_max instead of l_max."""
+    """Low-high family: the rows of `_low_high_row` for k >= l, accumulated in
+    ascending k.  Level l reads them as the sup over Q of the per-cube k-sums
+    (`per_cube`) or as the k-sum of the per-row sups; the per-row sups are
+    the tail series.  At r = inf the levels run to K_max instead of l_max."""
     k_top = dec.k_max
     l_top = k_top if is_inf(r) else min(dec.grid.l_max, k_top)
     sups = [[] for _ in range(l_top + 1)]
     sums = [0.0] * (l_top + 1)
     for k in range(k_top + 1):
-        ws = ((1.0 + np.arange(min(k, l_top) + 1)) / (1.0 + k)) ** b
-        for l, w in enumerate(ws):
-            means = dec.sup_norms()[k] if is_inf(r) else dec.cube_table(k, r).means(l) ** (1.0 / r)
+        for l in range(min(k, l_top) + 1):
+            row = _low_high_row(dec, r, b, l, k)
             if per_cube:
-                sums[l] = sums[l] + w * means
-            sups[l].append(w * means.max())
+                sums[l] = sums[l] + row
+            sups[l].append(row.max())
     per_level = [float(s.max()) for s in sums] if per_cube else [float(np.sum(row)) for row in sups]
     return _report(dec, per_level, tails=sups)
 
@@ -312,12 +319,8 @@ def nece_mixed_at_level(
         # cube (p=inf): both reduce to the sup-of-sums term at this level.
         return nece_term2(f, partition, p, b, dec=dec).per_level[l]
     pprime = conjugate_exponent(p)
-    js = list(range(l, k_top + 1))
-    mat = np.asarray([
-        ((1.0 + l) / (1.0 + j)) ** b * (dec.cube_table(j, pprime).means(l) ** (1.0 / pprime)).ravel()
-        for j in js
-    ])  # shape (len(js), n_cubes)
-    n_cubes = mat.shape[1]
+    mat = np.asarray([_low_high_row(dec, pprime, b, l, j).ravel() for j in range(l, k_top + 1)])
+    n, n_cubes = mat.shape  # one row per j >= l, one column per level-l cube
     if strategy == "greedy":
         # Cubes within _TIE of a row's best tie (mirror cubes agree only to
         # rounding); the tie goes to the cube already carrying the largest
@@ -333,7 +336,6 @@ def nece_mixed_at_level(
     if strategy == "exhaustive":
         if grid.dim != 1 or l > 3:
             raise CapabilityError("exhaustive mixed search only for 1D and l <= 3")
-        n = len(js)
         if n > 14 or (1 << n) * n_cubes > 2_000_000:
             raise CapabilityError(
                 f"exhaustive search over {n} levels x {n_cubes} cubes exceeds the budget"
@@ -511,15 +513,9 @@ def verdict(
     """
     dec = _ensure_decomposition(f, partition, dec)
     linf = lp_norm(f, INF)
-    if p == 1.0:
-        t2 = suff_term2(f, partition, 1.0, b, dec=dec)
-        t3 = suff_term3(f, partition, 1.0, b, dec=dec)
-        state = "NOT_MULTIPLIER" if (t2.divergent or t3.divergent) else "MULTIPLIER"
-        combined = linf + t2.value + t3.value
-        return CriterionReport(p, b, linf, t2, t3, combined, _invalid_if_nonfinite(state, combined))
-    if is_inf(p):
-        t2 = pinf_term2(f, partition, b, dec=dec)
-        t3 = pinf_term3(f, partition, b, dec=dec)
+    if p == 1.0 or is_inf(p):
+        t2 = pinf_term2(f, partition, b, dec=dec) if is_inf(p) else suff_term2(f, partition, p, b, dec=dec)
+        t3 = suff_term3(f, partition, p, b, dec=dec)
         state = "NOT_MULTIPLIER" if (t2.divergent or t3.divergent) else "MULTIPLIER"
         combined = linf + t2.value + t3.value
         return CriterionReport(p, b, linf, t2, t3, combined, _invalid_if_nonfinite(state, combined))

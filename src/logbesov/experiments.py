@@ -142,13 +142,11 @@ def growth_law(p: float, b: float) -> tuple[float, float, str]:
 
 
 def _criterion_value(f, partition, p: float, b: float) -> float:
-    if p == 1.0:
-        return verdict(f, partition, p, b).combined
-    if is_inf(p):
-        # the p = infinity sweep tracks the two criterion terms alone
-        rep = verdict(f, partition, p, b)
-        return rep.term2.value + rep.term3.value
-    raise InvalidInputError("criterion route only for p in {1, inf}")
+    if not (p == 1.0 or is_inf(p)):
+        raise InvalidInputError("criterion route only for p in {1, inf}")
+    rep = verdict(f, partition, p, b)
+    # the p = infinity sweep tracks the two criterion terms alone
+    return rep.term2.value + rep.term3.value if is_inf(p) else rep.combined
 
 
 def run_exp_growth(config: ExperimentConfig) -> Table:

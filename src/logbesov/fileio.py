@@ -19,15 +19,24 @@ from .grid import GridSpec, SampledFunction
 from .partition import DyadicPartition, PartitionKind, build_partition
 
 
+def _write(path, header: dict, payloads) -> None:
+    """Header line, then each float64 payload; an unwritable path is an input error."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write((json.dumps(header) + "\n").encode("utf-8"))
+            for payload in payloads:
+                fh.write(payload.tobytes())
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: {exc.strerror}") from None
+
+
 def save_sfn(path, f: SampledFunction) -> None:
     header = {"format": "sfn", "dim": f.grid.dim, "J": f.grid.log2_samples}
     flat = f.values.reshape(-1)
     payload = np.empty(2 * flat.size, dtype="<f8")
     payload[0::2] = flat.real
     payload[1::2] = flat.imag
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        fh.write(payload.tobytes())
+    _write(path, header, [payload])
 
 
 def _read(path, fmt: str) -> tuple[dict, np.ndarray]:
@@ -72,10 +81,7 @@ def save_dpu(path, partition: DyadicPartition) -> None:
         "dim": grid.dim,
         "K_max": partition.k_max,
     }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        for k in range(partition.k_max + 1):
-            fh.write(partition.symbol(k).astype("<f8").reshape(-1).tobytes())
+    _write(path, header, (partition.symbol(k).astype("<f8") for k in range(partition.k_max + 1)))
 
 
 def load_dpu(path) -> tuple[DyadicPartition, list[np.ndarray]]:

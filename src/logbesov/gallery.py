@@ -67,15 +67,12 @@ def make_exponential(grid: GridSpec, k) -> SampledFunction:
 def make_indicator(grid: GridSpec, shape="cube") -> SampledFunction:
     """Characteristic functions: 'cube' is (-1,1)^n, 'halfspace' is {x_n >= 0},
     or an explicit rectangle given as [(a_1,b_1), ..., (a_dim,b_dim)]."""
-    xs = grid.points()
     if isinstance(shape, str):
         tag = shape.lower()
         if tag == "cube":
             bounds = [(-1.0, 1.0)] * grid.dim
         elif tag == "halfspace":
-            mask = xs[-1] >= 0
-            vals = np.broadcast_to(mask, grid.shape).astype(np.complex128)
-            return SampledFunction(grid, vals.copy())
+            bounds = [(-PI, PI)] * (grid.dim - 1) + [(0.0, PI)]
         else:
             raise InvalidInputError(f"unknown indicator shape {shape!r}")
     else:
@@ -86,7 +83,7 @@ def make_indicator(grid: GridSpec, shape="cube") -> SampledFunction:
         if not (-PI <= a < b <= PI):
             raise DomainError(f"rectangle [{a}, {b}) not inside [-pi, pi)")
     mask = np.ones(grid.shape, dtype=bool)
-    for (a, b), x in zip(bounds, xs):
+    for (a, b), x in zip(bounds, grid.points()):
         mask &= np.broadcast_to((x >= a) & (x < b), grid.shape)
     return SampledFunction(grid, mask.astype(np.complex128))
 
@@ -144,6 +141,8 @@ def make_bump(grid: GridSpec, spec: BumpSpec) -> SampledFunction:
         raise LevelOverflowError(f"bump level {spec.level} exceeds K_max-1 = {grid.k_max - 1}")
     if len(spec.anchor) != grid.dim:
         raise InvalidInputError("anchor dimension does not match grid")
+    if not all(map(math.isfinite, spec.anchor)):
+        raise InvalidInputError(f"bump anchor {spec.anchor} is not finite")
     for lo, hi in _bump_extent(spec):
         if lo < -PI or hi > PI:
             raise DomainError(f"bump support [{lo:.3f}, {hi:.3f}] overflows the torus")
@@ -230,19 +229,27 @@ def stack_plateau_cubes(grid: GridSpec, spec: StackSpec) -> list[tuple[int, tupl
 # exponential stacks (proof device for the p = infinity level-sum bound)
 
 
+def _cis(t: np.ndarray) -> np.ndarray:
+    return np.exp(1j * t)
+
+
+def _dyadic_wave_sum(grid: GridSpec, coeffs, wave) -> np.ndarray:
+    """sum over the (j, c) pairs of `coeffs` of c wave(2^j x_1), on the grid;
+    the exponential stacks, modulated packets and lacunary series are such sums."""
+    x1 = grid.points()[0]
+    vals = np.zeros(grid.shape, dtype=np.complex128)
+    for j, c in coeffs:
+        vals = vals + c * np.broadcast_to(wave((1 << j) * x1), grid.shape)
+    return vals
+
+
 def make_exp_stack(grid: GridSpec, k: int, b: float) -> SampledFunction:
     """g_k(x) = sum_{l=0}^{k} (1+l)^{-b} e^{i 2^l x_1}."""
     if k > grid.k_max - 1:
         raise LevelOverflowError(f"stack top {k} exceeds K_max-1 = {grid.k_max - 1}")
     if k < 0:
         raise InvalidInputError("stack top must be >= 0")
-    x1 = grid.points()[0]
-    vals = np.zeros(grid.shape, dtype=np.complex128)
-    for l in range(k + 1):
-        vals = vals + (1.0 + l) ** (-b) * np.broadcast_to(
-            np.exp(1j * (1 << l) * x1), grid.shape
-        )
-    return SampledFunction(grid, vals)
+    return SampledFunction(grid, _dyadic_wave_sum(grid, [(l, (1.0 + l) ** (-b)) for l in range(k + 1)], _cis))
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +280,12 @@ def make_modulated_packet(grid: GridSpec, spec: PacketSpec) -> SampledFunction:
         raise LevelOverflowError(f"packet base level {spec.m} exceeds K_max-2")
     if spec.m < 3:
         raise InvalidInputError("packet needs m >= 3")
+    outside = [j for j in spec.alpha if not 1 <= j <= spec.m]
+    if outside:
+        raise InvalidInputError(f"modulation level {min(outside)} outside [1, m]")
     psi = make_envelope(grid).to_function()
-    x1 = grid.points()[0]
-    mod = np.zeros(grid.shape, dtype=np.complex128)
-    for j, a in sorted(spec.alpha.items()):
-        if j < 1 or j > spec.m:
-            raise InvalidInputError(f"modulation level {j} outside [1, m]")
-        mod = mod + a * np.broadcast_to(np.exp(1j * (1 << j) * x1), grid.shape)
+    # a named operand: NumPy may multiply a temporary in place, which rounds complex products differently
+    mod = _dyadic_wave_sum(grid, sorted(spec.alpha.items()), _cis)
     return SampledFunction(grid, psi.values * mod)
 
 
@@ -315,11 +321,7 @@ def make_lacunary(grid: GridSpec, coeffs) -> SampledFunction:
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.size > grid.k_max:
         raise LevelOverflowError("too many lacunary levels for this grid")
-    x1 = grid.points()[0]
-    vals = np.zeros(grid.shape, dtype=np.complex128)
-    for j, c in enumerate(coeffs):
-        vals = vals + c * np.broadcast_to(np.cos((1 << j) * x1), grid.shape)
-    return SampledFunction(grid, vals)
+    return SampledFunction(grid, _dyadic_wave_sum(grid, enumerate(coeffs), np.cos))
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +342,6 @@ def _kernel_radial(k: int, rho: np.ndarray, dim: int) -> np.ndarray:
         core = _trapz(w[None, :] * np.cos(np.outer(rho, r)), r, axis=1)
         return (2.0 * PI) ** -0.5 * 2.0 * core
     return _trapz(w[None, :] * bessel_j0(np.outer(rho, r)) * r[None, :], r, axis=1)
-
-
-def kernel_phi1_radial(rho: np.ndarray, dim: int) -> np.ndarray:
-    """Continuum inverse transform of phi_1 at the given radii."""
-    rho = np.abs(np.atleast_1d(np.asarray(rho, dtype=np.float64)))
-    return _kernel_radial(1, rho, dim)
 
 
 def kernel_phi(k: int, points: np.ndarray, dim: int) -> np.ndarray:
@@ -381,7 +377,7 @@ def calibrate_kernel(partition: DyadicPartition) -> KernelCalibration:
     samples per axis."""
     dim = partition.grid.dim
     rho_tab = np.linspace(0.0, 3.0 + 2.0 * math.sqrt(dim), 4096)
-    k_tab = kernel_phi1_radial(rho_tab, dim)
+    k_tab = _kernel_radial(1, rho_tab, dim)
     best: KernelCalibration | None = None
     ts = np.linspace(-1.0, 1.0, 17)
     for sigma in range(4):
@@ -399,7 +395,7 @@ def calibrate_kernel(partition: DyadicPartition) -> KernelCalibration:
     assert best is not None
     # re-evaluate the winner exactly (the table scan interpolates)
     sigma, nu0 = best.sigma, best.nu0
-    best = KernelCalibration(sigma, nu0, float(kernel_phi1_radial(_cell_radii(sigma, nu0, ts), dim).min()))
+    best = KernelCalibration(sigma, nu0, float(_kernel_radial(1, _cell_radii(sigma, nu0, ts), dim).min()))
     if best.lam <= 0:
         raise CalibrationError(f"no positive kernel cell found; best lambda = {best.lam:.3e}")
     return best
@@ -414,6 +410,10 @@ class NecessityPacketSpec:
     b: float
     shift: int = 6  # frequency separation between the window and the weights
     calibration: KernelCalibration | None = None
+
+    def __post_init__(self) -> None:
+        if self.k < 0 or self.shift < 0:
+            raise InvalidInputError(f"necessity packet needs k, shift >= 0; got {self.k}, {self.shift}")
 
 
 def make_necessity_packet(
@@ -445,7 +445,7 @@ def make_necessity_packet(
     terms = []
     # terms are normalized by local mass; numerically vanishing projections
     # must be dropped, not normalized into noise
-    j_lo = max(0, spec.k + spec.shift)  # pieces below level 0 are zero and always dropped
+    j_lo = spec.k + spec.shift
     global_scale = float(dec.sup_norms()[j_lo:].max(initial=0.0))
     floor = (1e-8 * max(global_scale, 1e-300)) ** conjugate_exponent(spec.p)
     for j in range(j_lo, partition.k_max + 1):

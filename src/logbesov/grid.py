@@ -132,29 +132,25 @@ class SampledFunction:
             )
         self.values = vals.reshape(self.grid.shape)
 
-    def _check_same_grid(self, other: "SampledFunction") -> None:
-        if other.grid != self.grid:
-            raise InvalidInputError("grid mismatch between operands")
+    def _combine(self, op, other) -> "SampledFunction":
+        """`op` of the samples and `other`: a function on the same grid, or a
+        scalar or array that broadcasts against the samples."""
+        if isinstance(other, SampledFunction):
+            if other.grid != self.grid:
+                raise InvalidInputError("grid mismatch between operands")
+            other = other.values
+        return SampledFunction(self.grid, op(self.values, other))
 
     def __mul__(self, other):
-        if isinstance(other, SampledFunction):
-            self._check_same_grid(other)
-            return SampledFunction(self.grid, self.values * other.values)
-        return SampledFunction(self.grid, self.values * other)
+        return self._combine(np.multiply, other)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        if isinstance(other, SampledFunction):
-            self._check_same_grid(other)
-            return SampledFunction(self.grid, self.values + other.values)
-        return SampledFunction(self.grid, self.values + other)
+        return self._combine(np.add, other)
 
     def __sub__(self, other):
-        if isinstance(other, SampledFunction):
-            self._check_same_grid(other)
-            return SampledFunction(self.grid, self.values - other.values)
-        return SampledFunction(self.grid, self.values - other)
+        return self._combine(np.subtract, other)
 
     def __neg__(self):
         return SampledFunction(self.grid, -self.values)

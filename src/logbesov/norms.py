@@ -32,6 +32,13 @@ PI = math.pi
 LN2 = math.log(2.0)
 
 
+def _check_finite(**params: float) -> None:
+    """Smoothness parameters are finite numbers; NaN or inf is an input error."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BesovParams:
     """(s, b, p, q); p, q in (0, INF] are quasi-norm exponents."""
@@ -44,6 +51,7 @@ class BesovParams:
     def __post_init__(self) -> None:
         check_exponent(self.p, "p")
         check_exponent(self.q, "q")
+        _check_finite(s=self.s, b=self.b)
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,7 @@ class DiffParams:
     def __post_init__(self) -> None:
         check_exponent(self.p, "p")
         check_exponent(self.q, "q")
+        _check_finite(s=self.s, b=self.b, d=self.d)
         if self.m <= self.s:
             raise InvalidInputError(f"modulus order m={self.m} must exceed s={self.s}")
 
@@ -126,6 +135,7 @@ def tl_norm_inf(
     j-sum is truncated at K_max.
     """
     check_exponent(q, "q")
+    _check_finite(s=s, b=b)
     dec = _ensure_decomposition(f, partition, dec)
     weights = [2.0 ** (k * s) * (1.0 + k) ** b for k in range(partition.k_max + 1)]
     best_per_level = _running_cube_sups(dec, weights, q)
@@ -267,9 +277,6 @@ class LogSumBounds:
     value: float
     lower: float
     upper: float
-
-    def bracket_holds(self) -> bool:
-        return self.lower <= self.value <= self.upper
 
 
 def log_sum_bounds(b: float, k: int, which: str = "tail") -> LogSumBounds:

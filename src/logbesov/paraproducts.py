@@ -142,15 +142,10 @@ def multiplier_lower_bound(
     """max over the family of ||f g||_B / ||g||_B — a lower bound for the
     multiplier operator norm of f on the (s, b, p, q) space.
 
-    `family` is a sequence of (name, SampledFunction) pairs or bare
-    functions; returns (bound, argmax name).
+    `family` is a sequence of (name, SampledFunction) pairs; returns
+    (bound, argmax name).
     """
-    named = []
-    for idx, item in enumerate(family):
-        if isinstance(item, tuple):
-            named.append(item)
-        else:
-            named.append((f"member{idx}", item))
+    named = list(family)
     if not named:
         raise InvalidInputError("family must be nonempty")
     best = -math.inf

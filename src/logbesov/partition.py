@@ -55,19 +55,13 @@ def _g(t: np.ndarray | float) -> np.ndarray:
 def smoothstep(t: np.ndarray | float) -> np.ndarray:
     """C^inf step: 0 for t <= 0, 1 for t >= 1, monotone in between."""
     a = _g(t)
-    b = _g(1.0 - np.asarray(t, dtype=np.float64))
-    with np.errstate(invalid="ignore"):
-        out = np.where(a + b > 0, a / np.where(a + b > 0, a + b, 1.0), 0.0)
-    return out
+    den = a + _g(1.0 - np.asarray(t, dtype=np.float64))
+    return np.divide(a, den, out=a, where=den > 0)  # den = 0 only where a = 0
 
 
 def generator_profile(r: np.ndarray | float) -> np.ndarray:
     """phi_0 as a function of r = |xi|: exactly 1 on r<=1, 0 on r>=3/2."""
-    r = np.asarray(r, dtype=np.float64)
-    num = _g(3.0 - 2.0 * r)
-    den = num + _g(2.0 * r - 2.0)
-    with np.errstate(invalid="ignore"):
-        return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+    return smoothstep(3.0 - 2.0 * np.asarray(r, dtype=np.float64))
 
 
 def _box_top(k: int) -> int:

@@ -117,6 +117,15 @@ def test_experiment_flags_only_where_read(argv):
         ["--grid", "J=10", "criteria", "--p", "2", "--b", "0", "--gallery", "lacunary:levels=-1"],
         ["--grid", "J=10", "criteria", "--p", "2", "--b", "0", "--gallery", "bump:l=40"],
         ["--grid", "J=abc", "charfun"],
+        ["--grid", "J=10", "lowerbound", "--f", "exp:m=5,neg", "--family", "packets:cases=1-5,m=5,b=0", "--p", "4", "--b", "nan"],
+        ["--grid", "J=10", "norm", "--space", "besov", "--b", "nan", "--gallery", "cube"],
+        ["--grid", "J=10", "norm", "--space", "besov", "--s", "inf", "--gallery", "cube"],
+        ["--grid", "J=10", "norm", "--space", "diff", "--s", "nan", "--gallery", "cube"],
+        ["--grid", "J=10", "norm", "--space", "tl", "--b", "nan", "--gallery", "cube"],
+        ["--grid", "J=10", "criteria", "--p", "2", "--b", "0", "--gallery", "bump:l=3,x=nan"],
+        ["--grid", "J=10", "--out", "{garbage}/sub", "criteria", "--p", "2", "--b", "0", "--gallery", "cube"],
+        ["--grid", "J=8", "--out", "{garbage}/sub", "partition-check"],
+        ["--grid", "J=8", "partition-check", "--export", "{missing}/x.dpu"],
     ],
 )
 def test_malformed_input_exits_2(argv, capsys, tmp_path):
@@ -135,6 +144,22 @@ def test_malformed_input_exits_2(argv, capsys, tmp_path):
     else:
         assert "error:" in capsys.readouterr().err
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "spellings",
+    [
+        [["--grid", "J=10", "criteria", "--b", "0.5", "--gallery", "cube", "--p", p] for p in ("inf", "INF", "Infinity")],
+        [["--grid", "J=10", "exp-growth", "--b-list", "0", "--m-max", "6", "--p-list", ps] for ps in ("1,inf", "1,INF")],
+    ],
+)
+def test_exponent_spellings_agree(spellings, capsys):
+    """Every spelling of infinity that `float` reads gives the same output."""
+    outputs = []
+    for argv in spellings:
+        main(argv)
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and all(out == outputs[0] for out in outputs)
 
 
 def test_partition_export(tmp_path):

@@ -62,6 +62,14 @@ def test_dpu_header_fields_are_input_errors(tmp_path, header):
         load_dpu(path)
 
 
+def test_unwritable_path_is_input_error(tmp_path):
+    g = GridSpec(1, 8)
+    with pytest.raises(InvalidInputError):
+        save_sfn(tmp_path / "missing" / "f.sfn", random_band_limited(g, 10, np.random.default_rng(0)))
+    with pytest.raises(InvalidInputError):
+        save_dpu(tmp_path / "missing" / "p.dpu", build_partition(g))
+
+
 def test_dpu_roundtrip(tmp_path):
     g = GridSpec(1, 8)
     part = build_partition(g, PartitionKind.TENSOR)

@@ -123,6 +123,12 @@ def test_bump_support_overflow(grid10):
         make_bump(grid10, BumpSpec(2, (3.0,)))
 
 
+def test_bump_nan_anchor_rejected(grid10):
+    # a NaN anchor passes the support check and would sample as zero
+    with pytest.raises(InvalidInputError):
+        make_bump(grid10, BumpSpec(2, (math.nan,)))
+
+
 def test_bump_level_beyond_grid(grid10):
     # above K_max - 1 the samples no longer resolve h_l (its peak is noise)
     assert np.abs(make_bump(grid10, BumpSpec(grid10.k_max - 1, (0.0,))).values).max() > 0.05
@@ -388,6 +394,12 @@ def test_necessity_packet_degenerate(part12):
     spec = NecessityPacketSpec(k=0, p=2.0, b=0.0, calibration=cal)
     with pytest.raises(DegenerateInputError):
         make_necessity_packet(one, part12, spec)
+
+
+@pytest.mark.parametrize("k, shift", [(-7, 6), (0, -3)])
+def test_necessity_packet_spec_rejects_negative_levels(k, shift):
+    with pytest.raises(InvalidInputError):
+        NecessityPacketSpec(k=k, p=2.0, b=0.0, shift=shift)
 
 
 def test_necessity_packet_p1_rejected(part12, rng):

@@ -285,6 +285,22 @@ def test_diffspace_order_guard():
         DiffParams(1.5, 0.0, 0.0, 2.0, 2.0, 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_smoothness_rejected(bad, part10):
+    f = make_exponential(part10.grid, (4,))
+    with pytest.raises(InvalidInputError):
+        BesovParams(bad, 0.0, 2.0, INF)
+    with pytest.raises(InvalidInputError):
+        BesovParams(0.0, bad, 2.0, INF)
+    for s, b, d in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+        with pytest.raises(InvalidInputError):
+            DiffParams(s, b, d, 2.0, 2.0, 1)
+    with pytest.raises(InvalidInputError):
+        tl_norm_inf(f, part10, bad, 0.0, 1.0)
+    with pytest.raises(InvalidInputError):
+        tl_norm_inf(f, part10, 0.0, bad, 1.0)
+
+
 # --- logarithmic sum brackets ------------------------------------------------------
 
 
