@@ -22,8 +22,8 @@ from .gallery import (
     make_lacunary,
     make_stack,
 )
-from .grid import INF, GridSpec, SampledFunction, is_inf, lp_norm, make_constant, spectrum, synthesize
-from .norms import BesovParams, dini_norm
+from .grid import INF, GridSpec, SampledFunction, check_exponent, is_inf, lp_norm, make_constant, spectrum, synthesize
+from .norms import BesovParams, _check_finite, dini_norm
 from .partition import build_partition, decompose
 from .paraproducts import multiplier_lower_bound
 
@@ -141,10 +141,14 @@ def growth_law(p: float, b: float) -> tuple[float, float, str]:
     return -b, 0.0, f"(1+m)^{-b:g}"
 
 
-def _criterion_value(f, partition, p: float, b: float) -> float:
-    if not (p == 1.0 or is_inf(p)):
+def _exact_route(p: float) -> bool:
+    return p == 1.0 or is_inf(p)
+
+
+def _criterion_value(f, partition, p: float, b: float, *, dec=None) -> float:
+    if not _exact_route(p):
         raise InvalidInputError("criterion route only for p in {1, inf}")
-    rep = verdict(f, partition, p, b)
+    rep = verdict(f, partition, p, b, dec=dec)
     # the p = infinity sweep tracks the two criterion terms alone
     return rep.term2.value + rep.term3.value if is_inf(p) else rep.combined
 
@@ -155,7 +159,14 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
     p in {1, inf} uses the exact criterion; other p use the packet-family
     lower bound.  Checks: fitted exponent within +-0.15 of the law and
     value/prediction spread within a factor 3.
+
+    Each (b, m) builds and decomposes its functions once and reads them at
+    every p; rows and checks come out in p, b, m order.
     """
+    for b in config.b_list:
+        _check_finite(b=b)
+    for p in config.p_list:
+        check_exponent(p, "p")
     grid = config.grid()
     partition = build_partition(grid, config.kind)
     m_lo, m_hi = config.m_range
@@ -168,21 +179,29 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
         ["p", "b", "m", "value", "predicted", "ratio", "asymptote"],
     )
     ms = np.arange(m_lo, m_hi + 1)
+    exact_ps = [p for p in config.p_list if _exact_route(p)]
+    packet_ps = [p for p in config.p_list if not _exact_route(p)]
+    rest = (0,) * (grid.dim - 1)
+    value = {}  # (p, b, m) -> value
+    for b in config.b_list:
+        packet_params = [BesovParams(0.0, b, p, INF) for p in packet_ps]
+        for m in ms:
+            if exact_ps:
+                f = make_exponential(grid, (1 << int(m),) + rest)
+                dec = decompose(f, partition)
+                for p in exact_ps:
+                    value[p, b, m] = _criterion_value(f, partition, p, b, dec=dec)
+                del dec  # one decomposition alive at a time bounds peak memory
+            if packet_ps:
+                f = make_exponential(grid, (-(1 << int(m)),) + rest)
+                family = expo7_family(grid, int(m), b)
+                bounds = multiplier_lower_bound(f, partition, packet_params, family)
+                for p, (val, _) in zip(packet_ps, bounds):
+                    value[p, b, m] = val
     for p in config.p_list:
         for b in config.b_list:
             expo, logpow, tag = growth_law(p, b)
-            values = []
-            for m in ms:
-                if p == 1.0 or is_inf(p):
-                    f = make_exponential(grid, (1 << int(m),) + (0,) * (grid.dim - 1))
-                    val = _criterion_value(f, partition, p, b)
-                else:
-                    f = make_exponential(grid, (-(1 << int(m)),) + (0,) * (grid.dim - 1))
-                    family = expo7_family(grid, int(m), b)
-                    val, _ = multiplier_lower_bound(
-                        f, partition, BesovParams(0.0, b, p, INF), family
-                    )
-                values.append(val)
+            values = [value[p, b, m] for m in ms]
             preds = (1.0 + ms) ** expo * np.log(1.0 + ms) ** logpow
             ratios = np.asarray(values) / preds
             for m, v, pr, r in zip(ms, values, preds, ratios):

@@ -295,7 +295,11 @@ _PACKET_J0 = 1  # lowest modulation level of the packet families
 def expo7_family(
     grid: GridSpec, m: int, b: float, cases=(1, 2, 3, 4, 5)
 ) -> list[tuple[str, SampledFunction]]:
-    """Named packet family, Cases 1-5; Case 3/4 use the ambient b."""
+    """Named packet family, Cases 1-5; Case 3/4 use the ambient b.
+
+    Some cases coincide sample for sample: Case 3 = Case 4 at every b,
+    Case 1 = Case 3 at b = 0, and Case 2 = Case 3 at b = 0.5.
+    """
     js = range(_PACKET_J0, m - 1)
     patterns = {
         1: {j: 1.0 for j in js},

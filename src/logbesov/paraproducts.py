@@ -9,6 +9,7 @@ Products are computed pointwise on the grid; inputs band-limited below
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,28 +134,45 @@ def truncated_product(
     return prods[j], diffs
 
 
+def _norms_on_one_decomposition(g: SampledFunction, partition: DyadicPartition, params_list) -> list[float]:
+    """||g||_B for every params, read from one decomposition of g."""
+    dec = decompose(g, partition)
+    return [besov_norm(g, partition, params, dec=dec).value for params in params_list]
+
+
 def multiplier_lower_bound(
     f: SampledFunction,
     partition: DyadicPartition,
-    params: BesovParams,
+    params: BesovParams | Sequence[BesovParams],
     family,
-) -> tuple[float, str]:
+) -> tuple[float, str] | list[tuple[float, str]]:
     """max over the family of ||f g||_B / ||g||_B — a lower bound for the
     multiplier operator norm of f on the (s, b, p, q) space.
 
-    `family` is a sequence of (name, SampledFunction) pairs; returns
-    (bound, argmax name).
+    `family` is a sequence of (name, SampledFunction) pairs.  `params` is one
+    BesovParams, giving (bound, argmax name), or a sequence of them, giving
+    one (bound, argmax name) per entry.  Each distinct member g and its
+    product f g are decomposed once for every entry, one decomposition alive
+    at a time; a member whose samples equal an earlier one's reuses its
+    ratios, and ties keep the first name.
     """
+    single = isinstance(params, BesovParams)
+    params_list = [params] if single else list(params)
+    if not params_list:
+        raise InvalidInputError("params must be nonempty")
     named = list(family)
     if not named:
         raise InvalidInputError("family must be nonempty")
-    best = -math.inf
-    best_name = ""
+    best = [(-math.inf, "")] * len(params_list)
+    seen: list[tuple[np.ndarray, list[float]]] = []
     for name, g in named:
-        denom = besov_norm(g, partition, params).value
-        if denom <= 0:
-            raise DegenerateInputError(f"family member {name!r} has zero norm")
-        ratio = besov_norm(f * g, partition, params).value / denom
-        if ratio > best:
-            best, best_name = ratio, name
-    return best, best_name
+        ratios = next((r for values, r in seen if np.array_equal(values, g.values)), None)
+        if ratios is None:
+            denoms = _norms_on_one_decomposition(g, partition, params_list)
+            if any(d <= 0 for d in denoms):
+                raise DegenerateInputError(f"family member {name!r} has zero norm")
+            numers = _norms_on_one_decomposition(f * g, partition, params_list)
+            ratios = [n / d for n, d in zip(numers, denoms)]
+            seen.append((g.values, ratios))
+        best = [(r, name) if r > b[0] else b for r, b in zip(ratios, best)]
+    return best[0] if single else best

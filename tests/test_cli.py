@@ -106,6 +106,7 @@ def test_experiment_flags_only_where_read(argv):
     [
         ["exp-growth", "--b-list=abc"],
         ["exp-growth", "--p-list=2,four"],
+        ["--grid", "J=10", "--format", "csv", "exp-growth", "--b-list", "nan", "--p-list", "1", "--m-max", "6"],
         ["criteria", "--p", "2", "--b", "0", "--gallery", "exp:m=abc"],
         ["criteria", "--p", "2", "--b", "0", "--gallery", "stack:n=x"],
         ["--grid", "J=10", "lowerbound", "--f", "cube", "--family", "packets:cases=1-x", "--p", "2", "--b", "0"],

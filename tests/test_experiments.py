@@ -4,6 +4,7 @@ import pytest
 from logbesov.errors import InvalidInputError
 from logbesov.experiments import (
     ExperimentConfig,
+    _criterion_value,
     fit_slope,
     growth_law,
     mollify,
@@ -12,8 +13,11 @@ from logbesov.experiments import (
     run_partition_check,
     run_sandwich,
 )
-from logbesov.gallery import make_indicator
+from logbesov.gallery import expo7_family, make_exponential, make_indicator
 from logbesov.grid import INF
+from logbesov.norms import BesovParams
+from logbesov.paraproducts import multiplier_lower_bound
+from logbesov.partition import build_partition
 
 
 def test_fit_slope_basic():
@@ -67,6 +71,68 @@ def test_exp_growth_m_range_guard():
     config = ExperimentConfig(log2_samples=10, m_range=(3, 10))
     with pytest.raises(InvalidInputError):
         run_exp_growth(config)
+
+
+def test_exp_growth_matches_per_row_oracle():
+    """Every row's value equals the straightforward per-(p, b, m) computation
+    on freshly built functions, and rows and checks come out in p, b, m order."""
+    ps, bs, ms = (1.0, INF, 2.0, 4.0), (0.0, 0.5, 2.0), range(3, 7)
+    config = ExperimentConfig(log2_samples=10, b_list=bs, p_list=ps, m_range=(3, 6))
+    table = run_exp_growth(config)
+    grid = config.grid()
+    part = build_partition(grid)
+    expected = []
+    for p in ps:
+        for b in bs:
+            for m in ms:
+                if p == 1.0 or p == INF:
+                    val = _criterion_value(make_exponential(grid, (1 << m,)), part, p, b)
+                else:
+                    f = make_exponential(grid, (-(1 << m),))
+                    params = BesovParams(0.0, b, p, INF)
+                    val, _ = multiplier_lower_bound(f, part, params, expo7_family(grid, m, b))
+                expected.append(("inf" if p == INF else p, b, m, val))
+    assert [(r["p"], r["b"], r["m"], r["value"]) for r in table.rows] == expected
+    prefixes = [f"growth p={'inf' if p == INF else f'{p:g}'} b={b:g}:" for p in ps for b in bs]
+    assert [c.label.split(":")[0] + ":" for c in table.checks] == [x for x in prefixes for _ in range(2)]
+
+
+def test_exp_growth_decomposes_each_distinct_function_once(monkeypatch):
+    """One decomposition per (b, m) on the exact route, and one per distinct
+    packet member and one per product on the packet route, across all p."""
+    import logbesov.experiments as experiments
+    import logbesov.paraproducts as paraproducts
+    import logbesov.partition as partition_mod
+
+    original = partition_mod.decompose
+    inputs = []
+
+    def counting(f, partition):
+        inputs.append(f.values)
+        return original(f, partition)
+
+    # every module name the runner and the lower bound reach decompose by
+    for mod in (partition_mod, experiments, paraproducts):
+        monkeypatch.setattr(mod, "decompose", counting)
+    bs, ms = (0.0, 1.0), range(3, 7)
+    config = ExperimentConfig(log2_samples=10, b_list=bs, p_list=(1.0, INF, 2.0, 4.0), m_range=(3, 6))
+    run_exp_growth(config)
+    grid = config.grid()
+    exact = 0
+    for m in ms:
+        e = make_exponential(grid, (1 << m,)).values
+        count = sum(np.array_equal(e, v) for v in inputs)
+        assert count == len(bs), f"m={m}: {count} decompositions of e^(i2^m x)"
+        exact += count
+    distinct = 0
+    for b in bs:
+        for m in ms:
+            kept = []
+            for _, g in expo7_family(grid, m, b):
+                if not any(np.array_equal(g.values, k) for k in kept):
+                    kept.append(g.values)
+            distinct += len(kept)
+    assert len(inputs) - exact == 2 * distinct
 
 
 def test_charfun_small():

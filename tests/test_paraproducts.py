@@ -179,6 +179,35 @@ def test_lower_bound_rejects_zero_member(part10):
         multiplier_lower_bound(f, part10, BesovParams(0, 0, 2.0, INF), [])
 
 
+def test_lower_bound_sequence_form_matches_single_calls(part12):
+    """One pass over several exponents gives, per entry, exactly the bound and
+    argmax name of a single-form call; the case1/case3/case4 tie at b=0
+    keeps the first name."""
+    from logbesov.gallery import family_from_spec, gallery_from_spec
+
+    g = part12.grid
+    f = gallery_from_spec(g, "exp:m=8,neg")
+    family = family_from_spec(g, "packets:cases=1-5,m=8,b=0")
+    params = [BesovParams(0.0, 0.0, p, INF) for p in (2.0, 4.0)]
+    together = multiplier_lower_bound(f, part12, params, family)
+    assert together == [multiplier_lower_bound(f, part12, pr, family) for pr in params]
+    assert [name for _, name in together] == ["case1", "case1"]
+
+
+def test_lower_bound_sequence_form_guards(part12):
+    from logbesov.gallery import family_from_spec, gallery_from_spec
+
+    g = part12.grid
+    f = gallery_from_spec(g, "exp:m=8,neg")
+    family = family_from_spec(g, "packets:cases=1-5,m=8,b=0")
+    params = [BesovParams(0.0, 0.0, p, INF) for p in (2.0, 4.0)]
+    zero = SampledFunction(g, np.zeros(g.shape, dtype=complex))
+    with pytest.raises(DegenerateInputError):
+        multiplier_lower_bound(f, part12, params, family + [("z", zero)])
+    with pytest.raises(InvalidInputError):
+        multiplier_lower_bound(f, part12, [], family)
+
+
 @pytest.mark.parametrize("dim, J", [(1, 10), (2, 7)])
 @pytest.mark.parametrize("shape", ["random", "cube"])
 def test_paraproducts_match_defining_sums(dim, J, shape):
