@@ -8,11 +8,9 @@ constructive test-function gallery, all on a periodic grid over
 
 from .criteria import (
     CriterionReport,
-    nece_mixed,
     nece_term2,
     nece_term3,
     netrusov,
-    pi3_log_bound,
     pinf_term2,
     pinf_term3,
     suff_term2,
@@ -22,7 +20,6 @@ from .criteria import (
 from .cubes import DyadicCube, cube_mean_power, sup_over_cubes
 from .errors import (
     AliasingError,
-    CalibrationError,
     CapabilityError,
     DegenerateInputError,
     DomainError,
@@ -43,11 +40,8 @@ from .experiments import (
 from .fileio import load_dpu, load_sfn, save_dpu, save_sfn
 from .gallery import (
     BumpSpec,
-    KernelCalibration,
-    NecessityPacketSpec,
     PacketSpec,
     StackSpec,
-    calibrate_kernel,
     expo7_family,
     gallery_from_spec,
     make_bump,
@@ -57,7 +51,6 @@ from .gallery import (
     make_indicator,
     make_lacunary,
     make_modulated_packet,
-    make_necessity_packet,
     make_stack,
 )
 from .grid import (
@@ -79,7 +72,6 @@ from .norms import (
     besov_norm,
     diffspace_norm,
     dini_norm,
-    log_sum_bounds,
     modulus,
     seq_norm,
     tl_norm_inf,
@@ -89,7 +81,6 @@ from .paraproducts import (
     multiplier_lower_bound,
     paraproduct,
     product_report,
-    truncated_product,
 )
 from .partition import (
     DyadicPartition,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -77,7 +78,7 @@ def _load_input(args, grid: GridSpec):
     raise LogBesovError("need --input file.sfn or --gallery SPEC")
 
 
-def main(argv=None) -> int:
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="logbesov",
         description="Numerical laboratory for logarithmic Besov spaces on the torus",
@@ -147,11 +148,13 @@ def main(argv=None) -> int:
             if args.space == "besov":
                 res = besov_norm(f, partition, BesovParams(args.s, args.b, args.p, args.q))
             elif args.space == "tl":
+                if args.p != INF:
+                    raise InvalidInputError(f"--space tl is the p = inf norm; got --p {args.p}")
                 res = tl_norm_inf(f, partition, args.s, args.b, args.q)
             elif args.space == "diff":
                 res = diffspace_norm(f, DiffParams(args.s, args.b, args.d, args.p, args.q, args.m))
             else:
-                res = dini_norm(f)
+                res = dini_norm(f, args.p)
             print(json.dumps({"value": res.value, "tail": res.tail, "per_level": list(res.per_level)}))
             return 0
 
@@ -187,6 +190,19 @@ def main(argv=None) -> int:
     except LogBesovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    """Run the command; a closed stdout (`| head -1`) ends it with exit code 1, not a traceback."""
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Python's documented SIGPIPE handling: stdout now writes to devnull,
+        # so the interpreter's final flush does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Multiplier-criterion functionals: sufficiency and necessity terms for
-p = 1, p = infinity, and general p, the mixed cube-sequence functional, the
-ball-average criterion, and the refined high-low log bounds.
+p = 1, p = infinity, and general p, the ball-average criterion, and the
+verdict that combines them.
 
 The terms form two families, each evaluated by one reducer over the sup
 norms and cube tables a `SpectralDecomposition` caches.  Low-high terms,
@@ -9,7 +9,7 @@ sup_l sum_{k>=l} ((1+l)/(1+k))^b (cube average of S_k f), go through
 sup of the per-cube sums); `pinf_term2` shares a running-sum loop with
 `norms.tl_norm_inf`.  High-low terms, sup_k sum_{j<=k-2} ((1+k)/(1+j))^b
 (cube sup of S_k f), go through `_high_low` (`suff_term3`, `nece_term3`;
-`pinf_term3` and `pi3_log_bound` as one closed-form weight per k).
+`pinf_term3` as one closed-form weight per k).
 
 Every term reports through `_report`: the sup of its per-level values,
 tail estimates of its truncated k-series (inf and `divergent` when not
@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cubes import sliding_window_mean_max
-from .errors import CapabilityError, InvalidInputError
+from .errors import InvalidInputError
 from .grid import (
     INF,
     SampledFunction,
@@ -38,7 +38,6 @@ from .grid import (
 from .partition import DyadicPartition, SpectralDecomposition, _ensure_decomposition, _running_cube_sups
 
 _SLOPE_DIVERGENT = -1.05  # inner terms ~ (1+k)^slope: summable iff slope < -1
-_TIE = 1e-9  # relative gap below which the greedy cube choice treats values as equal
 
 
 @dataclass
@@ -139,8 +138,8 @@ def _low_high(dec: SpectralDecomposition, r: float, b: float, per_cube: bool) ->
     return _report(dec, per_level, tails=sups)
 
 
-def _high_low(dec: SpectralDecomposition, r: float, b=0.0, q=1.0, *, weight=None, start=2) -> TermReport:
-    """High-low family: per_level[k] for k >= `start` (0 below) is
+def _high_low(dec: SpectralDecomposition, r: float, b=0.0, q=1.0, *, weight=None) -> TermReport:
+    """High-low family: per_level[k] for k >= 2 (0 below) is
 
     (sum_{j<=min(k-2, l_max)} ((1+k)/(1+j))^{bq} X_k(j)^q)^{1/q}, X_k(j) the
     sup over level-j cubes of (mean_P |S_k f|^r)^{1/r}.  At r = inf (q = 1)
@@ -152,17 +151,17 @@ def _high_low(dec: SpectralDecomposition, r: float, b=0.0, q=1.0, *, weight=None
         if weight is None:
             weight = np.array([np.sum(((1.0 + k) / (1.0 + np.arange(k - 1))) ** b) for k in range(k_top + 1)])
         vals = weight * dec.sup_norms()
-        vals[:start] = 0.0
-        return _report(dec, vals.tolist(), start=start)
+        vals[:2] = 0.0
+        return _report(dec, vals.tolist(), start=2)
     j_cap = min(dec.grid.l_max, k_top)
     x = np.array([[dec.cube_table(k, r).means(j).max() for j in range(j_cap + 1)] for k in range(k_top + 1)])
     x = x ** (1.0 / r)
-    per_level = [0.0] * start
-    for k in range(start, k_top + 1):
+    per_level = [0.0, 0.0]
+    for k in range(2, k_top + 1):
         n = min(k - 2, j_cap) + 1
         w = ((1.0 + k) / (1.0 + np.arange(n))) ** (b * q)
         per_level.append(float(np.sum(w * x[k, :n] ** q)) ** (1.0 / q))
-    return _report(dec, per_level, start=start, clamped=k_top - 2 > j_cap)
+    return _report(dec, per_level, start=2, clamped=k_top - 2 > j_cap)
 
 
 def suff_term2(
@@ -285,115 +284,7 @@ def nece_term3(
 
 
 # ---------------------------------------------------------------------------
-# mixed cube-sequence functional
-
-
-def nece_mixed_at_level(
-    f: SampledFunction,
-    partition: DyadicPartition,
-    p: float,
-    b: float,
-    l: int,
-    strategy: str = "greedy",
-    *,
-    dec: SpectralDecomposition | None = None,
-) -> float:
-    """Level-l value of the mixed functional
-
-        || 2^{l n/p} sum_{j>=l} ((1+l)/(1+j))^b (mean_{P_j}|S_j f|^{p'})^{1/p'} 1_{P_j} ||_{L^p}
-
-    optimized over the cube sequence {P_j}.  The L^p norm uses the exact
-    dyadic volumes, so 2^{ln/p} and |P_j|^{1/p} cancel.  'greedy' assigns
-    each j its own best cube (a valid lower bound); 'exhaustive' scans all
-    assignments (1D, l <= 3, at most 2e6 cube loads).
-    """
-    if p < 1:
-        raise InvalidInputError("nece_mixed needs p in [1, inf]")
-    dec = _ensure_decomposition(f, partition, dec)
-    grid = dec.grid
-    k_top = dec.k_max
-    if l > min(grid.l_max, k_top):
-        raise InvalidInputError(f"level {l} beyond the cube guard")
-    if p == 1.0 or is_inf(p):
-        # Indicator weights integrate out (p=1) / the best chain stacks on one
-        # cube (p=inf): both reduce to the sup-of-sums term at this level.
-        return nece_term2(f, partition, p, b, dec=dec).per_level[l]
-    pprime = conjugate_exponent(p)
-    mat = np.asarray([_low_high_row(dec, pprime, b, l, j).ravel() for j in range(l, k_top + 1)])
-    n, n_cubes = mat.shape  # one row per j >= l, one column per level-l cube
-    if strategy == "greedy":
-        # Cubes within _TIE of a row's best tie (mirror cubes agree only to
-        # rounding); the tie goes to the cube already carrying the largest
-        # load (again within _TIE), then to the lowest index.  A NaN row ties
-        # everywhere and so reaches the result.
-        loads = np.zeros(n_cubes)
-        for row in mat:
-            ties = np.flatnonzero(~(row < (1.0 - _TIE) * row.max()))
-            tied = loads[ties]
-            q = ties[np.flatnonzero(~(tied < (1.0 - _TIE) * tied.max()))[0]]
-            loads[q] += row[q]
-        return float(np.sum(loads**p) ** (1.0 / p))
-    if strategy == "exhaustive":
-        if grid.dim != 1 or l > 3:
-            raise CapabilityError("exhaustive mixed search only for 1D and l <= 3")
-        if n > 14 or (1 << n) * n_cubes > 2_000_000:
-            raise CapabilityError(
-                f"exhaustive search over {n} levels x {n_cubes} cubes exceeds the budget"
-            )
-        # Exact optimum over all cube sequences.  Grouping the j's sharing a
-        # cube turns the search into a set-partition problem: maximize
-        # sum over groups of (best cube load of the group)^p.  Superadditivity
-        # of x^p (p >= 1) lets groups ignore cube-distinctness, so a subset DP
-        # over the j-index set is exact and O(3^n).
-        full = 1 << n
-        loads = np.zeros((full, n_cubes))
-        low_j = [0] * full
-        for t in range(1, full):
-            low = t & -t
-            low_j[t] = low.bit_length() - 1
-            loads[t] = loads[t ^ low] + mat[low_j[t]]
-        group_gain = loads.max(axis=1) ** p
-        f_best = np.zeros(full)
-        for s_mask in range(1, full):
-            lead = s_mask & -s_mask
-            best = 0.0
-            sub = s_mask
-            while sub:
-                if sub & lead:
-                    cand = group_gain[sub] + f_best[s_mask ^ sub]
-                    if cand > best:
-                        best = cand
-                sub = (sub - 1) & s_mask
-            f_best[s_mask] = best
-        return float(f_best[full - 1] ** (1.0 / p))
-    raise InvalidInputError(f"unknown strategy {strategy!r}")
-
-
-def nece_mixed(
-    f: SampledFunction,
-    partition: DyadicPartition,
-    p: float,
-    b: float,
-    strategy: str = "greedy",
-    *,
-    dec: SpectralDecomposition | None = None,
-) -> float:
-    """sup over l of the mixed cube-sequence functional (see nece_mixed_at_level)."""
-    dec = _ensure_decomposition(f, partition, dec)
-    l_top = min(dec.grid.l_max, dec.k_max)
-    if strategy == "exhaustive":
-        l_top = min(l_top, 3)
-    if p == 1.0 or is_inf(p):
-        # nece_term2's per_level runs to K_max at p = 1; the functional stops at the cube guard
-        return max(nece_term2(f, partition, p, b, dec=dec).per_level[: l_top + 1])
-    return max(
-        nece_mixed_at_level(f, partition, p, b, l, strategy, dec=dec)
-        for l in range(l_top + 1)
-    )
-
-
-# ---------------------------------------------------------------------------
-# ball-average criterion and the refined high-low bound
+# ball-average criterion
 
 
 def netrusov(
@@ -420,31 +311,6 @@ def netrusov(
             total += 2.0 ** (-l * s) * sliding_window_mean_max(a, grid, 2.0**-l)
         per_level.append(2.0 ** (i * s) * total)
     return _report(dec, per_level)
-
-
-def pi3_log_bound(
-    f: SampledFunction,
-    partition: DyadicPartition,
-    p: float,
-    b: float,
-    *,
-    dec: SpectralDecomposition | None = None,
-) -> TermReport:
-    """Refined high-low coefficient bound for p in (1, inf):
-
-    sup_j (1+j)^e [ln(1+j)]^c ||S_j f||_inf with e = max(b, 1/2) and the log
-    correction only at b = 1/2 (p >= 2), resp. e = max(b, 1/p), correction at
-    b = 1/p (p <= 2).
-    """
-    if p <= 1 or is_inf(p):
-        raise CapabilityError("pi3_log_bound covers p in (1, inf) only")
-    crit = 0.5 if p >= 2 else 1.0 / p
-    expo = b if b >= crit else crit
-    log_pow = crit if b == crit else 0.0
-    dec = _ensure_decomposition(f, partition, dec)
-    ks = np.arange(dec.k_max + 1, dtype=np.float64)
-    w = (1.0 + ks) ** expo * np.log(1.0 + ks) ** log_pow
-    return _high_low(dec, INF, weight=w, start=1)  # the sup runs over j >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,3 @@ class CapabilityError(LogBesovError):
 class DegenerateInputError(LogBesovError):
     """Construction collapsed to zero; no meaningful output exists."""
 
-
-class CalibrationError(LogBesovError):
-    """Kernel calibration found no admissible positive cell."""

@@ -1,25 +1,19 @@
 """Constructive test functions: exponentials, indicators, oscillating bumps,
-weighted bump stacks, exponential stacks, modulated packets, and the
-kernel-calibrated necessity packets.
+weighted bump stacks, exponential stacks, modulated packets, and lacunary
+series.
 
 Every construction is pure and deterministic: same spec, same samples.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0 as bessel_j0
 
-from .cubes import DyadicCube, cube_sample_windows, level_cube_means, level_index_range
 from .errors import (
     AliasingError,
-    CalibrationError,
-    CapabilityError,
-    DegenerateInputError,
     DomainError,
     InvalidInputError,
     LevelOverflowError,
@@ -28,24 +22,13 @@ from .grid import (
     FrequencyField,
     GridSpec,
     SampledFunction,
-    _radius,
-    conjugate_exponent,
     is_inf,
     make_constant,
-    spectrum,
     synthesize,
 )
-from .partition import (
-    DyadicPartition,
-    decompose,
-    generator_profile,
-    project,
-    smoothstep,
-)
+from .partition import smoothstep
 
 PI = math.pi
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 # ---------------------------------------------------------------------------
@@ -326,156 +309,6 @@ def make_lacunary(grid: GridSpec, coeffs) -> SampledFunction:
     if coeffs.size > grid.k_max:
         raise LevelOverflowError("too many lacunary levels for this grid")
     return SampledFunction(grid, _dyadic_wave_sum(grid, enumerate(coeffs), np.cos))
-
-
-# ---------------------------------------------------------------------------
-# kernel calibration and the necessity packets
-
-
-def _kernel_radial(k: int, rho: np.ndarray, dim: int) -> np.ndarray:
-    """Continuum inverse transform of phi_k (k >= 1) at radii `rho`.
-
-    phi_k is radial with support {2^{k-1} <= |xi| <= 3 2^{k-1}}; the
-    transform reduces to a 1D radial quadrature (cosine in dim 1, Bessel J_0
-    in dim 2).
-    """
-    scale = float(1 << (k - 1))
-    r = np.linspace(scale, 3.0 * scale, 4096)
-    w = generator_profile(r / (2.0 * scale)) - generator_profile(r / scale)
-    if dim == 1:
-        core = _trapz(w[None, :] * np.cos(np.outer(rho, r)), r, axis=1)
-        return (2.0 * PI) ** -0.5 * 2.0 * core
-    return _trapz(w[None, :] * bessel_j0(np.outer(rho, r)) * r[None, :], r, axis=1)
-
-
-def kernel_phi(k: int, points: np.ndarray, dim: int) -> np.ndarray:
-    """Continuum inverse transform of phi_k (radial quadrature at level k) at
-    the given spatial points (rows of `points` in dim 2)."""
-    if k < 1:
-        raise InvalidInputError("kernel_phi handles levels k >= 1")
-    pts = np.asarray(points, dtype=np.float64)
-    if dim == 1:
-        rho = np.abs(np.atleast_1d(pts))
-    else:
-        rho = np.linalg.norm(np.atleast_2d(pts), axis=-1)
-    return _kernel_radial(k, rho, dim)
-
-
-@dataclass(frozen=True)
-class KernelCalibration:
-    sigma: int
-    nu0: tuple[int, ...]
-    lam: float
-
-
-def _cell_radii(sigma: int, nu0: tuple[int, ...], ts: np.ndarray) -> np.ndarray:
-    """|x| at the sample points x = 2^{-sigma}(nu0 + t), t in ts^n, of a cell."""
-    axes = np.meshgrid(*[c + ts for c in nu0], indexing="ij", sparse=True)
-    return 2.0**-sigma * _radius(axes).ravel()
-
-
-def calibrate_kernel(partition: DyadicPartition) -> KernelCalibration:
-    """Find (sigma, nu0, lambda>0) with phi_1-kernel >= lambda on the doubled
-    cube 2^{-sigma}(nu0 +- [0,1)^n), |nu0| in (2^sigma, 3 2^sigma), last
-    coordinate >= 1, sigma in 0..3; lambda maximized by a search over 17
-    samples per axis."""
-    dim = partition.grid.dim
-    rho_tab = np.linspace(0.0, 3.0 + 2.0 * math.sqrt(dim), 4096)
-    k_tab = _kernel_radial(1, rho_tab, dim)
-    best: KernelCalibration | None = None
-    ts = np.linspace(-1.0, 1.0, 17)
-    for sigma in range(4):
-        lo, hi = 1 << sigma, 3 * (1 << sigma)
-        candidates = [
-            head + (last,)
-            for head in itertools.product(range(-hi, hi + 1), repeat=dim - 1)
-            for last in range(1, hi + 1)
-            if lo < math.hypot(*head, last) < hi
-        ]
-        for nu0 in candidates:
-            lam = float(np.interp(_cell_radii(sigma, nu0, ts), rho_tab, k_tab).min())
-            if best is None or lam > best.lam:
-                best = KernelCalibration(sigma, nu0, lam)
-    assert best is not None
-    # re-evaluate the winner exactly (the table scan interpolates)
-    sigma, nu0 = best.sigma, best.nu0
-    best = KernelCalibration(sigma, nu0, float(_kernel_radial(1, _cell_radii(sigma, nu0, ts), dim).min()))
-    if best.lam <= 0:
-        raise CalibrationError(f"no positive kernel cell found; best lambda = {best.lam:.3e}")
-    return best
-
-
-@dataclass
-class NecessityPacketSpec:
-    """Parameters of the projected-weight packet of the necessity argument."""
-
-    k: int
-    p: float
-    b: float
-    shift: int = 6  # frequency separation between the window and the weights
-    calibration: KernelCalibration | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 0 or self.shift < 0:
-            raise InvalidInputError(f"necessity packet needs k, shift >= 0; got {self.k}, {self.shift}")
-
-
-def make_necessity_packet(
-    f: SampledFunction, partition: DyadicPartition, spec: NecessityPacketSpec
-) -> SampledFunction:
-    """g_k = sum_{j >= k+N} (1+j)^{-b} ||S_j f||^{1-p'}_{L^{p'}(Q~)}
-    S_j(1_{Q~} sgn(S_j f) |S_j f|^{p'-1}), cubes chosen greedily per level.
-
-    Terms whose window carries no S_j f mass are dropped; if everything
-    drops, the construction is degenerate.
-    """
-    grid = f.grid
-    if spec.p <= 1:
-        raise CapabilityError("necessity packet needs p > 1 (the p=1 case is the closed form)")
-    pprime = conjugate_exponent(spec.p)
-    cal = spec.calibration or calibrate_kernel(partition)
-    level = spec.k + cal.sigma
-    if level > grid.l_max:
-        raise DomainError(
-            f"packet cube level {level} too deep for the grid (l_max={grid.l_max})"
-        )
-    dec = decompose(f, partition)
-    nu_min, nu_max = level_index_range(level)
-    # per axis, the window cubes w (as indices into the level's cube means)
-    # whose base w - nu0 is also inside the domain
-    admissible = [np.arange(max(0, o), nu_max - nu_min + 1 + min(0, o)) for o in cal.nu0]
-    if any(w.size == 0 for w in admissible):
-        raise DegenerateInputError(f"calibration offset {cal.nu0} leaves no cube at level {level}")
-    terms = []
-    # terms are normalized by local mass; numerically vanishing projections
-    # must be dropped, not normalized into noise
-    j_lo = spec.k + spec.shift
-    global_scale = float(dec.sup_norms()[j_lo:].max(initial=0.0))
-    floor = (1e-8 * max(global_scale, 1e-300)) ** conjugate_exponent(spec.p)
-    for j in range(j_lo, partition.k_max + 1):
-        sj = dec.pieces[j].values
-        absj = np.abs(sj)
-        power = absj ** pprime
-        sub = level_cube_means(grid, power, level)[np.ix_(*admissible)]
-        pick = np.unravel_index(np.argmax(sub), sub.shape)
-        if float(sub[pick]) <= floor:
-            continue
-        window_index = tuple(nu_min + int(w[i]) for w, i in zip(admissible, pick))
-        window = cube_sample_windows(grid, DyadicCube(level, window_index))
-        mask = np.zeros(grid.shape, dtype=np.float64)
-        sl = tuple(slice(i0, i1) for i0, i1 in window)
-        mask[sl] = 1.0
-        lp_local = (power[sl].sum() * grid.cell_volume) ** (1.0 / pprime)
-        if lp_local <= 0.0:
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sgn = np.where(absj > 0, np.conj(sj) / np.where(absj > 0, absj, 1.0), 0.0)
-        payload = SampledFunction(grid, mask * sgn * absj ** (pprime - 1.0))
-        weight = (1.0 + j) ** (-spec.b) * lp_local ** (1.0 - pprime)
-        terms.append(weight * project(payload, partition, j).values)
-    if not terms:
-        raise DegenerateInputError("all necessity-packet terms dropped (no S_j f mass)")
-    return SampledFunction(grid, np.sum(terms, axis=0))
 
 
 # ---------------------------------------------------------------------------

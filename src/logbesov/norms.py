@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
 
 from .errors import InvalidInputError, ResolutionError
 from .grid import (
@@ -266,46 +265,3 @@ def diffspace_norm(f: SampledFunction, params: DiffParams) -> NormResult:
         semi = float((np.sum(arr**params.q) * LN2) ** (1.0 / params.q))
     base = lp_norm(f, params.p)
     return NormResult(base + semi, terms[-1] if terms else 0.0, terms)
-
-
-# ---------------------------------------------------------------------------
-# logarithmic-weight sum brackets
-
-
-@dataclass(frozen=True)
-class LogSumBounds:
-    value: float
-    lower: float
-    upper: float
-
-
-def log_sum_bounds(b: float, k: int, which: str = "tail") -> LogSumBounds:
-    """Exact evaluation plus the analytic bracket of the logarithmic sums.
-
-    which='tail': sum_{j>=k} (1+j)^{-b} for b > 1, bracketed by
-    [(k+1)^{1-b}/(b-1), (1 + 1/(b-1)) (k+1)^{1-b}]; which='head':
-    sum_{j=0}^{k} (1+j)^{b} for b > -1, bracketed by
-    [(k+1)^{b+1}/(b+1), (1 + 1/(b+1)) (k+1)^{b+1}].
-    """
-    if k < 0:
-        raise InvalidInputError("k must be >= 0")
-    if which == "tail":
-        if b <= 1:
-            raise InvalidInputError("tail sum needs b > 1")
-        value = float(hurwitz_zeta(b, k + 1))
-        lower = (k + 1.0) ** (1.0 - b) / (b - 1.0)
-        upper = (1.0 + 1.0 / (b - 1.0)) * (k + 1.0) ** (1.0 - b)
-        return LogSumBounds(value, lower, upper)
-    if which == "head":
-        if b <= -1:
-            raise InvalidInputError("head sum needs b > -1")
-        value = float(np.sum((1.0 + np.arange(k + 1)) ** b))
-        if b >= 0:
-            lower = (k + 1.0) ** (b + 1.0) / (b + 1.0)
-        else:
-            # integral comparison from 1; the naive (k+1)^{b+1}/(b+1) bound
-            # overshoots the sum for decreasing terms
-            lower = ((k + 2.0) ** (b + 1.0) - 1.0) / (b + 1.0)
-        upper = (1.0 + 1.0 / (b + 1.0)) * (k + 1.0) ** (b + 1.0)
-        return LogSumBounds(value, lower, upper)
-    raise InvalidInputError("which must be 'tail' or 'head'")

@@ -22,7 +22,6 @@ from .partition import (
     SpectralDecomposition,
     _ensure_decomposition,
     decompose,
-    partial_sum,
 )
 
 
@@ -110,28 +109,6 @@ def product_report(
     denom = lp_norm(fg, 2.0)
     residual = err / denom if denom > 0 else err
     return ProductReport(parts[0], parts[1], parts[2], residual)
-
-
-def truncated_product(
-    f: SampledFunction,
-    g: SampledFunction,
-    partition: DyadicPartition,
-    j: int,
-) -> tuple[SampledFunction, list[float]]:
-    """(S^j f)(S^j g), plus the L^2 norms of the last three successive
-    differences (S^i f)(S^i g) - (S^{i-1} f)(S^{i-1} g) as a convergence
-    diagnostic."""
-    if j < 0 or j > partition.k_max:
-        raise InvalidInputError(f"truncation level {j} outside [0, {partition.k_max}]")
-    prods = {}
-    for i in range(max(0, j - 3), j + 1):
-        prods[i] = partial_sum(f, partition, i) * partial_sum(g, partition, i)
-    diffs = [
-        lp_norm(prods[i] - prods[i - 1], 2.0)
-        for i in range(max(1, j - 2), j + 1)
-        if i - 1 in prods
-    ]
-    return prods[j], diffs
 
 
 def _norms_on_one_decomposition(g: SampledFunction, partition: DyadicPartition, params_list) -> list[float]:

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import logbesov
 from logbesov.cli import main
 from logbesov.fileio import save_sfn
-from logbesov.gallery import make_exponential
+from logbesov.gallery import make_exponential, make_indicator
 from logbesov.grid import GridSpec
+from logbesov.norms import dini_norm
 
 
 def test_partition_check_verb(capsys, tmp_path):
@@ -36,6 +42,18 @@ def test_norm_verb_gallery_dini(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert 0.3 < payload["value"] < 0.7
+
+
+def test_norm_verb_dini_reads_p(capsys):
+    argv = ["--grid", "J=10", "norm", "--space", "dini", "--gallery", "cube", "--p"]
+    values = {}
+    for p in ("2", "inf"):
+        assert main(argv + [p]) == 0
+        values[p] = json.loads(capsys.readouterr().out)["value"]
+    f = make_indicator(GridSpec(1, 10), "cube")
+    assert values["2"] == dini_norm(f, 2.0).value
+    assert values["inf"] == dini_norm(f).value
+    assert values["2"] != values["inf"]
 
 
 def test_criteria_verb(capsys, tmp_path):
@@ -123,6 +141,7 @@ def test_experiment_flags_only_where_read(argv):
         ["--grid", "J=10", "norm", "--space", "besov", "--s", "inf", "--gallery", "cube"],
         ["--grid", "J=10", "norm", "--space", "diff", "--s", "nan", "--gallery", "cube"],
         ["--grid", "J=10", "norm", "--space", "tl", "--b", "nan", "--gallery", "cube"],
+        ["--grid", "J=10", "norm", "--space", "tl", "--p", "2", "--gallery", "cube"],
         ["--grid", "J=10", "criteria", "--p", "2", "--b", "0", "--gallery", "bump:l=3,x=nan"],
         ["--grid", "J=10", "--out", "{garbage}/sub", "criteria", "--p", "2", "--b", "0", "--gallery", "cube"],
         ["--grid", "J=8", "--out", "{garbage}/sub", "partition-check"],
@@ -199,3 +218,35 @@ def test_sandwich_verb(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
+
+
+def test_closed_stdout_exits_1_without_traceback(monkeypatch, tmp_path, capsys):
+    """A reader that closed the pipe (`logbesov ... | head -1`) ends the run
+    with exit code 1 and nothing on stderr; stdout then writes to devnull."""
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["--grid", "J=10", "criteria", "--p", "2", "--b", "0.5", "--gallery", "cube"])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    os.close(fd)
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test dependency only; importing the package must not load it."""
+    src = Path(logbesov.__file__).resolve().parents[1]
+    probe = "import sys, logbesov; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 
 from logbesov.criteria import (
-    nece_mixed,
-    nece_mixed_at_level,
     nece_term2,
     nece_term3,
     netrusov,
-    pi3_log_bound,
     pinf_term2,
     pinf_term3,
     suff_term2,
     suff_term3,
     verdict,
 )
-from logbesov.errors import CapabilityError, InvalidInputError
+from logbesov.errors import InvalidInputError
 from logbesov.gallery import BumpSpec, make_bump, make_exponential, make_indicator
 import logbesov.criteria as criteria
 from logbesov.cubes import CubeMeanTable
@@ -170,72 +167,6 @@ def test_nece_term3_exponential_counts(part12):
     assert nece_term3(one, part12, 2.0, 0.0).value == pytest.approx(0.0, abs=1e-10)
 
 
-# --- mixed cube-sequence functional ----------------------------------------------
-
-
-def test_nece_mixed_reductions(part10, rng, monkeypatch):
-    f = random_band_limited(part10.grid, 2.0 ** (part10.k_max - 1), rng)
-    dec = decompose(f, part10)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return nece_term2(*args, **kwargs)
-
-    monkeypatch.setattr(criteria, "nece_term2", counted)
-    # p = 1 and p = inf collapse to the sup-of-sums term, any strategy
-    for p in (1.0, INF):
-        calls.clear()
-        got = nece_mixed(f, part10, p, 0.5, "greedy", dec=dec)
-        assert len(calls) == 1
-        ref = nece_term2(f, part10, p, 0.5, dec=dec).value
-        assert got == pytest.approx(ref, rel=1e-12)
-
-
-def test_nece_mixed_exponential_any_strategy(part12):
-    f = make_exponential(part12.grid, (1 << 6,))
-    a = nece_mixed(f, part12, 2.0, 0.0, "greedy")
-    b = nece_term2(f, part12, 2.0, 0.0).value
-    # constant-modulus pieces make the cube choice irrelevant
-    assert a == pytest.approx(b, rel=1e-6)
-
-
-def test_nece_mixed_greedy_leq_exhaustive():
-    g = GridSpec(1, 8)
-    part = build_partition(g)
-    f = random_band_limited(g, 2.0 ** (part.k_max - 1), np.random.default_rng(5))
-    for l in (0, 1):
-        lo = nece_mixed_at_level(f, part, 2.0, 0.0, l, "greedy")
-        hi = nece_mixed_at_level(f, part, 2.0, 0.0, l, "exhaustive")
-        assert lo <= hi * (1 + 1e-12)
-
-
-def test_nece_mixed_greedy_stable_under_rounding():
-    """The cube indicator's mirror cubes tie to about 1e-16; nudging every
-    piece by 1e-13 relative must not move the greedy value."""
-    g = GridSpec(1, 14)
-    part = build_partition(g)
-    f = make_indicator(g, "cube")
-    dec = decompose(f, part)
-    noise = np.random.default_rng(0).standard_normal(g.shape)
-    nudged = SpectralDecomposition(
-        part, [SampledFunction(g, piece.values * (1.0 + 1e-13 * noise)) for piece in dec.pieces]
-    )
-    base = nece_mixed(f, part, 2.0, 0.5, dec=dec)
-    assert abs(nece_mixed(f, part, 2.0, 0.5, dec=nudged) - base) < 1e-9 * base
-
-
-def test_nece_mixed_capability_guards(part10, rng):
-    f = random_band_limited(part10.grid, 50, rng)
-    with pytest.raises(CapabilityError):
-        nece_mixed_at_level(f, part10, 2.0, 0.0, 4, "exhaustive")
-    g2 = GridSpec(2, 7)
-    p2 = build_partition(g2)
-    f2 = random_band_limited(g2, 10, rng)
-    with pytest.raises(CapabilityError):
-        nece_mixed_at_level(f2, p2, 2.0, 0.0, 0, "exhaustive")
-
-
 # --- ball-average criterion --------------------------------------------------------
 
 
@@ -272,35 +203,6 @@ def test_netrusov_range_guard(part12):
         netrusov(f, part12, 0.0)
     with pytest.raises(InvalidInputError):
         netrusov(f, part12, 1.5)
-
-
-# --- refined high-low bound ---------------------------------------------------------
-
-
-def test_pi3_log_bound_weights(part12):
-    g = part12.grid
-    m = 6
-    f = make_exponential(g, (1 << m,))
-    assert pi3_log_bound(f, part12, 4.0, 0.0).value == pytest.approx(
-        math.sqrt(1.0 + m), rel=1e-10
-    )
-    assert pi3_log_bound(f, part12, 1.5, 0.0).value == pytest.approx(
-        (1.0 + m) ** (2.0 / 3.0), rel=1e-10
-    )
-    assert pi3_log_bound(f, part12, 4.0, 2.0).value == pytest.approx(
-        (1.0 + m) ** 2, rel=1e-10
-    )
-    assert pi3_log_bound(f, part12, 1.5, 2.0).value == pytest.approx(
-        (1.0 + m) ** 2, rel=1e-10
-    )
-    # the log-corrected critical line
-    assert pi3_log_bound(f, part12, 2.0, 0.5).value == pytest.approx(
-        math.sqrt(1.0 + m) * math.sqrt(math.log(1.0 + m)), rel=1e-10
-    )
-    with pytest.raises(CapabilityError):
-        pi3_log_bound(f, part12, 1.0, 0.0)
-    with pytest.raises(CapabilityError):
-        pi3_log_bound(f, part12, INF, 0.0)
 
 
 # --- verdicts -------------------------------------------------------------------------
@@ -375,7 +277,6 @@ def test_nonfinite_piece_noted_by_every_term(part10):
         suff_term2(f, part10, 2.0, 0.5, dec=dec),
         pinf_term2(f, part10, 0.5, dec=dec),
         pinf_term3(f, part10, 0.5, dec=dec),
-        pi3_log_bound(f, part10, 4.0, 0.5, dec=dec),
         netrusov(f, part10, 0.5, dec=dec),
     ]
     for p in (2.0, INF):
@@ -416,7 +317,6 @@ def test_terms_on_shared_dec_match_fresh(part10):
     for p in (2.0, 4.0):
         for fn in (suff_term2, suff_term3, nece_term2, nece_term3):
             assert fn(f, part10, p, 0.5, dec=shared).to_dict() == fn(f, part10, p, 0.5).to_dict()
-        assert nece_mixed(f, part10, p, 0.5, dec=shared) == nece_mixed(f, part10, p, 0.5)
     assert verdict(f, part10, 2.0, 0.5, dec=shared).to_dict() == verdict(f, part10, 2.0, 0.5).to_dict()
 
 
@@ -441,7 +341,6 @@ def test_functionals_homogeneous(part10, rng):
     f = random_band_limited(part10.grid, 60, rng)
     for fn, args in (
         (netrusov, (part10, 0.5)),
-        (pi3_log_bound, (part10, 4.0, 0.0)),
         (pinf_term2, (part10, 0.5)),
     ):
         base = fn(f, *args).value

@@ -1,28 +1,21 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from logbesov.cubes import DyadicCube, cube_mean_power, cube_sample_windows, level_index_range
 from logbesov.errors import (
     AliasingError,
-    CapabilityError,
-    DegenerateInputError,
     DomainError,
     InvalidInputError,
     LevelOverflowError,
 )
 from logbesov.gallery import (
     BumpSpec,
-    NecessityPacketSpec,
     PacketSpec,
     StackSpec,
-    calibrate_kernel,
     default_stack_spacing,
     expo7_family,
     gallery_from_spec,
-    kernel_phi,
     make_bump,
     make_envelope,
     make_exp_stack,
@@ -30,13 +23,12 @@ from logbesov.gallery import (
     make_indicator,
     make_lacunary,
     make_modulated_packet,
-    make_necessity_packet,
     make_stack,
     stack_plateau_cubes,
 )
-from logbesov.grid import INF, GridSpec, SampledFunction, lp_norm, random_band_limited, spectrum
+from logbesov.grid import INF, GridSpec, lp_norm, spectrum
 from logbesov.norms import BesovParams, besov_norm
-from logbesov.partition import build_partition, decompose, project
+from logbesov.partition import decompose, project
 
 
 # --- exponentials ---------------------------------------------------------
@@ -360,122 +352,6 @@ def test_packet_level_guard(grid10):
         make_modulated_packet(grid10, PacketSpec(5, {0: 1.0}))
 
 
-# --- kernel calibration and necessity packets --------------------------------
-
-
-def test_calibrate_kernel_1d(part12):
-    cal = calibrate_kernel(part12)
-    assert cal.lam > 0
-    lo, hi = 1 << cal.sigma, 3 * (1 << cal.sigma)
-    assert lo < abs(cal.nu0[0]) < hi
-    # lambda cannot exceed the kernel's global maximum (attained at 0)
-    peak = float(kernel_phi(1, np.array([0.0]), 1)[0])
-    assert cal.lam <= peak + 1e-12
-    # and the kernel really is >= lambda on the doubled cube
-    ts = np.linspace(-1, 1, 41)
-    pts = 2.0**-cal.sigma * (cal.nu0[0] + ts)
-    assert kernel_phi(1, pts, 1).min() >= cal.lam - 1e-9
-
-
-def test_kernel_scaling_identity():
-    """phi_k kernel(x) = 2^{(k-1)n} phi_1 kernel(2^{k-1} x) to 1e-8 (1D)."""
-    xs = np.linspace(-0.5, 0.5, 11)
-    for k in (2, 3, 4):
-        lhs = kernel_phi(k, xs, 1)
-        rhs = 2.0 ** (k - 1) * kernel_phi(1, 2.0 ** (k - 1) * xs, 1)
-        assert np.abs(lhs - rhs).max() < 1e-8 * max(1.0, np.abs(rhs).max())
-
-
-def test_necessity_packet_degenerate(part12):
-    from logbesov.grid import make_constant
-
-    one = make_constant(part12.grid)
-    cal = calibrate_kernel(part12)
-    spec = NecessityPacketSpec(k=0, p=2.0, b=0.0, calibration=cal)
-    with pytest.raises(DegenerateInputError):
-        make_necessity_packet(one, part12, spec)
-
-
-@pytest.mark.parametrize("k, shift", [(-7, 6), (0, -3)])
-def test_necessity_packet_spec_rejects_negative_levels(k, shift):
-    with pytest.raises(InvalidInputError):
-        NecessityPacketSpec(k=k, p=2.0, b=0.0, shift=shift)
-
-
-def test_necessity_packet_p1_rejected(part12, rng):
-    f = random_band_limited(part12.grid, 100, rng)
-    with pytest.raises(CapabilityError):
-        make_necessity_packet(f, part12, NecessityPacketSpec(k=0, p=1.0, b=0.0))
-
-
-def test_necessity_packet_exponential_single_term(part12):
-    """For f = e^{i 2^m x} only the j = m term survives, and the packet norm
-    stays bounded by a measured constant (|eta| = 1)."""
-    g = part12.grid
-    cal = calibrate_kernel(part12)
-    m = 8
-    f = make_exponential(g, (1 << m,))
-    spec = NecessityPacketSpec(k=1, p=2.0, b=0.0, calibration=cal)
-    gk = make_necessity_packet(f, part12, spec)
-    c = spectrum(gk)
-    rho = g.freq_radius()
-    inside = (rho >= 2.0 ** (m - 1)) & (rho <= 3.0 * 2.0 ** (m - 1))
-    energy = np.abs(c) ** 2
-    assert energy[~inside].sum() / energy.sum() < 1e-12
-    val = besov_norm(gk, part12, BesovParams(0.0, 0.0, 2.0, INF)).value
-    assert val < 5.0
-
-
-@pytest.mark.parametrize("p", [2.0, 4.0])
-def test_necessity_packet_2d_matches_loop_oracle(p, rng):
-    """2D packet against its definition: each level's window is the best
-    cube_mean_power over every admissible base index, the term is rebuilt
-    with `project`."""
-    g = GridSpec(2, 9)
-    part = build_partition(g)
-    cal = calibrate_kernel(part)
-    assert (cal.sigma, cal.nu0) == (3, (-8, 1))
-    f = random_band_limited(g, 200.0, rng)
-    spec = NecessityPacketSpec(k=0, p=p, b=0.5, calibration=cal)
-    pprime = p / (p - 1.0)
-    level = spec.k + cal.sigma
-    nu_min, nu_max = level_index_range(level)
-    expected = np.zeros(g.shape, dtype=np.complex128)
-    for j in range(spec.k + spec.shift, part.k_max + 1):
-        sj = project(f, part, j)
-        best, window = -1.0, None
-        for base in itertools.product(range(nu_min, nu_max + 1), repeat=2):
-            idx = tuple(b + o for b, o in zip(base, cal.nu0))
-            if all(nu_min <= i <= nu_max for i in idx):
-                val = cube_mean_power(sj, DyadicCube(level, idx), pprime)
-                if val > best:
-                    best, window = val, idx
-        sl = tuple(slice(i0, i1) for i0, i1 in cube_sample_windows(g, DyadicCube(level, window)))
-        absj = np.abs(sj.values)
-        local = (np.sum(absj[sl] ** pprime) * g.cell_volume) ** (1.0 / pprime)
-        payload = np.zeros(g.shape, dtype=np.complex128)
-        payload[sl] = np.conj(sj.values[sl]) / absj[sl] * absj[sl] ** (pprime - 1.0)
-        weight = (1.0 + j) ** (-spec.b) * local ** (1.0 - pprime)
-        expected += weight * project(SampledFunction(g, payload), part, j).values
-    got = make_necessity_packet(f, part, spec).values
-    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-
-
-def test_necessity_packet_uniform_bound(part12, rng):
-    """||g_k||_{B^{0,b}_{p,inf}} <= C uniformly in k (measured)."""
-    g = part12.grid
-    cal = calibrate_kernel(part12)
-    f = random_band_limited(g, 2.0 ** (part12.k_max - 1), rng)
-    p, b = 2.0, 0.5
-    vals = []
-    for k in (0, 1, 2):
-        spec = NecessityPacketSpec(k=k, p=p, b=b, calibration=cal)
-        gk = make_necessity_packet(f, part12, spec)
-        vals.append(besov_norm(gk, part12, BesovParams(0.0, b, p, INF)).value)
-    assert max(vals) < 10.0
-    assert max(vals) / min(vals) < 5.0
-
-
 # --- lacunary + CLI specs ----------------------------------------------------
 
 
@@ -498,20 +374,6 @@ def test_gallery_specs(grid10):
     assert gallery_from_spec(grid10, "lacunary:beta=0.5,levels=6") is not None
     with pytest.raises(InvalidInputError):
         gallery_from_spec(grid10, "wavelet:havoc")
-
-
-def test_calibrate_kernel_2d():
-    g = GridSpec(2, 8)
-    part = build_partition(g)
-    cal = calibrate_kernel(part)
-    assert cal.lam > 0
-    lo, hi = 1 << cal.sigma, 3 * (1 << cal.sigma)
-    assert lo < math.hypot(*cal.nu0) < hi
-    assert cal.nu0[-1] >= 1  # region sits in the upper half-space
-    ts = np.linspace(-1, 1, 33)
-    g1, g2 = np.meshgrid(cal.nu0[0] + ts, cal.nu0[1] + ts, indexing="ij")
-    pts = 2.0**-cal.sigma * np.stack([g1.ravel(), g2.ravel()], axis=-1)
-    assert kernel_phi(1, pts, 2).min() >= cal.lam - 1e-9
 
 
 def test_bump_2d_shape():

@@ -20,7 +20,6 @@ from logbesov.norms import (
     besov_norm,
     diffspace_norm,
     dini_norm,
-    log_sum_bounds,
     modulus,
     seq_norm,
     tl_norm_inf,
@@ -299,50 +298,6 @@ def test_nonfinite_smoothness_rejected(bad, part10):
         tl_norm_inf(f, part10, bad, 0.0, 1.0)
     with pytest.raises(InvalidInputError):
         tl_norm_inf(f, part10, 0.0, bad, 1.0)
-
-
-# --- logarithmic sum brackets ------------------------------------------------------
-
-
-def test_log_sum_tail_zeta():
-    res = log_sum_bounds(2.0, 0, which="tail")
-    assert res.value == pytest.approx(math.pi**2 / 6, rel=1e-12)
-    assert res.lower <= res.value <= res.upper
-    assert res.lower == pytest.approx(1.0)
-
-
-def test_log_sum_head_flat():
-    res = log_sum_bounds(0.0, 9, which="head")
-    assert res.value == pytest.approx(10.0)
-    assert res.lower <= res.value <= res.upper
-    assert res.lower == pytest.approx(10.0)
-
-
-def test_log_sum_tail_b15():
-    res = log_sum_bounds(1.5, 4, which="tail")
-    n_top = 200_000
-    direct = sum((1.0 + j) ** -1.5 for j in range(4, n_top))
-    direct += 2.0 / math.sqrt(n_top + 1)  # integral remainder of the cut tail
-    assert res.value == pytest.approx(direct, rel=1e-6)
-    assert res.lower <= res.value <= res.upper
-
-
-def test_log_sum_brackets_hold_various():
-    for b in (1.2, 2.0, 3.5):
-        for k in (0, 3, 10):
-            r = log_sum_bounds(b, k, "tail")
-            assert r.lower <= r.value <= r.upper
-    for b in (-0.5, 0.0, 0.7, 2.0):
-        for k in (0, 3, 10):
-            r = log_sum_bounds(b, k, "head")
-            assert r.lower <= r.value <= r.upper
-
-
-def test_log_sum_range_guards():
-    with pytest.raises(InvalidInputError):
-        log_sum_bounds(1.0, 2, "tail")
-    with pytest.raises(InvalidInputError):
-        log_sum_bounds(-1.0, 2, "head")
 
 
 def test_quasi_norm_exponents_accepted(part10, rng):

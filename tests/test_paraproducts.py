@@ -11,7 +11,6 @@ from logbesov.paraproducts import (
     pi2_summand,
     product_report,
     summand_band_energy,
-    truncated_product,
 )
 from logbesov.partition import decompose
 
@@ -110,31 +109,6 @@ def test_pi1_besov_bound(part10):
         ratios.append(val / (lp_norm(f, INF) * besov_norm(h, part10, params).value))
     assert max(ratios) < 3.0
     assert max(ratios) / min(ratios) < 5.0
-
-
-def test_truncated_product(part12, rng):
-    g = part12.grid
-    band = 16.0
-    f = band_limited(g, band, rng)
-    h = band_limited(g, band, rng)
-    prod, diffs = truncated_product(f, h, part12, part12.k_max)
-    fg = f * h
-    assert np.abs(prod.values - fg.values).max() / np.abs(fg.values).max() < 1e-12
-    assert diffs[-1] < 1e-10  # converged well below the truncation level
-    e = make_exponential(g, (1,))
-    prod2, _ = truncated_product(e, e, part12, 4)
-    assert np.abs(prod2.values - np.exp(2j * g.axis())).max() < 1e-10
-    with pytest.raises(InvalidInputError):
-        truncated_product(f, h, part12, part12.k_max + 1)
-
-
-def test_truncated_product_indicator_trend(part12):
-    f = make_indicator(part12.grid, "cube")
-    from logbesov.experiments import mollify
-
-    h = mollify(make_indicator(part12.grid, "cube"), 2.0**-3)
-    _, diffs = truncated_product(f, h, part12, part12.k_max)
-    assert diffs == sorted(diffs, reverse=True)  # successive differences decay
 
 
 def test_lower_bound_constant(part10, rng):
