@@ -10,14 +10,13 @@ from .criteria import (
     CriterionReport,
     nece_term2,
     nece_term3,
-    netrusov,
     pinf_term2,
     pinf_term3,
     suff_term2,
     suff_term3,
     verdict,
 )
-from .cubes import DyadicCube, cube_mean_power, sup_over_cubes
+from .cubes import DyadicCube, cube_mean_power
 from .errors import (
     AliasingError,
     CapabilityError,
@@ -46,7 +45,6 @@ from .gallery import (
     gallery_from_spec,
     make_bump,
     make_envelope,
-    make_exp_stack,
     make_exponential,
     make_indicator,
     make_lacunary,
@@ -73,7 +71,6 @@ from .norms import (
     diffspace_norm,
     dini_norm,
     modulus,
-    seq_norm,
     tl_norm_inf,
 )
 from .paraproducts import (
@@ -89,7 +86,6 @@ from .partition import (
     build_partition,
     decompose,
     partial_sum,
-    peetre_maximal,
     project,
 )
 

@@ -1,6 +1,5 @@
 """Multiplier-criterion functionals: sufficiency and necessity terms for
-p = 1, p = infinity, and general p, the ball-average criterion, and the
-verdict that combines them.
+p = 1, p = infinity, and general p, and the verdict that combines them.
 
 The terms form two families, each evaluated by one reducer over the sup
 norms and cube tables a `SpectralDecomposition` caches.  Low-high terms,
@@ -26,11 +25,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cubes import sliding_window_mean_max
 from .errors import InvalidInputError
 from .grid import (
     INF,
     SampledFunction,
+    check_finite,
     conjugate_exponent,
     is_inf,
     lp_norm,
@@ -284,36 +283,6 @@ def nece_term3(
 
 
 # ---------------------------------------------------------------------------
-# ball-average criterion
-
-
-def netrusov(
-    f: SampledFunction,
-    partition: DyadicPartition,
-    s: float,
-    *,
-    dec: SpectralDecomposition | None = None,
-) -> TermReport:
-    """Ball-average criterion for positive smoothness s in (0, n):
-
-    sup_i 2^{is} sum_{l<=i} 2^{-ls} sup_x mean_{x + [-2^-l, 2^-l]^n} |S_i f|,
-    balls replaced by cubes of comparable side, centers unconstrained.
-    """
-    grid = f.grid
-    if not (0.0 < s < grid.dim):
-        raise InvalidInputError(f"s must lie in (0, {grid.dim}), got {s}")
-    dec = _ensure_decomposition(f, partition, dec)
-    per_level = []
-    for i in range(dec.k_max + 1):
-        a = np.abs(dec.pieces[i].values)
-        total = 0.0
-        for l in range(0, i + 1):
-            total += 2.0 ** (-l * s) * sliding_window_mean_max(a, grid, 2.0**-l)
-        per_level.append(2.0 ** (i * s) * total)
-    return _report(dec, per_level)
-
-
-# ---------------------------------------------------------------------------
 # verdicts
 
 
@@ -376,7 +345,11 @@ def verdict(
     stays at BRACKET, or UNDECIDED when the two sides disagree by more than
     an order of magnitude.  A non-finite L^inf norm, term value or bracket
     end makes the report INVALID (an infinite `tail` only marks divergence).
+    A non-finite b or a p below 1 is rejected before anything is decomposed.
     """
+    check_finite(b=b)
+    if not p >= 1:
+        raise InvalidInputError("verdict needs p in [1, inf]")
     dec = _ensure_decomposition(f, partition, dec)
     linf = lp_norm(f, INF)
     if p == 1.0 or is_inf(p):
@@ -385,8 +358,6 @@ def verdict(
         state = "NOT_MULTIPLIER" if (t2.divergent or t3.divergent) else "MULTIPLIER"
         combined = linf + t2.value + t3.value
         return CriterionReport(p, b, linf, t2, t3, combined, _invalid_if_nonfinite(state, combined))
-    if p < 1:
-        raise InvalidInputError("verdict needs p in [1, inf]")
     t2 = suff_term2(f, partition, p, b, dec=dec)
     t3 = suff_term3(f, partition, p, b, dec=dec)
     n2 = nece_term2(f, partition, p, b, dec=dec)

@@ -5,12 +5,12 @@ cube.  Cubes are genuine dyadic cubes (edge 2^{-l}); their faces do not
 align with the sampling lattice, so a cube's sample window is the set of
 grid points inside it, guarded to >= 8 samples per axis.
 
-All cubes of one level are reduced in one `ufunc.reduceat` pass over the
-level's sample boundaries (`np.add` for means, `np.maximum` for maxes).
-The windows nest exactly: level-l boundaries are every other
-level-(l+1) boundary, bit for bit, so `CubeMeanTable` reduces once at
-l_max and adds child pairs down to level 0.  Sums of nonnegative data are
-sums of nonnegative terms, so the means are nonnegative by construction.
+All cubes of one level are summed in one `np.add.reduceat` pass over the
+level's sample boundaries.  The windows nest exactly: level-l boundaries
+are every other level-(l+1) boundary, bit for bit, so `CubeMeanTable`
+reduces once at l_max and adds child pairs down to level 0.  Sums of
+nonnegative data are sums of nonnegative terms, so the means are
+nonnegative by construction.
 """
 
 from __future__ import annotations
@@ -111,11 +111,11 @@ def level_boundaries(grid: GridSpec, level: int) -> np.ndarray:
     return np.ceil((edge * nus + PI) / dx - _EPS).astype(np.int64)
 
 
-def _reduce(ufunc, data: np.ndarray, bounds: np.ndarray, dim: int) -> np.ndarray:
-    """`ufunc` over the index boxes between consecutive `bounds` on every axis."""
+def _reduce(data: np.ndarray, bounds: np.ndarray, dim: int) -> np.ndarray:
+    """Sums over the index boxes between consecutive `bounds` on every axis."""
     block = data[(slice(bounds[0], bounds[-1]),) * dim]
     for axis in range(dim):
-        block = ufunc.reduceat(block, bounds[:-1] - bounds[0], axis=axis)
+        block = np.add.reduceat(block, bounds[:-1] - bounds[0], axis=axis)
     return block
 
 
@@ -135,12 +135,12 @@ class CubeMeanTable:
     def __init__(self, grid: GridSpec, data: np.ndarray):
         self.grid = grid
         data = np.asarray(data, dtype=np.float64)
-        self._sums = [_reduce(np.add, data, level_boundaries(grid, grid.l_max), grid.dim)]
+        self._sums = [_reduce(data, level_boundaries(grid, grid.l_max), grid.dim)]
         for level in range(grid.l_max - 1, -1, -1):
             nu_min, nu_max = level_index_range(level)
             start = 2 * nu_min - level_index_range(level + 1)[0]
             children = np.arange(start, start + 2 * (nu_max - nu_min + 1) + 1, 2)
-            self._sums.insert(0, _reduce(np.add, self._sums[0], children, grid.dim))
+            self._sums.insert(0, _reduce(self._sums[0], children, grid.dim))
 
     def means(self, level: int) -> np.ndarray:
         """Mean over every admissible cube at `level` (array over the nu-grid)."""
@@ -152,48 +152,4 @@ def level_cube_means(grid: GridSpec, data: np.ndarray, level: int) -> np.ndarray
     """Mean of `data` over every admissible cube at `level` (array over nu-grid)."""
     _check_level(grid, level)
     data = np.asarray(data, dtype=np.float64)
-    return _reduce(np.add, data, level_boundaries(grid, level), grid.dim) / _counts(grid, level)
-
-
-def level_cube_maxes(grid: GridSpec, data: np.ndarray, level: int) -> np.ndarray:
-    """Max of |data| over every admissible cube at `level`."""
-    _check_level(grid, level)
-    return _reduce(np.maximum, np.abs(data), level_boundaries(grid, level), grid.dim)
-
-
-def sup_over_cubes(f: SampledFunction, level: int, r: float) -> float:
-    """max over grid-aligned dyadic cubes of `level` of (mean_Q |f|^r)^(1/r)."""
-    check_exponent(r)
-    _check_level(f.grid, level)
-    a = np.abs(f.values)
-    if is_inf(r):
-        return float(level_cube_maxes(f.grid, a, level).max())
-    return float(level_cube_means(f.grid, a**r, level).max() ** (1.0 / r))
-
-
-def sliding_window_mean_max(f_abs: np.ndarray, grid: GridSpec, halfwidth: float) -> float:
-    """sup over all centers x of the mean of f_abs over the cube x + [-h, h]^dim.
-
-    Periodic (torus) windows; used by the ball-average criterion where the
-    center is unconstrained.  Windows shrink to a single sample when h is
-    below the grid spacing.
-    """
-    hs = int(math.floor(halfwidth / grid.spacing + _EPS))
-    if hs < 1:
-        return float(f_abs.max())
-    w = 2 * hs + 1
-    out = np.asarray(f_abs, dtype=np.float64)
-    for axis in range(grid.dim):
-        padded = np.concatenate(
-            [out.take(np.arange(out.shape[axis] - hs, out.shape[axis]), axis=axis), out,
-             out.take(np.arange(hs), axis=axis)],
-            axis=axis,
-        )
-        c = np.cumsum(padded, axis=axis)
-        pad = [(0, 0)] * grid.dim
-        pad[axis] = (1, 0)
-        c = np.pad(c, pad)
-        idx_hi = np.arange(w, w + out.shape[axis])
-        idx_lo = np.arange(out.shape[axis])
-        out = (np.take(c, idx_hi, axis=axis) - np.take(c, idx_lo, axis=axis)) / w
-    return float(out.max())
+    return _reduce(data, level_boundaries(grid, level), grid.dim) / _counts(grid, level)

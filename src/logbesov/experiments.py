@@ -22,8 +22,8 @@ from .gallery import (
     make_lacunary,
     make_stack,
 )
-from .grid import INF, GridSpec, SampledFunction, check_exponent, is_inf, lp_norm, make_constant, spectrum, synthesize
-from .norms import BesovParams, _check_finite, dini_norm
+from .grid import INF, GridSpec, SampledFunction, check_exponent, check_finite, is_inf, lp_norm, make_constant, spectrum, synthesize
+from .norms import BesovParams, dini_norm
 from .partition import build_partition, decompose
 from .paraproducts import multiplier_lower_bound
 
@@ -164,7 +164,7 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
     every p; rows and checks come out in p, b, m order.
     """
     for b in config.b_list:
-        _check_finite(b=b)
+        check_finite(b=b)
     for p in config.p_list:
         check_exponent(p, "p")
     grid = config.grid()

@@ -1,6 +1,5 @@
 """Constructive test functions: exponentials, indicators, oscillating bumps,
-weighted bump stacks, exponential stacks, modulated packets, and lacunary
-series.
+weighted bump stacks, modulated packets, and lacunary series.
 
 Every construction is pure and deterministic: same spec, same samples.
 """
@@ -209,7 +208,7 @@ def stack_plateau_cubes(grid: GridSpec, spec: StackSpec) -> list[tuple[int, tupl
 
 
 # ---------------------------------------------------------------------------
-# exponential stacks (proof device for the p = infinity level-sum bound)
+# dyadic wave sums
 
 
 def _cis(t: np.ndarray) -> np.ndarray:
@@ -218,21 +217,12 @@ def _cis(t: np.ndarray) -> np.ndarray:
 
 def _dyadic_wave_sum(grid: GridSpec, coeffs, wave) -> np.ndarray:
     """sum over the (j, c) pairs of `coeffs` of c wave(2^j x_1), on the grid;
-    the exponential stacks, modulated packets and lacunary series are such sums."""
+    the modulated packets and lacunary series are such sums."""
     x1 = grid.points()[0]
     vals = np.zeros(grid.shape, dtype=np.complex128)
     for j, c in coeffs:
         vals = vals + c * np.broadcast_to(wave((1 << j) * x1), grid.shape)
     return vals
-
-
-def make_exp_stack(grid: GridSpec, k: int, b: float) -> SampledFunction:
-    """g_k(x) = sum_{l=0}^{k} (1+l)^{-b} e^{i 2^l x_1}."""
-    if k > grid.k_max - 1:
-        raise LevelOverflowError(f"stack top {k} exceeds K_max-1 = {grid.k_max - 1}")
-    if k < 0:
-        raise InvalidInputError("stack top must be >= 0")
-    return SampledFunction(grid, _dyadic_wave_sum(grid, [(l, (1.0 + l) ** (-b)) for l in range(k + 1)], _cis))
 
 
 # ---------------------------------------------------------------------------

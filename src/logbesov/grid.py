@@ -13,11 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingError, InvalidInputError
+from .errors import AliasingError, CapabilityError, InvalidInputError
 
 INF = math.inf
 
 TWO_PI = 2.0 * math.pi
+
+# Largest lattice, in samples, a GridSpec may describe: 2D J=12.  Every array
+# downstream holds N^dim samples, so a larger grid fails here, not in numpy.
+MAX_GRID_POINTS = 2**24
 
 
 def is_inf(p: float) -> bool:
@@ -29,6 +33,13 @@ def check_exponent(p: float, name: str = "p") -> float:
     if not (p > 0):
         raise InvalidInputError(f"{name} must be positive or INF, got {p!r}")
     return float(p)
+
+
+def check_finite(**params: float) -> None:
+    """Smoothness parameters are finite numbers; NaN or inf is an input error."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
 def conjugate_exponent(p: float) -> float:
@@ -67,6 +78,10 @@ class GridSpec:
         if self.log2_samples < 6:
             raise InvalidInputError(
                 f"need N = 2^J >= 64 samples per axis, got J={self.log2_samples}"
+            )
+        if self.n_samples**self.dim > MAX_GRID_POINTS:
+            raise CapabilityError(
+                f"grid of 2^{self.dim * self.log2_samples} points exceeds the limit of {MAX_GRID_POINTS}"
             )
 
     @property

@@ -1,6 +1,5 @@
 """Function-space norms: logarithmic Besov, Triebel-Lizorkin at p = infinity,
-weighted sequence norms, moduli of smoothness, difference-defined spaces, and
-the Dini functional.
+moduli of smoothness, difference-defined spaces, and the Dini functional.
 
 Every norm is truncated at the grid's K_max (or at the resolution floor for
 t-integrals) and reports its truncation diagnostic; nothing is silently
@@ -22,6 +21,7 @@ from .grid import (
     SampledFunction,
     band_energy_fraction,
     check_exponent,
+    check_finite,
     is_inf,
     lp_norm,
 )
@@ -29,13 +29,6 @@ from .partition import DyadicPartition, SpectralDecomposition, _ensure_decomposi
 
 PI = math.pi
 LN2 = math.log(2.0)
-
-
-def _check_finite(**params: float) -> None:
-    """Smoothness parameters are finite numbers; NaN or inf is an input error."""
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,7 @@ class BesovParams:
     def __post_init__(self) -> None:
         check_exponent(self.p, "p")
         check_exponent(self.q, "q")
-        _check_finite(s=self.s, b=self.b)
+        check_finite(s=self.s, b=self.b)
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,7 @@ class DiffParams:
     def __post_init__(self) -> None:
         check_exponent(self.p, "p")
         check_exponent(self.q, "q")
-        _check_finite(s=self.s, b=self.b, d=self.d)
+        check_finite(s=self.s, b=self.b, d=self.d)
         if self.m <= self.s:
             raise InvalidInputError(f"modulus order m={self.m} must exceed s={self.s}")
 
@@ -103,19 +96,10 @@ def besov_norm(
     resolved annulus (2^{K_max - 1}); for band-limited inputs it is zero.
     """
     dec = _ensure_decomposition(f, partition, dec)
-    per = _weighted_lp_norms(dec.pieces, params.s, params.b, params.p)
+    s, b, p = params.s, params.b, params.p
+    per = [2.0 ** (k * s) * (1.0 + k) ** b * lp_norm(u, p) for k, u in enumerate(dec.pieces)]
     tail = band_energy_fraction(f, 0.0, 2.0 ** (partition.k_max - 1))
     return NormResult(_lq_combine(np.asarray(per), params.q), tail, per)
-
-
-def _weighted_lp_norms(pieces, s: float, b: float, p: float) -> list[float]:
-    """2^{ks} (1+k)^b ||u_k||_p for the k-th function u_k of `pieces`."""
-    return [2.0 ** (k * s) * (1.0 + k) ** b * lp_norm(u, p) for k, u in enumerate(pieces)]
-
-
-def seq_norm(pieces, s: float, b: float, p: float, q: float) -> float:
-    """Weighted sequence norm of a list of functions (the l^q_{s,b}(L^p) norm)."""
-    return _lq_combine(np.asarray(_weighted_lp_norms(pieces, s, b, p)), q)
 
 
 def tl_norm_inf(
@@ -134,7 +118,7 @@ def tl_norm_inf(
     j-sum is truncated at K_max.
     """
     check_exponent(q, "q")
-    _check_finite(s=s, b=b)
+    check_finite(s=s, b=b)
     dec = _ensure_decomposition(f, partition, dec)
     weights = [2.0 ** (k * s) * (1.0 + k) ** b for k in range(partition.k_max + 1)]
     best_per_level = _running_cube_sups(dec, weights, q)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .grid import SampledFunction, band_energy_fraction as summand_band_energy, lp_norm  # noqa: F401
+from .grid import SampledFunction, lp_norm
 from .norms import BesovParams, besov_norm
 from .partition import (
     DyadicPartition,

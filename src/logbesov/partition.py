@@ -248,47 +248,3 @@ def _running_cube_sups(dec: SpectralDecomposition, weights: list[float], q: floa
             sup = running.max() if is_inf(q) else level_cube_means(grid, running, k).max() ** (1.0 / q)
             best[k] = float(sup)
     return best
-
-
-def _torus_distance_sq(grid: GridSpec, shifts: np.ndarray) -> np.ndarray:
-    d = grid.spacing * shifts.astype(np.float64)
-    d = (d + math.pi) % (2.0 * math.pi) - math.pi
-    return d * d
-
-
-def peetre_maximal(
-    f: SampledFunction,
-    partition: DyadicPartition,
-    j: int,
-    a: float,
-    *,
-    window_cells: int | None = 64,
-) -> SampledFunction:
-    """Peetre-Fefferman-Stein maximal function of the j-th piece.
-
-    S*_j f(x) = max over grid offsets y of |S_j f(x - y)| / (1 + 2^j |y|)^a
-    with |y| the torus distance.  `window_cells` = W restricts offsets to
-    |y| <= W 2^{-j} (the kernel is below (1+W)^{-a} outside); None scans the
-    full grid, which is O(N^2) per level in 1D.
-    """
-    if a <= 0:
-        raise InvalidInputError("Peetre exponent a must be positive")
-    s = np.abs(project(f, partition, j).values)
-    n = f.grid.n_samples
-    if window_cells is None:
-        radius = math.pi * math.sqrt(f.grid.dim)
-    else:
-        radius = window_cells * 2.0**-j
-    max_off = min(n // 2, int(math.ceil(radius / f.grid.spacing)))
-    offsets = np.arange(-max_off, max_off + 1)
-    sq = dict(zip(offsets.tolist(), _torus_distance_sq(f.grid, offsets).tolist()))
-    axes = tuple(range(f.grid.dim))
-    out = np.zeros_like(s)
-    scale = float(1 << j)
-    for o in itertools.product(offsets.tolist(), repeat=f.grid.dim):
-        d = math.sqrt(sum(sq[oi] for oi in o))
-        if d > radius and any(o):
-            continue
-        w = (1.0 + scale * d) ** (-a)
-        np.maximum(out, w * np.roll(s, o, axis=axes), out=out)
-    return SampledFunction(f.grid, out)

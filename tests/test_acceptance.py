@@ -18,9 +18,9 @@ from scipy.integrate import quad
 from logbesov.criteria import nece_term2, nece_term3, suff_term2, suff_term3
 from logbesov.experiments import ExperimentConfig, run_charfun, run_exp_growth
 from logbesov.gallery import BumpSpec, make_bump, make_exponential
-from logbesov.grid import GridSpec, SampledFunction, lp_norm, random_band_limited
+from logbesov.grid import GridSpec, band_energy_fraction as summand_band_energy, lp_norm, random_band_limited
 from logbesov.norms import BesovParams, besov_norm, dini_norm, modulus
-from logbesov.paraproducts import pi2_summand, product_report, summand_band_energy
+from logbesov.paraproducts import pi2_summand, product_report
 from logbesov.partition import build_partition, decompose
 
 INF = math.inf

@@ -106,6 +106,18 @@ def test_error_exit_code_bad_grid(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["--grid", "J=40", "charfun"],
+        ["--grid", "J=31,dim=2", "criteria", "--p", "2", "--b", "0", "--gallery", "cube"],
+    ],
+)
+def test_oversize_grid_exits_2_before_allocating(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["charfun", "--b-list", "0"],
         ["charfun", "--m-min", "4"],
         ["exp-growth", "--shape", "cube"],
@@ -143,6 +155,9 @@ def test_experiment_flags_only_where_read(argv):
         ["--grid", "J=10", "norm", "--space", "tl", "--b", "nan", "--gallery", "cube"],
         ["--grid", "J=10", "norm", "--space", "tl", "--p", "2", "--gallery", "cube"],
         ["--grid", "J=10", "criteria", "--p", "2", "--b", "0", "--gallery", "bump:l=3,x=nan"],
+        ["--grid", "J=10", "criteria", "--p", "2", "--b", "nan", "--gallery", "cube"],
+        ["--grid", "J=10", "criteria", "--p", "1", "--b", "inf", "--gallery", "cube"],
+        ["--grid", "J=10", "criteria", "--p", "0.5", "--b", "0", "--gallery", "cube"],
         ["--grid", "J=10", "--out", "{garbage}/sub", "criteria", "--p", "2", "--b", "0", "--gallery", "cube"],
         ["--grid", "J=8", "--out", "{garbage}/sub", "partition-check"],
         ["--grid", "J=8", "partition-check", "--export", "{missing}/x.dpu"],

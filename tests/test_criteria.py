@@ -6,7 +6,6 @@ import pytest
 from logbesov.criteria import (
     nece_term2,
     nece_term3,
-    netrusov,
     pinf_term2,
     pinf_term3,
     suff_term2,
@@ -14,7 +13,7 @@ from logbesov.criteria import (
     verdict,
 )
 from logbesov.errors import InvalidInputError
-from logbesov.gallery import BumpSpec, make_bump, make_exponential, make_indicator
+from logbesov.gallery import make_exponential, make_indicator
 import logbesov.criteria as criteria
 from logbesov.cubes import CubeMeanTable
 from logbesov.grid import INF, GridSpec, SampledFunction, make_constant, random_band_limited
@@ -167,44 +166,6 @@ def test_nece_term3_exponential_counts(part12):
     assert nece_term3(one, part12, 2.0, 0.0).value == pytest.approx(0.0, abs=1e-10)
 
 
-# --- ball-average criterion --------------------------------------------------------
-
-
-def test_netrusov_exponential_growth(part12):
-    g = part12.grid
-    s = 0.5
-    vals = []
-    for m in (4, 6, 8):
-        f = make_exponential(g, (1 << m,))
-        vals.append(netrusov(f, part12, s).value)
-    # value ~ 2^{ms}: consecutive ratios ~ 2^{2s} = 2
-    r1 = vals[1] / vals[0]
-    r2 = vals[2] / vals[1]
-    assert r1 == pytest.approx(2.0, rel=0.15)
-    assert r2 == pytest.approx(2.0, rel=0.15)
-
-
-def test_netrusov_constant(part12):
-    one = make_constant(part12.grid)
-    assert netrusov(one, part12, 0.5).value == pytest.approx(1.0, rel=1e-10)
-
-
-def test_netrusov_bump_localized(part12):
-    h = make_bump(part12.grid, BumpSpec(5, (0.0,)))
-    rep = netrusov(h, part12, 0.5)
-    assert np.isfinite(rep.value)
-    peak = int(np.argmax(rep.per_level))
-    assert 4 <= peak <= 8  # dominated by levels near the bump level
-
-
-def test_netrusov_range_guard(part12):
-    f = make_constant(part12.grid)
-    with pytest.raises(InvalidInputError):
-        netrusov(f, part12, 0.0)
-    with pytest.raises(InvalidInputError):
-        netrusov(f, part12, 1.5)
-
-
 # --- verdicts -------------------------------------------------------------------------
 
 
@@ -277,7 +238,6 @@ def test_nonfinite_piece_noted_by_every_term(part10):
         suff_term2(f, part10, 2.0, 0.5, dec=dec),
         pinf_term2(f, part10, 0.5, dec=dec),
         pinf_term3(f, part10, 0.5, dec=dec),
-        netrusov(f, part10, 0.5, dec=dec),
     ]
     for p in (2.0, INF):
         for term in (suff_term3, nece_term2, nece_term3):
@@ -286,6 +246,13 @@ def test_nonfinite_piece_noted_by_every_term(part10):
         assert "non-finite per-level value" in rep.note
     for p in (1.0, 2.0, INF):
         assert verdict(f, part10, p, 0.5, dec=dec).verdict == "INVALID"
+
+
+@pytest.mark.parametrize("p, b", [(2.0, math.nan), (1.0, INF), (INF, -INF), (0.5, 0.0), (math.nan, 0.0)])
+def test_verdict_rejects_bad_parameters_before_decomposing(part10, monkeypatch, p, b):
+    monkeypatch.setattr(criteria, "_ensure_decomposition", lambda *a: pytest.fail("decomposed"))
+    with pytest.raises(InvalidInputError):
+        verdict(make_indicator(part10.grid, "cube"), part10, p, b)
 
 
 def test_verdict_infinite_tail_is_not_invalid(part10):
@@ -339,13 +306,9 @@ def test_verdict_scaling_homogeneous(part12, rng):
 
 def test_functionals_homogeneous(part10, rng):
     f = random_band_limited(part10.grid, 60, rng)
-    for fn, args in (
-        (netrusov, (part10, 0.5)),
-        (pinf_term2, (part10, 0.5)),
-    ):
-        base = fn(f, *args).value
-        scaled = fn(3.0 * f, *args).value
-        assert scaled == pytest.approx(3 * base, rel=1e-10)
+    base = pinf_term2(f, part10, 0.5).value
+    scaled = pinf_term2(3.0 * f, part10, 0.5).value
+    assert scaled == pytest.approx(3 * base, rel=1e-10)
 
 
 def test_criteria_2d_smoke():

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -10,15 +9,12 @@ from logbesov.cubes import (
     CubeMeanTable,
     DyadicCube,
     cube_mean_power,
-    level_cube_maxes,
     level_cube_means,
     level_index_range,
-    sliding_window_mean_max,
-    sup_over_cubes,
 )
 from logbesov.errors import DomainError, ResolutionError
-from logbesov.gallery import make_exponential, make_indicator
-from logbesov.grid import INF, GridSpec, SampledFunction, lp_norm, make_constant, random_band_limited
+from logbesov.gallery import make_indicator
+from logbesov.grid import INF, GridSpec, SampledFunction, make_constant, random_band_limited
 
 
 def test_cube_geometry():
@@ -58,45 +54,14 @@ def test_cube_guards(grid10):
     with pytest.raises(ResolutionError):
         cube_mean_power(make_constant(grid10), DyadicCube(deep, (0,)), 1.0)
     with pytest.raises(ResolutionError):
-        sup_over_cubes(make_constant(grid10), deep, 1.0)
-
-
-def test_sup_over_cubes_constant_and_modulus(grid10):
-    one = make_constant(grid10)
-    for l in range(grid10.l_max + 1):
-        for r in (1.0, 2.0, INF):
-            assert sup_over_cubes(one, l, r) == pytest.approx(1.0, rel=1e-12)
-    f = make_exponential(grid10, (2**5,))
-    for l in (0, 2, grid10.l_max):
-        assert sup_over_cubes(f, l, INF) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_sup_over_cubes_indicator_brute_force(grid12):
-    f = make_indicator(grid12, [(0.0, math.pi - 1e-9)])
-    level = 2
-    got = sup_over_cubes(f, level, 1.0)
-    # brute force over all level-2 cubes
-    lo, hi = level_index_range(level)
-    best = max(
-        cube_mean_power(f, DyadicCube(level, (nu,)), 1.0) for nu in range(lo, hi + 1)
-    )
-    assert got == pytest.approx(best, rel=1e-12)
-    assert got == pytest.approx(1.0, rel=1e-12)  # a cube sits fully inside [0, pi)
-
-
-def test_sup_over_cubes_r_monotone(grid10, rng):
-    f = random_band_limited(grid10, 50, rng)
-    for l in (0, 2, 4):
-        vals = [sup_over_cubes(f, l, r) for r in (1.0, 1.5, 2.0, 4.0, INF)]
-        assert all(vals[i] <= vals[i + 1] * (1 + 1e-9) for i in range(len(vals) - 1))
-        assert vals[-1] <= lp_norm(f, INF) * (1 + 1e-12)
+        level_cube_means(grid10, np.ones(grid10.shape), deep)
 
 
 @settings(max_examples=30, deadline=None)
 @given(dim=st.sampled_from([1, 2]), data=st.data())
 def test_level_cube_means_match_single_cube(dim, data):
-    """Nested and single-level means equal the brute-force mean of every cube,
-    are nonnegative, and the single-level maxes equal the brute-force max."""
+    """Nested and single-level means equal the brute-force mean of every cube
+    and are nonnegative."""
     grid = GridSpec(dim, data.draw(st.integers(6, 12 if dim == 1 else 8), label="J"))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     # nonnegative samples over twelve decades, a fifth of them exactly zero
@@ -107,14 +72,12 @@ def test_level_cube_means_match_single_cube(dim, data):
         lo, hi = level_index_range(level)
         nested = table.means(level)
         single = level_cube_means(grid, values, level)
-        maxes = level_cube_maxes(grid, values, level)
         assert nested.min() >= 0.0 and single.min() >= 0.0
         for idx in itertools.product(range(hi - lo + 1), repeat=dim):
             cube = DyadicCube(level, tuple(lo + i for i in idx))
             direct = cube_mean_power(f, cube, 1.0)
             assert nested[idx] == pytest.approx(direct, rel=1e-12)
             assert single[idx] == pytest.approx(direct, rel=1e-12)
-            assert maxes[idx] == cube_mean_power(f, cube, INF)
 
 
 def test_level_cube_means_2d(grid2d, rng):
@@ -124,22 +87,3 @@ def test_level_cube_means_2d(grid2d, rng):
     lo, hi = level_index_range(0)
     direct = cube_mean_power(f, DyadicCube(0, (lo, hi)), 1.0)
     assert means[0, -1] == pytest.approx(direct, rel=1e-12)
-
-
-def test_sliding_window_mean(grid10):
-    # indicator of a short interval: max sliding mean equals coverage fraction
-    f = make_indicator(grid10, [(0.0, 0.5)])
-    a = np.abs(f.values)
-    got = sliding_window_mean_max(a, grid10, 0.25)
-    assert got == pytest.approx(1.0, abs=2.0 / (0.5 / grid10.spacing))
-    wide = sliding_window_mean_max(a, grid10, 1.0)
-    assert wide < 1.0
-    assert sliding_window_mean_max(a, grid10, grid10.spacing / 4) == pytest.approx(1.0)
-
-
-def test_sliding_window_mean_2d():
-    g = GridSpec(2, 7)
-    f = make_indicator(g, [(-0.5, 0.5), (-0.5, 0.5)])
-    a = np.abs(f.values)
-    assert sliding_window_mean_max(a, g, 0.25) == pytest.approx(1.0, abs=0.1)
-    assert sliding_window_mean_max(a, g, 2.0) < 0.5

@@ -18,7 +18,6 @@ from logbesov.gallery import (
     gallery_from_spec,
     make_bump,
     make_envelope,
-    make_exp_stack,
     make_exponential,
     make_indicator,
     make_lacunary,
@@ -248,52 +247,6 @@ def test_stack_pointwise_lower_bound(part12):
         cs.append(ratio.max())
     assert max(cs) < 10.0
     assert max(cs) / min(cs) < 3.0
-
-
-# --- exponential stacks -----------------------------------------------------
-
-
-def test_exp_stack_base(grid12):
-    g0 = make_exp_stack(grid12, 0, b=1.0)
-    f = make_exponential(grid12, (1,))
-    assert np.abs(g0.values - f.values).max() < 1e-12
-    with pytest.raises(LevelOverflowError):
-        make_exp_stack(grid12, grid12.k_max, b=0.0)
-
-
-def test_exp_stack_tail_b0(part12):
-    """b = 0: the level-sum tail sum_{j>=k-1} ||S_j g_k||_inf stays O(1)."""
-    tails = []
-    for k in (4, 6, 8):
-        gk = make_exp_stack(part12.grid, k, b=0.0)
-        dec = decompose(gk, part12)
-        tails.append(
-            sum(lp_norm(dec.pieces[j], INF) for j in range(k - 1, part12.k_max + 1))
-        )
-    assert max(tails) < 8.0
-    assert max(tails) / min(tails) < 2.5
-
-
-def test_exp_stack_tail_b1(part12):
-    """b = 1: tail <= C/(1+k) with C stable over k."""
-    cs = []
-    for k in range(4, 10):
-        gk = make_exp_stack(part12.grid, k, b=1.0)
-        dec = decompose(gk, part12)
-        tail = sum(lp_norm(dec.pieces[j], INF) for j in range(k - 1, part12.k_max + 1))
-        cs.append(tail * (1.0 + k))
-    assert max(cs) < 20.0
-    assert max(cs) / min(cs) < 3.0
-
-
-def test_exp_stack_projection_decay(part12):
-    """||S_j g_k||_inf <= C sum_l (1+l)^{-b} 2^{-|l-j|}."""
-    k, b = 8, 0.5
-    gk = make_exp_stack(part12.grid, k, b=b)
-    dec = decompose(gk, part12)
-    for j in range(part12.k_max + 1):
-        bound = sum((1.0 + l) ** (-b) * 2.0 ** (-abs(l - j)) for l in range(k + 1))
-        assert lp_norm(dec.pieces[j], INF) <= 4.0 * bound
 
 
 # --- modulated packets -------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logbesov.errors import AliasingError, InvalidInputError
+from logbesov.errors import AliasingError, CapabilityError, InvalidInputError
 from logbesov.grid import (
     INF,
     FrequencyField,
@@ -30,6 +30,16 @@ def test_grid_invariants():
         GridSpec(3, 10)
     with pytest.raises(InvalidInputError):
         GridSpec(1, 5)  # N < 64
+
+
+def test_grid_point_cap():
+    """Lattices up to 2^24 points (1D J=24, 2D J=12) are described; larger
+    ones are refused at construction, before any array is allocated."""
+    for dim, j in ((1, 24), (2, 12)):
+        assert GridSpec(dim, j).n_samples ** dim == 2**24
+    for dim, j in ((1, 25), (2, 13), (1, 40), (2, 31)):
+        with pytest.raises(CapabilityError):
+            GridSpec(dim, j)
 
 
 def test_constant_norms(grid10):

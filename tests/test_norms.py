@@ -8,7 +8,6 @@ from logbesov.errors import InvalidInputError, ResolutionError
 from logbesov.gallery import make_exponential, make_lacunary
 from logbesov.grid import (
     INF,
-    GridSpec,
     SampledFunction,
     lp_norm,
     make_constant,
@@ -21,10 +20,9 @@ from logbesov.norms import (
     diffspace_norm,
     dini_norm,
     modulus,
-    seq_norm,
     tl_norm_inf,
 )
-from logbesov.partition import build_partition, decompose, project
+from logbesov.partition import decompose
 
 
 # --- Besov norm ---------------------------------------------------------------
@@ -115,30 +113,6 @@ def test_besov_band_tail_diagnostic(part10, rng):
     f = random_band_limited(g, g.n_samples // 2 - 1, rng)
     res = besov_norm(f, part10, BesovParams(0.0, 0.0, 2.0, INF))
     assert res.tail > 0
-
-
-# --- sequence norm -------------------------------------------------------------
-
-
-def test_seq_norm_identities(part10, rng):
-    g = part10.grid
-    f = random_band_limited(g, 100, rng)
-    dec = decompose(f, part10)
-    for pq in ((1.0, 2.0), (2.0, INF)):
-        p, q = pq
-        assert seq_norm(dec.pieces, 0.0, 0.5, p, q) == pytest.approx(
-            besov_norm(f, part10, BesovParams(0.0, 0.5, p, q)).value, rel=1e-12
-        )
-    single = [make_constant(g, 2.0)]
-    assert seq_norm(single, 0.0, 0.0, INF, 1.0) == pytest.approx(2.0)
-
-
-def test_seq_norm_geometric(part10):
-    g = part10.grid
-    us = [make_constant(g, 2.0**-k / math.sqrt(2 * math.pi)) for k in range(part10.k_max + 1)]
-    got = seq_norm(us, 0.0, 0.0, 2.0, 1.0)
-    expect = sum(2.0**-k for k in range(part10.k_max + 1))
-    assert got == pytest.approx(expect, rel=1e-12)
 
 
 # --- Triebel-Lizorkin at p = infinity -------------------------------------------

@@ -3,14 +3,13 @@ import pytest
 
 from logbesov.errors import DegenerateInputError, InvalidInputError
 from logbesov.gallery import expo7_family, make_exponential, make_indicator
-from logbesov.grid import INF, SampledFunction, lp_norm, make_constant, random_band_limited
+from logbesov.grid import INF, SampledFunction, band_energy_fraction, lp_norm, make_constant, random_band_limited
 from logbesov.norms import BesovParams, besov_norm
 from logbesov.paraproducts import (
     multiplier_lower_bound,
     paraproduct,
     pi2_summand,
     product_report,
-    summand_band_energy,
 )
 from logbesov.partition import decompose
 
@@ -75,7 +74,7 @@ def test_pi2_summand_envelope(part10, rng):
         s = pi2_summand(f, h, part10, k, dec_f=dec_f, dec_g=dec_g)
         if lp_norm(s, 2.0) == 0.0:
             continue
-        assert summand_band_energy(s, 0.0, 5.0 * 2.0**k) < 1e-10
+        assert band_energy_fraction(s, 0.0, 5.0 * 2.0**k) < 1e-10
 
 
 def test_pi1_product_support(part10, rng):
@@ -92,7 +91,7 @@ def test_pi1_product_support(part10, rng):
         s = partial_sum(f, part10, k - 2) * dec_g.pieces[k]
         if lp_norm(s, 2.0) == 0.0:
             continue
-        assert summand_band_energy(s, 2.0 ** (k - 3), 2.0 ** (k + 1)) < 1e-10
+        assert band_energy_fraction(s, 2.0 ** (k - 3), 2.0 ** (k + 1)) < 1e-10
 
 
 def test_pi1_besov_bound(part10):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from logbesov.errors import LevelOverflowError
 from logbesov.gallery import make_exponential, make_indicator
 from logbesov.grid import GridSpec, SampledFunction, lp_norm, make_constant, random_band_limited, spectrum
-from logbesov.norms import seq_norm
 from logbesov.partition import (
     PartitionKind,
     SpectralDecomposition,
@@ -14,7 +13,6 @@ from logbesov.partition import (
     decompose,
     generator_profile,
     partial_sum,
-    peetre_maximal,
     project,
 )
 
@@ -210,75 +208,13 @@ def test_tensor_product_indicator_factorization(grid2d):
         assert np.abs(lhs - rhs).max() < 1e-8
 
 
-# --- Peetre maximal function ---------------------------------------------
-
-
-def test_peetre_dominates_pointwise(part10, rng):
-    f = random_band_limited(part10.grid, 60, rng)
-    for j in (2, 4):
-        star = peetre_maximal(f, part10, j, a=2.0)
-        assert np.all(star.values.real + 1e-14 >= np.abs(project(f, part10, j).values))
-
-
-def test_peetre_exponential_constant_one(part10):
-    m = 5
-    f = make_exponential(part10.grid, (1 << m,))
-    star = peetre_maximal(f, part10, m, a=2.0)
-    assert np.abs(star.values - 1.0).max() < 1e-10
-
-
-def test_peetre_large_a_near_max(part10, rng):
-    f = random_band_limited(part10.grid, 60, rng)
-    j = 4
-    s = np.abs(project(f, part10, j).values)
-    star = peetre_maximal(f, part10, j, a=64.0).values.real
-    near = s >= 0.99 * s.max()
-    assert np.all(star[near] <= s[near] * 1.05)
-
-
-@pytest.mark.parametrize("window", [None, 64])
-@pytest.mark.parametrize("j", [2, 4])
-def test_peetre_2d_matches_pairwise_oracle(j, window, rng):
-    """2D maximal function against its definition: max over all sample pairs
-    (x, y) of |S_j f(y)| (1 + 2^j |x - y|)^{-a}, |x - y| the torus distance,
-    pairs farther than the window radius skipped (rows in chunks)."""
-    g = GridSpec(2, 6)
-    part = build_partition(g)
-    a = 2.0
-    f = random_band_limited(g, 12.0, rng)
-    s = np.abs(project(f, part, j).values).ravel()
-    radius = np.pi * np.sqrt(2.0) if window is None else window * 2.0**-j
-    idx = np.indices(g.shape).reshape(2, -1).T
-    expected = np.empty(s.size)
-    for lo in range(0, s.size, 512):
-        diff = g.spacing * (idx[lo : lo + 512, None, :] - idx[None, :, :])
-        diff = (diff + np.pi) % (2.0 * np.pi) - np.pi
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
-        w = (1.0 + 2.0**j * dist) ** (-a)
-        w[(dist > radius) & (dist > 0)] = 0.0
-        expected[lo : lo + 512] = np.max(w * s[None, :], axis=1)
-    got = peetre_maximal(f, part, j, a, window_cells=window).values.real.ravel()
-    assert np.abs(got - expected).max() <= 1e-12 * expected.max()
-
-
-def test_peetre_l1_bound_stable(part10, rng):
-    # ||S*_j f||_1 <= C ||S_j f||_1 with C stable across j (a = 2n)
-    f = random_band_limited(part10.grid, 2.0 ** (part10.k_max - 1), rng)
-    ratios = []
-    for j in range(2, part10.k_max - 1):
-        sj = project(f, part10, j)
-        star = peetre_maximal(f, part10, j, a=2.0 * part10.grid.dim)
-        ratios.append(lp_norm(star, 1.0) / lp_norm(sj, 1.0))
-    assert max(ratios) < 10.0
-    assert max(ratios) / min(ratios) < 3.0
-
-
 # --- annular-sequence synthesis bound -------------------------------------
 
 
 def test_annular_sequence_besov_bound(part10, rng):
-    """Sums of annular pieces are controlled by the weighted sequence norm,
-    with a stable constant over a randomized family."""
+    """Sums of annular pieces u_k are controlled by the weighted sequence norm
+    (sum_k (2^{ks} (1+k)^b ||u_k||_p)^q)^{1/q}, with a stable constant over a
+    randomized family."""
     from logbesov.norms import BesovParams, besov_norm
 
     g = part10.grid
@@ -292,7 +228,7 @@ def test_annular_sequence_besov_bound(part10, rng):
         total = SampledFunction(g, sum(p.values for p in pieces))
         s, b, p, q = 0.5, 1.0, 2.0, 2.0
         lhs = besov_norm(total, part10, BesovParams(s, b, p, q)).value
-        rhs = seq_norm(pieces, s, b, p, q)
+        rhs = sum((2.0 ** (k * s) * (1.0 + k) ** b * lp_norm(u, p)) ** q for k, u in enumerate(pieces)) ** (1.0 / q)
         ratios.append(lhs / rhs)
     assert max(ratios) < 5.0
     assert max(ratios) / min(ratios) < 3.0
@@ -305,7 +241,6 @@ def test_operations_pure(part10, rng):
     project(f, part10, 3)
     partial_sum(f, part10, 5)
     decompose(f, part10)
-    peetre_maximal(f, part10, 3, a=2.0)
     assert np.array_equal(f.values, before)
 
 
@@ -320,18 +255,6 @@ def test_2d_radial_partition_smoke():
     for k in range(p.k_max + 1):
         acc = acc + p.symbol(k)
         assert np.abs(acc - p.cumulative_symbol(k)).max() <= 1e-12
-
-
-def test_peetre_full_grid_matches_window(rng):
-    g = GridSpec(1, 7)
-    p = build_partition(g)
-    f = random_band_limited(g, 20, rng)
-    j = 3
-    windowed = peetre_maximal(f, p, j, a=4.0)
-    full = peetre_maximal(f, p, j, a=4.0, window_cells=None)
-    # the kernel is below (1+W)^{-a} outside the window, so the two agree
-    assert np.abs(windowed.values - full.values).max() < 1e-6
-    assert np.all(full.values.real + 1e-14 >= windowed.values.real - 1e-12)
 
 
 def test_decomposition_caches_are_not_parameters():
