@@ -4,11 +4,13 @@ p = 1, p = infinity, and general p, and the verdict that combines them.
 The terms form two families, each evaluated by one reducer over the sup
 norms and cube tables a `SpectralDecomposition` caches.  Low-high terms,
 sup_l sum_{k>=l} ((1+l)/(1+k))^b (cube average of S_k f), go through
-`_low_high` (`suff_term2` sums the per-row sups, `nece_term2` takes the
-sup of the per-cube sums); `pinf_term2` shares a running-sum loop with
-`norms.tl_norm_inf`.  High-low terms, sup_k sum_{j<=k-2} ((1+k)/(1+j))^b
-(cube sup of S_k f), go through `_high_low` (`suff_term3`, `nece_term3`;
-`pinf_term3` as one closed-form weight per k).
+`_low_high` (`suff_term2` sums the per-row sups; `nece_term2`, and
+`pinf_term2` on the r = 1 tables, take the sup of the per-cube sums).
+High-low terms, sup_k sum_{j<=k-2} ((1+k)/(1+j))^b (cube sup of S_k f),
+go through `_high_low` (`suff_term3`, `nece_term3`; `pinf_term3` as one
+closed-form weight per k).  `verdict` asks its decomposition for every
+reduction its terms read before the first term runs, so one pass over the
+pieces fills them all.
 
 Every term reports through `_report`: the sup of its per-level values,
 tail estimates of its truncated k-series (inf and `divergent` when not
@@ -34,7 +36,7 @@ from .grid import (
     is_inf,
     lp_norm,
 )
-from .partition import DyadicPartition, SpectralDecomposition, _ensure_decomposition, _running_cube_sups
+from .partition import DyadicPartition, SpectralDecomposition, _ensure_decomposition
 
 _SLOPE_DIVERGENT = -1.05  # inner terms ~ (1+k)^slope: summable iff slope < -1
 
@@ -118,11 +120,12 @@ def _low_high_row(dec: SpectralDecomposition, r: float, b: float, l: int, k: int
     return np.power((1.0 + l) / (1.0 + k), b) * means
 
 
-def _low_high(dec: SpectralDecomposition, r: float, b: float, per_cube: bool) -> TermReport:
+def _low_high_levels(dec: SpectralDecomposition, r: float, b: float, per_cube: bool):
     """Low-high family: the rows of `_low_high_row` for k >= l, accumulated in
     ascending k.  Level l reads them as the sup over Q of the per-cube k-sums
-    (`per_cube`) or as the k-sum of the per-row sups; the per-row sups are
-    the tail series.  At r = inf the levels run to K_max instead of l_max."""
+    (`per_cube`) or as the k-sum of the per-row sups.  Returns the per-level
+    values and, per level, the per-row sups (the tail series).  At r = inf
+    the levels run to K_max instead of l_max."""
     k_top = dec.k_max
     l_top = k_top if is_inf(r) else min(dec.grid.l_max, k_top)
     sups = [[] for _ in range(l_top + 1)]
@@ -134,6 +137,11 @@ def _low_high(dec: SpectralDecomposition, r: float, b: float, per_cube: bool) ->
                 sums[l] = sums[l] + row
             sups[l].append(row.max())
     per_level = [float(s.max()) for s in sums] if per_cube else [float(np.sum(row)) for row in sups]
+    return per_level, sups
+
+
+def _low_high(dec: SpectralDecomposition, r: float, b: float, per_cube: bool) -> TermReport:
+    per_level, sups = _low_high_levels(dec, r, b, per_cube)
     return _report(dec, per_level, tails=sups)
 
 
@@ -211,11 +219,13 @@ def pinf_term2(
 ) -> TermReport:
     """p = infinity low-high term:
 
-    sup_l (1+l)^b sup_{l(P)=2^-l} mean_P sum_{k>=l} (1+k)^{-b} |S_k f(y)| dy.
+    sup_l (1+l)^b sup_{l(P)=2^-l} mean_P sum_{k>=l} (1+k)^{-b} |S_k f(y)| dy,
+
+    read as the per-cube low-high sum at r = 1: the mean of the k-sum is the
+    k-sum of the means.  Its tail series is (1+k)^{-b} ||S_k f||_inf.
     """
     dec = _ensure_decomposition(f, partition, dec)
-    sups = _running_cube_sups(dec, [(1.0 + k) ** (-b) for k in range(dec.k_max + 1)], 1.0)
-    per_level = [(1.0 + l) ** b * v for l, v in enumerate(sups)]
+    per_level, _ = _low_high_levels(dec, 1.0, b, per_cube=True)
     inner = (1.0 + np.arange(dec.k_max + 1)) ** (-b) * dec.sup_norms()
     return _report(dec, per_level, tails=[inner])
 
@@ -351,6 +361,8 @@ def verdict(
     if not p >= 1:
         raise InvalidInputError("verdict needs p in [1, inf]")
     dec = _ensure_decomposition(f, partition, dec)
+    # every reduction the terms read, filled in one pass over the pieces
+    dec.analyze(cube_exponents=(1.0,) if p == 1.0 or is_inf(p) else (conjugate_exponent(p), p))
     linf = lp_norm(f, INF)
     if p == 1.0 or is_inf(p):
         t2 = pinf_term2(f, partition, b, dec=dec) if is_inf(p) else suff_term2(f, partition, p, b, dec=dec)

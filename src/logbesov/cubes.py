@@ -10,7 +10,8 @@ level's sample boundaries.  The windows nest exactly: level-l boundaries
 are every other level-(l+1) boundary, bit for bit, so `CubeMeanTable`
 reduces once at l_max and adds child pairs down to level 0.  Sums of
 nonnegative data are sums of nonnegative terms, so the means are
-nonnegative by construction.
+nonnegative by construction.  The cube geometry of a level (its sample
+boundaries and counts) is computed once per grid and level.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .grid import GridSpec, SampledFunction, check_exponent, is_inf
+from .grid import GridSpec, SampledFunction, _read_only, check_exponent, is_inf
 
 PI = math.pi
 _EPS = 1e-9
@@ -48,6 +49,7 @@ class DyadicCube:
         return tuple(self.edge * nu for nu in self.index)
 
 
+@functools.cache
 def level_index_range(level: int) -> tuple[int, int]:
     """Admissible nu per axis: cube [2^-l nu, 2^-l (nu+1)) inside [-pi, pi)."""
     scale = float(1 << level)
@@ -102,13 +104,15 @@ def _check_level(grid: GridSpec, level: int) -> None:
         )
 
 
+@functools.cache
 def level_boundaries(grid: GridSpec, level: int) -> np.ndarray:
-    """Sample-index boundaries b[0] <= ... <= b[M] of the level's cubes (one axis)."""
+    """Sample-index boundaries b[0] <= ... <= b[M] of the level's cubes (one
+    axis); computed once per (grid, level) and read-only."""
     nu_min, nu_max = level_index_range(level)
     edge = 2.0**-level
     nus = np.arange(nu_min, nu_max + 2)
     dx = grid.spacing
-    return np.ceil((edge * nus + PI) / dx - _EPS).astype(np.int64)
+    return _read_only(np.ceil((edge * nus + PI) / dx - _EPS).astype(np.int64))
 
 
 def _reduce(data: np.ndarray, bounds: np.ndarray, dim: int) -> np.ndarray:
@@ -119,9 +123,20 @@ def _reduce(data: np.ndarray, bounds: np.ndarray, dim: int) -> np.ndarray:
     return block
 
 
+@functools.cache
 def _counts(grid: GridSpec, level: int) -> np.ndarray:
+    """Samples per cube of the level (array over the nu-grid, read-only)."""
     c = np.diff(level_boundaries(grid, level))
-    return functools.reduce(np.multiply.outer, [c] * grid.dim)
+    return _read_only(functools.reduce(np.multiply.outer, [c] * grid.dim))
+
+
+@functools.cache
+def _children(level: int) -> np.ndarray:
+    """Boundaries, in level-(level+1) cube indices, of the level's cubes:
+    cube nu is the union of the finer cubes 2 nu and 2 nu + 1."""
+    nu_min, nu_max = level_index_range(level)
+    start = 2 * nu_min - level_index_range(level + 1)[0]
+    return _read_only(np.arange(start, start + 2 * (nu_max - nu_min + 1) + 1, 2))
 
 
 class CubeMeanTable:
@@ -137,10 +152,7 @@ class CubeMeanTable:
         data = np.asarray(data, dtype=np.float64)
         self._sums = [_reduce(data, level_boundaries(grid, grid.l_max), grid.dim)]
         for level in range(grid.l_max - 1, -1, -1):
-            nu_min, nu_max = level_index_range(level)
-            start = 2 * nu_min - level_index_range(level + 1)[0]
-            children = np.arange(start, start + 2 * (nu_max - nu_min + 1) + 1, 2)
-            self._sums.insert(0, _reduce(self._sums[0], children, grid.dim))
+            self._sums.insert(0, _reduce(self._sums[0], _children(level), grid.dim))
 
     def means(self, level: int) -> np.ndarray:
         """Mean over every admissible cube at `level` (array over the nu-grid)."""

@@ -166,7 +166,8 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
     for b in config.b_list:
         check_finite(b=b)
     for p in config.p_list:
-        check_exponent(p, "p")
+        if check_exponent(p, "p") < 1:
+            raise InvalidInputError(f"exp-growth needs p in [1, inf]: no growth law is stated for p={p:g}")
     grid = config.grid()
     partition = build_partition(grid, config.kind)
     m_lo, m_hi = config.m_range
@@ -394,10 +395,9 @@ def run_partition_check(config: ExperimentConfig) -> Table:
     worst_delta = 0.0
     for m in range(2, grid.k_max):
         f = make_exponential(grid, (1 << m,) + (0,) * (grid.dim - 1))
-        dec = decompose(f, partition)
-        for j in range(grid.k_max + 1):
+        for j, piece in enumerate(decompose(f, partition).pieces):
             target = f.values if j == m else 0.0
-            worst_delta = max(worst_delta, float(np.abs(dec.pieces[j].values - target).max()))
+            worst_delta = max(worst_delta, float(np.abs(piece.values - target).max()))
     table.add(check="delta-selection max error", value=worst_delta, asymptote="S_j e^{i2^m x} = delta_jm e^{i2^m x}")
     table.checks.append(Check("delta selection <= 1e-10", worst_delta <= 1e-10))
     return table

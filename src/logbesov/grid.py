@@ -201,17 +201,28 @@ def synthesize(grid: GridSpec, coeffs: np.ndarray) -> SampledFunction:
 def lp_norm(f: SampledFunction, p: float) -> float:
     """Discrete L^p norm: (sum |f(x_i)|^p dx)^(1/p); p=INF is max |f|."""
     check_exponent(p)
-    a = np.abs(f.values)
+    return _abs_lp_norm(np.abs(f.values), p, f.grid.cell_volume)
+
+
+def _abs_lp_norm(a: np.ndarray, p: float, cell_volume: float) -> float:
+    """`lp_norm` of samples whose moduli `a` are given."""
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("non-finite samples rejected")
     if is_inf(p):
         return float(a.max())
-    return float((np.sum(a**p) * f.grid.cell_volume) ** (1.0 / p))
+    return float((np.sum(a**p) * cell_volume) ** (1.0 / p))
 
 
-def band_energy_fraction(f: SampledFunction, radius_lo: float, radius_hi: float) -> float:
-    """Relative spectral energy of f outside the annulus radius_lo <= |m| <= radius_hi."""
-    c = np.abs(spectrum(f)) ** 2
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only so that callers can share it."""
+    a.setflags(write=False)
+    return a
+
+
+def band_energy_fraction(f: SampledFunction | FrequencyField, radius_lo: float, radius_hi: float) -> float:
+    """Relative spectral energy of f, given by its samples or by its Fourier
+    coefficients, outside the annulus radius_lo <= |m| <= radius_hi."""
+    c = np.abs(f.coeffs if isinstance(f, FrequencyField) else spectrum(f)) ** 2
     total = float(c.sum())
     if total == 0.0:
         return 0.0

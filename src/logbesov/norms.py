@@ -19,13 +19,13 @@ from .grid import (
     INF,
     GridSpec,
     SampledFunction,
-    band_energy_fraction,
     check_exponent,
     check_finite,
     is_inf,
     lp_norm,
 )
-from .partition import DyadicPartition, SpectralDecomposition, _ensure_decomposition, _running_cube_sups
+from .cubes import level_cube_means
+from .partition import DyadicPartition, SpectralDecomposition, _ensure_decomposition
 
 PI = math.pi
 LN2 = math.log(2.0)
@@ -96,10 +96,9 @@ def besov_norm(
     resolved annulus (2^{K_max - 1}); for band-limited inputs it is zero.
     """
     dec = _ensure_decomposition(f, partition, dec)
-    s, b, p = params.s, params.b, params.p
-    per = [2.0 ** (k * s) * (1.0 + k) ** b * lp_norm(u, p) for k, u in enumerate(dec.pieces)]
-    tail = band_energy_fraction(f, 0.0, 2.0 ** (partition.k_max - 1))
-    return NormResult(_lq_combine(np.asarray(per), params.q), tail, per)
+    s, b = params.s, params.b
+    per = [2.0 ** (k * s) * (1.0 + k) ** b * norm for k, norm in enumerate(dec.lp_norms(params.p).tolist())]
+    return NormResult(_lq_combine(np.asarray(per), params.q), dec.tail_fraction(), per)
 
 
 def tl_norm_inf(
@@ -122,8 +121,28 @@ def tl_norm_inf(
     dec = _ensure_decomposition(f, partition, dec)
     weights = [2.0 ** (k * s) * (1.0 + k) ** b for k in range(partition.k_max + 1)]
     best_per_level = _running_cube_sups(dec, weights, q)
-    tail = band_energy_fraction(f, 0.0, 2.0 ** (partition.k_max - 1))
-    return NormResult(max(best_per_level), tail, best_per_level)
+    return NormResult(max(best_per_level), dec.tail_fraction(), best_per_level)
+
+
+def _running_cube_sups(dec: SpectralDecomposition, weights: list[float], q: float) -> list[float]:
+    """sup over level-l cubes Q of (mean_Q sum_{k>=l} (weights[k] |S_k f|)^q)^{1/q}
+    for l = 0..min(K_max, l_max), the k-sum run down from K_max; at q = INF
+    the sum is a pointwise max and the sup runs over all samples."""
+    grid = dec.grid
+    l_top = min(dec.k_max, grid.l_max)
+    best = [0.0] * (l_top + 1)
+    running = np.zeros(grid.shape)
+    pieces = dec.pieces
+    for k in range(dec.k_max, -1, -1):
+        term = weights[k] * np.abs(pieces[k].values)
+        if is_inf(q):
+            np.maximum(running, term, out=running)
+        else:
+            running += term**q
+        if k <= l_top:
+            sup = running.max() if is_inf(q) else level_cube_means(grid, running, k).max() ** (1.0 / q)
+            best[k] = float(sup)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,12 @@ from .partition import (
 )
 
 
-def _pi2_terms(dec_f: SpectralDecomposition, dec_g: SpectralDecomposition, levels):
+def _pi2_terms(pieces_f: list[SampledFunction], pieces_g: list[SampledFunction], levels):
     """The products (S_{k+i} f)(S_k g), i = -1, 0, 1, whose levels exist, k in `levels`."""
     for k in levels:
         for i in (-1, 0, 1):
-            if 0 <= k + i <= dec_f.k_max:
-                yield dec_f.pieces[k + i].values * dec_g.pieces[k].values
+            if 0 <= k + i < len(pieces_f):
+                yield pieces_f[k + i].values * pieces_g[k].values
 
 
 def paraproduct(
@@ -51,17 +51,17 @@ def paraproduct(
     """
     if which not in (1, 2, 3):
         raise InvalidInputError("which must be 1, 2, or 3")
-    dec_f = _ensure_decomposition(f, partition, dec_f)
-    dec_g = _ensure_decomposition(g, partition, dec_g)
+    pieces_f = _ensure_decomposition(f, partition, dec_f).pieces
+    pieces_g = _ensure_decomposition(g, partition, dec_g).pieces
     total = np.zeros(f.grid.shape, dtype=np.complex128)
     if which == 2:
-        return SampledFunction(f.grid, sum(_pi2_terms(dec_f, dec_g, range(partition.k_max + 1)), total))
+        return SampledFunction(f.grid, sum(_pi2_terms(pieces_f, pieces_g, range(partition.k_max + 1)), total))
     # Pi1, Pi3: one running partial sum S^{k-2} of the low factor; f stays on the left.
-    low, high = (dec_f, dec_g) if which == 1 else (dec_g, dec_f)
+    low, high = (pieces_f, pieces_g) if which == 1 else (pieces_g, pieces_f)
     partial = np.zeros(f.grid.shape, dtype=np.complex128)
     for k in range(2, partition.k_max + 1):
-        partial += low.pieces[k - 2].values
-        total += partial * high.pieces[k].values if which == 1 else high.pieces[k].values * partial
+        partial += low[k - 2].values
+        total += partial * high[k].values if which == 1 else high[k].values * partial
     return SampledFunction(f.grid, total)
 
 
@@ -75,10 +75,10 @@ def pi2_summand(
     dec_g: SpectralDecomposition | None = None,
 ) -> SampledFunction:
     """k-th comparable-frequency summand sum_{|i|<=1} (S_{k+i} f)(S_k g)."""
-    dec_f = _ensure_decomposition(f, partition, dec_f)
-    dec_g = _ensure_decomposition(g, partition, dec_g)
+    pieces_f = _ensure_decomposition(f, partition, dec_f).pieces
+    pieces_g = _ensure_decomposition(g, partition, dec_g).pieces
     zero = np.zeros(f.grid.shape, dtype=np.complex128)
-    return SampledFunction(f.grid, sum(_pi2_terms(dec_f, dec_g, (k,)), zero))
+    return SampledFunction(f.grid, sum(_pi2_terms(pieces_f, pieces_g, (k,)), zero))
 
 
 @dataclass
@@ -112,8 +112,10 @@ def product_report(
 
 
 def _norms_on_one_decomposition(g: SampledFunction, partition: DyadicPartition, params_list) -> list[float]:
-    """||g||_B for every params, read from one decomposition of g."""
+    """||g||_B for every params, read from one decomposition of g whose
+    L^p norms for every p are filled in one pass."""
     dec = decompose(g, partition)
+    dec.analyze(lp_exponents=[params.p for params in params_list])
     return [besov_norm(g, partition, params, dec=dec).value for params in params_list]
 
 

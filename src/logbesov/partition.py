@@ -16,11 +16,16 @@ per axis).  `symbol` and `cumulative_symbol` expand it to the full lattice
 on each call, bit-identical to evaluating the formula there; `decompose`,
 `project` and `partial_sum` multiply the box by the coefficients only.
 
-`SpectralDecomposition` holds the pieces of one function and caches the
-reductions the criterion terms share: the sup norms and, per (k, r), the
-all-levels `CubeMeanTable` of |S_k f|^r.  Terms called on one
-decomposition build each table once; a decomposition made per call
-builds its own.
+`SpectralDecomposition` keeps the forward coefficients of one function, not
+its pieces.  A pass makes S_0 f, ..., S_K_max f in turn into one reused
+buffer (boxed multiply, one inverse FFT) and, while a piece exists, fills
+from one |S_k f| every reduction asked for: the sup norm, the L^p norms of
+given exponents and, per exponent r, the all-levels `CubeMeanTable` of
+|S_k f|^r.  The reductions are cached, so terms called on one
+decomposition share them; a consumer that asks for all it needs up front
+(`verdict`, the lower bound's Besov norms) makes one pass.  Consumers of
+whole arrays (the paraproducts, `tl_norm_inf`) read `pieces`, which builds
+the list anew instead of pinning it.
 """
 
 from __future__ import annotations
@@ -33,9 +38,18 @@ from enum import Enum
 
 import numpy as np
 
-from .cubes import CubeMeanTable, level_cube_means
+from .cubes import CubeMeanTable
 from .errors import InvalidInputError, LevelOverflowError
-from .grid import GridSpec, SampledFunction, _radius, is_inf
+from .grid import (
+    FrequencyField,
+    GridSpec,
+    SampledFunction,
+    _abs_lp_norm,
+    _radius,
+    _read_only,
+    band_energy_fraction,
+    check_exponent,
+)
 
 
 class PartitionKind(Enum):
@@ -124,7 +138,7 @@ class DyadicPartition:
         """`out` := phi_0(2^-k .) (cumulative) or phi_k times `coeffs` on the level-k box."""
         box = self._box(k, cumulative)
         for lattice, sub in self._blocks(k):
-            out[lattice] = box[sub] * coeffs[lattice]
+            np.multiply(box[sub], coeffs[lattice], out=out[lattice])
 
     def _expand(self, k: int, box: np.ndarray) -> np.ndarray:
         out = np.zeros(self.grid.shape)
@@ -175,18 +189,31 @@ def partial_sum(f: SampledFunction, partition: DyadicPartition, k: int) -> Sampl
     return _level_multiplier(f, partition, k, cumulative=True)
 
 
-@dataclass
 class SpectralDecomposition:
-    """The list (S_0 f, ..., S_K_max f) of frequency pieces of one function.
+    """The frequency pieces (S_0 f, ..., S_K_max f) of one function, kept as
+    its forward coefficients.
 
-    Per-piece reductions are computed on first use and kept for the life of
-    the object, so every term that reads one decomposition shares them.
+    `analyze` makes each piece in turn into one reused buffer and, from one
+    |S_k f|, fills every reduction asked for: the sup norm, the L^p norms
+    and the cube tables of |S_k f|^r.  The reductions are kept for the life
+    of the object, so every term that reads one decomposition shares them;
+    a reduction not yet filled costs one more pass over the pieces.
+    `pieces` builds the whole list anew on each access.
+
+    `SpectralDecomposition(partition, pieces)` holds the given pieces instead
+    and reads its coefficients off their sum.
     """
 
-    partition: DyadicPartition
-    pieces: list[SampledFunction]
-    _sup_norms: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, partition: DyadicPartition, pieces: list[SampledFunction] | None = None, *, coeffs=None):
+        if (pieces is None) == (coeffs is None):
+            raise TypeError("give either the pieces or the coefficients")
+        self.partition = partition
+        self._given = None if pieces is None else list(pieces)
+        self.coeffs = np.fft.fftn(sum(p.values for p in self._given)) if coeffs is None else coeffs
+        self._sup_norms = None
+        self._lp_norms = {}  # p -> read-only array over k
+        self._tables = {}  # (k, r) -> CubeMeanTable of |S_k f|^r
+        self._tail = None
 
     @property
     def grid(self) -> GridSpec:
@@ -196,55 +223,84 @@ class SpectralDecomposition:
     def k_max(self) -> int:
         return self.partition.k_max
 
+    def _values(self, reuse: bool):
+        """S_0 f, ..., S_K_max f in turn; with `reuse`, each one is written
+        into the buffer of the one before."""
+        if self._given is not None:
+            yield from (p.values for p in self._given)
+            return
+        # Boxes grow with k and each one is written whole, so the spectrum of
+        # level k - 1 is zero outside box k and needs no clearing; a buffer
+        # that the inverse FFT of level k - 1 overwrote does.
+        buf = np.zeros(self.grid.shape, dtype=np.complex128)
+        for k in range(self.k_max + 1):
+            if reuse and k:
+                buf.fill(0.0)
+            self.partition._multiply_box(self.coeffs, k, cumulative=False, out=buf)
+            yield np.fft.ifftn(buf, out=buf if reuse else None)
+
+    @property
+    def pieces(self) -> list[SampledFunction]:
+        """S_0 f, ..., S_K_max f as full arrays, built anew on each access."""
+        return [SampledFunction(self.grid, v) for v in self._values(reuse=False)]
+
+    def analyze(self, cube_exponents=(), lp_exponents=()) -> None:
+        """One pass over the pieces fills the sup norms, ||S_k f||_p for
+        every p in `lp_exponents` and the cube tables of |S_k f|^r for every
+        r in `cube_exponents`, skipping what is already filled.  An L^p norm
+        of a non-finite piece is an `InvalidInputError`, as in `lp_norm`."""
+        rs = list(dict.fromkeys(float(r) for r in cube_exponents if (0, float(r)) not in self._tables))
+        ps = list(dict.fromkeys(check_exponent(p) for p in lp_exponents if float(p) not in self._lp_norms))
+        if self._sup_norms is not None and not rs and not ps:
+            return
+        sups, norms, tables = [], {p: [] for p in ps}, {}
+        for k, values in enumerate(self._values(reuse=True)):
+            a = np.abs(values)
+            sups.append(a.max())
+            for p in ps:
+                norms[p].append(_abs_lp_norm(a, p, self.grid.cell_volume))
+            for r in rs:
+                tables[k, r] = CubeMeanTable(self.grid, a**r)
+        if self._sup_norms is None:
+            self._sup_norms = _read_only(np.array(sups))
+        self._lp_norms.update((p, _read_only(np.array(v))) for p, v in norms.items())
+        self._tables.update(tables)
+
     def sup_norms(self) -> np.ndarray:
         """||S_k f||_inf for every k (read-only, shared between callers)."""
         if self._sup_norms is None:
-            self._sup_norms = np.array([np.abs(p.values).max() for p in self.pieces])
-            self._sup_norms.setflags(write=False)
+            self.analyze()
         return self._sup_norms
+
+    def lp_norms(self, p: float) -> np.ndarray:
+        """||S_k f||_p for every k, as `lp_norm` gives it (read-only, shared)."""
+        if float(p) not in self._lp_norms:
+            self.analyze(lp_exponents=(p,))
+        return self._lp_norms[float(p)]
 
     def cube_table(self, k: int, r: float) -> CubeMeanTable:
         """Cube means of |S_k f|^r at every level 0..l_max."""
         key = (k, float(r))
         if key not in self._tables:
-            self._tables[key] = CubeMeanTable(self.grid, np.abs(self.pieces[k].values) ** r)
+            self.analyze(cube_exponents=(r,))
         return self._tables[key]
+
+    def tail_fraction(self) -> float:
+        """Fraction of the spectral energy of f outside |m| <= 2^{K_max - 1},
+        the part the truncated k-sums miss (computed once)."""
+        if self._tail is None:
+            normalized = FrequencyField(self.grid, self.coeffs / self.coeffs.size)
+            self._tail = band_energy_fraction(normalized, 0.0, 2.0 ** (self.k_max - 1))
+        return self._tail
 
 
 def decompose(f: SampledFunction, partition: DyadicPartition) -> SpectralDecomposition:
+    """The decomposition of f: its forward coefficients, pieces made on demand."""
     if f.grid != partition.grid:
         raise InvalidInputError("function and partition live on different grids")
-    coeffs = np.fft.fftn(f.values)
-    # Boxes grow with k and each one is written whole, so the spectrum stays
-    # zero outside the current box without being cleared.
-    spectrum = np.zeros(f.grid.shape, dtype=np.complex128)
-    pieces = []
-    for k in range(partition.k_max + 1):
-        partition._multiply_box(coeffs, k, cumulative=False, out=spectrum)
-        pieces.append(SampledFunction(f.grid, np.fft.ifftn(spectrum)))
-    return SpectralDecomposition(partition, pieces)
+    return SpectralDecomposition(partition, coeffs=np.fft.fftn(f.values))
 
 
 def _ensure_decomposition(f, partition, dec) -> SpectralDecomposition:
     """`dec` when the caller has one, else `decompose(f, partition)`."""
     return dec if dec is not None else decompose(f, partition)
-
-
-def _running_cube_sups(dec: SpectralDecomposition, weights: list[float], q: float) -> list[float]:
-    """sup over level-l cubes Q of (mean_Q sum_{k>=l} (weights[k] |S_k f|)^q)^{1/q}
-    for l = 0..min(K_max, l_max), the k-sum run down from K_max; at q = INF
-    the sum is a pointwise max and the sup runs over all samples."""
-    grid = dec.grid
-    l_top = min(dec.k_max, grid.l_max)
-    best = [0.0] * (l_top + 1)
-    running = np.zeros(grid.shape)
-    for k in range(dec.k_max, -1, -1):
-        term = weights[k] * np.abs(dec.pieces[k].values)
-        if is_inf(q):
-            np.maximum(running, term, out=running)
-        else:
-            running += term**q
-        if k <= l_top:
-            sup = running.max() if is_inf(q) else level_cube_means(grid, running, k).max() ** (1.0 / q)
-            best[k] = float(sup)
-    return best

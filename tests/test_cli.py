@@ -91,6 +91,19 @@ def test_exp_growth_verb_exit_code(capsys, tmp_path):
     assert header == ["p", "b", "m", "value", "predicted", "ratio", "asymptote"]
 
 
+@pytest.mark.parametrize("p_list", ["0.5", "1,0.5", "2,0.25"])
+def test_exp_growth_rejects_p_below_one_before_any_work(p_list, capsys, monkeypatch):
+    """No growth law is stated for p < 1, so `--p-list` with such a p exits 2
+    before a partition is built, on either route."""
+    import logbesov.experiments as experiments
+
+    monkeypatch.setattr(experiments, "build_partition", lambda *a: pytest.fail("work started"))
+    code = main(["--grid", "J=10", "exp-growth", "--p-list", p_list, "--b-list", "0", "--m-max", "6"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
 def test_error_exit_code(capsys):
     code = main(["norm", "--space", "besov"])  # no input source
     assert code == 2

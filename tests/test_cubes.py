@@ -9,6 +9,7 @@ from logbesov.cubes import (
     CubeMeanTable,
     DyadicCube,
     cube_mean_power,
+    level_boundaries,
     level_cube_means,
     level_index_range,
 )
@@ -23,6 +24,20 @@ def test_cube_geometry():
     assert q.corner == (0.25,)
     lo, hi = level_index_range(0)
     assert lo == -3 and hi == 2  # six unit cubes inside [-pi, pi)
+
+
+def test_level_geometry_is_computed_once_and_shared(grid2d):
+    """Boundaries and counts depend on (grid, level) only: every call, also
+    for an equal grid built anew, returns the same read-only array, and the
+    shared counts still give a constant its own value as every cube mean."""
+    for level in range(grid2d.l_max + 1):
+        bounds = level_boundaries(grid2d, level)
+        assert bounds is level_boundaries(GridSpec(2, grid2d.log2_samples), level)
+        with pytest.raises(ValueError):
+            bounds[0] = 0
+    table = CubeMeanTable(grid2d, np.ones(grid2d.shape))
+    for level in range(grid2d.l_max + 1):
+        assert np.array_equal(table.means(level), np.ones_like(table.means(level)))
 
 
 def test_cube_mean_constant(grid10):

@@ -215,8 +215,8 @@ def test_stack_tail_bound(part12):
     cs = []
     for depth in (3, 6, 9):
         st = make_stack(g, StackSpec(spacing=3, offset=0, depth=depth, p=p, b=b))
-        dec = decompose(st, part12)
-        tail = sum(lp_norm(dec.pieces[k], p) for k in range(depth + 1, part12.k_max + 1))
+        pieces = decompose(st, part12).pieces
+        tail = sum(lp_norm(piece, p) for piece in pieces[depth + 1 :])
         cs.append(tail * (1.0 + depth) ** b)
     assert max(cs) < 10.0
     assert max(cs) / min(cs) < 4.0

@@ -120,10 +120,10 @@ def test_decomposition_reconstructs(part10, rng):
 
 def test_annulus_energy_of_pieces(part10, rng):
     f = random_band_limited(part10.grid, 100, rng)
-    dec = decompose(f, part10)
+    pieces = decompose(f, part10).pieces
     rho = part10.grid.freq_radius()
     for k in range(1, part10.k_max + 1):
-        c = np.abs(spectrum(dec.pieces[k])) ** 2
+        c = np.abs(spectrum(pieces[k])) ** 2
         total = c.sum()
         if total == 0:
             continue
@@ -149,12 +149,15 @@ def _full_lattice_cumulative(grid, kind, k):
 def test_boxed_symbols_match_full_lattice(dim, kind, data):
     """Symbols stored on their boxes expand to the full-lattice formula bit
     for bit, and the boxed products of `decompose`, `project` and
-    `partial_sum` equal the full-lattice multiplier F^{-1}(symbol F f)."""
+    `partial_sum` equal the full-lattice multiplier F^{-1}(symbol F f), both
+    as the `pieces` list and as the pieces one reused buffer holds in turn."""
     J = data.draw(st.integers(6, 11 if dim == 1 else 8), label="J")
     g = GridSpec(dim, J)
     part = build_partition(g, kind)
     f = random_band_limited(g, 2.0 ** (g.k_max - 1), np.random.default_rng(data.draw(st.integers(0, 9999))))
     dec = decompose(f, part)
+    pieces = dec.pieces
+    streamed = [values.copy() for values in dec._values(reuse=True)]
     coeffs = np.fft.fftn(f.values)
     prev = None
     for k in range(part.k_max + 1):
@@ -163,7 +166,8 @@ def test_boxed_symbols_match_full_lattice(dim, kind, data):
         assert part.cumulative_symbol(k).tobytes() == cum.tobytes()
         assert part.symbol(k).tobytes() == sym.tobytes()
         piece = np.fft.ifftn(sym * coeffs)
-        assert np.array_equal(dec.pieces[k].values, piece)
+        assert np.array_equal(pieces[k].values, piece)
+        assert np.array_equal(streamed[k], piece)
         assert np.array_equal(project(f, part, k).values, piece)
         assert np.array_equal(partial_sum(f, part, k).values, np.fft.ifftn(cum * coeffs))
         prev = cum

@@ -1,0 +1,113 @@
+"""A decomposition keeps the forward coefficients only and makes each piece
+S_k f once per pass: one forward FFT per decomposed function plus one
+inverse FFT per level, for every reduction its consumers ask for."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from logbesov.criteria import verdict
+from logbesov.experiments import ExperimentConfig, run_exp_growth
+from logbesov.gallery import expo7_family, make_exponential, make_indicator
+from logbesov.grid import INF, GridSpec, band_energy_fraction, lp_norm
+from logbesov.norms import BesovParams, besov_norm
+from logbesov.paraproducts import multiplier_lower_bound
+from logbesov.partition import build_partition, decompose
+
+FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
+
+
+def _count_ffts(monkeypatch) -> list[str]:
+    calls = []
+    for name in FFT_NAMES:
+        real = getattr(np.fft, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
+def test_p2_verdict_makes_each_piece_once(monkeypatch):
+    grid = GridSpec(1, 12)
+    part = build_partition(grid)
+    f = make_indicator(grid, "cube")
+    calls = _count_ffts(monkeypatch)
+    verdict(f, part, 2.0, 0.5)
+    assert calls == ["fftn"] + ["ifftn"] * (part.k_max + 1)
+
+
+def test_exact_growth_reads_both_p_from_one_pass(monkeypatch):
+    ms = range(3, 7)
+    config = ExperimentConfig(log2_samples=10, b_list=(0.5,), p_list=(1.0, INF), m_range=(3, 6))
+    calls = _count_ffts(monkeypatch)
+    run_exp_growth(config)
+    assert len(calls) == len(ms) * (1 + config.grid().k_max + 1)
+
+
+def test_lower_bound_reads_every_params_from_one_pass(monkeypatch):
+    grid = GridSpec(1, 10)
+    part = build_partition(grid)
+    f = make_exponential(grid, (-(1 << 5),))
+    family = expo7_family(grid, 5, 0.5)
+    distinct = []
+    for _, g in family:
+        if not any(np.array_equal(g.values, d) for d in distinct):
+            distinct.append(g.values)
+    params = [BesovParams(0.0, 0.5, p, INF) for p in (2.0, 4.0)]
+    calls = _count_ffts(monkeypatch)
+    multiplier_lower_bound(f, part, params, family)
+    # each distinct member and its product with f
+    assert len(calls) == 2 * len(distinct) * (1 + part.k_max + 1)
+
+
+def test_p2_verdict_holds_a_few_lattice_arrays():
+    """The pieces are never held together: a p = 2 verdict at 1D J=16 peaks
+    below 6 complex lattice-sized arrays (K_max + 1 = 15 when every piece
+    was kept)."""
+    grid = GridSpec(1, 16)
+    part = build_partition(grid)
+    for k in range(part.k_max + 1):
+        part.symbol(k)
+    f = make_indicator(grid, "cube")
+    tracemalloc.start()
+    try:
+        verdict(f, part, 2.0, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * f.values.nbytes
+
+
+def test_pass_reductions_match_the_pieces():
+    grid = GridSpec(1, 10)
+    part = build_partition(grid)
+    f = make_indicator(grid, "halfspace")
+    dec = decompose(f, part)
+    dec.analyze(cube_exponents=(1.0, 2.0), lp_exponents=(1.0, 3.0, INF))
+    pieces = dec.pieces
+    assert dec.sup_norms().tolist() == [np.abs(u.values).max() for u in pieces]
+    for p in (1.0, 3.0, INF):
+        assert dec.lp_norms(p).tolist() == [lp_norm(u, p) for u in pieces]
+    table = dec.cube_table(4, 2.0)
+    assert table is dec.cube_table(4, 2.0)
+    with pytest.raises(ValueError):
+        dec.sup_norms()[0] = 0.0
+
+
+def test_besov_tail_reads_the_kept_coefficients(monkeypatch):
+    """The tail fraction is the one `band_energy_fraction` computes from the
+    samples, bit for bit, and costs no FFT of its own."""
+    grid = GridSpec(1, 10)
+    part = build_partition(grid)
+    f = make_indicator(grid, "cube")
+    want = band_energy_fraction(f, 0.0, 2.0 ** (part.k_max - 1))
+    dec = decompose(f, part)
+    dec.lp_norms(2.0)
+    calls = _count_ffts(monkeypatch)
+    for q in (1.0, INF):
+        assert besov_norm(f, part, BesovParams(0.0, 0.5, 2.0, q), dec=dec).tail == want
+    assert calls == []
