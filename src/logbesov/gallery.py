@@ -6,6 +6,7 @@ Every construction is pure and deterministic: same spec, same samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,6 @@ from .grid import (
     SampledFunction,
     is_inf,
     make_constant,
-    synthesize,
 )
 from .partition import smoothstep
 
@@ -43,7 +43,8 @@ def make_exponential(grid: GridSpec, k) -> SampledFunction:
         raise AliasingError(f"|k| components must be < N/2 = {grid.n_samples // 2}")
     xs = grid.points()
     phase = sum(int(ki) * x for ki, x in zip(kv, xs))
-    return SampledFunction(grid, np.exp(1j * phase))
+    z = 1j * phase
+    return SampledFunction(grid, np.exp(z, out=z))
 
 
 def make_indicator(grid: GridSpec, shape="cube") -> SampledFunction:
@@ -80,19 +81,6 @@ def _plateau_profile(u: np.ndarray) -> np.ndarray:
     return smoothstep(8.0 * u + 1.0) * smoothstep(2.0 - 4.0 * u)
 
 
-def bump_profile(points: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Base bump h: +1 on [0,1/4)^n, -1 on [1/2,3/4)^n, support in the unit
-    cube centered at (3/8,...,3/8), |h| <= 1.  The negative half is the
-    mirror image of the positive one about 3/8 per axis, so the integral is
-    exactly zero by symmetry."""
-    plus = 1.0
-    minus = 1.0
-    for u in points:
-        plus = plus * _plateau_profile(u)
-        minus = minus * _plateau_profile(0.75 - u)
-    return plus - minus
-
-
 @dataclass(frozen=True)
 class BumpSpec:
     """h_l(x) = h(2^{l-2}(x - anchor)); the +1 plateau is anchor + [0, 2^-l)^n."""
@@ -109,9 +97,27 @@ def _bump_extent(spec: BumpSpec) -> list[tuple[float, float]]:
     return [(a - s / 8.0, a + 7.0 * s / 8.0) for a in spec.anchor]
 
 
+def _band_limited(profile: np.ndarray, n: int) -> np.ndarray:
+    """n samples of the lowest n frequencies of a 1D `profile` given on a
+    refined grid: its FFT, truncated to the lattice's bins, synthesized."""
+    fine = profile.size
+    keep = np.r_[0 : n // 2, fine - n // 2 : fine]
+    return np.fft.ifft(np.fft.fft(profile)[keep] / fine) * n
+
+
 def make_bump(grid: GridSpec, spec: BumpSpec) -> SampledFunction:
     """Sample h_l anti-aliased: the profile is evaluated on a refined grid,
-    band-limited to the lattice, and mean-corrected to exact zero grid-sum.
+    band-limited to the lattice factor by factor, and mean-corrected to
+    exact zero grid-sum.
+
+    The base bump is h(u) = prod_a P(u_a) - prod_a P(3/4 - u_a), P the
+    plateau profile: +1 on [0,1/4)^n, -1 on [1/2,3/4)^n, support in the unit
+    cube centered at (3/8,...,3/8), |h| <= 1.  The negative half is the
+    mirror image of the positive one about 3/8 per axis, so the integral is
+    exactly zero by symmetry.  Both halves are products over the axes, so
+    the band-limit of h is the difference of two outer products of
+    band-limited 1D factors and no refined-grid array of dim > 1 is formed;
+    in 1D the one axis band-limits P(u) - P(3/4 - u) as one profile.
 
     Direct sampling would under-resolve the exp(-1/t) transitions at deep
     levels and pollute the low-frequency pieces; band-limiting keeps the
@@ -138,12 +144,16 @@ def make_bump(grid: GridSpec, spec: BumpSpec) -> SampledFunction:
     fine = n * refine
     ax = -PI + (2.0 * PI / fine) * np.arange(fine)
     per_axis = [spec.scale() * (ax - a) for a in spec.anchor]
-    h_fine = bump_profile(np.meshgrid(*per_axis, indexing="ij", sparse=True, copy=False))
-    coeffs_fine = np.fft.fftn(h_fine) / h_fine.size
-    keep = np.r_[0 : n // 2, fine - n // 2 : fine]
-    out = synthesize(grid, coeffs_fine[np.ix_(*[keep] * grid.dim)])
-    out.values -= out.values.mean()
-    return out
+    if grid.dim == 1:
+        (u,) = per_axis
+        vals = _band_limited(_plateau_profile(u) - _plateau_profile(0.75 - u), n)
+    else:
+        plus = [_band_limited(_plateau_profile(u), n) for u in per_axis]
+        minus = [_band_limited(_plateau_profile(0.75 - u), n) for u in per_axis]
+        vals = functools.reduce(np.multiply.outer, plus)
+        vals -= functools.reduce(np.multiply.outer, minus)
+    vals -= vals.mean()
+    return SampledFunction(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +221,30 @@ def stack_plateau_cubes(grid: GridSpec, spec: StackSpec) -> list[tuple[int, tupl
 # dyadic wave sums
 
 
-def _cis(t: np.ndarray) -> np.ndarray:
-    return np.exp(1j * t)
+def _cis(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{it}, made in the complex array `out`, which may be t itself."""
+    return np.exp(np.multiply(1j, t, out=out), out=out)
 
 
-def _dyadic_wave_sum(grid: GridSpec, coeffs, wave) -> np.ndarray:
-    """sum over the (j, c) pairs of `coeffs` of c wave(2^j x_1), on the grid;
-    the modulated packets and lacunary series are such sums."""
+def _dyadic_wave_sums(grid: GridSpec, tables, wave, dtype) -> list[np.ndarray]:
+    """For each mapping j -> c of `tables`, the sum of c wave(2^j x_1) on the
+    grid, in increasing j; wave(2^j x_1) is made once per distinct level.
+    The modulated packets and lacunary series are such sums.
+
+    Every level makes its wave in place, `wave(t, out=t)`, in one `dtype`
+    buffer shaped like x_1 and its terms in one lattice buffer, so the loop
+    allocates nothing after its first level.
+    """
     x1 = grid.points()[0]
-    vals = np.zeros(grid.shape, dtype=np.complex128)
-    for j, c in coeffs:
-        vals = vals + c * np.broadcast_to(wave((1 << j) * x1), grid.shape)
-    return vals
+    w = np.empty(x1.shape, dtype)
+    term = np.empty(grid.shape, dtype=np.complex128)
+    sums = [np.zeros(grid.shape, dtype=np.complex128) for _ in tables]
+    for j in sorted(set().union(*tables)):
+        wave(np.multiply(1 << j, x1, out=w), out=w)
+        for vals, table in zip(sums, tables):
+            if j in table:
+                vals += np.multiply(table[j], np.broadcast_to(w, grid.shape), out=term)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -248,45 +270,55 @@ class PacketSpec:
     alpha: dict[int, complex]
 
 
-def make_modulated_packet(grid: GridSpec, spec: PacketSpec) -> SampledFunction:
-    if spec.m > grid.k_max - 2:
-        raise LevelOverflowError(f"packet base level {spec.m} exceeds K_max-2")
-    if spec.m < 3:
-        raise InvalidInputError("packet needs m >= 3")
-    outside = [j for j in spec.alpha if not 1 <= j <= spec.m]
-    if outside:
-        raise InvalidInputError(f"modulation level {min(outside)} outside [1, m]")
+def _modulated_packets(grid: GridSpec, specs: list[PacketSpec]) -> list[SampledFunction]:
+    """The packet of every spec, on one envelope and one wave per distinct level."""
+    for spec in specs:
+        if spec.m > grid.k_max - 2:
+            raise LevelOverflowError(f"packet base level {spec.m} exceeds K_max-2")
+        if spec.m < 3:
+            raise InvalidInputError("packet needs m >= 3")
+        outside = [j for j in spec.alpha if not 1 <= j <= spec.m]
+        if outside:
+            raise InvalidInputError(f"modulation level {min(outside)} outside [1, m]")
     psi = make_envelope(grid).to_function()
     # a named operand: NumPy may multiply a temporary in place, which rounds complex products differently
-    mod = _dyadic_wave_sum(grid, sorted(spec.alpha.items()), _cis)
-    return SampledFunction(grid, psi.values * mod)
+    mods = _dyadic_wave_sums(grid, [spec.alpha for spec in specs], _cis, np.complex128)
+    return [SampledFunction(grid, psi.values * mod) for mod in mods]
+
+
+def make_modulated_packet(grid: GridSpec, spec: PacketSpec) -> SampledFunction:
+    """The one packet of `spec`; `expo7_family` builds several at once."""
+    return _modulated_packets(grid, [spec])[0]
 
 
 _PACKET_J0 = 1  # lowest modulation level of the packet families
 
 
+def _case_pattern(m: int, b: float, case: int) -> dict[int, float]:
+    """alpha of packet Case 1-5 at base level m; Cases 3 and 4 use the ambient b."""
+    js = range(_PACKET_J0, m - 1)
+    if case == 1:
+        return {j: 1.0 for j in js}
+    if case == 2:
+        return {j: (1.0 + j) ** (-0.5) for j in js}
+    if case in (3, 4):
+        return {j: (1.0 + j) ** (-b) for j in js}
+    if case == 5:
+        return {m: 1.0}
+    raise InvalidInputError(f"unknown packet case {case}")
+
+
 def expo7_family(
     grid: GridSpec, m: int, b: float, cases=(1, 2, 3, 4, 5)
 ) -> list[tuple[str, SampledFunction]]:
-    """Named packet family, Cases 1-5; Case 3/4 use the ambient b.
-
-    Some cases coincide sample for sample: Case 3 = Case 4 at every b,
-    Case 1 = Case 3 at b = 0, and Case 2 = Case 3 at b = 0.5.
+    """Named packet family, Cases 1-5, built on one envelope and one wave per
+    level.  Cases with equal coefficients share one member: Case 3 = Case 4
+    at every b, Case 1 = Case 3 at b = 0, and Case 2 = Case 3 at b = 0.5.
     """
-    js = range(_PACKET_J0, m - 1)
-    patterns = {
-        1: {j: 1.0 for j in js},
-        2: {j: (1.0 + j) ** (-0.5) for j in js},
-        3: {j: (1.0 + j) ** (-b) for j in js},
-        4: {j: (1.0 + j) ** (-b) for j in js},
-        5: {m: 1.0},
-    }
-    out = []
-    for c in cases:
-        if c not in patterns:
-            raise InvalidInputError(f"unknown packet case {c}")
-        out.append((f"case{c}", make_modulated_packet(grid, PacketSpec(m, patterns[c]))))
-    return out
+    specs = [PacketSpec(m, _case_pattern(m, b, c)) for c in cases]
+    distinct = [spec for i, spec in enumerate(specs) if spec not in specs[:i]]
+    members = _modulated_packets(grid, distinct)
+    return [(f"case{c}", members[distinct.index(spec)]) for c, spec in zip(cases, specs)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +330,7 @@ def make_lacunary(grid: GridSpec, coeffs) -> SampledFunction:
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.size > grid.k_max:
         raise LevelOverflowError("too many lacunary levels for this grid")
-    return SampledFunction(grid, _dyadic_wave_sum(grid, enumerate(coeffs), np.cos))
+    return SampledFunction(grid, _dyadic_wave_sums(grid, [dict(enumerate(coeffs))], np.cos, np.float64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +406,7 @@ def gallery_from_spec(grid: GridSpec, text: str) -> SampledFunction:
         m = _field(kv, "m", str(grid.k_max - 2))
         b = _field(kv, "b", "0", float)
         case = _field(kv, "case", "1")
-        return expo7_family(grid, m, b, cases=(case,))[0][1]
+        return make_modulated_packet(grid, PacketSpec(m, _case_pattern(m, b, case)))
     if head == "lacunary":
         beta = _field(kv, "beta", "0.5", float)
         levels = _field(kv, "levels", str(grid.k_max - 1))

@@ -25,12 +25,14 @@ from .partition import (
 )
 
 
-def _pi2_terms(pieces_f: list[SampledFunction], pieces_g: list[SampledFunction], levels):
-    """The products (S_{k+i} f)(S_k g), i = -1, 0, 1, whose levels exist, k in `levels`."""
+def _pi2_terms(piece_f, piece_g, levels, k_max: int):
+    """The products (S_{k+i} f)(S_k g), i = -1, 0, 1, whose levels lie in
+    [0, k_max], k in `levels`; `piece_f(j)` and `piece_g(k)` give the samples."""
     for k in levels:
-        for i in (-1, 0, 1):
-            if 0 <= k + i < len(pieces_f):
-                yield pieces_f[k + i].values * pieces_g[k].values
+        g_k = piece_g(k)
+        for j in (k - 1, k, k + 1):
+            if 0 <= j <= k_max:
+                yield piece_f(j) * g_k
 
 
 def paraproduct(
@@ -55,7 +57,9 @@ def paraproduct(
     pieces_g = _ensure_decomposition(g, partition, dec_g).pieces
     total = np.zeros(f.grid.shape, dtype=np.complex128)
     if which == 2:
-        return SampledFunction(f.grid, sum(_pi2_terms(pieces_f, pieces_g, range(partition.k_max + 1)), total))
+        levels = range(partition.k_max + 1)
+        terms = _pi2_terms(lambda j: pieces_f[j].values, lambda k: pieces_g[k].values, levels, partition.k_max)
+        return SampledFunction(f.grid, sum(terms, total))
     # Pi1, Pi3: one running partial sum S^{k-2} of the low factor; f stays on the left.
     low, high = (pieces_f, pieces_g) if which == 1 else (pieces_g, pieces_f)
     partial = np.zeros(f.grid.shape, dtype=np.complex128)
@@ -74,11 +78,13 @@ def pi2_summand(
     dec_f: SpectralDecomposition | None = None,
     dec_g: SpectralDecomposition | None = None,
 ) -> SampledFunction:
-    """k-th comparable-frequency summand sum_{|i|<=1} (S_{k+i} f)(S_k g)."""
-    pieces_f = _ensure_decomposition(f, partition, dec_f).pieces
-    pieces_g = _ensure_decomposition(g, partition, dec_g).pieces
+    """k-th comparable-frequency summand sum_{|i|<=1} (S_{k+i} f)(S_k g),
+    from the four pieces it reads (at most four inverse FFTs)."""
+    partition._check_level(k)
+    dec_f = _ensure_decomposition(f, partition, dec_f)
+    dec_g = _ensure_decomposition(g, partition, dec_g)
     zero = np.zeros(f.grid.shape, dtype=np.complex128)
-    return SampledFunction(f.grid, sum(_pi2_terms(pieces_f, pieces_g, (k,)), zero))
+    return SampledFunction(f.grid, sum(_pi2_terms(dec_f._piece, dec_g._piece, (k,), partition.k_max), zero))
 
 
 @dataclass

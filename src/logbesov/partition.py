@@ -25,7 +25,8 @@ given exponents and, per exponent r, the all-levels `CubeMeanTable` of
 decomposition share them; a consumer that asks for all it needs up front
 (`verdict`, the lower bound's Besov norms) makes one pass.  Consumers of
 whole arrays (the paraproducts, `tl_norm_inf`) read `pieces`, which builds
-the list anew instead of pinning it.
+the list anew instead of pinning it; `pi2_summand` makes only the four
+pieces it reads.
 """
 
 from __future__ import annotations
@@ -130,8 +131,8 @@ class DyadicPartition:
         """phi_0(2^-k .) (cumulative) or phi_k on the level-k box."""
         key = ("cum" if cumulative else "sym", k)
         if key not in self._cache:
-            self._cache[("cum", k)] = cum = self._profile(k, float(1 << k))
-            self._cache[("sym", k)] = cum if k == 0 else cum - self._profile(k, float(1 << (k - 1)))
+            cum = self._profile(k, float(1 << k))
+            self._cache[key] = cum if cumulative or k == 0 else cum - self._profile(k, float(1 << (k - 1)))
         return self._cache[key]
 
     def _multiply_box(self, coeffs: np.ndarray, k: int, cumulative: bool, out: np.ndarray) -> None:
@@ -225,19 +226,22 @@ class SpectralDecomposition:
 
     def _values(self, reuse: bool):
         """S_0 f, ..., S_K_max f in turn; with `reuse`, each one is written
-        into the buffer of the one before."""
-        if self._given is not None:
-            yield from (p.values for p in self._given)
-            return
-        # Boxes grow with k and each one is written whole, so the spectrum of
-        # level k - 1 is zero outside box k and needs no clearing; a buffer
-        # that the inverse FFT of level k - 1 overwrote does.
-        buf = np.zeros(self.grid.shape, dtype=np.complex128)
+        into the array of the one before."""
+        values = None
         for k in range(self.k_max + 1):
-            if reuse and k:
-                buf.fill(0.0)
-            self.partition._multiply_box(self.coeffs, k, cumulative=False, out=buf)
-            yield np.fft.ifftn(buf, out=buf if reuse else None)
+            values = self._piece(k, values if reuse else None)
+            yield values
+
+    def _piece(self, k: int, buf: np.ndarray | None = None) -> np.ndarray:
+        """S_k f, made by one inverse FFT in place of `buf` or in a new array."""
+        if self._given is not None:
+            return self._given[k].values
+        if buf is None:
+            buf = np.zeros(self.grid.shape, dtype=np.complex128)
+        else:
+            buf.fill(0.0)
+        self.partition._multiply_box(self.coeffs, k, cumulative=False, out=buf)
+        return np.fft.ifftn(buf, out=buf)
 
     @property
     def pieces(self) -> list[SampledFunction]:

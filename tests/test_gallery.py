@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from logbesov.errors import (
     InvalidInputError,
     LevelOverflowError,
 )
+from logbesov import gallery
 from logbesov.gallery import (
+    _plateau_profile,
     BumpSpec,
     PacketSpec,
     StackSpec,
@@ -164,6 +167,73 @@ def test_bump_decay_branch_p1(part12):
     assert abs(slope + 1.0) < 0.2
 
 
+def _fine_grid_bump(grid, spec):
+    """h_l built the way `make_bump` first did it: the whole profile sampled
+    on the refined lattice, its `fftn` truncated to the grid's bins and
+    synthesized, then the mean removed."""
+    n = grid.n_samples
+    width = (1.0 / spec.scale()) / 8.0
+    refine = 1
+    while grid.spacing / refine > width / 16.0:
+        refine *= 2
+    cap = 1 << 21 if grid.dim == 1 else 1 << 11
+    fine = n * min(refine, max(1, cap // n))
+    ax = -math.pi + (2.0 * math.pi / fine) * np.arange(fine)
+    plus = minus = 1.0
+    for u in np.meshgrid(*[spec.scale() * (ax - a) for a in spec.anchor], indexing="ij", sparse=True):
+        plus = plus * _plateau_profile(u)
+        minus = minus * _plateau_profile(0.75 - u)
+    h = plus - minus
+    coeffs = np.fft.fftn(h) / h.size
+    keep = np.r_[0 : n // 2, fine - n // 2 : fine]
+    vals = np.fft.ifftn(coeffs[np.ix_(*[keep] * grid.dim)]) * n**grid.dim
+    return vals - vals.mean()
+
+
+@pytest.mark.parametrize("log2_samples", [6, 7, 8])
+def test_bump_2d_matches_fine_grid_oracle(log2_samples):
+    """The factor-by-factor build equals the refined-lattice one to rounding,
+    at every level, for two anchors, and so do the stacks."""
+    g = GridSpec(2, log2_samples)
+    oracle = {}
+    for anchor in ((-1.0, -1.0), (-2.0, -0.5)):
+        for lvl in range(g.k_max):
+            want = oracle[lvl, anchor] = _fine_grid_bump(g, BumpSpec(lvl, anchor))
+            got = make_bump(g, BumpSpec(lvl, anchor)).values
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    top = g.k_max - 1
+    for spec in (StackSpec(spacing=1, depth=top, p=2.0, b=0.5), StackSpec(spacing=2, offset=1, depth=top, p=INF)):
+        over_p = 0.0 if spec.p == INF else g.dim / spec.p
+        want = sum(
+            (1j**i) * 2.0 ** (lvl * over_p) * (1.0 + lvl) ** (-spec.b) * oracle[lvl, anchor]
+            for i, (lvl, anchor) in enumerate(stack_plateau_cubes(g, spec))
+        )
+        got = make_stack(g, spec).values
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_bump_1d_is_the_fine_grid_oracle_bit_for_bit(grid12):
+    for lvl in range(grid12.k_max):
+        for anchor in ((-1.0,), (-2.0,)):
+            spec = BumpSpec(lvl, anchor)
+            assert np.array_equal(make_bump(grid12, spec).values, _fine_grid_bump(grid12, spec))
+
+
+def test_stack_2d_builds_at_lattice_size():
+    """A 2D stack holds at most three lattice-sized complex arrays beside its
+    result while it builds: no array of the refined lattice is formed."""
+    g = GridSpec(2, 9)
+    spec = StackSpec(spacing=2, depth=6, p=2.0, b=0.0)
+    make_stack(g, spec)
+    tracemalloc.start()
+    try:
+        result = make_stack(g, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - result.values.nbytes <= 3 * result.values.nbytes
+
+
 # --- stacks -----------------------------------------------------------------
 
 
@@ -296,6 +366,25 @@ def test_packet_norm_bound_case1(part12):
             val = besov_norm(fam[0][1], part12, BesovParams(0.0, b, 4.0, INF)).value
             bound = (1.0 + (m - 2)) ** b * lp_norm(psi, 4.0)
             assert val <= 4.0 * bound
+
+
+def test_packet_family_shares_envelope_and_waves(grid12, monkeypatch):
+    """One envelope and one wave per distinct level per family; cases with
+    equal coefficients share one member."""
+    waves, envelopes = [], []
+    real_cis, real_envelope = gallery._cis, gallery.make_envelope
+    monkeypatch.setattr(gallery, "_cis", lambda t, out: waves.append(t) or real_cis(t, out))
+    monkeypatch.setattr(gallery, "make_envelope", lambda g: envelopes.append(g) or real_envelope(g))
+    m = 7
+    shared = {0.0: ("case1", "case3", "case4"), 0.5: ("case2", "case3", "case4"), 1.0: ("case3", "case4")}
+    for b, equal in shared.items():
+        waves.clear()
+        envelopes.clear()
+        fam = dict(expo7_family(grid12, m, b))
+        assert len(waves) == m - 1  # levels 1..m-2 and m
+        assert len(envelopes) == 1
+        assert all(fam[name] is fam[equal[0]] for name in equal)
+        assert len({id(f) for f in fam.values()}) == 5 - len(equal) + 1
 
 
 def test_packet_level_guard(grid10):

@@ -12,7 +12,7 @@ from logbesov.experiments import ExperimentConfig, run_exp_growth
 from logbesov.gallery import expo7_family, make_exponential, make_indicator
 from logbesov.grid import INF, GridSpec, band_energy_fraction, lp_norm
 from logbesov.norms import BesovParams, besov_norm
-from logbesov.paraproducts import multiplier_lower_bound
+from logbesov.paraproducts import multiplier_lower_bound, pi2_summand
 from logbesov.partition import build_partition, decompose
 
 FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
@@ -111,3 +111,33 @@ def test_besov_tail_reads_the_kept_coefficients(monkeypatch):
     for q in (1.0, INF):
         assert besov_norm(f, part, BesovParams(0.0, 0.5, 2.0, q), dec=dec).tail == want
     assert calls == []
+
+
+def test_pi2_summand_makes_only_the_pieces_it_reads(monkeypatch):
+    """One summand reads S_{k-1} f, S_k f, S_{k+1} f and S_k g: at most four
+    inverse FFTs per call on shared decompositions, not 2 (K_max + 1)."""
+    grid = GridSpec(1, 10)
+    part = build_partition(grid)
+    f = make_indicator(grid, "cube")
+    g = make_exponential(grid, (5,))
+    dec_f, dec_g = decompose(f, part), decompose(g, part)
+    want = [dec_f.pieces, dec_g.pieces]
+    calls = _count_ffts(monkeypatch)
+    for k in range(part.k_max + 1):
+        levels = [j for j in (k - 1, k, k + 1) if 0 <= j <= part.k_max]
+        calls.clear()
+        s = pi2_summand(f, g, part, k, dec_f=dec_f, dec_g=dec_g)
+        assert calls == ["ifftn"] * (len(levels) + 1)
+        manual = sum((want[0][j].values * want[1][k].values for j in levels), np.zeros(grid.shape, complex))
+        assert np.array_equal(s.values, manual)
+
+
+def test_decomposition_caches_no_cumulative_box():
+    """`decompose` and `analyze` read the symbol boxes only; the cumulative
+    boxes phi_0(2^-k .) are built when `partial_sum` asks for them."""
+    grid = GridSpec(1, 10)
+    part = build_partition(grid)
+    dec = decompose(make_indicator(grid, "cube"), part)
+    dec.analyze(cube_exponents=(1.0,), lp_exponents=(2.0,))
+    assert [key for key in part._cache if key[0] == "cum"] == []
+    assert all(("sym", k) in part._cache for k in range(part.k_max + 1))
