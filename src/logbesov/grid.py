@@ -128,6 +128,11 @@ class GridSpec:
         return (self.n_samples,) * self.dim
 
     @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of the `rfftn` half spectrum of a real function."""
+        return self.shape[:-1] + (self.n_samples // 2 + 1,)
+
+    @property
     def cell_volume(self) -> float:
         return self.spacing**self.dim
 
@@ -173,16 +178,25 @@ class SampledFunction:
 
 @dataclass
 class FrequencyField:
-    """Fourier coefficients indexed by integer frequencies (FFT layout)."""
+    """Fourier coefficients indexed by integer frequencies: the full lattice
+    (FFT layout) or, for a real function, the half lattice of `rfftn`, whose
+    last axis holds m = 0..N/2 only (the rest are their conjugates).  Only
+    the full layout synthesizes (`to_function`)."""
 
     grid: GridSpec
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.size != self.grid.n_samples**self.grid.dim:
-            raise InvalidInputError("coefficient array size does not match grid")
-        self.coeffs = c.reshape(self.grid.shape)
+        if c.shape != self.grid.half_shape:
+            if c.size != self.grid.n_samples**self.grid.dim:
+                raise InvalidInputError("coefficient array size does not match grid")
+            c = c.reshape(self.grid.shape)
+        self.coeffs = c
+
+    @property
+    def half(self) -> bool:
+        return self.coeffs.shape == self.grid.half_shape
 
     def to_function(self) -> SampledFunction:
         return synthesize(self.grid, self.coeffs)
@@ -191,6 +205,15 @@ class FrequencyField:
 def spectrum(f: SampledFunction) -> np.ndarray:
     """Fourier coefficients c_m with f(x) = sum_m c_m e^{i m.x} on samples."""
     return np.fft.fftn(f.values) / f.values.size
+
+
+def _forward(values: np.ndarray) -> np.ndarray:
+    """The unnormalized forward transform of complex samples: the `rfftn`
+    half spectrum (last axis m = 0..N/2) when the imaginary part is exactly
+    zero, the full `fftn` spectrum otherwise."""
+    if not values.imag.any():
+        return np.fft.rfftn(values.real)
+    return np.fft.fftn(values)
 
 
 def synthesize(grid: GridSpec, coeffs: np.ndarray) -> SampledFunction:
@@ -221,12 +244,21 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def band_energy_fraction(f: SampledFunction | FrequencyField, radius_lo: float, radius_hi: float) -> float:
     """Relative spectral energy of f, given by its samples or by its Fourier
-    coefficients, outside the annulus radius_lo <= |m| <= radius_hi."""
-    c = np.abs(f.coeffs if isinstance(f, FrequencyField) else spectrum(f)) ** 2
+    coefficients, outside the annulus radius_lo <= |m| <= radius_hi.
+    Samples are transformed as `_forward` does, so a real function's energy
+    is read off its half spectrum, where the interior last-axis columns
+    m = 1..N/2-1 stand for their conjugate partners too and count twice."""
+    if not isinstance(f, FrequencyField):
+        f = FrequencyField(f.grid, _forward(f.values) / f.values.size)
+    c = np.abs(f.coeffs) ** 2
+    axes = f.grid.freqs()
+    if f.half:
+        c[..., 1 : f.grid.n_samples // 2] *= 2.0
+        axes = axes[:-1] + (axes[-1][..., : c.shape[-1]],)
     total = float(c.sum())
     if total == 0.0:
         return 0.0
-    rho = f.grid.freq_radius()
+    rho = _radius(axes)
     outside = float(c[(rho < radius_lo) | (rho > radius_hi)].sum())
     return outside / total
 

@@ -39,34 +39,45 @@ def paraproduct(
     f: SampledFunction,
     g: SampledFunction,
     partition: DyadicPartition,
-    which: int,
+    which: int | Sequence[int],
     *,
     dec_f: SpectralDecomposition | None = None,
     dec_g: SpectralDecomposition | None = None,
-) -> SampledFunction:
+) -> SampledFunction | list[SampledFunction]:
     """One of the three paraproducts of the product f g (sums truncated at
     K_max):
 
         1: sum_{k>=2} (S^{k-2} f)(S_k g)   (low-high)
         2: sum_k sum_{|i|<=1} (S_{k+i} f)(S_k g)   (comparable)
         3: sum_{k>=2} (S_k f)(S^{k-2} g)   (high-low)
+
+    `which` is one of 1, 2, 3, giving that paraproduct, or a sequence of
+    them, giving one per entry; all read one piece list of f and one of g.
     """
-    if which not in (1, 2, 3):
+    single = not isinstance(which, Sequence)
+    whiches = [which] if single else list(which)
+    if any(w not in (1, 2, 3) for w in whiches):
         raise InvalidInputError("which must be 1, 2, or 3")
     pieces_f = _ensure_decomposition(f, partition, dec_f).pieces
     pieces_g = _ensure_decomposition(g, partition, dec_g).pieces
-    total = np.zeros(f.grid.shape, dtype=np.complex128)
+    parts = [_paraproduct(pieces_f, pieces_g, w) for w in whiches]
+    return parts[0] if single else parts
+
+
+def _paraproduct(pieces_f: list[SampledFunction], pieces_g: list[SampledFunction], which: int) -> SampledFunction:
+    """`paraproduct` from the piece lists of f and g."""
+    grid, k_max = pieces_f[0].grid, len(pieces_f) - 1
+    total = np.zeros(grid.shape, dtype=np.complex128)
     if which == 2:
-        levels = range(partition.k_max + 1)
-        terms = _pi2_terms(lambda j: pieces_f[j].values, lambda k: pieces_g[k].values, levels, partition.k_max)
-        return SampledFunction(f.grid, sum(terms, total))
+        terms = _pi2_terms(lambda j: pieces_f[j].values, lambda k: pieces_g[k].values, range(k_max + 1), k_max)
+        return SampledFunction(grid, sum(terms, total))
     # Pi1, Pi3: one running partial sum S^{k-2} of the low factor; f stays on the left.
     low, high = (pieces_f, pieces_g) if which == 1 else (pieces_g, pieces_f)
-    partial = np.zeros(f.grid.shape, dtype=np.complex128)
-    for k in range(2, partition.k_max + 1):
+    partial = np.zeros(grid.shape, dtype=np.complex128)
+    for k in range(2, k_max + 1):
         partial += low[k - 2].values
         total += partial * high[k].values if which == 1 else high[k].values * partial
-    return SampledFunction(f.grid, total)
+    return SampledFunction(grid, total)
 
 
 def pi2_summand(
@@ -104,12 +115,9 @@ class ProductReport:
 def product_report(
     f: SampledFunction, g: SampledFunction, partition: DyadicPartition
 ) -> ProductReport:
-    """Decompose f g and report ||Pi1+Pi2+Pi3 - f g||_2 / ||f g||_2."""
-    dec_f = decompose(f, partition)
-    dec_g = decompose(g, partition)
-    parts = [
-        paraproduct(f, g, partition, w, dec_f=dec_f, dec_g=dec_g) for w in (1, 2, 3)
-    ]
+    """Decompose f g and report ||Pi1+Pi2+Pi3 - f g||_2 / ||f g||_2; the
+    three paraproducts read one piece list of f and one of g."""
+    parts = paraproduct(f, g, partition, (1, 2, 3))
     fg = f * g
     err = lp_norm(parts[0] + parts[1] + parts[2] - fg, 2.0)
     denom = lp_norm(fg, 2.0)

@@ -16,17 +16,28 @@ per axis).  `symbol` and `cumulative_symbol` expand it to the full lattice
 on each call, bit-identical to evaluating the formula there; `decompose`,
 `project` and `partial_sum` multiply the box by the coefficients only.
 
+The coefficients come in two layouts.  Samples whose imaginary part is
+exactly zero keep the `rfftn` half spectrum (last axis m = 0..N/2): both
+kinds of symbol are even, so every piece of a real function is real and
+is made by `irfft` into a real array, at half the coefficient and buffer
+memory.  Any other samples keep the full `fftn` spectrum and complex
+pieces.  Either way the spectrum of a piece is zero off its box, so in 2D
+the first inverse pass runs over the box's rows (full layout) or columns
+(half layout) only, and only the last pass covers the lattice; the passes
+follow numpy's order, so a complex piece is bit-identical to
+`np.fft.ifftn(symbol * fftn(f))`.
+
 `SpectralDecomposition` keeps the forward coefficients of one function, not
-its pieces.  A pass makes S_0 f, ..., S_K_max f in turn into one reused
-buffer (boxed multiply, one inverse FFT) and, while a piece exists, fills
-from one |S_k f| every reduction asked for: the sup norm, the L^p norms of
-given exponents and, per exponent r, the all-levels `CubeMeanTable` of
-|S_k f|^r.  The reductions are cached, so terms called on one
-decomposition share them; a consumer that asks for all it needs up front
-(`verdict`, the lower bound's Besov norms) makes one pass.  Consumers of
-whole arrays (the paraproducts, `tl_norm_inf`) read `pieces`, which builds
-the list anew instead of pinning it; `pi2_summand` makes only the four
-pieces it reads.
+its pieces.  A pass makes S_0 f, ..., S_K_max f in turn into one set of
+buffers that lives as long as the pass (boxed multiply, pruned inverse
+passes) and, while a piece exists, fills from one |S_k f| every reduction
+asked for: the sup norm, the L^p norms of given exponents and, per
+exponent r, the all-levels `CubeMeanTable` of |S_k f|^r.  The reductions
+are cached, so terms called on one decomposition share them; a consumer
+that asks for all it needs up front (`verdict`, the lower bound's Besov
+norms) makes one pass.  Consumers of whole arrays (the paraproducts,
+`tl_norm_inf`) read `pieces`, which builds the list anew instead of
+pinning it; `pi2_summand` makes only the four pieces it reads.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ from .grid import (
     GridSpec,
     SampledFunction,
     _abs_lp_norm,
+    _forward,
     _radius,
     _read_only,
     band_energy_fraction,
@@ -101,20 +113,20 @@ class DyadicPartition:
     def k_max(self) -> int:
         return self.grid.k_max
 
-    def _blocks(self, k: int) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
+    def _blocks(self, k: int, half: bool = False) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
         """(lattice, box) slice pairs tiling the level-k box.
 
         Per axis the box holds frequencies 0..M then -M..-1, i.e. lattice
-        indices [0, M] and [N - M, N).
+        indices [0, M] and [N - M, N).  On the `half` lattice of `rfftn`
+        the last axis holds m = 0..N/2 and the box only its indices [0, M].
         """
-        key = ("blocks", k)
+        key = ("blocks", k, half)
         if key not in self._cache:
             n = self.grid.n_samples
             top = _box_top(k)
             axis = [(slice(0, top + 1), slice(0, top + 1)), (slice(n - top, n), slice(top + 1, 2 * top + 1))]
-            self._cache[key] = [
-                tuple(zip(*pairs)) for pairs in itertools.product(axis, repeat=self.grid.dim)
-            ]
+            axes = [axis] * (self.grid.dim - 1) + [axis[:1] if half else axis]
+            self._cache[key] = [tuple(zip(*pairs)) for pairs in itertools.product(*axes)]
         return self._cache[key]
 
     def _profile(self, k: int, scale: float) -> np.ndarray:
@@ -135,11 +147,37 @@ class DyadicPartition:
             self._cache[key] = cum if cumulative or k == 0 else cum - self._profile(k, float(1 << (k - 1)))
         return self._cache[key]
 
-    def _multiply_box(self, coeffs: np.ndarray, k: int, cumulative: bool, out: np.ndarray) -> None:
-        """`out` := phi_0(2^-k .) (cumulative) or phi_k times `coeffs` on the level-k box."""
+    def _synthesize(self, coeffs: np.ndarray, k: int, cumulative: bool, bufs=None) -> np.ndarray:
+        """F^{-1}(phi_0(2^-k .) c) (cumulative) or F^{-1}(phi_k c) for the
+        coefficients c = `coeffs`, full or half (`rfftn`) spectrum: complex
+        samples from the full one, real samples from the half one (both
+        kinds of symbol are even).  `bufs` = `_synthesis_buffers(grid,
+        coeffs)` is overwritten; without it the call makes its own.
+
+        The spectrum is zero off the level-k box, so of the inverse passes,
+        which run in numpy's order, only the last one covers the lattice: in
+        2D the first pass transforms the box's rows (full layout, last axis
+        first, as `ifftn`) or its columns (half layout, first axis first, as
+        `irfftn`).  Full-layout samples are bit-identical to
+        `np.fft.ifftn(symbol * coeffs)`.
+        """
+        n = self.grid.n_samples
+        spec, out = _synthesis_buffers(self.grid, coeffs) if bufs is None else bufs
+        half = spec is not out
+        spec.fill(0.0)
         box = self._box(k, cumulative)
-        for lattice, sub in self._blocks(k):
-            np.multiply(box[sub], coeffs[lattice], out=out[lattice])
+        for lattice, sub in self._blocks(k, half):
+            np.multiply(box[sub], coeffs[lattice], out=spec[lattice])
+        top = _box_top(k)
+        if self.grid.dim == 2 and half:
+            cols = spec[:, : top + 1]
+            np.fft.ifft(cols, axis=0, out=cols)
+        elif self.grid.dim == 2:
+            for rows in (spec[: top + 1], spec[n - top :]):
+                np.fft.ifft(rows, axis=1, out=rows)
+        if half:
+            return np.fft.irfft(spec, n, axis=-1, out=out)
+        return np.fft.ifft(spec, axis=0, out=spec)
 
     def _expand(self, k: int, box: np.ndarray) -> np.ndarray:
         out = np.zeros(self.grid.shape)
@@ -162,6 +200,14 @@ class DyadicPartition:
         return self._expand(k, self._box(k, cumulative=True))
 
 
+def _synthesis_buffers(grid: GridSpec, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A spectrum buffer shaped like `coeffs` and the samples buffer that
+    `DyadicPartition._synthesize` writes: the spectrum buffer itself for the
+    full layout, a real lattice array for the half layout."""
+    spec = np.empty_like(coeffs)
+    return spec, spec if spec.shape == grid.shape else np.empty(grid.shape)
+
+
 def build_partition(grid: GridSpec, kind: PartitionKind | str = PartitionKind.RADIAL) -> DyadicPartition:
     if isinstance(kind, str):
         kind = PartitionKind(kind.lower())
@@ -170,14 +216,12 @@ def build_partition(grid: GridSpec, kind: PartitionKind | str = PartitionKind.RA
 
 def _level_multiplier(f: SampledFunction, partition: DyadicPartition, k: int, cumulative: bool):
     """F^{-1}(phi_0(2^-k .) F f) (cumulative) or F^{-1}(phi_k F f); 0 for k < 0."""
-    spectrum = np.zeros(f.grid.shape, dtype=np.complex128)
     if k < 0:
-        return SampledFunction(f.grid, spectrum)
+        return SampledFunction(f.grid, np.zeros(f.grid.shape, dtype=np.complex128))
     partition._check_level(k)
     if f.grid != partition.grid:
         raise InvalidInputError("function and partition live on different grids")
-    partition._multiply_box(np.fft.fftn(f.values), k, cumulative, spectrum)
-    return SampledFunction(f.grid, np.fft.ifftn(spectrum))
+    return SampledFunction(f.grid, partition._synthesize(_forward(f.values), k, cumulative))
 
 
 def project(f: SampledFunction, partition: DyadicPartition, k: int) -> SampledFunction:
@@ -194,7 +238,7 @@ class SpectralDecomposition:
     """The frequency pieces (S_0 f, ..., S_K_max f) of one function, kept as
     its forward coefficients.
 
-    `analyze` makes each piece in turn into one reused buffer and, from one
+    `analyze` makes each piece in turn into reused buffers and, from one
     |S_k f|, fills every reduction asked for: the sup norm, the L^p norms
     and the cube tables of |S_k f|^r.  The reductions are kept for the life
     of the object, so every term that reads one decomposition shares them;
@@ -210,7 +254,7 @@ class SpectralDecomposition:
             raise TypeError("give either the pieces or the coefficients")
         self.partition = partition
         self._given = None if pieces is None else list(pieces)
-        self.coeffs = np.fft.fftn(sum(p.values for p in self._given)) if coeffs is None else coeffs
+        self.coeffs = _forward(sum(p.values for p in self._given)) if coeffs is None else coeffs
         self._sup_norms = None
         self._lp_norms = {}  # p -> read-only array over k
         self._tables = {}  # (k, r) -> CubeMeanTable of |S_k f|^r
@@ -225,23 +269,17 @@ class SpectralDecomposition:
         return self.partition.k_max
 
     def _values(self, reuse: bool):
-        """S_0 f, ..., S_K_max f in turn; with `reuse`, each one is written
-        into the array of the one before."""
-        values = None
+        """S_0 f, ..., S_K_max f in turn; with `reuse`, every one is made in
+        the buffers of the first, which live as long as the pass."""
+        bufs = _synthesis_buffers(self.grid, self.coeffs) if reuse and self._given is None else None
         for k in range(self.k_max + 1):
-            values = self._piece(k, values if reuse else None)
-            yield values
+            yield self._piece(k, bufs)
 
-    def _piece(self, k: int, buf: np.ndarray | None = None) -> np.ndarray:
-        """S_k f, made by one inverse FFT in place of `buf` or in a new array."""
+    def _piece(self, k: int, bufs=None) -> np.ndarray:
+        """S_k f, real for a real f, made in `bufs` or in new arrays."""
         if self._given is not None:
             return self._given[k].values
-        if buf is None:
-            buf = np.zeros(self.grid.shape, dtype=np.complex128)
-        else:
-            buf.fill(0.0)
-        self.partition._multiply_box(self.coeffs, k, cumulative=False, out=buf)
-        return np.fft.ifftn(buf, out=buf)
+        return self.partition._synthesize(self.coeffs, k, False, bufs)
 
     @property
     def pieces(self) -> list[SampledFunction]:
@@ -259,7 +297,8 @@ class SpectralDecomposition:
             return
         sups, norms, tables = [], {p: [] for p in ps}, {}
         for k, values in enumerate(self._values(reuse=True)):
-            a = np.abs(values)
+            # a real piece sits in this pass's own buffer: |S_k f| takes its place
+            a = np.abs(values, out=values if values.dtype == np.float64 else None)
             sups.append(a.max())
             for p in ps:
                 norms[p].append(_abs_lp_norm(a, p, self.grid.cell_volume))
@@ -293,7 +332,7 @@ class SpectralDecomposition:
         """Fraction of the spectral energy of f outside |m| <= 2^{K_max - 1},
         the part the truncated k-sums miss (computed once)."""
         if self._tail is None:
-            normalized = FrequencyField(self.grid, self.coeffs / self.coeffs.size)
+            normalized = FrequencyField(self.grid, self.coeffs / self.grid.n_samples**self.grid.dim)
             self._tail = band_energy_fraction(normalized, 0.0, 2.0 ** (self.k_max - 1))
         return self._tail
 
@@ -302,7 +341,7 @@ def decompose(f: SampledFunction, partition: DyadicPartition) -> SpectralDecompo
     """The decomposition of f: its forward coefficients, pieces made on demand."""
     if f.grid != partition.grid:
         raise InvalidInputError("function and partition live on different grids")
-    return SpectralDecomposition(partition, coeffs=np.fft.fftn(f.values))
+    return SpectralDecomposition(partition, coeffs=_forward(f.values))
 
 
 def _ensure_decomposition(f, partition, dec) -> SpectralDecomposition:
