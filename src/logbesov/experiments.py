@@ -3,11 +3,21 @@
 Each runner returns a Table (ordered rows plus pass/fail checks); identical
 config gives byte-identical serialized output.  Every row carries an
 `asymptote` tag naming the predicted growth law it is tested against.
+
+`run_exp_growth` and `run_sandwich` split their work into independent rows
+that each build, decompose and read their own functions, and `_map_rows`
+runs them on two threads (numpy's FFTs and reductions release the GIL).
+A row drops its decomposition before it returns, so at most one is alive
+per thread; tables are assembled in row order, so output does not depend
+on the number of threads.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,6 +151,57 @@ def growth_law(p: float, b: float) -> tuple[float, float, str]:
     return -b, 0.0, f"(1+m)^{-b:g}"
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_rows(fn, rows) -> list:
+    """[fn(row) for row in rows], on the calling thread and, when two CPUs
+    are usable, one helper thread.  The calling thread runs the first row,
+    as a serial loop would; from then on both pull rows from one shared
+    iterator.
+
+    The helper is joined before this returns or raises.  After a row
+    raises, neither thread pulls another row, and the error of the first
+    failing row in input order is re-raised, as a serial loop would.
+    """
+    rows = list(rows)
+    if _usable_cpus() < 2 or len(rows) < 2:
+        return [fn(row) for row in rows]
+    results = [None] * len(rows)
+    errors = {}  # row index -> exception
+    todo = iter(enumerate(rows))
+    lock = threading.Lock()
+
+    def pull():
+        with lock:
+            return next(todo, None)
+
+    def work(item):
+        while item is not None:
+            i, row = item
+            try:
+                results[i] = fn(row)
+            except BaseException as exc:
+                errors[i] = exc
+            item = None if errors else pull()
+
+    first = pull()
+    helper = threading.Thread(target=lambda: work(pull()), name="logbesov-rows")
+    helper.start()
+    try:
+        work(first)
+    finally:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _exact_route(p: float) -> bool:
     return p == 1.0 or is_inf(p)
 
@@ -160,8 +221,11 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
     lower bound.  Checks: fitted exponent within +-0.15 of the law and
     value/prediction spread within a factor 3.
 
-    Each (b, m) builds and decomposes its functions once and reads them at
-    every p; rows and checks come out in p, b, m order.
+    On the exact route each m decomposes e^{i 2^m x_1} once and reads every
+    (b, p) from it (its cube tables at r = 1 do not depend on b); on the
+    packet route each (b, m) builds and decomposes its functions once and
+    reads them at every p.  These rows run through `_map_rows`; table rows
+    and checks come out in p, b, m order.
     """
     for b in config.b_list:
         check_finite(b=b)
@@ -183,22 +247,28 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
     exact_ps = [p for p in config.p_list if _exact_route(p)]
     packet_ps = [p for p in config.p_list if not _exact_route(p)]
     rest = (0,) * (grid.dim - 1)
+
+    # each row's decomposition dies with the row: one alive per worker bounds peak memory
+    def exact_row(m: int) -> dict:
+        f = make_exponential(grid, (1 << m,) + rest)
+        dec = decompose(f, partition)
+        return {
+            (p, b, m): _criterion_value(f, partition, p, b, dec=dec)
+            for b in config.b_list
+            for p in exact_ps
+        }
+
+    def packet_row(b: float, m: int) -> dict:
+        f = make_exponential(grid, (-(1 << m),) + rest)
+        params = [BesovParams(0.0, b, p, INF) for p in packet_ps]
+        bounds = multiplier_lower_bound(f, partition, params, expo7_family(grid, m, b))
+        return {(p, b, m): val for p, (val, _) in zip(packet_ps, bounds)}
+
+    rows = [functools.partial(exact_row, int(m)) for m in ms if exact_ps]
+    rows += [functools.partial(packet_row, b, int(m)) for b in config.b_list for m in ms if packet_ps]
     value = {}  # (p, b, m) -> value
-    for b in config.b_list:
-        packet_params = [BesovParams(0.0, b, p, INF) for p in packet_ps]
-        for m in ms:
-            if exact_ps:
-                f = make_exponential(grid, (1 << int(m),) + rest)
-                dec = decompose(f, partition)
-                for p in exact_ps:
-                    value[p, b, m] = _criterion_value(f, partition, p, b, dec=dec)
-                del dec  # one decomposition alive at a time bounds peak memory
-            if packet_ps:
-                f = make_exponential(grid, (-(1 << int(m)),) + rest)
-                family = expo7_family(grid, int(m), b)
-                bounds = multiplier_lower_bound(f, partition, packet_params, family)
-                for p, (val, _) in zip(packet_ps, bounds):
-                    value[p, b, m] = val
+    for part in _map_rows(lambda row: row(), rows):
+        value.update(part)
     for p in config.p_list:
         for b in config.b_list:
             expo, logpow, tag = growth_law(p, b)
@@ -238,8 +308,15 @@ def mollify(f: SampledFunction, width: float) -> SampledFunction:
 
 def run_charfun(config: ExperimentConfig) -> Table:
     """Projection sup-norms of a characteristic function: no decay in k,
-    linearly growing partial sums, and the mollified contrast row."""
+    linearly growing partial sums, and the mollified contrast row.  The fit
+    window k in [6, K_max] must hold 4 levels; that is checked first."""
     grid = config.grid()
+    k_fit = 6
+    if grid.k_max - k_fit + 1 < 4:
+        raise InvalidInputError(
+            f"charfun fit window k in [{k_fit},K_max]=[{k_fit},{grid.k_max}] holds fewer "
+            f"than 4 levels; it needs K_max = J-2 >= {k_fit + 3}, i.e. J >= {k_fit + 5}"
+        )
     partition = build_partition(grid, config.kind)
     f = make_indicator(grid, config.shape)
     smooth = mollify(f, 2.0**-4)
@@ -261,18 +338,18 @@ def run_charfun(config: ExperimentConfig) -> Table:
             mollified=float(sups_s[k]),
             asymptote="flat sup-norms; partial sums ~ c K",
         )
-    ks = np.arange(6, grid.k_max + 1)
-    slope, r2 = fit_slope(2.0**ks, sups[6:])
+    ks = np.arange(k_fit, grid.k_max + 1)
+    slope, r2 = fit_slope(2.0**ks, sups[k_fit:])
     # log2-slope of sup norms over k: fit_slope is in log coordinates of 2^k
     slope_per_level = slope  # d log / d log(2^k) = log2-slope per level
     table.checks.append(
         Check(
-            f"sup-norm log-slope {slope_per_level:.3f} over k in [6,{grid.k_max}]",
+            f"sup-norm log-slope {slope_per_level:.3f} over k in [{k_fit},{grid.k_max}]",
             abs(slope_per_level) <= 0.1,
             f"r2={r2:.3f}",
         )
     )
-    growth = np.polyfit(ks, partial[6:], 1)[0]
+    growth = np.polyfit(ks, partial[k_fit:], 1)[0]
     table.checks.append(
         Check(f"partial sums grow at {growth:.4f} per level", growth > 0.01)
     )
@@ -293,51 +370,76 @@ def run_charfun(config: ExperimentConfig) -> Table:
 
 def run_sandwich(config: ExperimentConfig) -> Table:
     """Lower bounds vs sufficiency values for gallery multipliers, plus the
-    smoothness-criterion rows (Dini-regular and constant functions)."""
+    smoothness-criterion rows (Dini-regular and constant functions).
+
+    Each m, the Dini-regular row and the constant row are one row of
+    `_map_rows`.  The m window is checked before any work: at least 4 values
+    (the slope fit needs them) and m <= K_max - 2, as in `run_exp_growth`.
+    """
     grid = config.grid()
+    b = 0.0
+    m_lo = max(config.m_range[0], 4)
+    m_hi = config.m_range[1]
+    if m_hi - m_lo + 1 < 4:
+        raise InvalidInputError(
+            f"sandwich m range [{m_lo},{m_hi}] holds fewer than the 4 values of m >= 4 its fit needs"
+        )
+    if m_hi > grid.k_max - 2:
+        raise InvalidInputError(
+            f"sandwich m range [{m_lo},{m_hi}] outside [4, K_max-2]=[4,{grid.k_max - 2}]; "
+            f"m <= {m_hi} needs J >= {m_hi + 4}"
+        )
     partition = build_partition(grid, config.kind)
     table = Table(
         "sandwich",
         ["row", "m", "lower", "upper", "extra", "verdict", "asymptote"],
     )
-    b = 0.0
-    m_lo = max(config.m_range[0], 4)
-    m_hi = config.m_range[1]
     ms = np.arange(m_lo, m_hi + 1)
-    lowers, uppers = [], []
-    # stride 1 packs the most levels per stack; the uniform norm bound holds
-    # for any stride (larger strides only matter for the pointwise lower bound)
-    for m in ms:
-        f = make_exponential(grid, (1 << int(m),) + (0,) * (grid.dim - 1))
-        stack = make_stack(
-            grid, StackSpec(spacing=1, offset=0, depth=int(m) - 2, p=1.0, b=b)
-        )
+    levels = min(grid.k_max - 1, 10)
+
+    def exp_row(m: int) -> tuple[float, float]:
+        f = make_exponential(grid, (1 << m,) + (0,) * (grid.dim - 1))
+        # stride 1 packs the most levels per stack; the uniform norm bound holds
+        # for any stride (larger strides only matter for the pointwise lower bound)
+        stack = make_stack(grid, StackSpec(spacing=1, offset=0, depth=m - 2, p=1.0, b=b))
         low, _ = multiplier_lower_bound(
             f, partition, BesovParams(0.0, b, 1.0, INF), [("stack", stack)]
         )
-        up = _criterion_value(f, partition, 1.0, b)
-        lowers.append(low)
-        uppers.append(up)
+        return low, _criterion_value(f, partition, 1.0, b)
+
+    def dini_row():
+        # Dini-regular row: lacunary series with Hoelder-type modulus.
+        dini_f = make_lacunary(grid, [2.0 ** (-0.5 * j) for j in range(levels + 1)])
+        return verdict(dini_f, partition, INF, 0.5), dini_norm(dini_f).value, lp_norm(dini_f, INF)
+
+    def constant_row():
+        # Constant row: everything collapses to the L^inf value.
+        one = make_constant(grid)
+        low1, _ = multiplier_lower_bound(
+            one, partition, BesovParams(0.0, b, 1.0, INF), [("one", one)]
+        )
+        return verdict(one, partition, 1.0, b), low1
+
+    # the Dini row costs more than all the others together: first in the list,
+    # it starts at once, on the calling thread, while the helper takes the rest
+    rows = [dini_row, constant_row] + [functools.partial(exp_row, int(m)) for m in ms]
+    (rep, dn, linf), (rep1, low1), *bounds = _map_rows(lambda row: row(), rows)
+    for m, (low, up) in zip(ms, bounds):
         table.add(
             row="exp-p1", m=int(m), lower=float(low), upper=float(up),
             extra=float(up / low), verdict="", asymptote="(1+m)",
         )
-    slope_low, _ = fit_slope(1.0 + ms, lowers)
-    slope_up, _ = fit_slope(1.0 + ms, uppers)
+    slope_low, _ = fit_slope(1.0 + ms, [low for low, _ in bounds])
+    slope_up, _ = fit_slope(1.0 + ms, [up for _, up in bounds])
     table.checks.append(
         Check(
             f"exp p=1 b=0: lower/upper growth exponents {slope_low:.3f}/{slope_up:.3f}",
             abs(slope_low - slope_up) <= 0.15,
         )
     )
-    # Dini-regular row: lacunary series with Hoelder-type modulus.
-    levels = min(grid.k_max - 1, 10)
-    dini_f = make_lacunary(grid, [2.0 ** (-0.5 * j) for j in range(levels + 1)])
-    rep = verdict(dini_f, partition, INF, 0.5)
-    dn = dini_norm(dini_f)
     table.add(
         row="dini-regular", m=levels, lower=float(rep.combined),
-        upper=float(lp_norm(dini_f, INF) + dn.value), extra=float(dn.value),
+        upper=float(linf + dn), extra=float(dn),
         verdict=rep.verdict, asymptote="Dini => multiplier (p=inf, b=1/2)",
     )
     table.checks.append(
@@ -345,15 +447,9 @@ def run_sandwich(config: ExperimentConfig) -> Table:
     )
     table.checks.append(
         Check(
-            f"criterion bounded by Dini data (ratio {rep.combined / (lp_norm(dini_f, INF) + dn.value):.3f})",
-            rep.combined <= 20.0 * (lp_norm(dini_f, INF) + dn.value),
+            f"criterion bounded by Dini data (ratio {rep.combined / (linf + dn):.3f})",
+            rep.combined <= 20.0 * (linf + dn),
         )
-    )
-    # Constant row: everything collapses to the L^inf value.
-    one = make_constant(grid)
-    rep1 = verdict(one, partition, 1.0, b)
-    low1, _ = multiplier_lower_bound(
-        one, partition, BesovParams(0.0, b, 1.0, INF), [("one", one)]
     )
     table.add(
         row="constant", m=0, lower=float(low1), upper=float(rep1.combined),

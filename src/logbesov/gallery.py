@@ -255,10 +255,14 @@ def make_envelope(grid: GridSpec) -> FrequencyField:
     """Real envelope with unit coefficient mass on the lattice sphere |m| = 2.
 
     The closed annulus {3/2 <= |xi| <= 2} meets the integer lattice only on
-    |m| = 2, so all admissible envelope mass sits there.
+    |m| = 2, so all admissible envelope mass sits there: on m = +-2 in 1D,
+    on (+-2, 0) and (0, +-2) in 2D.  They are written directly, with no
+    lattice-sized radius or mask.
     """
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    coeffs[np.abs(grid.freq_radius() - 2.0) < 1e-12] = 1.0
+    for axis in range(grid.dim):
+        for m in (2, -2):  # a negative index is the FFT layout's negative frequency
+            coeffs[(0,) * axis + (m,) + (0,) * (grid.dim - 1 - axis)] = 1.0
     return FrequencyField(grid, coeffs)
 
 

@@ -8,6 +8,7 @@ absorbed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from math import comb
@@ -21,6 +22,7 @@ from .grid import (
     SampledFunction,
     check_exponent,
     check_finite,
+    _abs_lp_norm,
     is_inf,
     lp_norm,
 )
@@ -153,13 +155,28 @@ def _binomial_weights(m: int) -> np.ndarray:
     return np.array([(-1.0) ** (m - j) * comb(m, j) for j in range(m + 1)])
 
 
-def _difference_norm_grid(f: SampledFunction, shift, m: int, p: float) -> float:
-    """||Delta_h^m f||_p for an integer grid shift (exact torus translation)."""
-    w = _binomial_weights(m)
-    vals = np.zeros_like(f.values)
-    for j in range(m + 1):
-        vals += w[j] * np.roll(f.values, tuple(-j * s for s in shift), axis=tuple(range(f.grid.dim)))
-    return lp_norm(SampledFunction(f.grid, vals), p)
+def _roll_into(out: np.ndarray, x: np.ndarray, shift) -> np.ndarray:
+    """`np.roll(x, shift)` over every axis, written into `out` by block copies."""
+    axes = []
+    for s, n in zip(shift, x.shape):
+        s %= n
+        axes.append([(slice(s, n), slice(0, n - s)), (slice(0, s), slice(n - s, n))])
+    for blocks in itertools.product(*axes):
+        out[tuple(dst for dst, _ in blocks)] = x[tuple(src for _, src in blocks)]
+    return out
+
+
+def _difference_norm_grid(f: SampledFunction, shift, m: int, p: float, bufs) -> float:
+    """||Delta_h^m f||_p for an integer grid shift (exact torus translation),
+    made in `bufs`: two complex and one real lattice array, overwritten.
+    `modulus` passes one set for all its shifts, so a shift allocates no
+    lattice array and its cost does not hinge on whether the allocator
+    hands back fresh pages."""
+    vals, term, moduli = bufs
+    vals.fill(0.0)
+    for j, w in enumerate(_binomial_weights(m)):
+        vals += np.multiply(w, _roll_into(term, f.values, [-j * s for s in shift]), out=term)
+    return _abs_lp_norm(np.abs(vals, out=moduli), p, f.grid.cell_volume)
 
 
 def _difference_norm_spectral(
@@ -220,8 +237,10 @@ def modulus(f: SampledFunction, m: int, t: float, p: float) -> float:
         angles = np.linspace(0.0, PI, 32, endpoint=False)
         boundary_dirs = [np.array([math.cos(a), math.sin(a)]) for a in angles]
     best = 0.0
+    bufs = np.empty_like(f.values), np.empty_like(f.values), np.empty(grid.shape)
     for s in shifts:
-        best = max(best, _difference_norm_grid(f, s, m, p))
+        best = max(best, _difference_norm_grid(f, s, m, p, bufs))
+    del bufs  # freed before the boundary shifts allocate theirs
     coeffs = np.fft.fftn(f.values)
     r = t * (1.0 - 1e-9)
     for d in boundary_dirs:

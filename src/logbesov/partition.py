@@ -303,7 +303,8 @@ class SpectralDecomposition:
             for p in ps:
                 norms[p].append(_abs_lp_norm(a, p, self.grid.cell_volume))
             for r in rs:
-                tables[k, r] = CubeMeanTable(self.grid, a**r)
+                # the last exponent raises |S_k f| in place: no lattice temporary
+                tables[k, r] = CubeMeanTable(self.grid, np.power(a, r, out=a) if r == rs[-1] else a**r)
         if self._sup_norms is None:
             self._sup_norms = _read_only(np.array(sups))
         self._lp_norms.update((p, _read_only(np.array(v))) for p, v in norms.items())

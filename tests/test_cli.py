@@ -242,10 +242,34 @@ def test_charfun_verb(capsys):
 
 
 def test_sandwich_verb(capsys):
-    code = main(["--grid", "J=12", "sandwich", "--m-min", "4", "--m-max", "9"])
+    # m <= K_max - 2 = J - 4: J = 13 is the smallest grid that admits m = 9
+    code = main(["--grid", "J=13", "sandwich", "--m-min", "4", "--m-max", "9"])
     assert code == 0
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, smallest",
+    [
+        (["--grid", "J=10,dim=2", "sandwich"], "J >= 14"),
+        (["--grid", "J=12", "sandwich", "--m-min", "4", "--m-max", "9"], "J >= 13"),
+        (["--grid", "J=10,dim=2", "charfun"], "J >= 11"),
+        (["--grid", "J=10", "charfun", "--shape", "halfspace"], "J >= 11"),
+    ],
+)
+def test_experiment_window_too_large_for_grid_exits_2(argv, smallest, capsys):
+    """sandwich (m <= K_max - 2) and charfun (4 levels in k in [6, K_max])
+    check their windows before any work and name the smallest J that fits."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and smallest in captured.err
+
+
+def test_sandwich_window_under_4_m_exits_2(capsys):
+    assert main(["--grid", "J=14", "sandwich", "--m-min", "8", "--m-max", "10"]) == 2
+    assert "fewer than the 4 values" in capsys.readouterr().err
 
 
 def test_closed_stdout_exits_1_without_traceback(monkeypatch, tmp_path, capsys):

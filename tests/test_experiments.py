@@ -1,10 +1,17 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import logbesov.experiments as experiments
+from logbesov.cli import main
 from logbesov.errors import InvalidInputError
 from logbesov.experiments import (
     ExperimentConfig,
     _criterion_value,
+    _map_rows,
     fit_slope,
     growth_law,
     mollify,
@@ -14,10 +21,10 @@ from logbesov.experiments import (
     run_sandwich,
 )
 from logbesov.gallery import expo7_family, make_exponential, make_indicator
-from logbesov.grid import INF
+from logbesov.grid import INF, GridSpec
 from logbesov.norms import BesovParams
 from logbesov.paraproducts import multiplier_lower_bound
-from logbesov.partition import build_partition
+from logbesov.partition import build_partition, project
 
 
 def test_fit_slope_basic():
@@ -98,8 +105,9 @@ def test_exp_growth_matches_per_row_oracle():
 
 
 def test_exp_growth_decomposes_each_distinct_function_once(monkeypatch):
-    """One decomposition per (b, m) on the exact route, and one per distinct
-    packet member and one per product on the packet route, across all p."""
+    """One decomposition per m on the exact route, whatever the b, and one per
+    distinct packet member and one per product on the packet route, across
+    all p."""
     import logbesov.experiments as experiments
     import logbesov.paraproducts as paraproducts
     import logbesov.partition as partition_mod
@@ -122,7 +130,7 @@ def test_exp_growth_decomposes_each_distinct_function_once(monkeypatch):
     for m in ms:
         e = make_exponential(grid, (1 << m,)).values
         count = sum(np.array_equal(e, v) for v in inputs)
-        assert count == len(bs), f"m={m}: {count} decompositions of e^(i2^m x)"
+        assert count == 1, f"m={m}: {count} decompositions of e^(i2^m x)"
         exact += count
     distinct = 0
     for b in bs:
@@ -153,7 +161,8 @@ def test_mollify_decays(grid10):
 
 
 def test_sandwich_small():
-    table = run_sandwich(ExperimentConfig(log2_samples=12, m_range=(4, 9)))
+    # m <= K_max - 2 = J - 4: J = 13 is the smallest grid that admits m = 9
+    table = run_sandwich(ExperimentConfig(log2_samples=13, m_range=(4, 9)))
     assert table.ok
 
 
@@ -165,3 +174,142 @@ def test_tables_deterministic():
     ca = run_exp_growth(config).to_csv()
     cb = run_exp_growth(config).to_csv()
     assert ca.encode() == cb.encode()
+
+
+def _workers(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: n)
+
+
+def test_runners_same_tables_on_one_and_two_workers(monkeypatch):
+    """exp-growth (both routes) and sandwich serialize byte for byte alike
+    on one worker and on two."""
+    runs = [
+        (run_exp_growth, ExperimentConfig(log2_samples=10, b_list=(0.0, 2.0), p_list=(1.0, INF), m_range=(3, 6))),
+        (run_exp_growth, ExperimentConfig(log2_samples=10, b_list=(0.0, 2.0), p_list=(2.0, 4.0), m_range=(3, 6))),
+        (run_sandwich, ExperimentConfig(log2_samples=11, m_range=(4, 7))),
+    ]
+    for run, config in runs:
+        out = {}
+        for n in (1, 2):
+            _workers(monkeypatch, n)
+            table = run(config)
+            out[n] = (table.to_json(), table.to_csv())
+        assert out[1] == out[2], (run.__name__, config)
+
+
+def test_map_rows_keeps_input_order(monkeypatch):
+    """Results come back in input order, and the first row runs on the
+    calling thread, as in a serial loop."""
+    _workers(monkeypatch, 2)
+    assert _map_rows(lambda x: x * x, range(20)) == [x * x for x in range(20)]
+    assert _map_rows(lambda x: x, []) == []
+    threads = _map_rows(lambda x: threading.current_thread(), range(6))
+    assert threads[0] is threading.current_thread()
+
+
+def _raise_on_helper(err, original=None):
+    """A row body that raises `err` on the helper thread; on the calling
+    thread it first waits until the helper has raised, so the helper is
+    sure to pull a row of its own."""
+    raised = threading.Event()
+
+    def body(*args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            raised.wait(30)
+            return original(*args, **kwargs) if original else args
+        raised.set()
+        raise err
+
+    return body
+
+
+def test_helper_thread_error_reaches_the_caller_unchanged(monkeypatch):
+    _workers(monkeypatch, 2)
+    start = threading.active_count()
+    err = InvalidInputError("row failed on the helper thread")
+    with pytest.raises(InvalidInputError) as info:
+        _map_rows(_raise_on_helper(err), [0, 1])
+    assert info.value is err
+    assert threading.active_count() == start
+
+
+def test_helper_thread_error_exits_2_without_traceback(monkeypatch, capsys):
+    _workers(monkeypatch, 2)
+    start = threading.active_count()
+    err = InvalidInputError("exponential refused on the helper thread")
+    monkeypatch.setattr(experiments, "make_exponential", _raise_on_helper(err, experiments.make_exponential))
+    argv = ["--grid", "J=10", "exp-growth", "--p-list", "1", "--b-list", "0", "--m-min", "3", "--m-max", "6"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err}\n"
+    assert "Traceback" not in captured.out
+    assert threading.active_count() == start
+
+
+def test_runner_threads_end_with_the_run(monkeypatch):
+    """No thread outlives a run, whether it succeeds or raises, and the
+    rows of a slow helper are waited for."""
+    _workers(monkeypatch, 2)
+    start = threading.active_count()
+
+    def slow_on_helper(x):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.2)
+        return x
+
+    assert _map_rows(slow_on_helper, [0, 1]) == [0, 1]
+    assert threading.active_count() == start
+    run_exp_growth(ExperimentConfig(log2_samples=10, b_list=(0.0,), p_list=(1.0, 2.0), m_range=(3, 6)))
+    assert threading.active_count() == start
+    err = InvalidInputError("no packet family on the helper thread")
+    monkeypatch.setattr(experiments, "expo7_family", _raise_on_helper(err, experiments.expo7_family))
+    with pytest.raises(InvalidInputError) as info:
+        run_exp_growth(ExperimentConfig(log2_samples=10, b_list=(0.0,), p_list=(4.0,), m_range=(3, 6)))
+    assert info.value is err
+    assert threading.active_count() == start
+
+
+def test_fresh_partition_first_used_by_several_threads():
+    """Concurrent first use of a fresh partition builds the same boxes, and
+    so the same symbols and pieces, as serial use (four threads, more than
+    the runners start, switching as often as the interpreter allows)."""
+    grid = GridSpec(2, 7)
+    f = make_indicator(grid, "cube")
+    levels = range(grid.k_max + 1)
+    for kind in ("radial", "tensor"):
+        serial = build_partition(grid, kind)
+        expected = [(serial.symbol(k), project(f, serial, k).values) for k in levels]
+        fresh = build_partition(grid, kind)
+        got = {}
+
+        def use(t):
+            got[t] = [(fresh.symbol(k), project(f, fresh, k).values) for k in levels]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=use, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(got) == [0, 1, 2, 3]
+        for pairs in got.values():
+            for (s0, p0), (s1, p1) in zip(expected, pairs):
+                assert np.array_equal(s0, s1) and np.array_equal(p0, p1)
+
+
+def test_sandwich_and_charfun_windows_checked_before_work(monkeypatch):
+    def no_partition(*args, **kwargs):
+        raise AssertionError("a partition was built before the window check")
+
+    monkeypatch.setattr(experiments, "build_partition", no_partition)
+    with pytest.raises(InvalidInputError, match="needs J >= 14"):
+        run_sandwich(ExperimentConfig(dim=2, log2_samples=10))
+    with pytest.raises(InvalidInputError, match="fewer than the 4 values"):
+        run_sandwich(ExperimentConfig(log2_samples=14, m_range=(3, 6)))
+    with pytest.raises(InvalidInputError, match="J >= 11"):
+        run_charfun(ExperimentConfig(dim=2, log2_samples=10))

@@ -28,7 +28,7 @@ from logbesov.gallery import (
     make_stack,
     stack_plateau_cubes,
 )
-from logbesov.grid import INF, GridSpec, lp_norm, spectrum
+from logbesov.grid import INF, FrequencyField, GridSpec, lp_norm, spectrum
 from logbesov.norms import BesovParams, besov_norm
 from logbesov.partition import decompose, project
 
@@ -332,6 +332,27 @@ def test_envelope_annulus(grid12):
     assert np.abs(psi.values.imag).max() < 1e-12
     # positivity is NOT asserted; the minimum is only reported
     assert psi.values.real.min() < 0
+
+
+@pytest.mark.parametrize("dim, J", [(1, 7), (1, 12), (2, 7), (2, 8)])
+def test_envelope_and_packets_match_the_radius_mask_bit_for_bit(dim, J, monkeypatch):
+    """The four (2D) or two (1D) envelope coefficients written directly give
+    the envelope, and the packet family, of the |m| = 2 mask on the lattice."""
+    grid = GridSpec(dim, J)
+
+    def masked(g):
+        coeffs = np.zeros(g.shape, dtype=np.complex128)
+        coeffs[np.abs(g.freq_radius() - 2.0) < 1e-12] = 1.0
+        return FrequencyField(g, coeffs)
+
+    env = make_envelope(grid)
+    assert np.array_equal(env.coeffs, masked(grid).coeffs)
+    assert np.array_equal(env.to_function().values, masked(grid).to_function().values)
+    m = grid.k_max - 2
+    direct = expo7_family(grid, m, 0.5)
+    monkeypatch.setattr(gallery, "make_envelope", masked)
+    for (name, f), (name0, f0) in zip(direct, expo7_family(grid, m, 0.5)):
+        assert name == name0 and np.array_equal(f.values, f0.values)
 
 
 def test_packet_summand_support(grid12):

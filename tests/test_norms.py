@@ -8,6 +8,7 @@ from logbesov.errors import InvalidInputError, ResolutionError
 from logbesov.gallery import make_exponential, make_lacunary
 from logbesov.grid import (
     INF,
+    GridSpec,
     SampledFunction,
     lp_norm,
     make_constant,
@@ -19,6 +20,8 @@ from logbesov.norms import (
     besov_norm,
     diffspace_norm,
     dini_norm,
+    _binomial_weights,
+    _difference_norm_grid,
     modulus,
     tl_norm_inf,
 )
@@ -278,3 +281,22 @@ def test_quasi_norm_exponents_accepted(part10, rng):
     f = random_band_limited(part10.grid, 50, rng)
     val = besov_norm(f, part10, BesovParams(0.0, 0.0, 0.5, 0.5)).value
     assert np.isfinite(val) and val > 0
+
+
+@pytest.mark.parametrize("dim, J", [(1, 8), (2, 6)])
+def test_difference_norms_are_the_roll_formula_bit_for_bit(dim, J, rng):
+    """Differences made by block copies into reused buffers equal the sum
+    of weighted `np.roll`s, for every order, shift (zero, negative, beyond
+    N) and p, with the buffers carried from one shift to the next."""
+    grid = GridSpec(dim, J)
+    n = grid.n_samples
+    f = SampledFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    bufs = np.empty_like(f.values), np.empty_like(f.values), np.empty(grid.shape)
+    shifts = [(1, 0), (0, 3), (5, -7), (n - 1, n + 2), (-n // 2, 1)]
+    for m in (1, 2, 3):
+        for shift in (s[:dim] for s in shifts):
+            vals = np.zeros_like(f.values)
+            for j, w in enumerate(_binomial_weights(m)):
+                vals += w * np.roll(f.values, tuple(-j * s for s in shift), axis=tuple(range(dim)))
+            for p in (1.0, 2.0, INF):
+                assert _difference_norm_grid(f, shift, m, p, bufs) == lp_norm(SampledFunction(grid, vals), p)

@@ -223,3 +223,28 @@ def test_product_report_reads_each_piece_list_once(monkeypatch):
     assert calls == ["rfftn"] + ["irfft"] * n + ["fftn"] + ["ifft"] * n
     for got, ref in zip((report.pi1, report.pi2, report.pi3), want):
         assert np.array_equal(got.values, ref.values)
+
+
+@pytest.mark.parametrize("spec", ["cube", "exp:m=5"])
+@pytest.mark.parametrize("dim, J", [(1, 11), (2, 7)])
+def test_cube_tables_are_the_power_oracle_bit_for_bit(dim, J, spec):
+    """The last exponent of a pass raises |S_k f| in place; every table,
+    whether its exponent came last or not, equals the one built from
+    |S_k f|**r bit for bit."""
+    grid = GridSpec(dim, J)
+    part = build_partition(grid)
+    f = gallery_from_spec(grid, spec)
+    rs = (1.0, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0)
+    together = decompose(f, part)
+    together.analyze(cube_exponents=rs)
+    alone = {r: decompose(f, part) for r in rs}
+    for r, dec in alone.items():
+        dec.analyze(cube_exponents=(r,))
+    for k, piece in enumerate(together.pieces):
+        a = np.abs(piece.values)
+        for r in rs:
+            oracle = CubeMeanTable(grid, a**r)
+            for dec in (together, alone[r]):
+                table = dec.cube_table(k, r)
+                for level in range(grid.l_max + 1):
+                    assert np.array_equal(table.means(level), oracle.means(level)), (k, r, level)
