@@ -76,7 +76,6 @@ from .norms import (
 from .paraproducts import (
     ProductReport,
     multiplier_lower_bound,
-    paraproduct,
     product_report,
 )
 from .partition import (

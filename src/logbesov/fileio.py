@@ -51,7 +51,10 @@ def _read(path, fmt: str) -> tuple[dict, np.ndarray]:
         header = {}
     if not isinstance(header, dict) or header.get("format") != fmt:
         raise InvalidInputError(f"{path}: not an .{fmt} file")
-    return header, np.frombuffer(raw[nl + 1 :], dtype="<f8")
+    payload = raw[nl + 1 :]
+    if len(payload) % 8:
+        raise InvalidInputError(f"{path}: payload of {len(payload)} bytes is not a whole number of f64")
+    return header, np.frombuffer(payload, dtype="<f8")
 
 
 def _header_field(path, header: dict, key: str, parse=operator.index, default=None):

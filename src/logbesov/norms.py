@@ -128,15 +128,21 @@ def tl_norm_inf(
 
 def _running_cube_sups(dec: SpectralDecomposition, weights: list[float], q: float) -> list[float]:
     """sup over level-l cubes Q of (mean_Q sum_{k>=l} (weights[k] |S_k f|)^q)^{1/q}
-    for l = 0..min(K_max, l_max), the k-sum run down from K_max; at q = INF
-    the sum is a pointwise max and the sup runs over all samples."""
+    for l = 0..min(K_max, l_max), the k-sum run down from K_max over one
+    pass that makes each piece in turn; at q = INF the sum is a pointwise
+    max and the sup runs over all samples.  A non-finite piece is an
+    `InvalidInputError`, as in `lp_norm`."""
     grid = dec.grid
     l_top = min(dec.k_max, grid.l_max)
     best = [0.0] * (l_top + 1)
     running = np.zeros(grid.shape)
-    pieces = dec.pieces
-    for k in range(dec.k_max, -1, -1):
-        term = weights[k] * np.abs(pieces[k].values)
+    levels = range(dec.k_max, -1, -1)
+    for k, values in zip(levels, dec._values(levels)):
+        # a real piece sits in the pass's own buffer: the term takes its place
+        term = np.abs(values, out=values if values.dtype == np.float64 else None)
+        if not np.isfinite(term.max()):
+            raise InvalidInputError("non-finite samples rejected")
+        np.multiply(weights[k], term, out=term)
         if is_inf(q):
             np.maximum(running, term, out=running)
         else:

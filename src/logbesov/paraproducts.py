@@ -35,49 +35,31 @@ def _pi2_terms(piece_f, piece_g, levels, k_max: int):
                 yield piece_f(j) * g_k
 
 
-def paraproduct(
-    f: SampledFunction,
-    g: SampledFunction,
-    partition: DyadicPartition,
-    which: int | Sequence[int],
-    *,
-    dec_f: SpectralDecomposition | None = None,
-    dec_g: SpectralDecomposition | None = None,
-) -> SampledFunction | list[SampledFunction]:
-    """One of the three paraproducts of the product f g (sums truncated at
-    K_max):
+def _paraproducts(dec_f: SpectralDecomposition, dec_g: SpectralDecomposition) -> list[SampledFunction]:
+    """The three paraproducts of the product f g (sums truncated at K_max):
 
         1: sum_{k>=2} (S^{k-2} f)(S_k g)   (low-high)
         2: sum_k sum_{|i|<=1} (S_{k+i} f)(S_k g)   (comparable)
         3: sum_{k>=2} (S_k f)(S^{k-2} g)   (high-low)
 
-    `which` is one of 1, 2, 3, giving that paraproduct, or a sequence of
-    them, giving one per entry; all read one piece list of f and one of g.
-    """
-    single = not isinstance(which, Sequence)
-    whiches = [which] if single else list(which)
-    if any(w not in (1, 2, 3) for w in whiches):
-        raise InvalidInputError("which must be 1, 2, or 3")
-    pieces_f = _ensure_decomposition(f, partition, dec_f).pieces
-    pieces_g = _ensure_decomposition(g, partition, dec_g).pieces
-    parts = [_paraproduct(pieces_f, pieces_g, w) for w in whiches]
-    return parts[0] if single else parts
-
-
-def _paraproduct(pieces_f: list[SampledFunction], pieces_g: list[SampledFunction], which: int) -> SampledFunction:
-    """`paraproduct` from the piece lists of f and g."""
-    grid, k_max = pieces_f[0].grid, len(pieces_f) - 1
-    total = np.zeros(grid.shape, dtype=np.complex128)
-    if which == 2:
-        terms = _pi2_terms(lambda j: pieces_f[j].values, lambda k: pieces_g[k].values, range(k_max + 1), k_max)
-        return SampledFunction(grid, sum(terms, total))
-    # Pi1, Pi3: one running partial sum S^{k-2} of the low factor; f stays on the left.
-    low, high = (pieces_f, pieces_g) if which == 1 else (pieces_g, pieces_f)
-    partial = np.zeros(grid.shape, dtype=np.complex128)
-    for k in range(2, k_max + 1):
-        partial += low[k - 2].values
-        total += partial * high[k].values if which == 1 else high[k].values * partial
-    return SampledFunction(grid, total)
+    from one ascending pass that makes each piece once: step k holds
+    S_{k-2..k+1} f and S_{k-2..k} g, and Pi1, Pi3 keep one running partial
+    sum S^{k-2} of their low factor (f stays on the left)."""
+    grid, k_max = dec_f.grid, dec_f.k_max
+    pi1, pi2, pi3, low_f, low_g = (np.zeros(grid.shape, dtype=np.complex128) for _ in range(5))
+    f, g = {0: dec_f._piece(0)}, {}
+    for k in range(k_max + 1):
+        if k < k_max:
+            f[k + 1] = dec_f._piece(k + 1)
+        g[k] = dec_g._piece(k)
+        for term in _pi2_terms(f.__getitem__, g.__getitem__, (k,), k_max):
+            pi2 += term
+        if k >= 2:
+            low_f += f.pop(k - 2)
+            low_g += g.pop(k - 2)
+            pi1 += low_f * g[k]
+            pi3 += f[k] * low_g
+    return [SampledFunction(grid, total) for total in (pi1, pi2, pi3)]
 
 
 def pi2_summand(
@@ -116,13 +98,14 @@ def product_report(
     f: SampledFunction, g: SampledFunction, partition: DyadicPartition
 ) -> ProductReport:
     """Decompose f g and report ||Pi1+Pi2+Pi3 - f g||_2 / ||f g||_2; the
-    three paraproducts read one piece list of f and one of g."""
-    parts = paraproduct(f, g, partition, (1, 2, 3))
+    three paraproducts come from one pass that makes each piece of f and
+    of g once."""
+    pi1, pi2, pi3 = _paraproducts(decompose(f, partition), decompose(g, partition))
     fg = f * g
-    err = lp_norm(parts[0] + parts[1] + parts[2] - fg, 2.0)
+    err = lp_norm(pi1 + pi2 + pi3 - fg, 2.0)
     denom = lp_norm(fg, 2.0)
     residual = err / denom if denom > 0 else err
-    return ProductReport(parts[0], parts[1], parts[2], residual)
+    return ProductReport(pi1, pi2, pi3, residual)
 
 
 def _norms_on_one_decomposition(g: SampledFunction, partition: DyadicPartition, params_list) -> list[float]:

@@ -27,17 +27,18 @@ the first inverse pass runs over the box's rows (full layout) or columns
 follow numpy's order, so a complex piece is bit-identical to
 `np.fft.ifftn(symbol * fftn(f))`.
 
-`SpectralDecomposition` keeps the forward coefficients of one function, not
-its pieces.  A pass makes S_0 f, ..., S_K_max f in turn into one set of
-buffers that lives as long as the pass (boxed multiply, pruned inverse
-passes) and, while a piece exists, fills from one |S_k f| every reduction
-asked for: the sup norm, the L^p norms of given exponents and, per
-exponent r, the all-levels `CubeMeanTable` of |S_k f|^r.  The reductions
-are cached, so terms called on one decomposition share them; a consumer
-that asks for all it needs up front (`verdict`, the lower bound's Besov
-norms) makes one pass.  Consumers of whole arrays (the paraproducts,
-`tl_norm_inf`) read `pieces`, which builds the list anew instead of
-pinning it; `pi2_summand` makes only the four pieces it reads.
+`SpectralDecomposition(partition, coeffs)` keeps the forward coefficients
+of one function, not its pieces.  A pass makes the pieces S_k f of the
+levels it reads, in its order, into one set of buffers that lives as long
+as the pass (boxed multiply, pruned inverse passes).  `analyze` runs one
+ascending pass and, while a piece exists, fills from one |S_k f| every
+reduction asked for: the sup norm, the L^p norms of given exponents and,
+per exponent r, the all-levels `CubeMeanTable` of |S_k f|^r.  The
+reductions are cached, so terms called on one decomposition share them; a
+consumer that asks for all it needs up front (`verdict`, the lower bound's
+Besov norms) makes one pass.  `tl_norm_inf` runs its own descending pass,
+and the paraproducts make each piece once into its own array and hold a
+window of a few levels; `pi2_summand` makes only the four pieces it reads.
 """
 
 from __future__ import annotations
@@ -236,7 +237,8 @@ def partial_sum(f: SampledFunction, partition: DyadicPartition, k: int) -> Sampl
 
 class SpectralDecomposition:
     """The frequency pieces (S_0 f, ..., S_K_max f) of one function, kept as
-    its forward coefficients.
+    its forward coefficients `coeffs` (`rfftn` half spectrum for real
+    samples, else the full `fftn` one).
 
     `analyze` makes each piece in turn into reused buffers and, from one
     |S_k f|, fills every reduction asked for: the sup norm, the L^p norms
@@ -244,17 +246,11 @@ class SpectralDecomposition:
     of the object, so every term that reads one decomposition shares them;
     a reduction not yet filled costs one more pass over the pieces.
     `pieces` builds the whole list anew on each access.
-
-    `SpectralDecomposition(partition, pieces)` holds the given pieces instead
-    and reads its coefficients off their sum.
     """
 
-    def __init__(self, partition: DyadicPartition, pieces: list[SampledFunction] | None = None, *, coeffs=None):
-        if (pieces is None) == (coeffs is None):
-            raise TypeError("give either the pieces or the coefficients")
+    def __init__(self, partition: DyadicPartition, coeffs: np.ndarray):
         self.partition = partition
-        self._given = None if pieces is None else list(pieces)
-        self.coeffs = _forward(sum(p.values for p in self._given)) if coeffs is None else coeffs
+        self.coeffs = coeffs
         self._sup_norms = None
         self._lp_norms = {}  # p -> read-only array over k
         self._tables = {}  # (k, r) -> CubeMeanTable of |S_k f|^r
@@ -268,23 +264,21 @@ class SpectralDecomposition:
     def k_max(self) -> int:
         return self.partition.k_max
 
-    def _values(self, reuse: bool):
-        """S_0 f, ..., S_K_max f in turn; with `reuse`, every one is made in
-        the buffers of the first, which live as long as the pass."""
-        bufs = _synthesis_buffers(self.grid, self.coeffs) if reuse and self._given is None else None
-        for k in range(self.k_max + 1):
+    def _values(self, levels=None):
+        """S_k f for k in `levels` (default 0..K_max ascending) in turn, every
+        one made in the buffers of the first, which live as long as the pass."""
+        bufs = _synthesis_buffers(self.grid, self.coeffs)
+        for k in range(self.k_max + 1) if levels is None else levels:
             yield self._piece(k, bufs)
 
     def _piece(self, k: int, bufs=None) -> np.ndarray:
         """S_k f, real for a real f, made in `bufs` or in new arrays."""
-        if self._given is not None:
-            return self._given[k].values
         return self.partition._synthesize(self.coeffs, k, False, bufs)
 
     @property
     def pieces(self) -> list[SampledFunction]:
         """S_0 f, ..., S_K_max f as full arrays, built anew on each access."""
-        return [SampledFunction(self.grid, v) for v in self._values(reuse=False)]
+        return [SampledFunction(self.grid, self._piece(k)) for k in range(self.k_max + 1)]
 
     def analyze(self, cube_exponents=(), lp_exponents=()) -> None:
         """One pass over the pieces fills the sup norms, ||S_k f||_p for
@@ -296,7 +290,7 @@ class SpectralDecomposition:
         if self._sup_norms is not None and not rs and not ps:
             return
         sups, norms, tables = [], {p: [] for p in ps}, {}
-        for k, values in enumerate(self._values(reuse=True)):
+        for k, values in enumerate(self._values()):
             # a real piece sits in this pass's own buffer: |S_k f| takes its place
             a = np.abs(values, out=values if values.dtype == np.float64 else None)
             sups.append(a.max())
@@ -342,7 +336,7 @@ def decompose(f: SampledFunction, partition: DyadicPartition) -> SpectralDecompo
     """The decomposition of f: its forward coefficients, pieces made on demand."""
     if f.grid != partition.grid:
         raise InvalidInputError("function and partition live on different grids")
-    return SpectralDecomposition(partition, coeffs=_forward(f.values))
+    return SpectralDecomposition(partition, _forward(f.values))
 
 
 def _ensure_decomposition(f, partition, dec) -> SpectralDecomposition:

@@ -234,6 +234,31 @@ def test_norm_verb_tl_and_diff(capsys):
     assert payload["value"] > 1.0
 
 
+
+@pytest.mark.parametrize("space", ["tl", "besov"])
+def test_norm_verb_rejects_nonfinite_samples(space, capsys, tmp_path):
+    """One NaN sample of a `.sfn` input exits 2 with only the error line,
+    for the p = inf Triebel-Lizorkin norm as for the Besov norm."""
+    f = make_indicator(GridSpec(1, 10), "cube")
+    f.values[3] = float("nan")
+    path = tmp_path / "f.sfn"
+    save_sfn(path, f)
+    assert main(["norm", "--space", space, "--b", "1", "--q", "2", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-finite samples rejected\n"
+
+
+def test_truncated_payload_exits_2(capsys, tmp_path):
+    """An `.sfn` payload cut inside a float64 exits 2 with only the error line."""
+    path = tmp_path / "f.sfn"
+    save_sfn(path, make_indicator(GridSpec(1, 10), "cube"))
+    path.write_bytes(path.read_bytes()[:-3])
+    assert main(["norm", "--space", "tl", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 def test_charfun_verb(capsys):
     code = main(["--grid", "J=12", "charfun", "--shape", "cube"])
     assert code == 0

@@ -66,3 +66,15 @@ def test_allowlist_entries_exist_and_lack_consumers():
     """Each allowlisted name is still defined and still has no consumer, so
     the list cannot outlive the reason for an entry."""
     assert sorted(name.split(".")[1] for name in _unconsumed()) == sorted(ALLOWED)
+
+
+def test_only_partition_reads_the_whole_piece_list():
+    """Every consumer streams the pieces: no module but `partition` reads
+    the attribute `pieces`, which holds all K_max + 1 arrays at once."""
+    readers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "partition.py"
+        and any(isinstance(node, ast.Attribute) and node.attr == "pieces" for node in ast.walk(ast.parse(path.read_text())))
+    ]
+    assert readers == []

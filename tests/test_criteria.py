@@ -16,9 +16,9 @@ from logbesov.errors import InvalidInputError
 from logbesov.gallery import make_exponential, make_indicator
 import logbesov.criteria as criteria
 from logbesov.cubes import CubeMeanTable
-from logbesov.grid import INF, GridSpec, SampledFunction, make_constant, random_band_limited
+from logbesov.grid import INF, GridSpec, make_constant, random_band_limited
 from logbesov.norms import tl_norm_inf
-from logbesov.partition import SpectralDecomposition, build_partition, decompose
+from logbesov.partition import SpectralDecomposition, _box_top, build_partition, decompose
 
 
 # --- sufficiency terms -----------------------------------------------------
@@ -227,12 +227,17 @@ def test_verdict_invalid_on_nonfinite_term(part10, monkeypatch, p, term):
 
 def test_nonfinite_piece_noted_by_every_term(part10):
     """A NaN piece reaches every term's per_level; each note flags it and
-    every verdict is INVALID."""
+    every verdict is INVALID.  The one NaN coefficient lies in the top
+    level's box only, so S_K_max f is the one non-finite piece."""
     g = part10.grid
     f = make_indicator(g, "cube")
-    pieces = list(decompose(f, part10).pieces)
-    pieces[3] = SampledFunction(g, np.full(g.shape, np.nan, dtype=np.complex128))
-    dec = SpectralDecomposition(part10, pieces)
+    coeffs = decompose(f, part10).coeffs.copy()
+    m = _box_top(part10.k_max - 1) + 1  # outside every lower level's box
+    assert m <= _box_top(part10.k_max) and m < coeffs.shape[-1]
+    coeffs[m] = np.nan
+    dec = SpectralDecomposition(part10, coeffs)
+    finite = [bool(np.isfinite(dec._piece(k)).all()) for k in range(part10.k_max + 1)]
+    assert finite == [True] * part10.k_max + [False]
     reports = [
         suff_term2(f, part10, 1.0, 0.5, dec=dec),
         suff_term2(f, part10, 2.0, 0.5, dec=dec),

@@ -43,6 +43,20 @@ def test_sfn_rejects_garbage(tmp_path):
             load_sfn(path)
 
 
+
+@pytest.mark.parametrize("fmt, header", [
+    ("sfn", b'{"format": "sfn", "dim": 1, "J": 8}'),
+    ("dpu", b'{"format": "dpu", "kind": "radial", "dim": 1, "J": 8, "K_max": 6}'),
+])
+@pytest.mark.parametrize("extra", [1, 7])
+def test_payload_not_whole_f64_is_input_error(tmp_path, fmt, header, extra):
+    """A payload whose byte length is not a multiple of 8 is cut short: an
+    input error, not numpy's buffer-size `ValueError`."""
+    path = tmp_path / f"cut.{fmt}"
+    path.write_bytes(header + b"\n" + b"\x00" * (16 * 256 + extra))
+    with pytest.raises(InvalidInputError, match="not a whole number of f64"):
+        (load_sfn if fmt == "sfn" else load_dpu)(path)
+
 @pytest.mark.parametrize(
     "header",
     [

@@ -139,6 +139,18 @@ def test_tl_q_monotone(part10, rng):
     assert v1 >= v2 * (1 - 1e-12)
 
 
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the FFT of an inf sample
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("q", [1.0, 2.0, INF])
+def test_tl_rejects_nonfinite_samples(part10, bad, q):
+    """One non-finite sample makes every piece non-finite: rejected as
+    `lp_norm` rejects it, not returned as a NaN value."""
+    values = make_constant(part10.grid, 1.0).values.copy()
+    values[7] = bad
+    with pytest.raises(InvalidInputError, match="non-finite samples rejected"):
+        tl_norm_inf(SampledFunction(part10.grid, values), part10, 0.0, 1.0, q)
+
 # --- modulus of smoothness -------------------------------------------------------
 
 

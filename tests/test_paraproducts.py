@@ -7,7 +7,6 @@ from logbesov.grid import INF, SampledFunction, band_energy_fraction, lp_norm, m
 from logbesov.norms import BesovParams, besov_norm
 from logbesov.paraproducts import (
     multiplier_lower_bound,
-    paraproduct,
     pi2_summand,
     product_report,
 )
@@ -45,9 +44,8 @@ def test_separated_exponentials_pure_pi3(part12):
     m, j = 8, 4
     f = make_exponential(g, (1 << m,))
     h = make_exponential(g, (1 << j,))
-    p1 = paraproduct(f, h, part12, 1)
-    p2 = paraproduct(f, h, part12, 2)
-    p3 = paraproduct(f, h, part12, 3)
+    rep = product_report(f, h, part12)
+    p1, p2, p3 = rep.pi1, rep.pi2, rep.pi3
     fg = f * h
     assert lp_norm(p1, INF) < 1e-10
     assert lp_norm(p2, INF) < 1e-10
@@ -58,7 +56,7 @@ def test_exponentials_same_level_pure_pi2(part12):
     g = part12.grid
     f = make_exponential(g, (1 << 6,))
     h = make_exponential(g, (-(1 << 6),))
-    p2 = paraproduct(f, h, part12, 2)
+    p2 = product_report(f, h, part12).pi2
     assert np.abs(p2.values - 1.0).max() < 1e-10
 
 
@@ -104,7 +102,7 @@ def test_pi1_besov_bound(part10):
         local = np.random.default_rng(300 + trial)
         f = band_limited(g, band, local)
         h = band_limited(g, band, local)
-        val = besov_norm(paraproduct(f, h, part10, 1), part10, params).value
+        val = besov_norm(product_report(f, h, part10).pi1, part10, params).value
         ratios.append(val / (lp_norm(f, INF) * besov_norm(h, part10, params).value))
     assert max(ratios) < 3.0
     assert max(ratios) / min(ratios) < 5.0
@@ -201,6 +199,7 @@ def test_paraproducts_match_defining_sums(dim, J, shape):
         2: sum(pi2_summand(f, h, part, k).values for k in range(part.k_max + 1)),
         3: sum(project(f, part, k).values * partial_sum(h, part, k - 2).values for k in levels),
     }
+    rep = product_report(f, h, part)
     for which, oracle in oracles.items():
-        got = paraproduct(f, h, part, which).values
+        got = getattr(rep, f"pi{which}").values
         assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()

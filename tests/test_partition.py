@@ -157,7 +157,7 @@ def test_boxed_symbols_match_full_lattice(dim, kind, data):
     f = random_band_limited(g, 2.0 ** (g.k_max - 1), np.random.default_rng(data.draw(st.integers(0, 9999))))
     dec = decompose(f, part)
     pieces = dec.pieces
-    streamed = [values.copy() for values in dec._values(reuse=True)]
+    streamed = [values.copy() for values in dec._values()]
     coeffs = np.fft.fftn(f.values)
     prev = None
     for k in range(part.k_max + 1):
@@ -265,7 +265,7 @@ def test_decomposition_caches_are_not_parameters():
     f = make_indicator(GridSpec(1, 6), "cube")
     dec = decompose(f, build_partition(f.grid))
     with pytest.raises(TypeError):
-        SpectralDecomposition(dec.partition, dec.pieces, _tables={})
-    fresh = SpectralDecomposition(dec.partition, dec.pieces)
+        SpectralDecomposition(dec.partition, dec.coeffs, _tables={})
+    fresh = SpectralDecomposition(dec.partition, dec.coeffs)
     assert fresh.cube_table(0, 2.0) is fresh.cube_table(0, 2.0)
     assert fresh.cube_table(0, 2.0) is not dec.cube_table(0, 2.0)

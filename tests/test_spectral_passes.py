@@ -13,8 +13,8 @@ from logbesov.cubes import CubeMeanTable
 from logbesov.experiments import ExperimentConfig, run_exp_growth
 from logbesov.gallery import expo7_family, gallery_from_spec, make_exponential, make_indicator
 from logbesov.grid import INF, GridSpec, SampledFunction, band_energy_fraction, lp_norm, make_constant
-from logbesov.norms import BesovParams, besov_norm
-from logbesov.paraproducts import multiplier_lower_bound, paraproduct, pi2_summand, product_report
+from logbesov.norms import BesovParams, besov_norm, tl_norm_inf
+from logbesov.paraproducts import multiplier_lower_bound, pi2_summand, product_report
 from logbesov.partition import PartitionKind, build_partition, decompose
 
 FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
@@ -208,21 +208,86 @@ def test_real_input_verdict_peaks_below_complex_input():
     assert peaks[0] < peaks[1]
 
 
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("q", [2.0, INF])
+def test_tl_norm_streams_its_pieces(q):
+    """`tl_norm_inf` runs its descending sum over one pass: at 1D J=16 on a
+    given decomposition it peaks below 8 complex lattice arrays (about 17
+    when it read the whole piece list)."""
+    grid = GridSpec(1, 16)
+    part = build_partition(grid)
+    for k in range(part.k_max + 1):
+        part.symbol(k)
+    f = make_indicator(grid, "cube")
+    dec = decompose(f, part)
+    assert _traced_peak(lambda: tl_norm_inf(f, part, 0.0, 1.0, q, dec=dec)) < 8 * f.values.nbytes
+
+
+def test_product_report_holds_a_window_of_pieces():
+    """The paraproduct pass holds a few pieces at a time: `product_report`
+    at 1D J=16 peaks below 16 complex lattice arrays (35 when both piece
+    lists were held)."""
+    grid = GridSpec(1, 16)
+    part = build_partition(grid)
+    for k in range(part.k_max + 1):
+        part.symbol(k)
+    f = make_indicator(grid, "cube")
+    g = gallery_from_spec(grid, "exp:m=5")
+    assert _traced_peak(lambda: product_report(f, g, part)) < 16 * f.values.nbytes
+
+def _whole_list_paraproducts(dec_f, dec_g) -> list[np.ndarray]:
+    """Pi1, Pi2, Pi3 from the whole piece lists of f and g, each sum taken in
+    the order of the streamed pass."""
+    pf, pg = [u.values for u in dec_f.pieces], [u.values for u in dec_g.pieces]
+    n = len(pf)
+    zero = np.zeros(pf[0].shape, dtype=np.complex128)
+    pi2 = sum((pf[j] * pg[k] for k in range(n) for j in (k - 1, k, k + 1) if 0 <= j < n), zero)
+    pi1 = pi3 = low_f = low_g = zero
+    for k in range(2, n):
+        low_f, low_g = low_f + pf[k - 2], low_g + pg[k - 2]
+        pi1, pi3 = pi1 + low_f * pg[k], pi3 + pf[k] * low_g
+    return [pi1, pi2, pi3]
+
+
 def test_product_report_reads_each_piece_list_once(monkeypatch):
-    """The three paraproducts of one report share one piece list of f and
-    one of g: 2 (K_max + 1) inverse FFTs, not 6 (K_max + 1), and the same
-    paraproducts bit for bit."""
+    """The three paraproducts of one report come from one pass that makes
+    each piece of f and of g once, S_{k+1} f ahead of S_k g: 2 forward and
+    2 (K_max + 1) inverse FFTs, not 6 (K_max + 1), and the paraproducts of
+    the whole piece lists bit for bit."""
     grid = GridSpec(1, 12)
     part = build_partition(grid)
     f = make_indicator(grid, "cube")
     g = make_exponential(grid, (5,))
-    want = [paraproduct(f, g, part, which) for which in (1, 2, 3)]
+    want = _whole_list_paraproducts(decompose(f, part), decompose(g, part))
     calls = _count_ffts(monkeypatch)
     report = product_report(f, g, part)
     n = part.k_max + 1
-    assert calls == ["rfftn"] + ["irfft"] * n + ["fftn"] + ["ifft"] * n
+    assert calls == ["rfftn", "fftn", "irfft"] + ["irfft", "ifft"] * (n - 1) + ["ifft"]
     for got, ref in zip((report.pi1, report.pi2, report.pi3), want):
-        assert np.array_equal(got.values, ref.values)
+        assert np.array_equal(got.values, ref)
+
+
+@pytest.mark.parametrize("specs", [("exp:m=3", "cube"), ("cube", "halfspace"), ("bump:l=3", "exp:m=4")])
+@pytest.mark.parametrize("dim, J", [(1, 10), (2, 7)])
+def test_streamed_paraproducts_match_the_whole_piece_lists(dim, J, specs):
+    """Real and complex factors in either slot, in 1D and 2D: the streamed
+    pass gives the paraproducts of the whole piece lists bit for bit."""
+    grid = GridSpec(dim, J)
+    part = build_partition(grid)
+    f, g = (gallery_from_spec(grid, spec) for spec in specs)
+    want = _whole_list_paraproducts(decompose(f, part), decompose(g, part))
+    report = product_report(f, g, part)
+    for got, ref in zip((report.pi1, report.pi2, report.pi3), want):
+        assert np.array_equal(got.values, ref)
 
 
 @pytest.mark.parametrize("spec", ["cube", "exp:m=5"])
