@@ -27,6 +27,7 @@ from .grid import GridSpec, SampledFunction, _read_only, check_exponent, is_inf
 
 PI = math.pi
 _EPS = 1e-9
+_BAND = 16  # cube rows `_reduce` sums at a time in 2D
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,21 @@ def level_boundaries(grid: GridSpec, level: int) -> np.ndarray:
 
 
 def _reduce(data: np.ndarray, bounds: np.ndarray, dim: int) -> np.ndarray:
-    """Sums over the index boxes between consecutive `bounds` on every axis."""
-    block = data[(slice(bounds[0], bounds[-1]),) * dim]
-    for axis in range(dim):
-        block = np.add.reduceat(block, bounds[:-1] - bounds[0], axis=axis)
-    return block
+    """Sums over the index boxes between consecutive `bounds` on every axis.
+
+    In 2D the first axis is summed `_BAND` cubes at a time, so the one-axis
+    sums held at once span `_BAND` cube rows, not all of them; every box is
+    summed as in one pass, row after row, then along the second axis."""
+    window = slice(bounds[0], bounds[-1])
+    idx = bounds[:-1] - bounds[0]
+    if dim == 1:
+        return np.add.reduceat(data[window], idx)
+    sums = np.empty((idx.size, idx.size), dtype=data.dtype)
+    for i in range(0, idx.size, _BAND):
+        band = bounds[i : i + _BAND + 1]
+        rows = np.add.reduceat(data[band[0] : band[-1], window], band[:-1] - band[0], axis=0)
+        np.add.reduceat(rows, idx, axis=1, out=sums[i : i + _BAND])
+    return sums
 
 
 @functools.cache

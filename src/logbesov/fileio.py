@@ -2,8 +2,10 @@
 
 Both are a single UTF-8 JSON header line (newline-terminated) followed by a
 raw little-endian float64 payload.  `.sfn` interleaves (re, im) pairs of the
-row-major samples; `.dpu` concatenates the per-level symbol arrays (FFT
-frequency layout, row-major), k = 0..K_max.
+row-major samples, with im = 0 for a real function; the reader returns real
+(`float64`) samples when every im is zero, as `SampledFunction` stores them.
+`.dpu` concatenates the per-level symbol arrays (FFT frequency layout,
+row-major), k = 0..K_max.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ def _write(path, header: dict, payloads) -> None:
 def save_sfn(path, f: SampledFunction) -> None:
     header = {"format": "sfn", "dim": f.grid.dim, "J": f.grid.log2_samples}
     flat = f.values.reshape(-1)
-    payload = np.empty(2 * flat.size, dtype="<f8")
+    payload = np.zeros(2 * flat.size, dtype="<f8")
     payload[0::2] = flat.real
-    payload[1::2] = flat.imag
+    if np.iscomplexobj(flat):
+        payload[1::2] = flat.imag
     _write(path, header, [payload])
 
 
@@ -66,13 +69,17 @@ def _header_field(path, header: dict, key: str, parse=operator.index, default=No
 
 
 def load_sfn(path) -> SampledFunction:
+    """The sampled function of an `.sfn` file: real samples in a new
+    `float64` array when every im is zero, else a read-only `complex128`
+    view of the file's payload."""
     header, payload = _read(path, "sfn")
     grid = GridSpec(_header_field(path, header, "dim"), _header_field(path, header, "J"))
     expected = 2 * grid.n_samples**grid.dim
     if payload.size != expected:
         raise InvalidInputError(f"{path}: payload has {payload.size} f64, expected {expected}")
-    values = payload[0::2] + 1j * payload[1::2]
-    return SampledFunction(grid, values)
+    # the (re, im) pairs read as complex128 in place; SampledFunction keeps
+    # the real part alone when every im is zero
+    return SampledFunction(grid, payload.view("<c16"))
 
 
 def save_dpu(path, partition: DyadicPartition) -> None:

@@ -65,10 +65,9 @@ def make_indicator(grid: GridSpec, shape="cube") -> SampledFunction:
     for a, b in bounds:
         if not (-PI <= a < b <= PI):
             raise DomainError(f"rectangle [{a}, {b}) not inside [-pi, pi)")
-    mask = np.ones(grid.shape, dtype=bool)
-    for (a, b), x in zip(bounds, grid.points()):
-        mask &= np.broadcast_to((x >= a) & (x < b), grid.shape)
-    return SampledFunction(grid, mask.astype(np.complex128))
+    x = grid.axis()
+    factors = [((x >= a) & (x < b)).astype(np.float64) for a, b in bounds]
+    return SampledFunction(grid, functools.reduce(np.multiply.outer, factors))
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +225,19 @@ def _cis(t: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.exp(np.multiply(1j, t, out=out), out=out)
 
 
-def _dyadic_wave_sums(grid: GridSpec, tables, wave, dtype) -> list[np.ndarray]:
+def _dyadic_wave_sums(grid: GridSpec, tables, wave, dtype, sum_dtype=np.complex128) -> list[np.ndarray]:
     """For each mapping j -> c of `tables`, the sum of c wave(2^j x_1) on the
     grid, in increasing j; wave(2^j x_1) is made once per distinct level.
     The modulated packets and lacunary series are such sums.
 
     Every level makes its wave in place, `wave(t, out=t)`, in one `dtype`
-    buffer shaped like x_1 and its terms in one lattice buffer, so the loop
-    allocates nothing after its first level.
+    buffer shaped like x_1 and its terms in one `sum_dtype` lattice buffer,
+    so the loop allocates nothing after its first level.
     """
     x1 = grid.points()[0]
     w = np.empty(x1.shape, dtype)
-    term = np.empty(grid.shape, dtype=np.complex128)
-    sums = [np.zeros(grid.shape, dtype=np.complex128) for _ in tables]
+    term = np.empty(grid.shape, dtype=sum_dtype)
+    sums = [np.zeros(grid.shape, dtype=sum_dtype) for _ in tables]
     for j in sorted(set().union(*tables)):
         wave(np.multiply(1 << j, x1, out=w), out=w)
         for vals, table in zip(sums, tables):
@@ -330,11 +329,13 @@ def expo7_family(
 
 
 def make_lacunary(grid: GridSpec, coeffs) -> SampledFunction:
-    """sum_j c_j cos(2^j x_1)."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    """sum_j c_j cos(2^j x_1), summed in `float64` for real c_j."""
+    coeffs = np.asarray(coeffs)
     if coeffs.size > grid.k_max:
         raise LevelOverflowError("too many lacunary levels for this grid")
-    return SampledFunction(grid, _dyadic_wave_sums(grid, [dict(enumerate(coeffs))], np.cos, np.float64)[0])
+    dtype = np.complex128 if np.iscomplexobj(coeffs) else np.float64
+    table = dict(enumerate(coeffs.astype(dtype)))
+    return SampledFunction(grid, _dyadic_wave_sums(grid, [table], np.cos, np.float64, dtype)[0])
 
 
 # ---------------------------------------------------------------------------

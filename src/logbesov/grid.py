@@ -139,13 +139,27 @@ class GridSpec:
 
 @dataclass
 class SampledFunction:
-    """Complex samples of a function on the grid (row-major, shape (N,)*dim)."""
+    """Samples of a function on the grid (row-major, shape (N,)*dim):
+    `float64` exactly when the function is real, else `complex128`.
+
+    Real or integer samples are stored as `float64`; complex samples whose
+    imaginary part is exactly zero are stored as their real part, and any
+    other complex samples as `complex128`.  The dtype is the one place that
+    says whether a function is real: the analysis reads it to choose the
+    half spectrum.  Samples already of the stored dtype are not copied.
+    """
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = np.asarray(self.values)
+        if np.iscomplexobj(vals):
+            vals = vals.astype(np.complex128, copy=False)
+            if not vals.imag.any():
+                vals = np.ascontiguousarray(vals.real)
+        else:
+            vals = vals.astype(np.float64, copy=False)
         if vals.size != self.grid.n_samples**self.grid.dim:
             raise InvalidInputError(
                 f"expected {self.grid.n_samples ** self.grid.dim} samples, got {vals.size}"
@@ -208,12 +222,13 @@ def spectrum(f: SampledFunction) -> np.ndarray:
 
 
 def _forward(values: np.ndarray) -> np.ndarray:
-    """The unnormalized forward transform of complex samples: the `rfftn`
-    half spectrum (last axis m = 0..N/2) when the imaginary part is exactly
-    zero, the full `fftn` spectrum otherwise."""
-    if not values.imag.any():
-        return np.fft.rfftn(values.real)
-    return np.fft.fftn(values)
+    """The unnormalized forward transform of `SampledFunction` samples: the
+    `rfftn` half spectrum (last axis m = 0..N/2) of real (`float64`)
+    samples, the full `fftn` spectrum of complex ones.  An inf sample gives
+    NaN coefficients without a warning; the consumers' finiteness checks
+    reject it."""
+    with np.errstate(invalid="ignore"):
+        return np.fft.fftn(values) if np.iscomplexobj(values) else np.fft.rfftn(values)
 
 
 def synthesize(grid: GridSpec, coeffs: np.ndarray) -> SampledFunction:
@@ -264,7 +279,10 @@ def band_energy_fraction(f: SampledFunction | FrequencyField, radius_lo: float, 
 
 
 def make_constant(grid: GridSpec, value: complex = 1.0) -> SampledFunction:
-    return SampledFunction(grid, np.full(grid.shape, value, dtype=np.complex128))
+    """The constant `value`; a real value (a complex one with zero imaginary
+    part included) fills a `float64` array."""
+    c = complex(value)
+    return SampledFunction(grid, np.full(grid.shape, c.real if c.imag == 0.0 else c))
 
 
 def random_band_limited(

@@ -85,6 +85,25 @@ def _lq_combine(terms: np.ndarray, q: float) -> float:
     return float(np.sum(terms**q) ** (1.0 / q))
 
 
+def _weight(k: int, s: float, b: float, d: float = 0.0) -> float:
+    """The level weight 2^{ks} (1+k)^b [1+ln(1+k)]^d, multiplied in that
+    order.  A weight beyond the float range is an input error naming the
+    parameter that took it there."""
+    w = 1.0
+    for name, value, base, exponent in (
+        ("s", s, 2.0, k * s),
+        ("b", b, 1.0 + k, b),
+        ("d", d, 1.0 + math.log(1.0 + k), d),
+    ):
+        try:
+            w *= base**exponent
+        except OverflowError:
+            w = math.inf
+        if math.isinf(w):
+            raise InvalidInputError(f"{name}={value!r} makes the level-{k} weight overflow")
+    return w
+
+
 def besov_norm(
     f: SampledFunction,
     partition: DyadicPartition,
@@ -97,9 +116,9 @@ def besov_norm(
     The tail diagnostic is the fraction of spectral energy above the top
     resolved annulus (2^{K_max - 1}); for band-limited inputs it is zero.
     """
+    weights = [_weight(k, params.s, params.b) for k in range(partition.k_max + 1)]
     dec = _ensure_decomposition(f, partition, dec)
-    s, b = params.s, params.b
-    per = [2.0 ** (k * s) * (1.0 + k) ** b * norm for k, norm in enumerate(dec.lp_norms(params.p).tolist())]
+    per = [w * norm for w, norm in zip(weights, dec.lp_norms(params.p).tolist())]
     return NormResult(_lq_combine(np.asarray(per), params.q), dec.tail_fraction(), per)
 
 
@@ -120,8 +139,8 @@ def tl_norm_inf(
     """
     check_exponent(q, "q")
     check_finite(s=s, b=b)
+    weights = [_weight(k, s, b) for k in range(partition.k_max + 1)]
     dec = _ensure_decomposition(f, partition, dec)
-    weights = [2.0 ** (k * s) * (1.0 + k) ** b for k in range(partition.k_max + 1)]
     best_per_level = _running_cube_sups(dec, weights, q)
     return NormResult(max(best_per_level), dec.tail_fraction(), best_per_level)
 
@@ -137,16 +156,18 @@ def _running_cube_sups(dec: SpectralDecomposition, weights: list[float], q: floa
     best = [0.0] * (l_top + 1)
     running = np.zeros(grid.shape)
     levels = range(dec.k_max, -1, -1)
+    term = None
     for k, values in zip(levels, dec._values(levels)):
-        # a real piece sits in the pass's own buffer: the term takes its place
-        term = np.abs(values, out=values if values.dtype == np.float64 else None)
+        # the term in a real buffer of the pass: a real piece's own, or one
+        # made by the first complex piece and reused by the rest
+        term = np.abs(values, out=values if values.dtype == np.float64 else term)
         if not np.isfinite(term.max()):
             raise InvalidInputError("non-finite samples rejected")
         np.multiply(weights[k], term, out=term)
         if is_inf(q):
             np.maximum(running, term, out=running)
         else:
-            running += term**q
+            running += np.power(term, q, out=term)
         if k <= l_top:
             sup = running.max() if is_inf(q) else level_cube_means(grid, running, k).max() ** (1.0 / q)
             best[k] = float(sup)
@@ -174,14 +195,17 @@ def _roll_into(out: np.ndarray, x: np.ndarray, shift) -> np.ndarray:
 
 def _difference_norm_grid(f: SampledFunction, shift, m: int, p: float, bufs) -> float:
     """||Delta_h^m f||_p for an integer grid shift (exact torus translation),
-    made in `bufs`: two complex and one real lattice array, overwritten.
+    made in `bufs`: two lattice arrays of the samples' dtype (real for a
+    real f) and one real one, overwritten.
     `modulus` passes one set for all its shifts, so a shift allocates no
     lattice array and its cost does not hinge on whether the allocator
-    hands back fresh pages."""
+    hands back fresh pages.  An inf sample makes NaN differences without a
+    warning; `_abs_lp_norm` rejects them."""
     vals, term, moduli = bufs
     vals.fill(0.0)
-    for j, w in enumerate(_binomial_weights(m)):
-        vals += np.multiply(w, _roll_into(term, f.values, [-j * s for s in shift]), out=term)
+    with np.errstate(invalid="ignore"):
+        for j, w in enumerate(_binomial_weights(m)):
+            vals += np.multiply(w, _roll_into(term, f.values, [-j * s for s in shift]), out=term)
     return _abs_lp_norm(np.abs(vals, out=moduli), p, f.grid.cell_volume)
 
 
@@ -195,8 +219,7 @@ def _difference_norm_spectral(
     for comp, ms in zip(h, grid.freqs()):
         phase = phase + comp * ms
     mult = (np.exp(1j * phase) - 1.0) ** m
-    vals = np.fft.ifftn(mult * raw_fft)
-    return lp_norm(SampledFunction(grid, vals), p)
+    return _abs_lp_norm(np.abs(np.fft.ifftn(mult * raw_fft)), p, grid.cell_volume)
 
 
 def _shift_candidates_1d(grid: GridSpec, t: float) -> list[tuple[int]]:
@@ -281,11 +304,8 @@ def diffspace_norm(f: SampledFunction, params: DiffParams) -> NormResult:
     dt/t -> ln 2; q = INF takes the sup of the weighted omegas.
     """
     j_top = _dyadic_scale_floor(f.grid)
-    terms = []
-    for j in range(0, j_top + 1):
-        w = 2.0 ** (j * params.s) * (1.0 + j) ** params.b
-        w *= (1.0 + math.log(1.0 + j)) ** params.d
-        terms.append(w * modulus(f, params.m, 2.0**-j, params.p))
+    weights = [_weight(j, params.s, params.b, params.d) for j in range(j_top + 1)]
+    terms = [w * modulus(f, params.m, 2.0**-j, params.p) for j, w in enumerate(weights)]
     arr = np.asarray(terms)
     if is_inf(params.q):
         semi = float(arr.max())

@@ -46,7 +46,8 @@ def _paraproducts(dec_f: SpectralDecomposition, dec_g: SpectralDecomposition) ->
     S_{k-2..k+1} f and S_{k-2..k} g, and Pi1, Pi3 keep one running partial
     sum S^{k-2} of their low factor (f stays on the left)."""
     grid, k_max = dec_f.grid, dec_f.k_max
-    pi1, pi2, pi3, low_f, low_g = (np.zeros(grid.shape, dtype=np.complex128) for _ in range(5))
+    dtype = np.result_type(dec_f.dtype, dec_g.dtype)  # real sums when both functions are real
+    pi1, pi2, pi3, low_f, low_g = (np.zeros(grid.shape, dtype) for _ in range(5))
     f, g = {0: dec_f._piece(0)}, {}
     for k in range(k_max + 1):
         if k < k_max:
@@ -76,7 +77,7 @@ def pi2_summand(
     partition._check_level(k)
     dec_f = _ensure_decomposition(f, partition, dec_f)
     dec_g = _ensure_decomposition(g, partition, dec_g)
-    zero = np.zeros(f.grid.shape, dtype=np.complex128)
+    zero = np.zeros(f.grid.shape)
     return SampledFunction(f.grid, sum(_pi2_terms(dec_f._piece, dec_g._piece, (k,), partition.k_max), zero))
 
 

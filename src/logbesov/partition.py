@@ -16,11 +16,12 @@ per axis).  `symbol` and `cumulative_symbol` expand it to the full lattice
 on each call, bit-identical to evaluating the formula there; `decompose`,
 `project` and `partial_sum` multiply the box by the coefficients only.
 
-The coefficients come in two layouts.  Samples whose imaginary part is
-exactly zero keep the `rfftn` half spectrum (last axis m = 0..N/2): both
+The coefficients come in two layouts, chosen by the dtype of the samples
+(`SampledFunction` stores them as `float64` exactly when they are real).
+Real samples keep the `rfftn` half spectrum (last axis m = 0..N/2): both
 kinds of symbol are even, so every piece of a real function is real and
 is made by `irfft` into a real array, at half the coefficient and buffer
-memory.  Any other samples keep the full `fftn` spectrum and complex
+memory.  Complex samples keep the full `fftn` spectrum and complex
 pieces.  Either way the spectrum of a piece is zero off its box, so in 2D
 the first inverse pass runs over the box's rows (full layout) or columns
 (half layout) only, and only the last pass covers the lattice; the passes
@@ -92,6 +93,10 @@ def generator_profile(r: np.ndarray | float) -> np.ndarray:
     return smoothstep(3.0 - 2.0 * np.asarray(r, dtype=np.float64))
 
 
+# Samples of the level box that `DyadicPartition._box` evaluates at a time.
+_BOX_BLOCK = 1 << 16
+
+
 def _box_top(k: int) -> int:
     """Largest integer M with M < 3/2 2^k: the level-k box is |m_i| <= M."""
     return math.ceil(1.5 * (1 << k)) - 1
@@ -130,22 +135,33 @@ class DyadicPartition:
             self._cache[key] = [tuple(zip(*pairs)) for pairs in itertools.product(*axes)]
         return self._cache[key]
 
-    def _profile(self, k: int, scale: float) -> np.ndarray:
-        """phi_0(xi / scale) on the level-k box."""
-        top = _box_top(k)
-        m = np.concatenate([np.arange(top + 1), np.arange(-top, 0)]).astype(np.float64)
+    def _profile(self, first: np.ndarray, m: np.ndarray, scale: float) -> np.ndarray:
+        """phi_0(xi / scale) on the box rows whose first coordinate is in
+        `first`; every other axis holds the box's coordinates `m`."""
+        axes = [first] + [m] * (self.grid.dim - 1)
         if self.kind is PartitionKind.RADIAL:
-            axes = np.meshgrid(*[m] * self.grid.dim, indexing="ij", sparse=True)
-            return generator_profile(_radius(axes) / scale)
-        prof = generator_profile(np.abs(m) / scale)
-        return functools.reduce(np.multiply.outer, [prof] * self.grid.dim)
+            return generator_profile(_radius(np.meshgrid(*axes, indexing="ij", sparse=True)) / scale)
+        return functools.reduce(np.multiply.outer, [generator_profile(np.abs(a) / scale) for a in axes])
 
     def _box(self, k: int, cumulative: bool) -> np.ndarray:
-        """phi_0(2^-k .) (cumulative) or phi_k on the level-k box."""
+        """phi_0(2^-k .) (cumulative) or phi_k on the level-k box.
+
+        It is evaluated in blocks of rows along the first axis, so the
+        generator's temporaries stay near `_BOX_BLOCK` samples whatever the
+        level; every operation is elementwise, so the blocks change no bit.
+        """
         key = ("cum" if cumulative else "sym", k)
         if key not in self._cache:
-            cum = self._profile(k, float(1 << k))
-            self._cache[key] = cum if cumulative or k == 0 else cum - self._profile(k, float(1 << (k - 1)))
+            top = _box_top(k)
+            m = np.concatenate([np.arange(top + 1), np.arange(-top, 0)]).astype(np.float64)
+            box = np.empty((m.size,) * self.grid.dim)
+            rows = max(1, _BOX_BLOCK // m.size ** (self.grid.dim - 1))
+            for start in range(0, m.size, rows):
+                first, block = m[start : start + rows], box[start : start + rows]
+                block[...] = self._profile(first, m, float(1 << k))
+                if not cumulative and k > 0:
+                    block -= self._profile(first, m, float(1 << (k - 1)))
+            self._cache[key] = box
         return self._cache[key]
 
     def _synthesize(self, coeffs: np.ndarray, k: int, cumulative: bool, bufs=None) -> np.ndarray:
@@ -160,25 +176,27 @@ class DyadicPartition:
         2D the first pass transforms the box's rows (full layout, last axis
         first, as `ifftn`) or its columns (half layout, first axis first, as
         `irfftn`).  Full-layout samples are bit-identical to
-        `np.fft.ifftn(symbol * coeffs)`.
+        `np.fft.ifftn(symbol * coeffs)`.  Non-finite coefficients give
+        non-finite samples without a warning, for the consumers to reject.
         """
         n = self.grid.n_samples
         spec, out = _synthesis_buffers(self.grid, coeffs) if bufs is None else bufs
         half = spec is not out
         spec.fill(0.0)
         box = self._box(k, cumulative)
-        for lattice, sub in self._blocks(k, half):
-            np.multiply(box[sub], coeffs[lattice], out=spec[lattice])
         top = _box_top(k)
-        if self.grid.dim == 2 and half:
-            cols = spec[:, : top + 1]
-            np.fft.ifft(cols, axis=0, out=cols)
-        elif self.grid.dim == 2:
-            for rows in (spec[: top + 1], spec[n - top :]):
-                np.fft.ifft(rows, axis=1, out=rows)
-        if half:
-            return np.fft.irfft(spec, n, axis=-1, out=out)
-        return np.fft.ifft(spec, axis=0, out=spec)
+        with np.errstate(invalid="ignore"):
+            for lattice, sub in self._blocks(k, half):
+                np.multiply(box[sub], coeffs[lattice], out=spec[lattice])
+            if self.grid.dim == 2 and half:
+                cols = spec[:, : top + 1]
+                np.fft.ifft(cols, axis=0, out=cols)
+            elif self.grid.dim == 2:
+                for rows in (spec[: top + 1], spec[n - top :]):
+                    np.fft.ifft(rows, axis=1, out=rows)
+            if half:
+                return np.fft.irfft(spec, n, axis=-1, out=out)
+            return np.fft.ifft(spec, axis=0, out=spec)
 
     def _expand(self, k: int, box: np.ndarray) -> np.ndarray:
         out = np.zeros(self.grid.shape)
@@ -202,11 +220,17 @@ class DyadicPartition:
 
 
 def _synthesis_buffers(grid: GridSpec, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A spectrum buffer shaped like `coeffs` and the samples buffer that
-    `DyadicPartition._synthesize` writes: the spectrum buffer itself for the
-    full layout, a real lattice array for the half layout."""
-    spec = np.empty_like(coeffs)
-    return spec, spec if spec.shape == grid.shape else np.empty(grid.shape)
+    """The spectrum buffer and the samples buffer that
+    `DyadicPartition._synthesize` writes.  For the full layout both are one
+    array shaped like `coeffs`.  For the half layout the spectrum buffer
+    holds only the last-axis columns m = 0..M of the level-K_max box (`irfft`
+    zero-pads the rest, bit for bit as explicit zeros), and the samples
+    buffer is a real lattice array."""
+    if coeffs.shape == grid.shape:
+        spec = np.empty_like(coeffs)
+        return spec, spec
+    spec = np.empty(grid.shape[:-1] + (_box_top(grid.k_max) + 1,), dtype=np.complex128)
+    return spec, np.empty(grid.shape)
 
 
 def build_partition(grid: GridSpec, kind: PartitionKind | str = PartitionKind.RADIAL) -> DyadicPartition:
@@ -218,7 +242,7 @@ def build_partition(grid: GridSpec, kind: PartitionKind | str = PartitionKind.RA
 def _level_multiplier(f: SampledFunction, partition: DyadicPartition, k: int, cumulative: bool):
     """F^{-1}(phi_0(2^-k .) F f) (cumulative) or F^{-1}(phi_k F f); 0 for k < 0."""
     if k < 0:
-        return SampledFunction(f.grid, np.zeros(f.grid.shape, dtype=np.complex128))
+        return SampledFunction(f.grid, np.zeros(f.grid.shape))
     partition._check_level(k)
     if f.grid != partition.grid:
         raise InvalidInputError("function and partition live on different grids")
@@ -264,6 +288,11 @@ class SpectralDecomposition:
     def k_max(self) -> int:
         return self.partition.k_max
 
+    @property
+    def dtype(self) -> np.dtype:
+        """dtype of the pieces: `float64` for a real function (half spectrum)."""
+        return np.dtype(np.complex128 if self.coeffs.shape == self.grid.shape else np.float64)
+
     def _values(self, levels=None):
         """S_k f for k in `levels` (default 0..K_max ascending) in turn, every
         one made in the buffers of the first, which live as long as the pass."""
@@ -290,9 +319,11 @@ class SpectralDecomposition:
         if self._sup_norms is not None and not rs and not ps:
             return
         sups, norms, tables = [], {p: [] for p in ps}, {}
+        a = None
         for k, values in enumerate(self._values()):
-            # a real piece sits in this pass's own buffer: |S_k f| takes its place
-            a = np.abs(values, out=values if values.dtype == np.float64 else None)
+            # |S_k f| in a real buffer of the pass: a real piece's own, or one
+            # made by the first complex piece and reused by the rest
+            a = np.abs(values, out=values if values.dtype == np.float64 else a)
             sups.append(a.max())
             for p in ps:
                 norms[p].append(_abs_lp_norm(a, p, self.grid.cell_volume))

@@ -10,7 +10,7 @@ import logbesov
 from logbesov.cli import main
 from logbesov.fileio import save_sfn
 from logbesov.gallery import make_exponential, make_indicator
-from logbesov.grid import GridSpec
+from logbesov.grid import GridSpec, SampledFunction
 from logbesov.norms import dini_norm
 
 
@@ -247,6 +247,55 @@ def test_norm_verb_rejects_nonfinite_samples(space, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: non-finite samples rejected\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("imag", [0.0, 1.0], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--space", "tl", "--b", "1", "--q", "2"],
+        ["norm", "--space", "besov", "--b", "1", "--p", "2", "--q", "2"],
+        ["norm", "--space", "dini", "--p", "2"],
+        ["criteria", "--p", "2", "--b", "0.5"],
+        ["criteria", "--p", "inf", "--b", "0.5"],
+    ],
+)
+def test_inf_sample_exits_2_with_only_the_error_line(argv, imag, capsys, tmp_path):
+    """One inf sample of a `.sfn` input, in a real or a complex function,
+    exits 2 with the error line alone on stderr: no numpy warning comes
+    first (warnings fail this test)."""
+    f = make_indicator(GridSpec(1, 10), "cube")
+    values = f.values + 1j * imag
+    values[3] = float("inf")
+    path = tmp_path / "f.sfn"
+    save_sfn(path, SampledFunction(f.grid, values))
+    assert main(argv + ["--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-finite samples rejected\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["norm", "--space", "tl", "--s", "200"], "s"),
+        (["norm", "--space", "besov", "--s", "200", "--p", "2"], "s"),
+        (["norm", "--space", "tl", "--b", "1e6"], "b"),
+        (["norm", "--space", "besov", "--b", "1e300", "--p", "2"], "b"),
+        (["norm", "--space", "diff", "--d", "1e6", "--p", "2"], "d"),
+        (["lowerbound", "--f", "cube", "--family", "packets:m=3", "--p", "2", "--b", "1e6"], "b"),
+    ],
+)
+def test_weight_overflow_exits_2_naming_the_parameter(argv, name, capsys):
+    """A smoothness parameter whose level weight 2^{ks} (1+k)^b overflows a
+    float is an input error naming it, not an `OverflowError` traceback."""
+    gallery = [] if argv[0] == "lowerbound" else ["--gallery", "cube"]
+    assert main(["--grid", "J=8"] + argv + gallery) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name}=") and "overflow" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_truncated_payload_exits_2(capsys, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logbesov import cubes as cubes_mod
 from logbesov.cubes import (
     CubeMeanTable,
     DyadicCube,
@@ -102,3 +103,19 @@ def test_level_cube_means_2d(grid2d, rng):
     lo, hi = level_index_range(0)
     direct = cube_mean_power(f, DyadicCube(0, (lo, hi)), 1.0)
     assert means[0, -1] == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("J", [7, 10])
+def test_2d_cube_bands_change_no_bit(J, monkeypatch):
+    """The 2D reduction sums a few cube rows at a time: one row at a time
+    gives the same table and level means, bit for bit, as all at once."""
+    grid = GridSpec(2, J)
+    data = np.random.default_rng(J).random(grid.shape)
+    levels = range(grid.l_max + 1)
+    monkeypatch.setattr(cubes_mod, "_BAND", 1 << 30)
+    table = CubeMeanTable(grid, data)
+    expected = [(table.means(l), level_cube_means(grid, data, l)) for l in levels]
+    monkeypatch.setattr(cubes_mod, "_BAND", 1)
+    table = CubeMeanTable(grid, data)
+    for l, (means, single) in zip(levels, expected):
+        assert np.array_equal(table.means(l), means) and np.array_equal(level_cube_means(grid, data, l), single)
