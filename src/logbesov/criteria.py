@@ -22,6 +22,7 @@ numerical indicators for the verdict, not proofs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -111,28 +112,43 @@ def _report(
     )
 
 
-def _low_high_row(dec: SpectralDecomposition, r: float, b: float, l: int, k: int):
-    """Low-high row ((1+l)/(1+k))^b (mean_Q |S_k f|^r)^{1/r} over the level-l
-    cubes Q; at r = inf the scalar ((1+l)/(1+k))^b ||S_k f||_inf.  The weight
-    goes through NumPy's power: where that is vectorized, Python's `**` can
-    differ from it in the last bit."""
+@contextlib.contextmanager
+def _weights(b: float):
+    """Level weights computed inside are checked: one beyond the float range
+    is an input error naming b, as `norms._weight` reports it, not a numpy
+    warning before an INVALID report."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise InvalidInputError(f"b={b!r} makes a level weight overflow") from None
+
+
+def _low_high_row(dec: SpectralDecomposition, r: float, weight: float, l: int, k: int):
+    """Low-high row `weight` (mean_Q |S_k f|^r)^{1/r} over the level-l cubes
+    Q; at r = inf the scalar `weight` ||S_k f||_inf."""
     means = dec.sup_norms()[k] if is_inf(r) else dec.cube_table(k, r).means(l) ** (1.0 / r)
-    return np.power((1.0 + l) / (1.0 + k), b) * means
+    return weight * means
 
 
 def _low_high_levels(dec: SpectralDecomposition, r: float, b: float, per_cube: bool):
-    """Low-high family: the rows of `_low_high_row` for k >= l, accumulated in
-    ascending k.  Level l reads them as the sup over Q of the per-cube k-sums
-    (`per_cube`) or as the k-sum of the per-row sups.  Returns the per-level
-    values and, per level, the per-row sups (the tail series).  At r = inf
-    the levels run to K_max instead of l_max."""
+    """Low-high family: the rows of `_low_high_row` for k >= l, weighted by
+    ((1+l)/(1+k))^b and accumulated in ascending k.  Level l reads them as
+    the sup over Q of the per-cube k-sums (`per_cube`) or as the k-sum of
+    the per-row sups.  Returns the per-level values and, per level, the
+    per-row sups (the tail series).  At r = inf the levels run to K_max
+    instead of l_max.  The weights go through NumPy's power, all inside one
+    overflow check: where that is vectorized, Python's `**` can differ from
+    it in the last bit."""
     k_top = dec.k_max
     l_top = k_top if is_inf(r) else min(dec.grid.l_max, k_top)
+    with _weights(b):
+        weights = [[np.power((1.0 + l) / (1.0 + k), b) for l in range(min(k, l_top) + 1)] for k in range(k_top + 1)]
     sups = [[] for _ in range(l_top + 1)]
     sums = [0.0] * (l_top + 1)
     for k in range(k_top + 1):
         for l in range(min(k, l_top) + 1):
-            row = _low_high_row(dec, r, b, l, k)
+            row = _low_high_row(dec, r, weights[k][l], l, k)
             if per_cube:
                 sums[l] = sums[l] + row
             sups[l].append(row.max())
@@ -156,7 +172,8 @@ def _high_low(dec: SpectralDecomposition, r: float, b=0.0, q=1.0, *, weight=None
     k_top = dec.k_max
     if is_inf(r):
         if weight is None:
-            weight = np.array([np.sum(((1.0 + k) / (1.0 + np.arange(k - 1))) ** b) for k in range(k_top + 1)])
+            with _weights(b):
+                weight = np.array([np.sum(((1.0 + k) / (1.0 + np.arange(k - 1))) ** b) for k in range(k_top + 1)])
         vals = weight * dec.sup_norms()
         vals[:2] = 0.0
         return _report(dec, vals.tolist(), start=2)
@@ -166,7 +183,8 @@ def _high_low(dec: SpectralDecomposition, r: float, b=0.0, q=1.0, *, weight=None
     per_level = [0.0, 0.0]
     for k in range(2, k_top + 1):
         n = min(k - 2, j_cap) + 1
-        w = ((1.0 + k) / (1.0 + np.arange(n))) ** (b * q)
+        with _weights(b):
+            w = ((1.0 + k) / (1.0 + np.arange(n))) ** (b * q)
         per_level.append(float(np.sum(w * x[k, :n] ** q)) ** (1.0 / q))
     return _report(dec, per_level, start=2, clamped=k_top - 2 > j_cap)
 
@@ -226,7 +244,9 @@ def pinf_term2(
     """
     dec = _ensure_decomposition(f, partition, dec)
     per_level, _ = _low_high_levels(dec, 1.0, b, per_cube=True)
-    inner = (1.0 + np.arange(dec.k_max + 1)) ** (-b) * dec.sup_norms()
+    with _weights(b):
+        weight = (1.0 + np.arange(dec.k_max + 1)) ** (-b)
+    inner = weight * dec.sup_norms()
     return _report(dec, per_level, tails=[inner])
 
 
@@ -245,7 +265,8 @@ def pinf_term3(
     dec = _ensure_decomposition(f, partition, dec)
     ks = np.arange(dec.k_max + 1, dtype=np.float64)
     if b > 1:
-        w = (1.0 + ks) ** b
+        with _weights(b):
+            w = (1.0 + ks) ** b
     elif b == 1:
         w = (1.0 + ks) * np.log(1.0 + ks)
     else:

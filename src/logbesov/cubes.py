@@ -116,22 +116,43 @@ def level_boundaries(grid: GridSpec, level: int) -> np.ndarray:
     return _read_only(np.ceil((edge * nus + PI) / dx - _EPS).astype(np.int64))
 
 
+def _bands(bounds: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(first cube, boundaries) of each band of `_BAND` cubes along one axis."""
+    return [(i, bounds[i : i + _BAND + 1]) for i in range(0, bounds.size - 1, _BAND)]
+
+
+def _band_sums(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
+    """Sums, into `out`, over the boxes between consecutive boundaries `rows`
+    (first axis) and `cols` (second axis); `data` holds the samples from
+    row rows[0] and column cols[0] on.  Each box is summed row after row,
+    then along the second axis, whatever other boxes `data` holds."""
+    sums = np.add.reduceat(data[: rows[-1] - rows[0], : cols[-1] - cols[0]], rows[:-1] - rows[0], axis=0)
+    np.add.reduceat(sums, cols[:-1] - cols[0], axis=1, out=out)
+
+
 def _reduce(data: np.ndarray, bounds: np.ndarray, dim: int) -> np.ndarray:
     """Sums over the index boxes between consecutive `bounds` on every axis.
 
     In 2D the first axis is summed `_BAND` cubes at a time, so the one-axis
     sums held at once span `_BAND` cube rows, not all of them; every box is
     summed as in one pass, row after row, then along the second axis."""
-    window = slice(bounds[0], bounds[-1])
-    idx = bounds[:-1] - bounds[0]
     if dim == 1:
-        return np.add.reduceat(data[window], idx)
-    sums = np.empty((idx.size, idx.size), dtype=data.dtype)
-    for i in range(0, idx.size, _BAND):
-        band = bounds[i : i + _BAND + 1]
-        rows = np.add.reduceat(data[band[0] : band[-1], window], band[:-1] - band[0], axis=0)
-        np.add.reduceat(rows, idx, axis=1, out=sums[i : i + _BAND])
+        return np.add.reduceat(data[bounds[0] : bounds[-1]], bounds[:-1] - bounds[0])
+    sums = np.empty((bounds.size - 1,) * 2, dtype=data.dtype)
+    for i, band in _bands(bounds):
+        _band_sums(data[band[0] :, bounds[0] :], band, bounds, sums[i : i + _BAND])
     return sums
+
+
+@functools.cache
+def _lattice_bands(grid: GridSpec) -> tuple[tuple[int | None, np.ndarray], ...]:
+    """The bands of `_BAND` cubes at l_max along one axis of a 2D grid as
+    (first cube, boundaries), in order, with the samples before the first
+    cube and after the last as (None, [i0, i1]): together they tile the
+    axis 0..N once.  Rows and columns share them."""
+    bounds = level_boundaries(grid, grid.l_max)
+    edges = [(None, np.array([0, bounds[0]])), (None, np.array([bounds[-1], grid.n_samples]))]
+    return tuple(band for band in [edges[0], *_bands(bounds), edges[1]] if band[1][-1] > band[1][0])
 
 
 @functools.cache
@@ -158,10 +179,14 @@ class CubeMeanTable:
     their sample windows tile it exactly.
     """
 
-    def __init__(self, grid: GridSpec, data: np.ndarray):
+    def __init__(self, grid: GridSpec, data: np.ndarray | None = None, *, finest: np.ndarray | None = None):
+        """From the lattice array `data`, or from `finest`, its cube sums at
+        l_max, made by a caller that streams the array in the bands of
+        `_lattice_bands` (`_band_sums` per band)."""
         self.grid = grid
-        data = np.asarray(data, dtype=np.float64)
-        self._sums = [_reduce(data, level_boundaries(grid, grid.l_max), grid.dim)]
+        if finest is None:
+            finest = _reduce(np.asarray(data, dtype=np.float64), level_boundaries(grid, grid.l_max), grid.dim)
+        self._sums = [finest]
         for level in range(grid.l_max - 1, -1, -1):
             self._sums.insert(0, _reduce(self._sums[0], _children(level), grid.dim))
 

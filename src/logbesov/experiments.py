@@ -5,19 +5,18 @@ config gives byte-identical serialized output.  Every row carries an
 `asymptote` tag naming the predicted growth law it is tested against.
 
 `run_exp_growth` and `run_sandwich` split their work into independent rows
-that each build, decompose and read their own functions, and `_map_rows`
-runs them on two threads (numpy's FFTs and reductions release the GIL).
-A row drops its decomposition before it returns, so at most one is alive
-per thread; tables are assembled in row order, so output does not depend
-on the number of threads.
+that each build, decompose and read their own functions, and
+`workers._map_rows` runs them on two threads (numpy's FFTs and reductions
+release the GIL); a 2D analysis pass inside a row stays serial.  A row
+drops its decomposition before it returns, so at most one is alive per
+thread; tables are assembled in row order, so output does not depend on
+the number of threads.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +35,7 @@ from .grid import INF, GridSpec, SampledFunction, check_exponent, check_finite, 
 from .norms import BesovParams, dini_norm
 from .partition import build_partition, decompose
 from .paraproducts import multiplier_lower_bound
+from .workers import _map_rows
 
 
 @dataclass(frozen=True)
@@ -151,57 +151,6 @@ def growth_law(p: float, b: float) -> tuple[float, float, str]:
     return -b, 0.0, f"(1+m)^{-b:g}"
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _map_rows(fn, rows) -> list:
-    """[fn(row) for row in rows], on the calling thread and, when two CPUs
-    are usable, one helper thread.  The calling thread runs the first row,
-    as a serial loop would; from then on both pull rows from one shared
-    iterator.
-
-    The helper is joined before this returns or raises.  After a row
-    raises, neither thread pulls another row, and the error of the first
-    failing row in input order is re-raised, as a serial loop would.
-    """
-    rows = list(rows)
-    if _usable_cpus() < 2 or len(rows) < 2:
-        return [fn(row) for row in rows]
-    results = [None] * len(rows)
-    errors = {}  # row index -> exception
-    todo = iter(enumerate(rows))
-    lock = threading.Lock()
-
-    def pull():
-        with lock:
-            return next(todo, None)
-
-    def work(item):
-        while item is not None:
-            i, row = item
-            try:
-                results[i] = fn(row)
-            except BaseException as exc:
-                errors[i] = exc
-            item = None if errors else pull()
-
-    first = pull()
-    helper = threading.Thread(target=lambda: work(pull()), name="logbesov-rows")
-    helper.start()
-    try:
-        work(first)
-    finally:
-        helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def _exact_route(p: float) -> bool:
     return p == 1.0 or is_inf(p)
 
@@ -267,7 +216,7 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
     rows = [functools.partial(exact_row, int(m)) for m in ms if exact_ps]
     rows += [functools.partial(packet_row, b, int(m)) for b in config.b_list for m in ms if packet_ps]
     value = {}  # (p, b, m) -> value
-    for part in _map_rows(lambda row: row(), rows):
+    for part in _map_rows(lambda row, _: row(), rows):
         value.update(part)
     for p in config.p_list:
         for b in config.b_list:
@@ -421,7 +370,7 @@ def run_sandwich(config: ExperimentConfig) -> Table:
     # the Dini row costs more than all the others together: first in the list,
     # it starts at once, on the calling thread, while the helper takes the rest
     rows = [dini_row, constant_row] + [functools.partial(exp_row, int(m)) for m in ms]
-    (rep, dn, linf), (rep1, low1), *bounds = _map_rows(lambda row: row(), rows)
+    (rep, dn, linf), (rep1, low1), *bounds = _map_rows(lambda row, _: row(), rows)
     for m, (low, up) in zip(ms, bounds):
         table.add(
             row="exp-p1", m=int(m), lower=float(low), upper=float(up),

@@ -22,6 +22,8 @@ from .grid import (
     FrequencyField,
     GridSpec,
     SampledFunction,
+    _checked_weight,
+    check_exponent,
     is_inf,
     make_constant,
 )
@@ -203,10 +205,11 @@ def default_stack_spacing(dim: int, p: float, b: float) -> int:
 
 
 def make_stack(grid: GridSpec, spec: StackSpec) -> SampledFunction:
-    over_p = 0.0 if is_inf(spec.p) else grid.dim / spec.p
+    over_p = 0.0 if is_inf(spec.p) else grid.dim / check_exponent(spec.p, "p")
     total = np.zeros(grid.shape, dtype=np.complex128)
     for i, (lvl, anchor) in enumerate(stack_plateau_cubes(grid, spec)):
-        coeff = (1j**i) * 2.0 ** (lvl * over_p) * (1.0 + lvl) ** (-spec.b)
+        weight = _checked_weight("a stack weight", ("p", spec.p, 2.0, lvl * over_p), ("b", spec.b, 1.0 + lvl, -spec.b))
+        coeff = (1j**i) * weight
         total += coeff * make_bump(grid, BumpSpec(lvl, anchor)).values
     return SampledFunction(grid, total)
 
@@ -305,7 +308,7 @@ def _case_pattern(m: int, b: float, case: int) -> dict[int, float]:
     if case == 2:
         return {j: (1.0 + j) ** (-0.5) for j in js}
     if case in (3, 4):
-        return {j: (1.0 + j) ** (-b) for j in js}
+        return {j: _checked_weight("a packet weight", ("b", b, 1.0 + j, -b)) for j in js}
     if case == 5:
         return {m: 1.0}
     raise InvalidInputError(f"unknown packet case {case}")
@@ -417,7 +420,7 @@ def gallery_from_spec(grid: GridSpec, text: str) -> SampledFunction:
         levels = _field(kv, "levels", str(grid.k_max - 1))
         if levels < 0:
             raise InvalidInputError(f"lacunary spec needs levels >= 0, got {levels}")
-        coeffs = [2.0 ** (-beta * j) for j in range(levels + 1)]
+        coeffs = [_checked_weight("a lacunary coefficient", ("beta", beta, 2.0, -beta * j)) for j in range(levels + 1)]
         return make_lacunary(grid, coeffs)
     raise InvalidInputError(f"unknown gallery spec {text!r}")
 

@@ -23,11 +23,13 @@ from .grid import (
     check_exponent,
     check_finite,
     _abs_lp_norm,
+    _checked_weight,
+    _power,
     is_inf,
     lp_norm,
 )
 from .cubes import level_cube_means
-from .partition import DyadicPartition, SpectralDecomposition, _ensure_decomposition
+from .partition import DyadicPartition, SpectralDecomposition, _ensure_decomposition, _moduli
 
 PI = math.pi
 LN2 = math.log(2.0)
@@ -89,19 +91,12 @@ def _weight(k: int, s: float, b: float, d: float = 0.0) -> float:
     """The level weight 2^{ks} (1+k)^b [1+ln(1+k)]^d, multiplied in that
     order.  A weight beyond the float range is an input error naming the
     parameter that took it there."""
-    w = 1.0
-    for name, value, base, exponent in (
+    return _checked_weight(
+        f"the level-{k} weight",
         ("s", s, 2.0, k * s),
         ("b", b, 1.0 + k, b),
         ("d", d, 1.0 + math.log(1.0 + k), d),
-    ):
-        try:
-            w *= base**exponent
-        except OverflowError:
-            w = math.inf
-        if math.isinf(w):
-            raise InvalidInputError(f"{name}={value!r} makes the level-{k} weight overflow")
-    return w
+    )
 
 
 def besov_norm(
@@ -156,18 +151,16 @@ def _running_cube_sups(dec: SpectralDecomposition, weights: list[float], q: floa
     best = [0.0] * (l_top + 1)
     running = np.zeros(grid.shape)
     levels = range(dec.k_max, -1, -1)
-    term = None
     for k, values in zip(levels, dec._values(levels)):
-        # the term in a real buffer of the pass: a real piece's own, or one
-        # made by the first complex piece and reused by the rest
-        term = np.abs(values, out=values if values.dtype == np.float64 else term)
+        # the term in the piece's own buffer (the first half of a complex one)
+        term = _moduli(values)
         if not np.isfinite(term.max()):
             raise InvalidInputError("non-finite samples rejected")
         np.multiply(weights[k], term, out=term)
         if is_inf(q):
             np.maximum(running, term, out=running)
         else:
-            running += np.power(term, q, out=term)
+            running += _power(term, q, in_place=True)
         if k <= l_top:
             sup = running.max() if is_inf(q) else level_cube_means(grid, running, k).max() ** (1.0 / q)
             best[k] = float(sup)
@@ -206,7 +199,7 @@ def _difference_norm_grid(f: SampledFunction, shift, m: int, p: float, bufs) -> 
     with np.errstate(invalid="ignore"):
         for j, w in enumerate(_binomial_weights(m)):
             vals += np.multiply(w, _roll_into(term, f.values, [-j * s for s in shift]), out=term)
-    return _abs_lp_norm(np.abs(vals, out=moduli), p, f.grid.cell_volume)
+    return _abs_lp_norm(np.abs(vals, out=moduli), p, f.grid.cell_volume, in_place=True)
 
 
 def _difference_norm_spectral(
@@ -219,7 +212,7 @@ def _difference_norm_spectral(
     for comp, ms in zip(h, grid.freqs()):
         phase = phase + comp * ms
     mult = (np.exp(1j * phase) - 1.0) ** m
-    return _abs_lp_norm(np.abs(np.fft.ifftn(mult * raw_fft)), p, grid.cell_volume)
+    return _abs_lp_norm(np.abs(np.fft.ifftn(mult * raw_fft)), p, grid.cell_volume, in_place=True)
 
 
 def _shift_candidates_1d(grid: GridSpec, t: float) -> list[tuple[int]]:

@@ -376,3 +376,36 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "spec, name",
+    [
+        ("stack:b=-1e6", "b"),
+        ("stack:p=1e-300", "p"),
+        ("packet:m=4,case=3,b=-1e6", "b"),
+        ("lacunary:beta=-2000", "beta"),
+    ],
+)
+def test_gallery_weight_overflow_exits_2_naming_the_field(spec, name, capsys):
+    """A gallery spec whose own weight overflows a float is an input error
+    naming the spec field, not an `OverflowError` traceback."""
+    assert main(["--grid", "J=8", "criteria", "--p", "2", "--b", "0", "--gallery", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name}=") and "overflow" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", ["1", "2", "4", "inf"])
+@pytest.mark.parametrize("b", ["1e6", "-1e6"])
+def test_criterion_weight_overflow_exits_2_naming_b(p, b, capsys):
+    """A b whose level weights overflow, in the low-high rows, the high-low
+    sums or the p = inf closed forms, exits 2 with the error line alone: no
+    numpy overflow warning (warnings fail this test) and no INVALID report."""
+    assert main(["--grid", "J=8", "criteria", "--p", p, f"--b={b}", "--gallery", "cube"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: b={float(b)!r} makes a level weight overflow\n"

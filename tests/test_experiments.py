@@ -11,7 +11,6 @@ from logbesov.errors import InvalidInputError
 from logbesov.experiments import (
     ExperimentConfig,
     _criterion_value,
-    _map_rows,
     fit_slope,
     growth_law,
     mollify,
@@ -25,6 +24,7 @@ from logbesov.grid import INF, GridSpec
 from logbesov.norms import BesovParams
 from logbesov.paraproducts import multiplier_lower_bound
 from logbesov.partition import build_partition, project
+from logbesov.workers import _map_rows
 
 
 def test_fit_slope_basic():
@@ -176,11 +176,7 @@ def test_tables_deterministic():
     assert ca.encode() == cb.encode()
 
 
-def _workers(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: n)
-
-
-def test_runners_same_tables_on_one_and_two_workers(monkeypatch):
+def test_runners_same_tables_on_one_and_two_workers(usable_cpus):
     """exp-growth (both routes) and sandwich serialize byte for byte alike
     on one worker and on two."""
     runs = [
@@ -191,53 +187,17 @@ def test_runners_same_tables_on_one_and_two_workers(monkeypatch):
     for run, config in runs:
         out = {}
         for n in (1, 2):
-            _workers(monkeypatch, n)
+            usable_cpus(n)
             table = run(config)
             out[n] = (table.to_json(), table.to_csv())
         assert out[1] == out[2], (run.__name__, config)
 
 
-def test_map_rows_keeps_input_order(monkeypatch):
-    """Results come back in input order, and the first row runs on the
-    calling thread, as in a serial loop."""
-    _workers(monkeypatch, 2)
-    assert _map_rows(lambda x: x * x, range(20)) == [x * x for x in range(20)]
-    assert _map_rows(lambda x: x, []) == []
-    threads = _map_rows(lambda x: threading.current_thread(), range(6))
-    assert threads[0] is threading.current_thread()
-
-
-def _raise_on_helper(err, original=None):
-    """A row body that raises `err` on the helper thread; on the calling
-    thread it first waits until the helper has raised, so the helper is
-    sure to pull a row of its own."""
-    raised = threading.Event()
-
-    def body(*args, **kwargs):
-        if threading.current_thread() is threading.main_thread():
-            raised.wait(30)
-            return original(*args, **kwargs) if original else args
-        raised.set()
-        raise err
-
-    return body
-
-
-def test_helper_thread_error_reaches_the_caller_unchanged(monkeypatch):
-    _workers(monkeypatch, 2)
-    start = threading.active_count()
-    err = InvalidInputError("row failed on the helper thread")
-    with pytest.raises(InvalidInputError) as info:
-        _map_rows(_raise_on_helper(err), [0, 1])
-    assert info.value is err
-    assert threading.active_count() == start
-
-
-def test_helper_thread_error_exits_2_without_traceback(monkeypatch, capsys):
-    _workers(monkeypatch, 2)
+def test_helper_thread_error_exits_2_without_traceback(monkeypatch, capsys, usable_cpus, raise_on_helper):
+    usable_cpus(2)
     start = threading.active_count()
     err = InvalidInputError("exponential refused on the helper thread")
-    monkeypatch.setattr(experiments, "make_exponential", _raise_on_helper(err, experiments.make_exponential))
+    monkeypatch.setattr(experiments, "make_exponential", raise_on_helper(err, experiments.make_exponential))
     argv = ["--grid", "J=10", "exp-growth", "--p-list", "1", "--b-list", "0", "--m-min", "3", "--m-max", "6"]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -246,13 +206,13 @@ def test_helper_thread_error_exits_2_without_traceback(monkeypatch, capsys):
     assert threading.active_count() == start
 
 
-def test_runner_threads_end_with_the_run(monkeypatch):
+def test_runner_threads_end_with_the_run(monkeypatch, usable_cpus, raise_on_helper):
     """No thread outlives a run, whether it succeeds or raises, and the
     rows of a slow helper are waited for."""
-    _workers(monkeypatch, 2)
+    usable_cpus(2)
     start = threading.active_count()
 
-    def slow_on_helper(x):
+    def slow_on_helper(x, _):
         if threading.current_thread() is not threading.main_thread():
             time.sleep(0.2)
         return x
@@ -262,7 +222,7 @@ def test_runner_threads_end_with_the_run(monkeypatch):
     run_exp_growth(ExperimentConfig(log2_samples=10, b_list=(0.0,), p_list=(1.0, 2.0), m_range=(3, 6)))
     assert threading.active_count() == start
     err = InvalidInputError("no packet family on the helper thread")
-    monkeypatch.setattr(experiments, "expo7_family", _raise_on_helper(err, experiments.expo7_family))
+    monkeypatch.setattr(experiments, "expo7_family", raise_on_helper(err, experiments.expo7_family))
     with pytest.raises(InvalidInputError) as info:
         run_exp_growth(ExperimentConfig(log2_samples=10, b_list=(0.0,), p_list=(4.0,), m_range=(3, 6)))
     assert info.value is err

@@ -3,6 +3,7 @@ S_k f once per pass: one forward FFT per decomposed function plus one
 inverse FFT per level (in 2D, one per axis pass), for every reduction its
 consumers ask for.  A real function is analyzed from its half spectrum."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,12 +11,14 @@ import pytest
 
 from logbesov.criteria import verdict
 from logbesov.cubes import CubeMeanTable
+from logbesov.errors import InvalidInputError
 from logbesov.experiments import ExperimentConfig, run_exp_growth
 from logbesov.gallery import expo7_family, gallery_from_spec, make_exponential, make_indicator
 from logbesov.grid import INF, GridSpec, SampledFunction, band_energy_fraction, lp_norm, make_constant
 from logbesov.norms import BesovParams, besov_norm, tl_norm_inf
 from logbesov.paraproducts import multiplier_lower_bound, pi2_summand, product_report
-from logbesov.partition import PartitionKind, build_partition, decompose
+from logbesov.partition import PartitionKind, SpectralDecomposition, _moduli, build_partition, decompose
+from logbesov.workers import _map_rows
 
 FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
 
@@ -318,3 +321,149 @@ def test_cube_tables_are_the_power_oracle_bit_for_bit(dim, J, spec):
                 table = dec.cube_table(k, r)
                 for level in range(grid.l_max + 1):
                     assert np.array_equal(table.means(level), oracle.means(level)), (k, r, level)
+
+
+def _everything(f, part) -> list:
+    """Every reduction a consumer reads, on a fresh decomposition each: the
+    verdicts at p = 1, 2, inf, Besov norms (p = 2 and 4) and tl_norm_inf."""
+    out = [verdict(f, part, p, 0.5, dec=decompose(f, part)).to_dict() for p in (1.0, 2.0, INF)]
+    for p in (2.0, 4.0):
+        out.append(besov_norm(f, part, BesovParams(0.0, 1.0, p, 2.0), dec=decompose(f, part)).per_level)
+    out.append(tl_norm_inf(f, part, 0.0, 1.0, 2.0, dec=decompose(f, part)).per_level)
+    dec = decompose(f, part)
+    dec.analyze(cube_exponents=(1.5, 3.0), lp_exponents=(1.0, INF))
+    out.append([dec.sup_norms().tolist(), dec.lp_norms(1.0).tolist(), dec.lp_norms(INF).tolist()])
+    out.append([dec.cube_table(k, r).means(l).tolist() for k in range(part.k_max + 1) for r in (1.5, 3.0) for l in range(part.grid.l_max + 1)])
+    return out
+
+
+@pytest.mark.parametrize("spec", ["cube", "halfspace", "bump:l=3", "exp:m=3"])
+def test_two_worker_pass_matches_one_worker_bit_for_bit(spec, usable_cpus):
+    """Real and complex 2D members: every verdict, norm and reduction is the
+    same, bit for bit, whether the pass runs on one worker or on two."""
+    grid = GridSpec(2, 8)
+    part = build_partition(grid)
+    f = gallery_from_spec(grid, spec)
+    got = {}
+    for n in (1, 2):
+        usable_cpus(n)
+        got[n] = _everything(f, part)
+    assert got[1] == got[2]
+
+
+@pytest.mark.parametrize("spec", ["cube", "lacunary:beta=0.5,levels=5", "bump:l=3", "exp:m=5"])
+def test_banded_pass_matches_the_whole_pieces(spec):
+    """A 2D pass without L^p norms makes each piece a band of rows (real) or
+    columns (complex) at a time; its sup norms and cube tables are those of
+    the whole pieces bit for bit (a pass that also reads an L^p norm makes
+    whole pieces)."""
+    grid = GridSpec(2, 9)
+    part = build_partition(grid)
+    f = gallery_from_spec(grid, spec)
+    banded, whole = decompose(f, part), decompose(f, part)
+    banded.analyze(cube_exponents=(4.0 / 3.0, 4.0))
+    whole.analyze(cube_exponents=(4.0 / 3.0, 4.0), lp_exponents=(2.0,))
+    assert banded.sup_norms().tolist() == whole.sup_norms().tolist()
+    for k in range(part.k_max + 1):
+        for r in (4.0 / 3.0, 4.0):
+            for level in range(grid.l_max + 1):
+                assert np.array_equal(banded.cube_table(k, r).means(level), whole.cube_table(k, r).means(level))
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (1 << 10,), (1 << 14,), (64, 64), (256, 256)])
+def test_packed_moduli_are_np_abs(shape):
+    """|z| written into the first half of z's own bytes is `np.abs(z)` bit
+    for bit, contiguous, in z's memory; a real array is taken in place."""
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape) + 1j * rng.standard_normal(shape)
+    z.flat[0] = np.inf + 1j
+    z.flat[-1] = np.nan
+    want = np.abs(z)
+    got = _moduli(z)
+    assert got.shape == shape and got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.shares_memory(got, z)
+    assert np.array_equal(got, want, equal_nan=True)
+    x = rng.standard_normal(shape)
+    want = np.abs(x)
+    assert _moduli(x) is x and np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("spec", ["cube", "bump:l=3"])
+def test_nonfinite_sample_on_the_helper_raises_as_serial(spec, usable_cpus, monkeypatch):
+    """An inf sample makes every piece non-finite: the helper's levels fail
+    too, the caller gets the serial pass's `InvalidInputError`, and no
+    thread is left running."""
+    grid = GridSpec(2, 8)
+    part = build_partition(grid)
+    values = gallery_from_spec(grid, spec).values.copy()
+    values[3, 5] = np.inf
+    f = SampledFunction(grid, values)
+    errors = {}
+    for n in (1, 2):
+        usable_cpus(n)
+        with pytest.raises(InvalidInputError) as info:
+            decompose(f, part).analyze(lp_exponents=(2.0,))
+        errors[n] = str(info.value)
+    assert errors[1] == errors[2] == "non-finite samples rejected"
+    failed = []
+    reduce_level = SpectralDecomposition._reduce_level
+
+    def recording(self, k, *args):
+        try:
+            return reduce_level(self, k, *args)
+        except InvalidInputError:
+            failed.append((k, threading.current_thread() is threading.main_thread()))
+            raise
+
+    monkeypatch.setattr(SpectralDecomposition, "_reduce_level", recording)
+    start = threading.active_count()
+    with pytest.raises(InvalidInputError, match="non-finite samples rejected"):
+        decompose(f, part).analyze(lp_exponents=(2.0,))
+    assert threading.active_count() == start
+    # one failing level per worker: the helper's first is level 0
+    assert sorted(on_main for _, on_main in failed) == [False, True]
+    assert (0, False) in failed
+    with pytest.raises(InvalidInputError, match="non-finite samples rejected"):
+        verdict(f, part, 2.0, 0.5)
+    assert threading.active_count() == start
+
+
+def test_complex_2d_passes_hold_two_lattice_arrays_beside_the_coefficients(usable_cpus):
+    """On two workers, a 2D J=9 p = 2 verdict of a complex member peaks
+    below its coefficients plus two complex lattice arrays, plus a quarter
+    of one: the calling worker's box rows (in a lattice-sized array), the
+    helper's, a band of columns per worker with its moduli packed in, and
+    the cube tables.  A pass that reads L^p norms makes whole pieces, one
+    lattice array per worker, and raises the moduli to p in place."""
+    usable_cpus(2)
+    grid = GridSpec(2, 9)
+    part = build_partition(grid)
+    for k in range(part.k_max + 1):
+        part.symbol(k)
+    f = gallery_from_spec(grid, "bump:l=3")
+    assert f.values.dtype == np.complex128
+    unit = _complex_array_bytes(grid)
+    assert _traced_peak(lambda: verdict(f, part, 2.0, 0.5)) < 3.25 * unit
+    dec = decompose(f, part)
+    assert _traced_peak(lambda: dec.analyze(lp_exponents=(2.0,))) < 2.25 * unit
+
+
+def test_a_pass_inside_a_runner_row_stays_serial(usable_cpus, monkeypatch):
+    """2D verdicts run as rows of `_map_rows` start no helper of their own:
+    one thread in all for the rows; outside a row the pass starts one."""
+    usable_cpus(2)
+    started = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counting)
+    grid = GridSpec(2, 7)
+    part = build_partition(grid)
+    fs = [gallery_from_spec(grid, spec) for spec in ("cube", "bump:l=3", "exp:m=3")]
+    _map_rows(lambda f, _: verdict(f, part, 2.0, 0.5), fs)
+    assert len(started) == 1
+    verdict(fs[0], part, 2.0, 0.5)
+    assert len(started) == 2
