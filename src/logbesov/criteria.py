@@ -178,14 +178,13 @@ def _high_low(dec: SpectralDecomposition, r: float, b=0.0, q=1.0, *, weight=None
         vals[:2] = 0.0
         return _report(dec, vals.tolist(), start=2)
     j_cap = min(dec.grid.l_max, k_top)
-    x = np.array([[dec.cube_table(k, r).means(j).max() for j in range(j_cap + 1)] for k in range(k_top + 1)])
-    x = x ** (1.0 / r)
     per_level = [0.0, 0.0]
     for k in range(2, k_top + 1):
         n = min(k - 2, j_cap) + 1
+        x = np.array([dec.cube_table(k, r).means(j).max() for j in range(n)]) ** (1.0 / r)
         with _weights(b):
             w = ((1.0 + k) / (1.0 + np.arange(n))) ** (b * q)
-        per_level.append(float(np.sum(w * x[k, :n] ** q)) ** (1.0 / q))
+        per_level.append(float(np.sum(w * x**q)) ** (1.0 / q))
     return _report(dec, per_level, start=2, clamped=k_top - 2 > j_cap)
 
 

@@ -172,32 +172,33 @@ def _children(level: int) -> np.ndarray:
 
 
 class CubeMeanTable:
-    """Cube means of a nonnegative array at every level 0..l_max.
+    """Cube means of a nonnegative array at the levels 0..top (default l_max).
 
     One reduction at l_max, then each coarser level adds its child pairs:
     level-l cube nu is the union of level-(l+1) cubes 2 nu and 2 nu + 1, and
-    their sample windows tile it exactly.
+    their sample windows tile it exactly.  The sums of the levels above
+    `top` are dropped as soon as the next coarser level is made.
     """
 
-    def __init__(self, grid: GridSpec, data: np.ndarray | None = None, *, finest: np.ndarray | None = None):
+    def __init__(self, grid: GridSpec, data=None, *, finest: np.ndarray | None = None, top: int | None = None):
         """From the lattice array `data`, or from `finest`, its cube sums at
         l_max, made by a caller that streams the array in the bands of
         `_lattice_bands` (`_band_sums` per band)."""
         self.grid = grid
+        top = grid.l_max if top is None else top
         if finest is None:
             finest = _reduce(np.asarray(data, dtype=np.float64), level_boundaries(grid, grid.l_max), grid.dim)
         self._sums = [finest]
         for level in range(grid.l_max - 1, -1, -1):
-            self._sums.insert(0, _reduce(self._sums[0], _children(level), grid.dim))
+            coarser = _reduce(self._sums[0], _children(level), grid.dim)
+            if level >= top:  # the finer level is above the top: not kept
+                self._sums[0] = coarser
+            else:
+                self._sums.insert(0, coarser)
 
     def means(self, level: int) -> np.ndarray:
         """Mean over every admissible cube at `level` (array over the nu-grid)."""
         _check_level(self.grid, level)
+        if level >= len(self._sums):
+            raise ResolutionError(f"cube level {level} above the table's top level {len(self._sums) - 1}")
         return self._sums[level] / _counts(self.grid, level)
-
-
-def level_cube_means(grid: GridSpec, data: np.ndarray, level: int) -> np.ndarray:
-    """Mean of `data` over every admissible cube at `level` (array over nu-grid)."""
-    _check_level(grid, level)
-    data = np.asarray(data, dtype=np.float64)
-    return _reduce(data, level_boundaries(grid, level), grid.dim) / _counts(grid, level)

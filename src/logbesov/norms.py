@@ -24,12 +24,10 @@ from .grid import (
     check_finite,
     _abs_lp_norm,
     _checked_weight,
-    _power,
     is_inf,
     lp_norm,
 )
-from .cubes import level_cube_means
-from .partition import DyadicPartition, SpectralDecomposition, _ensure_decomposition, _moduli
+from .partition import DyadicPartition, SpectralDecomposition, _ensure_decomposition
 
 PI = math.pi
 LN2 = math.log(2.0)
@@ -87,15 +85,15 @@ def _lq_combine(terms: np.ndarray, q: float) -> float:
     return float(np.sum(terms**q) ** (1.0 / q))
 
 
-def _weight(k: int, s: float, b: float, d: float = 0.0) -> float:
-    """The level weight 2^{ks} (1+k)^b [1+ln(1+k)]^d, multiplied in that
-    order.  A weight beyond the float range is an input error naming the
-    parameter that took it there."""
+def _weight(k: int, s: float, b: float, d: float = 0.0, *, power: float = 1.0) -> float:
+    """The level weight 2^{ks} (1+k)^b [1+ln(1+k)]^d raised to `power`, its
+    factors multiplied in that order.  A weight beyond the float range is an
+    input error naming the parameter that took it there."""
     return _checked_weight(
         f"the level-{k} weight",
-        ("s", s, 2.0, k * s),
-        ("b", b, 1.0 + k, b),
-        ("d", d, 1.0 + math.log(1.0 + k), d),
+        ("s", s, 2.0, k * s * power),
+        ("b", b, 1.0 + k, b * power),
+        ("d", d, 1.0 + math.log(1.0 + k), d * power),
     )
 
 
@@ -128,43 +126,33 @@ def tl_norm_inf(
 ) -> NormResult:
     """Triebel-Lizorkin norm at p = infinity:
 
-    sup over cube levels k and cubes Q of (mean_Q sum_{j>=k} [2^{js}(1+j)^b
-    |S_j f|]^q)^{1/q}; cube levels are limited by the grid guard and the
-    j-sum is truncated at K_max.
+    sup over cube levels l and level-l cubes Q of (mean_Q sum_{k>=l}
+    [2^{ks}(1+k)^b |S_k f|]^q)^{1/q}; cube levels are limited by the grid
+    guard and the k-sum is truncated at K_max.
+
+    The mean of the k-sum is read as sum_{k>=l} w_k^q mean_Q |S_k f|^q off
+    the cube tables of one `analyze` pass.  At q = INF the k-sum is a
+    pointwise max, so level l takes max_{k>=l} w_k ||S_k f||_inf (rounding
+    is monotone: the same bits as the max of the weighted samples).  A
+    non-finite piece is an `InvalidInputError`, as in `lp_norm`.
     """
     check_exponent(q, "q")
     check_finite(s=s, b=b)
-    weights = [_weight(k, s, b) for k in range(partition.k_max + 1)]
+    weights = [_weight(k, s, b, power=1.0 if is_inf(q) else q) for k in range(partition.k_max + 1)]  # w_k^q
     dec = _ensure_decomposition(f, partition, dec)
-    best_per_level = _running_cube_sups(dec, weights, q)
-    return NormResult(max(best_per_level), dec.tail_fraction(), best_per_level)
-
-
-def _running_cube_sups(dec: SpectralDecomposition, weights: list[float], q: float) -> list[float]:
-    """sup over level-l cubes Q of (mean_Q sum_{k>=l} (weights[k] |S_k f|)^q)^{1/q}
-    for l = 0..min(K_max, l_max), the k-sum run down from K_max over one
-    pass that makes each piece in turn; at q = INF the sum is a pointwise
-    max and the sup runs over all samples.  A non-finite piece is an
-    `InvalidInputError`, as in `lp_norm`."""
-    grid = dec.grid
-    l_top = min(dec.k_max, grid.l_max)
-    best = [0.0] * (l_top + 1)
-    running = np.zeros(grid.shape)
-    levels = range(dec.k_max, -1, -1)
-    for k, values in zip(levels, dec._values(levels)):
-        # the term in the piece's own buffer (the first half of a complex one)
-        term = _moduli(values)
-        if not np.isfinite(term.max()):
-            raise InvalidInputError("non-finite samples rejected")
-        np.multiply(weights[k], term, out=term)
-        if is_inf(q):
-            np.maximum(running, term, out=running)
-        else:
-            running += _power(term, q, in_place=True)
-        if k <= l_top:
-            sup = running.max() if is_inf(q) else level_cube_means(grid, running, k).max() ** (1.0 / q)
-            best[k] = float(sup)
-    return best
+    tail = dec.tail_fraction()  # before the pass: its temporaries never meet the tables
+    dec.analyze(cube_exponents=() if is_inf(q) else (q,))
+    sups = dec.sup_norms().tolist()
+    if not all(map(math.isfinite, sups)):
+        raise InvalidInputError("non-finite samples rejected")
+    levels = range(min(dec.k_max, dec.grid.l_max) + 1)
+    if is_inf(q):
+        per_level = [max(w * sup for w, sup in zip(weights[l:], sups[l:])) for l in levels]
+    else:
+        ks = range(dec.k_max, -1, -1)
+        sums = (sum(weights[k] * dec.cube_table(k, q).means(l) for k in ks if k >= l) for l in levels)
+        per_level = [float(total.max() ** (1.0 / q)) for total in sums]
+    return NormResult(max(per_level), tail, per_level)
 
 
 # ---------------------------------------------------------------------------

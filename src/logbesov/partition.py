@@ -34,14 +34,17 @@ levels it reads, in its order, into one set of buffers that lives as long
 as the pass (boxed multiply, pruned inverse passes).  `analyze` runs one
 pass and, while a piece exists, fills from one |S_k f| every reduction
 asked for: the sup norm, the L^p norms of given exponents and, per
-exponent r, the all-levels `CubeMeanTable` of |S_k f|^r.  |S_k f| of a
-complex piece is written into the first half of the piece's own buffer
-(`_moduli`), so no pass holds a separate real array for it.  The
-reductions are cached, so terms called on one decomposition share them; a
-consumer that asks for all it needs up front (`verdict`, the lower bound's
-Besov norms) makes one pass.  `tl_norm_inf` runs its own descending pass,
-and the paraproducts make each piece once into its own array and hold a
-window of a few levels; `pi2_summand` makes only the four pieces it reads.
+exponent r, the `CubeMeanTable` of |S_k f|^r at the cube levels
+0..min(k, l_max), the only ones its readers take (no reader averages
+piece k over cubes finer than level k).  |S_k f| of a complex piece is
+written into the first half of the piece's own buffer (`_moduli`), so no
+pass holds a separate real array for it.  The reductions are cached, so
+terms called on one decomposition share them; a consumer that asks for
+all it needs up front (`verdict`, the lower bound's Besov norms,
+`tl_norm_inf`) makes one pass, and `analyze` is the only pass that
+reduces pieces.  The paraproducts make each piece once into its own array
+and hold a window of a few levels; `pi2_summand` makes only the four
+pieces it reads.
 
 In 2D `analyze` splits its levels between the two workers of
 `workers._map_rows`: the calling thread makes the upper levels, one helper
@@ -364,13 +367,6 @@ class SpectralDecomposition:
         """dtype of the pieces: `float64` for a real function (half spectrum)."""
         return np.dtype(np.complex128 if self.coeffs.shape == self.grid.shape else np.float64)
 
-    def _values(self, levels=None):
-        """S_k f for k in `levels` (default 0..K_max ascending) in turn, every
-        one made in the buffers of the first, which live as long as the pass."""
-        bufs = _synthesis_buffers(self.grid, self.coeffs, self.k_max)
-        for k in range(self.k_max + 1) if levels is None else levels:
-            yield self._piece(k, bufs)
-
     def _piece(self, k: int, bufs=None) -> np.ndarray:
         """S_k f, real for a real f, made in `bufs` or in new arrays."""
         return self.partition._synthesize(self.coeffs, k, False, bufs)
@@ -447,7 +443,8 @@ class SpectralDecomposition:
         # no lattice temporary
         last = len(ps) - 1 if not rs else None
         norms = [_abs_lp_norm(a, p, self.grid.cell_volume, sup, in_place=i == last) for i, p in enumerate(ps)]
-        tables = [CubeMeanTable(self.grid, _power(a, r, in_place=r == rs[-1])) for r in rs]
+        top = min(k, self.grid.l_max)
+        tables = [CubeMeanTable(self.grid, _power(a, r, in_place=r == rs[-1]), top=top) for r in rs]
         return sup, norms, tables
 
     def _reduce_bands(self, k: int, bufs, rs: list, ps: list) -> tuple:
@@ -490,7 +487,7 @@ class SpectralDecomposition:
                     for r, sums in zip(rs, finest):
                         out = sums[cubes] if real else sums[:, cubes]
                         _band_sums(_power(data, r, in_place=r == rs[-1]), rows, cols, out)
-        return np.max(maxes), [], [CubeMeanTable(grid, finest=sums) for sums in finest]
+        return np.max(maxes), [], [CubeMeanTable(grid, finest=sums, top=min(k, grid.l_max)) for sums in finest]
 
     def sup_norms(self) -> np.ndarray:
         """||S_k f||_inf for every k (read-only, shared between callers)."""
@@ -505,7 +502,8 @@ class SpectralDecomposition:
         return self._lp_norms[float(p)]
 
     def cube_table(self, k: int, r: float) -> CubeMeanTable:
-        """Cube means of |S_k f|^r at every level 0..l_max."""
+        """Cube means of |S_k f|^r at the levels 0..min(k, l_max), the only
+        ones a norm or criterion reads."""
         key = (k, float(r))
         if key not in self._tables:
             self.analyze(cube_exponents=(r,))
@@ -515,8 +513,9 @@ class SpectralDecomposition:
         """Fraction of the spectral energy of f outside |m| <= 2^{K_max - 1},
         the part the truncated k-sums miss (computed once)."""
         if self._tail is None:
-            normalized = FrequencyField(self.grid, self.coeffs / self.grid.n_samples**self.grid.dim)
-            self._tail = band_energy_fraction(normalized, 0.0, 2.0 ** (self.k_max - 1))
+            # unnormalized: the factor N^dim is a power of two, so the
+            # fraction is the same bit for bit, without a copy of the coefficients
+            self._tail = band_energy_fraction(FrequencyField(self.grid, self.coeffs), 0.0, 2.0 ** (self.k_max - 1))
         return self._tail
 
 

@@ -285,11 +285,16 @@ def test_inf_sample_exits_2_with_only_the_error_line(argv, imag, capsys, tmp_pat
         (["norm", "--space", "besov", "--b", "1e300", "--p", "2"], "b"),
         (["norm", "--space", "diff", "--d", "1e6", "--p", "2"], "d"),
         (["lowerbound", "--f", "cube", "--family", "packets:m=3", "--p", "2", "--b", "1e6"], "b"),
+        (["norm", "--space", "tl", "--s", "100", "--q", "8"], "s"),
+        (["norm", "--space", "tl", "--b", "300", "--q", "8"], "b"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_weight_overflow_exits_2_naming_the_parameter(argv, name, capsys):
-    """A smoothness parameter whose level weight 2^{ks} (1+k)^b overflows a
-    float is an input error naming it, not an `OverflowError` traceback."""
+    """A smoothness parameter whose level weight 2^{ks} (1+k)^b, or for tl
+    its q-th power, overflows a float is an input error naming it, not an
+    `OverflowError` traceback or a numpy warning (warnings fail this test)
+    before an infinite value."""
     gallery = [] if argv[0] == "lowerbound" else ["--gallery", "cube"]
     assert main(["--grid", "J=8"] + argv + gallery) == 2
     captured = capsys.readouterr()

@@ -11,7 +11,6 @@ from logbesov.cubes import (
     DyadicCube,
     cube_mean_power,
     level_boundaries,
-    level_cube_means,
     level_index_range,
 )
 from logbesov.errors import DomainError, ResolutionError
@@ -70,36 +69,39 @@ def test_cube_guards(grid10):
     with pytest.raises(ResolutionError):
         cube_mean_power(make_constant(grid10), DyadicCube(deep, (0,)), 1.0)
     with pytest.raises(ResolutionError):
-        level_cube_means(grid10, np.ones(grid10.shape), deep)
+        CubeMeanTable(grid10, np.ones(grid10.shape)).means(deep)
+    with pytest.raises(ResolutionError, match="cube level 3 above the table's top level 2"):
+        CubeMeanTable(grid10, np.ones(grid10.shape), top=2).means(3)
 
 
 @settings(max_examples=30, deadline=None)
 @given(dim=st.sampled_from([1, 2]), data=st.data())
-def test_level_cube_means_match_single_cube(dim, data):
-    """Nested and single-level means equal the brute-force mean of every cube
-    and are nonnegative."""
+def test_cube_means_match_single_cube(dim, data):
+    """Nested means equal the brute-force mean of every cube and are
+    nonnegative, and a table cut at a lower top keeps the same means bit for
+    bit."""
     grid = GridSpec(dim, data.draw(st.integers(6, 12 if dim == 1 else 8), label="J"))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     # nonnegative samples over twelve decades, a fifth of them exactly zero
     values = 10.0 ** rng.uniform(-12.0, 0.0, grid.shape) * (rng.random(grid.shape) > 0.2)
     f = SampledFunction(grid, values)
     table = CubeMeanTable(grid, values)
+    cut = CubeMeanTable(grid, values, top=data.draw(st.integers(0, grid.l_max), label="top"))
     for level in range(grid.l_max + 1):
         lo, hi = level_index_range(level)
         nested = table.means(level)
-        single = level_cube_means(grid, values, level)
-        assert nested.min() >= 0.0 and single.min() >= 0.0
+        assert nested.min() >= 0.0
+        if level < len(cut._sums):
+            assert np.array_equal(cut.means(level), nested)
         for idx in itertools.product(range(hi - lo + 1), repeat=dim):
             cube = DyadicCube(level, tuple(lo + i for i in idx))
-            direct = cube_mean_power(f, cube, 1.0)
-            assert nested[idx] == pytest.approx(direct, rel=1e-12)
-            assert single[idx] == pytest.approx(direct, rel=1e-12)
+            assert nested[idx] == pytest.approx(cube_mean_power(f, cube, 1.0), rel=1e-12)
 
 
-def test_level_cube_means_2d(grid2d, rng):
+def test_cube_means_2d(grid2d, rng):
     f = random_band_limited(grid2d, 10, rng)
     data = np.abs(f.values)
-    means = level_cube_means(grid2d, data, 0)
+    means = CubeMeanTable(grid2d, data).means(0)
     lo, hi = level_index_range(0)
     direct = cube_mean_power(f, DyadicCube(0, (lo, hi)), 1.0)
     assert means[0, -1] == pytest.approx(direct, rel=1e-12)
@@ -108,14 +110,14 @@ def test_level_cube_means_2d(grid2d, rng):
 @pytest.mark.parametrize("J", [7, 10])
 def test_2d_cube_bands_change_no_bit(J, monkeypatch):
     """The 2D reduction sums a few cube rows at a time: one row at a time
-    gives the same table and level means, bit for bit, as all at once."""
+    gives the same table means, bit for bit, as all at once."""
     grid = GridSpec(2, J)
     data = np.random.default_rng(J).random(grid.shape)
     levels = range(grid.l_max + 1)
     monkeypatch.setattr(cubes_mod, "_BAND", 1 << 30)
     table = CubeMeanTable(grid, data)
-    expected = [(table.means(l), level_cube_means(grid, data, l)) for l in levels]
+    expected = [table.means(l) for l in levels]
     monkeypatch.setattr(cubes_mod, "_BAND", 1)
     table = CubeMeanTable(grid, data)
-    for l, (means, single) in zip(levels, expected):
-        assert np.array_equal(table.means(l), means) and np.array_equal(level_cube_means(grid, data, l), single)
+    for l, means in zip(levels, expected):
+        assert np.array_equal(table.means(l), means)

@@ -12,6 +12,7 @@ from logbesov import partition as partition_mod
 from logbesov.partition import (
     PartitionKind,
     SpectralDecomposition,
+    _synthesis_buffers,
     build_partition,
     decompose,
     generator_profile,
@@ -160,7 +161,8 @@ def test_boxed_symbols_match_full_lattice(dim, kind, data):
     f = random_band_limited(g, 2.0 ** (g.k_max - 1), np.random.default_rng(data.draw(st.integers(0, 9999))))
     dec = decompose(f, part)
     pieces = dec.pieces
-    streamed = [values.copy() for values in dec._values()]
+    bufs = _synthesis_buffers(g, dec.coeffs, part.k_max)
+    streamed = [dec._piece(k, bufs).copy() for k in range(part.k_max + 1)]
     coeffs = np.fft.fftn(f.values)
     prev = None
     for k in range(part.k_max + 1):

@@ -11,7 +11,7 @@ import pytest
 
 from logbesov.criteria import verdict
 from logbesov.cubes import CubeMeanTable
-from logbesov.errors import InvalidInputError
+from logbesov.errors import InvalidInputError, ResolutionError
 from logbesov.experiments import ExperimentConfig, run_exp_growth
 from logbesov.gallery import expo7_family, gallery_from_spec, make_exponential, make_indicator
 from logbesov.grid import INF, GridSpec, SampledFunction, band_energy_fraction, lp_norm, make_constant
@@ -178,7 +178,7 @@ def test_real_input_matches_the_full_spectrum(dim, J, kind, spec):
             assert abs(dec.lp_norms(p)[k] - lp_norm(want, p)) <= 1e-14 * unit
         for r in (1.0, 2.0):
             table, oracle = dec.cube_table(k, r), CubeMeanTable(grid, np.abs(want.values) ** r)
-            for level in range(grid.l_max + 1):
+            for level in range(min(k, grid.l_max) + 1):
                 assert np.abs(table.means(level) - oracle.means(level)).max() <= 1e-14 * scale**r
 
 
@@ -228,9 +228,10 @@ def _traced_peak(fn) -> int:
 
 @pytest.mark.parametrize("q", [2.0, INF])
 def test_tl_norm_streams_its_pieces(q):
-    """`tl_norm_inf` runs its descending sum over one pass: at 1D J=16 on a
-    given decomposition it peaks below 8 complex lattice arrays (about 17
-    when it read the whole piece list)."""
+    """`tl_norm_inf` reads the sup norms or cube tables of one analysis
+    pass, which makes each piece in turn: at 1D J=16 on a given
+    decomposition it peaks below 8 complex lattice arrays (about 17 when it
+    read the whole piece list)."""
     grid = GridSpec(1, 16)
     part = build_partition(grid)
     for k in range(part.k_max + 1):
@@ -238,6 +239,80 @@ def test_tl_norm_streams_its_pieces(q):
     f = make_indicator(grid, "cube")
     dec = decompose(f, part)
     assert _traced_peak(lambda: tl_norm_inf(f, part, 0.0, 1.0, q, dec=dec)) < 8 * _complex_array_bytes(grid)
+
+
+def _descending_tl(dec, s: float, b: float, q: float) -> list[float]:
+    """tl per-level values as a running sum from K_max down over
+    `dec.pieces`: sup over level-l cubes of (mean_Q sum_{k>=l} (w_k
+    |S_k f|)^q)^{1/q}, at q = inf the max of the pointwise running max."""
+    grid = dec.grid
+    l_top = min(dec.k_max, grid.l_max)
+    pieces = dec.pieces
+    best = [0.0] * (l_top + 1)
+    running = np.zeros(grid.shape)
+    for k in range(dec.k_max, -1, -1):
+        term = 2.0 ** (k * s) * (1.0 + k) ** b * np.abs(pieces[k].values)
+        running = np.maximum(running, term) if q == INF else running + term**q
+        if k <= l_top:
+            best[k] = float(running.max() if q == INF else CubeMeanTable(grid, running).means(k).max() ** (1.0 / q))
+    return best
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INF])
+@pytest.mark.parametrize("spec", ["cube", "bump:l=3"])
+@pytest.mark.parametrize("dim, J", [(1, 12), (2, 8)])
+def test_tl_norm_matches_the_descending_running_sum(dim, J, spec, q):
+    """Real and complex members: the tl levels read off the cube tables
+    agree with the running sum over the pieces to 1e-13 relative, and bit
+    for bit at q = inf."""
+    grid = GridSpec(dim, J)
+    part = build_partition(grid)
+    f = gallery_from_spec(grid, spec)
+    dec = decompose(f, part)
+    want = _descending_tl(dec, 0.5, 1.0, q)
+    got = tl_norm_inf(f, part, 0.5, 1.0, q, dec=dec)
+    if q == INF:
+        assert got.per_level == want
+    else:
+        assert len(got.per_level) == len(want)
+        for g, w in zip(got.per_level, want):
+            assert abs(g - w) <= 1e-13 * w
+    assert got.value == max(got.per_level)
+
+
+@pytest.mark.parametrize("dim, J", [(1, 12), (2, 8)])
+def test_piece_tables_hold_the_levels_up_to_the_piece(dim, J, usable_cpus):
+    """The table of piece k keeps exactly the cube levels 0..min(k, l_max),
+    on the 1D pass and on the banded and whole-piece 2D passes of two
+    workers alike; a level above is a `ResolutionError` naming it."""
+    usable_cpus(2)
+    grid = GridSpec(dim, J)
+    part = build_partition(grid)
+    for spec in ("cube", "bump:l=3"):
+        for lp in ((), (2.0,)):
+            dec = decompose(gallery_from_spec(grid, spec), part)
+            dec.analyze(cube_exponents=(2.0,), lp_exponents=lp)
+            for k in range(part.k_max + 1):
+                table, top = dec.cube_table(k, 2.0), min(k, grid.l_max)
+                assert len(table._sums) == top + 1
+                for level in range(top + 1):
+                    assert table.means(level).min() >= 0.0
+                with pytest.raises(ResolutionError, match=f"cube level {top + 1} "):
+                    table.means(top + 1)
+
+
+def test_complex_tail_fraction_holds_no_copy_of_the_coefficients():
+    """On a given 2D J=9 complex decomposition, `tail_fraction` reads the
+    kept coefficients as they are: it peaks below 2 complex lattice arrays
+    (2.54 with a normalized copy of them)."""
+    grid = GridSpec(2, 9)
+    part = build_partition(grid)
+    f = gallery_from_spec(grid, "bump:l=3")
+    dec = decompose(f, part)
+    assert dec.dtype == np.complex128
+    want = band_energy_fraction(f, 0.0, 2.0 ** (part.k_max - 1))
+    assert _traced_peak(dec.tail_fraction) < 2 * _complex_array_bytes(grid)
+    assert dec.tail_fraction() == want
 
 
 def test_product_report_holds_a_window_of_pieces():
@@ -319,7 +394,7 @@ def test_cube_tables_are_the_power_oracle_bit_for_bit(dim, J, spec):
             oracle = CubeMeanTable(grid, a**r)
             for dec in (together, alone[r]):
                 table = dec.cube_table(k, r)
-                for level in range(grid.l_max + 1):
+                for level in range(min(k, grid.l_max) + 1):
                     assert np.array_equal(table.means(level), oracle.means(level)), (k, r, level)
 
 
@@ -333,7 +408,8 @@ def _everything(f, part) -> list:
     dec = decompose(f, part)
     dec.analyze(cube_exponents=(1.5, 3.0), lp_exponents=(1.0, INF))
     out.append([dec.sup_norms().tolist(), dec.lp_norms(1.0).tolist(), dec.lp_norms(INF).tolist()])
-    out.append([dec.cube_table(k, r).means(l).tolist() for k in range(part.k_max + 1) for r in (1.5, 3.0) for l in range(part.grid.l_max + 1)])
+    levels = [(k, l) for k in range(part.k_max + 1) for l in range(min(k, part.grid.l_max) + 1)]
+    out.append([dec.cube_table(k, r).means(l).tolist() for k, l in levels for r in (1.5, 3.0)])
     return out
 
 
@@ -366,7 +442,7 @@ def test_banded_pass_matches_the_whole_pieces(spec):
     assert banded.sup_norms().tolist() == whole.sup_norms().tolist()
     for k in range(part.k_max + 1):
         for r in (4.0 / 3.0, 4.0):
-            for level in range(grid.l_max + 1):
+            for level in range(min(k, grid.l_max) + 1):
                 assert np.array_equal(banded.cube_table(k, r).means(level), whole.cube_table(k, r).means(level))
 
 
