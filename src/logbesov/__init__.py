@@ -84,8 +84,6 @@ from .partition import (
     SpectralDecomposition,
     build_partition,
     decompose,
-    partial_sum,
-    project,
 )
 
 __version__ = "0.1.0"

@@ -169,8 +169,8 @@ def _main(argv) -> int:
             f = gallery_from_spec(grid, args.f)
             partition = build_partition(grid)
             family = family_from_spec(grid, args.family)
-            bound, name = multiplier_lower_bound(
-                f, partition, BesovParams(args.s, args.b, args.p, args.q), family
+            [(bound, name)] = multiplier_lower_bound(
+                f, partition, [BesovParams(args.s, args.b, args.p, args.q)], family
             )
             print(json.dumps({"lower_bound": bound, "argmax": name}))
             return 0

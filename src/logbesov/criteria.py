@@ -156,9 +156,16 @@ def _low_high_levels(dec: SpectralDecomposition, r: float, b: float, per_cube: b
     return per_level, sups
 
 
+def _at_clamp(dec: SpectralDecomposition, per_level: list[float]) -> bool:
+    """The sup of a low-high term sits at its last cube level, which the
+    grid guard l_max holds below K_max."""
+    top = len(per_level) - 1
+    return top < dec.k_max and int(np.argmax(per_level)) == top
+
+
 def _low_high(dec: SpectralDecomposition, r: float, b: float, per_cube: bool) -> TermReport:
     per_level, sups = _low_high_levels(dec, r, b, per_cube)
-    return _report(dec, per_level, tails=sups)
+    return _report(dec, per_level, tails=sups, clamped=_at_clamp(dec, per_level))
 
 
 def _high_low(dec: SpectralDecomposition, r: float, b=0.0, q=1.0, *, weight=None) -> TermReport:
@@ -246,7 +253,7 @@ def pinf_term2(
     with _weights(b):
         weight = (1.0 + np.arange(dec.k_max + 1)) ** (-b)
     inner = weight * dec.sup_norms()
-    return _report(dec, per_level, tails=[inner])
+    return _report(dec, per_level, tails=[inner], clamped=_at_clamp(dec, per_level))
 
 
 def pinf_term3(

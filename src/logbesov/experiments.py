@@ -188,6 +188,10 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
         raise InvalidInputError(
             f"m range [{m_lo},{m_hi}] outside [2, K_max-2]=[2,{grid.k_max - 2}]"
         )
+    if m_hi - m_lo + 1 < 4:
+        raise InvalidInputError(
+            f"exp-growth m range [{m_lo},{m_hi}] holds fewer than the 4 values of m its fit needs"
+        )
     table = Table(
         "exp-growth",
         ["p", "b", "m", "value", "predicted", "ratio", "asymptote"],
@@ -349,8 +353,8 @@ def run_sandwich(config: ExperimentConfig) -> Table:
         # stride 1 packs the most levels per stack; the uniform norm bound holds
         # for any stride (larger strides only matter for the pointwise lower bound)
         stack = make_stack(grid, StackSpec(spacing=1, offset=0, depth=m - 2, p=1.0, b=b))
-        low, _ = multiplier_lower_bound(
-            f, partition, BesovParams(0.0, b, 1.0, INF), [("stack", stack)]
+        [(low, _)] = multiplier_lower_bound(
+            f, partition, [BesovParams(0.0, b, 1.0, INF)], [("stack", stack)]
         )
         return low, _criterion_value(f, partition, 1.0, b)
 
@@ -362,8 +366,8 @@ def run_sandwich(config: ExperimentConfig) -> Table:
     def constant_row():
         # Constant row: everything collapses to the L^inf value.
         one = make_constant(grid)
-        low1, _ = multiplier_lower_bound(
-            one, partition, BesovParams(0.0, b, 1.0, INF), [("one", one)]
+        [(low1, _)] = multiplier_lower_bound(
+            one, partition, [BesovParams(0.0, b, 1.0, INF)], [("one", one)]
         )
         return verdict(one, partition, 1.0, b), low1
 

@@ -38,35 +38,26 @@ PI = math.pi
 
 def make_exponential(grid: GridSpec, k) -> SampledFunction:
     """Samples of e^{i k.x}; exactly one nonzero Fourier coefficient."""
-    kv = np.atleast_1d(np.asarray(k, dtype=np.int64))
-    if kv.size != grid.dim:
-        raise InvalidInputError(f"wavevector has {kv.size} components, grid dim {grid.dim}")
-    if np.any(np.abs(kv) >= grid.n_samples // 2):
+    kv = [int(ki) for ki in np.atleast_1d(np.asarray(k, dtype=object))]  # Python ints: no overflow
+    if len(kv) != grid.dim:
+        raise InvalidInputError(f"wavevector has {len(kv)} components, grid dim {grid.dim}")
+    if any(abs(ki) >= grid.n_samples // 2 for ki in kv):
         raise AliasingError(f"|k| components must be < N/2 = {grid.n_samples // 2}")
     xs = grid.points()
-    phase = sum(int(ki) * x for ki, x in zip(kv, xs))
+    phase = sum(ki * x for ki, x in zip(kv, xs))
     z = 1j * phase
     return SampledFunction(grid, np.exp(z, out=z))
 
 
-def make_indicator(grid: GridSpec, shape="cube") -> SampledFunction:
-    """Characteristic functions: 'cube' is (-1,1)^n, 'halfspace' is {x_n >= 0},
-    or an explicit rectangle given as [(a_1,b_1), ..., (a_dim,b_dim)]."""
-    if isinstance(shape, str):
-        tag = shape.lower()
-        if tag == "cube":
-            bounds = [(-1.0, 1.0)] * grid.dim
-        elif tag == "halfspace":
-            bounds = [(-PI, PI)] * (grid.dim - 1) + [(0.0, PI)]
-        else:
-            raise InvalidInputError(f"unknown indicator shape {shape!r}")
+def make_indicator(grid: GridSpec, shape: str = "cube") -> SampledFunction:
+    """Characteristic functions: 'cube' is [-1,1)^n, 'halfspace' is {x_n >= 0}."""
+    tag = shape.lower()
+    if tag == "cube":
+        bounds = [(-1.0, 1.0)] * grid.dim
+    elif tag == "halfspace":
+        bounds = [(-PI, PI)] * (grid.dim - 1) + [(0.0, PI)]
     else:
-        bounds = [tuple(map(float, ab)) for ab in shape]
-        if len(bounds) != grid.dim:
-            raise InvalidInputError("rectangle bounds must match grid dimension")
-    for a, b in bounds:
-        if not (-PI <= a < b <= PI):
-            raise DomainError(f"rectangle [{a}, {b}) not inside [-pi, pi)")
+        raise InvalidInputError(f"unknown indicator shape {shape!r}")
     x = grid.axis()
     factors = [((x >= a) & (x < b)).astype(np.float64) for a, b in bounds]
     return SampledFunction(grid, functools.reduce(np.multiply.outer, factors))
@@ -184,24 +175,6 @@ class StackSpec:
             lvl
             for lvl in range(self.offset, self.depth + 1, self.spacing)
         ] or [self.offset]
-
-
-def default_stack_spacing(dim: int, p: float, b: float) -> int:
-    """Smallest stride m making consecutive stack terms geometrically dominant
-    (the 2^{m dim/p} gain beats the (1+.)^b weight and the partial sums)."""
-    over_p = 0.0 if is_inf(p) else dim / p
-    if over_p <= 0:
-        return 1
-    kappa = max(1.0, over_p)
-    ratios = [2.0 ** (l * kappa) / (1 + l) ** b for l in range(0, 65)]
-    c1 = max(1.0, max(sum(ratios[: i + 1]) / ratios[i] for i in range(1, 65)))
-    m = 1
-    while m <= 64 and (
-        2.0 ** (-m * over_p) * (1 + 2 * m) ** b > 1.0
-        or 2.0 ** (-m * over_p) > 1.0 / (2.0 * c1)
-    ):
-        m += 1
-    return m
 
 
 def make_stack(grid: GridSpec, spec: StackSpec) -> SampledFunction:
@@ -382,7 +355,8 @@ def gallery_from_spec(grid: GridSpec, text: str) -> SampledFunction:
     kv = _parse_kv(body)
     if head == "exp":
         if "m" in kv:
-            k1 = _field(kv, "m", "", lambda t: 1 << int(t))
+            # an m of J or more aliases as m = J does, without a huge integer
+            k1 = _field(kv, "m", "", lambda t: 1 << min(int(t), grid.log2_samples))
         elif "k" in kv:
             k1 = _field(kv, "k", "")
         else:

@@ -240,10 +240,10 @@ def spectrum(f: SampledFunction) -> np.ndarray:
 def _forward(values: np.ndarray) -> np.ndarray:
     """The unnormalized forward transform of `SampledFunction` samples: the
     `rfftn` half spectrum (last axis m = 0..N/2) of real (`float64`)
-    samples, the full `fftn` spectrum of complex ones.  An inf sample gives
-    NaN coefficients without a warning; the consumers' finiteness checks
-    reject it."""
-    with np.errstate(invalid="ignore"):
+    samples, the full `fftn` spectrum of complex ones.  An inf sample, or
+    samples whose sum overflows, give non-finite coefficients without a
+    warning; the consumers' finiteness checks reject them."""
+    with np.errstate(invalid="ignore", over="ignore"):
         return np.fft.fftn(values) if np.iscomplexobj(values) else np.fft.rfftn(values)
 
 
@@ -268,7 +268,16 @@ def _abs_lp_norm(a: np.ndarray, p: float, cell_volume: float, sup=None, in_place
         raise InvalidInputError("non-finite samples rejected")
     if is_inf(p):
         return float(sup)
-    return float((np.sum(_power(a, p, in_place)) * cell_volume) ** (1.0 / p))
+    return _root(np.sum(_power(a, p, in_place)) * cell_volume, p)
+
+
+def _root(x: float, p: float, name: str = "p") -> float:
+    """x^{1/p} as a Python float, the bits of NumPy's scalar power: a root
+    beyond the float range (a tiny exponent) is an input error naming it."""
+    try:
+        return float(x) ** (1.0 / p)
+    except OverflowError:
+        raise InvalidInputError(f"{name}={p!r} makes a 1/{name}-th root overflow") from None
 
 
 def _power(a: np.ndarray, r: float, in_place: bool) -> np.ndarray:

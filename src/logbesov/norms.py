@@ -24,6 +24,7 @@ from .grid import (
     check_finite,
     _abs_lp_norm,
     _checked_weight,
+    _root,
     is_inf,
     lp_norm,
 )
@@ -82,7 +83,7 @@ class NormResult:
 def _lq_combine(terms: np.ndarray, q: float) -> float:
     if is_inf(q):
         return float(terms.max()) if terms.size else 0.0
-    return float(np.sum(terms**q) ** (1.0 / q))
+    return _root(np.sum(terms**q), q, "q")
 
 
 def _weight(k: int, s: float, b: float, d: float = 0.0, *, power: float = 1.0) -> float:
@@ -151,7 +152,7 @@ def tl_norm_inf(
     else:
         ks = range(dec.k_max, -1, -1)
         sums = (sum(weights[k] * dec.cube_table(k, q).means(l) for k in ks if k >= l) for l in levels)
-        per_level = [float(total.max() ** (1.0 / q)) for total in sums]
+        per_level = [_root(total.max(), q, "q") for total in sums]
     return NormResult(max(per_level), tail, per_level)
 
 
@@ -233,6 +234,8 @@ def modulus(f: SampledFunction, m: int, t: float, p: float) -> float:
     """
     if m < 1:
         raise InvalidInputError("modulus order must be >= 1")
+    # 2^m bounds both sum_j C(m, j) and |e^{i m.h} - 1|^m: finite, so is every weight
+    _checked_weight("the difference weights", ("m", m, 2.0, m))
     if not (0.0 < t <= PI):
         raise InvalidInputError(f"scale t must lie in (0, pi], got {t}")
     if t < f.grid.spacing:
@@ -291,6 +294,6 @@ def diffspace_norm(f: SampledFunction, params: DiffParams) -> NormResult:
     if is_inf(params.q):
         semi = float(arr.max())
     else:
-        semi = float((np.sum(arr**params.q) * LN2) ** (1.0 / params.q))
+        semi = _root(np.sum(arr**params.q) * LN2, params.q, "q")
     base = lp_norm(f, params.p)
     return NormResult(base + semi, terms[-1] if terms else 0.0, terms)

@@ -120,36 +120,34 @@ def _norms_on_one_decomposition(g: SampledFunction, partition: DyadicPartition, 
 def multiplier_lower_bound(
     f: SampledFunction,
     partition: DyadicPartition,
-    params: BesovParams | Sequence[BesovParams],
+    params: Sequence[BesovParams],
     family,
-) -> tuple[float, str] | list[tuple[float, str]]:
+) -> list[tuple[float, str]]:
     """max over the family of ||f g||_B / ||g||_B — a lower bound for the
     multiplier operator norm of f on the (s, b, p, q) space.
 
-    `family` is a sequence of (name, SampledFunction) pairs.  `params` is one
-    BesovParams, giving (bound, argmax name), or a sequence of them, giving
-    one (bound, argmax name) per entry.  Each distinct member g and its
-    product f g are decomposed once for every entry, one decomposition alive
-    at a time; a member whose samples equal an earlier one's reuses its
-    ratios, and ties keep the first name.
+    `family` is a sequence of (name, SampledFunction) pairs.  The result
+    holds one (bound, argmax name) per entry of `params`.  Each distinct
+    member g and its product f g are decomposed once for every entry, one
+    decomposition alive at a time; a member whose samples equal an earlier
+    one's reuses its ratios, and ties keep the first name.
     """
-    single = isinstance(params, BesovParams)
-    params_list = [params] if single else list(params)
-    if not params_list:
+    params = list(params)
+    if not params:
         raise InvalidInputError("params must be nonempty")
     named = list(family)
     if not named:
         raise InvalidInputError("family must be nonempty")
-    best = [(-math.inf, "")] * len(params_list)
+    best = [(-math.inf, "")] * len(params)
     seen: list[tuple[np.ndarray, list[float]]] = []
     for name, g in named:
         ratios = next((r for values, r in seen if np.array_equal(values, g.values)), None)
         if ratios is None:
-            denoms = _norms_on_one_decomposition(g, partition, params_list)
+            denoms = _norms_on_one_decomposition(g, partition, params)
             if any(d <= 0 for d in denoms):
                 raise DegenerateInputError(f"family member {name!r} has zero norm")
-            numers = _norms_on_one_decomposition(f * g, partition, params_list)
+            numers = _norms_on_one_decomposition(f * g, partition, params)
             ratios = [n / d for n, d in zip(numers, denoms)]
             seen.append((g.values, ratios))
         best = [(r, name) if r > b[0] else b for r, b in zip(ratios, best)]
-    return best[0] if single else best
+    return best

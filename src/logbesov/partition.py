@@ -13,8 +13,8 @@ in floating point.  The TENSOR kind replaces |xi| by per-axis profiles
 Both phi_0(2^-k .) and phi_k vanish outside the box |m_i| < 3/2 2^k, so a
 partition stores level k only on that box (FFT layout, two index ranges
 per axis).  `symbol` and `cumulative_symbol` expand it to the full lattice
-on each call, bit-identical to evaluating the formula there; `decompose`,
-`project` and `partial_sum` multiply the box by the coefficients only.
+on each call, bit-identical to evaluating the formula there; the pieces
+S_k f multiply the phi_k box by the coefficients only.
 
 The coefficients come in two layouts, chosen by the dtype of the samples
 (`SampledFunction` stores them as `float64` exactly when they are real).
@@ -183,13 +183,12 @@ class DyadicPartition:
             self._cache[key] = box
         return self._cache[key]
 
-    def _synthesize(self, coeffs: np.ndarray, k: int, cumulative: bool, bufs=None) -> np.ndarray:
-        """F^{-1}(phi_0(2^-k .) c) (cumulative) or F^{-1}(phi_k c) for the
-        coefficients c = `coeffs`, full or half (`rfftn`) spectrum: complex
-        samples from the full one, real samples from the half one (both
-        kinds of symbol are even).  `bufs` = `_synthesis_buffers(grid,
-        coeffs, top)` with top >= k is overwritten; without it the call
-        makes its own.
+    def _synthesize(self, coeffs: np.ndarray, k: int, bufs=None) -> np.ndarray:
+        """F^{-1}(phi_k c) for the coefficients c = `coeffs`, full or half
+        (`rfftn`) spectrum: complex samples from the full one, real samples
+        from the half one (both kinds of symbol are even).  `bufs` =
+        `_synthesis_buffers(grid, coeffs, top)` with top >= k is
+        overwritten; without it the call makes its own.
 
         The spectrum is zero off the level-k box, so of the inverse passes,
         which run in numpy's order, only the last one covers the lattice: in
@@ -201,12 +200,12 @@ class DyadicPartition:
         """
         spec, out = _synthesis_buffers(self.grid, coeffs, k) if bufs is None else bufs
         with np.errstate(invalid="ignore"):
-            self._first_passes(coeffs, k, cumulative, spec)
+            self._first_passes(coeffs, k, spec)
             if spec is not out:
                 return np.fft.irfft(spec, self.grid.n_samples, axis=-1, out=out)
             return np.fft.ifft(spec, axis=0, out=spec)
 
-    def _first_passes(self, coeffs: np.ndarray, k: int, cumulative: bool, spec: np.ndarray) -> None:
+    def _first_passes(self, coeffs: np.ndarray, k: int, spec: np.ndarray) -> None:
         """Fill `spec` with the level-k box times `coeffs` and, in 2D, run
         the first inverse pass over the box's rows (full layout) or columns
         (half layout): `_synthesize` without its last pass.  The caller
@@ -214,7 +213,7 @@ class DyadicPartition:
         n = self.grid.n_samples
         half = coeffs.shape != self.grid.shape
         spec.fill(0.0)
-        box = self._box(k, cumulative)
+        box = self._box(k, False)
         top = _box_top(k)
         for lattice, sub in self._blocks(k, half):
             np.multiply(box[sub], coeffs[lattice], out=spec[lattice])
@@ -313,26 +312,6 @@ def build_partition(grid: GridSpec, kind: PartitionKind | str = PartitionKind.RA
     return DyadicPartition(grid, kind)
 
 
-def _level_multiplier(f: SampledFunction, partition: DyadicPartition, k: int, cumulative: bool):
-    """F^{-1}(phi_0(2^-k .) F f) (cumulative) or F^{-1}(phi_k F f); 0 for k < 0."""
-    if k < 0:
-        return SampledFunction(f.grid, np.zeros(f.grid.shape))
-    partition._check_level(k)
-    if f.grid != partition.grid:
-        raise InvalidInputError("function and partition live on different grids")
-    return SampledFunction(f.grid, partition._synthesize(_forward(f.values), k, cumulative))
-
-
-def project(f: SampledFunction, partition: DyadicPartition, k: int) -> SampledFunction:
-    """Frequency piece S_k f = F^{-1}(phi_k F f); S_j f := 0 for j < 0."""
-    return _level_multiplier(f, partition, k, cumulative=False)
-
-
-def partial_sum(f: SampledFunction, partition: DyadicPartition, k: int) -> SampledFunction:
-    """S^k f = sum_{j<=k} S_j f, applied as one multiplier (exact telescoping)."""
-    return _level_multiplier(f, partition, k, cumulative=True)
-
-
 class SpectralDecomposition:
     """The frequency pieces (S_0 f, ..., S_K_max f) of one function, kept as
     its forward coefficients `coeffs` (`rfftn` half spectrum for real
@@ -369,7 +348,7 @@ class SpectralDecomposition:
 
     def _piece(self, k: int, bufs=None) -> np.ndarray:
         """S_k f, real for a real f, made in `bufs` or in new arrays."""
-        return self.partition._synthesize(self.coeffs, k, False, bufs)
+        return self.partition._synthesize(self.coeffs, k, bufs)
 
     @property
     def pieces(self) -> list[SampledFunction]:
@@ -466,7 +445,7 @@ class SpectralDecomposition:
         maxes = []
         with np.errstate(invalid="ignore"):
             if real:
-                self.partition._first_passes(self.coeffs, k, False, first)
+                self.partition._first_passes(self.coeffs, k, first)
             else:
                 first = self.partition._box_rows(self.coeffs, k, first)
             for start, band in _lattice_bands(grid):

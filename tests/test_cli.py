@@ -174,6 +174,8 @@ def test_experiment_flags_only_where_read(argv):
         ["--grid", "J=10", "--out", "{garbage}/sub", "criteria", "--p", "2", "--b", "0", "--gallery", "cube"],
         ["--grid", "J=8", "--out", "{garbage}/sub", "partition-check"],
         ["--grid", "J=8", "partition-check", "--export", "{missing}/x.dpu"],
+        ["--grid", "J=8", "criteria", "--p", "2", "--b", "0", "--gallery", "exp:m=63"],
+        ["--grid", "J=8", "criteria", "--p", "2", "--b", "0", "--gallery", "exp:k=99999999999999999999999"],
     ],
 )
 def test_malformed_input_exits_2(argv, capsys, tmp_path):
@@ -287,6 +289,12 @@ def test_inf_sample_exits_2_with_only_the_error_line(argv, imag, capsys, tmp_pat
         (["lowerbound", "--f", "cube", "--family", "packets:m=3", "--p", "2", "--b", "1e6"], "b"),
         (["norm", "--space", "tl", "--s", "100", "--q", "8"], "s"),
         (["norm", "--space", "tl", "--b", "300", "--q", "8"], "b"),
+        (["norm", "--space", "diff", "--m", "2000"], "m"),
+        (["lowerbound", "--f", "cube", "--family", "cube", "--p", "0.001", "--b", "0"], "p"),
+        (["norm", "--space", "besov", "--p", "0.001"], "p"),
+        (["norm", "--space", "besov", "--q", "1e-300"], "q"),
+        (["norm", "--space", "tl", "--q", "1e-300"], "q"),
+        (["norm", "--space", "diff", "--q", "1e-300"], "q"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -294,13 +302,23 @@ def test_weight_overflow_exits_2_naming_the_parameter(argv, name, capsys):
     """A smoothness parameter whose level weight 2^{ks} (1+k)^b, or for tl
     its q-th power, overflows a float is an input error naming it, not an
     `OverflowError` traceback or a numpy warning (warnings fail this test)
-    before an infinite value."""
+    before an infinite value.  So are a modulus order m whose difference
+    weights overflow and an exponent p or q so small that a 1/p-th or
+    1/q-th root does."""
     gallery = [] if argv[0] == "lowerbound" else ["--gallery", "cube"]
     assert main(["--grid", "J=8"] + argv + gallery) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {name}=") and "overflow" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_transform_reports_invalid_without_a_warning(capsys):
+    """Samples whose transform overflows give an INVALID report, without
+    the FFT's overflow warning (warnings fail this test)."""
+    assert main(["--grid", "J=8", "criteria", "--p", "2", "--b", "0", "--gallery", "const:c=1e308"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "INVALID"
 
 
 def test_truncated_payload_exits_2(capsys, tmp_path):
@@ -335,11 +353,13 @@ def test_sandwich_verb(capsys):
         (["--grid", "J=12", "sandwich", "--m-min", "4", "--m-max", "9"], "J >= 13"),
         (["--grid", "J=10,dim=2", "charfun"], "J >= 11"),
         (["--grid", "J=10", "charfun", "--shape", "halfspace"], "J >= 11"),
+        (["--grid", "J=14", "exp-growth", "--m-min", "7", "--m-max", "9", "--p-list", "2,4"], "fewer than the 4 values"),
     ],
 )
 def test_experiment_window_too_large_for_grid_exits_2(argv, smallest, capsys):
     """sandwich (m <= K_max - 2) and charfun (4 levels in k in [6, K_max])
-    check their windows before any work and name the smallest J that fits."""
+    check their windows before any work and name the smallest J that fits;
+    exp-growth checks that its window holds the 4 values of m its fit needs."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -18,9 +18,6 @@ ALLOWED = {
     "cube_mean_power": "the single-cube oracle the criterion and cube tests check the tables against",
     "save_sfn": "writes the .sfn files that load_sfn reads for `norm --input`",
     "load_dpu": "reads back the .dpu files that `partition-check --export` writes",
-    "default_stack_spacing": "the stride whose geometric dominance the stack tests check",
-    "project": "S_k f one level at a time: the oracle the partition and criterion-oracle tests check decompose against",
-    "partial_sum": "S^k f as one multiplier: the oracle the telescoping and paraproduct tests check the pieces against",
 }
 
 

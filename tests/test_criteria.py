@@ -78,6 +78,24 @@ def test_pinf_term2_exponential(part12):
     assert pinf_term2(one, part12, 0.7).value == pytest.approx(1.0, rel=1e-10)
 
 
+def test_low_high_sup_at_the_cube_clamp_is_noted(part12):
+    """At b = 1 the level-l value of e^{i 2^m x} is (1+l)/(1+m) up to l = m,
+    so for m = 7 > l_max = 6 the sup, 0.875, sits at the last cube level:
+    the low-high terms say the levels were clamped.  For m = 3 it sits at
+    l = 3, inside the scan, with no such note."""
+    g = part12.grid
+    assert g.l_max == 6
+    clamped = "cube levels clamped at l_max"
+    high = make_exponential(g, (1 << 7,))
+    rep = pinf_term2(high, part12, 1.0)
+    assert rep.value == pytest.approx(0.875, rel=1e-12)
+    assert int(np.argmax(rep.per_level)) == g.l_max and clamped in rep.note
+    assert clamped in nece_term2(high, part12, 2.0, 1.0).note
+    low = make_exponential(g, (1 << 3,))
+    for rep in (pinf_term2(low, part12, 1.0), nece_term2(low, part12, 2.0, 1.0), suff_term2(low, part12, 2.0, 1.0)):
+        assert clamped not in rep.note
+
+
 def test_pinf_term2_b0_matches_tl(part10, rng):
     """At b = 0 the low-high term is the F^0_{inf,1} functional."""
     g = part10.grid

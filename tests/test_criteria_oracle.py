@@ -1,9 +1,9 @@
 """From-scratch oracle for the criterion-term formulas.
 
 Each term's docstring formula is evaluated by plain loops: the pieces come
-from `project`, and every cube average from `cube_mean_power` on each
-`DyadicCube` of the level.  Cube levels stop at the grid guard l_max, as
-in the terms.
+from the full-lattice formula (`lattice_piece`), and every cube average
+from `cube_mean_power` on each `DyadicCube` of the level.  Cube levels stop
+at the grid guard l_max, as in the terms.
 """
 
 import itertools
@@ -15,7 +15,9 @@ from logbesov.criteria import nece_term2, nece_term3, pinf_term2, suff_term2, su
 from logbesov.cubes import DyadicCube, cube_mean_power, level_index_range
 from logbesov.gallery import make_indicator
 from logbesov.grid import INF, GridSpec, SampledFunction, conjugate_exponent, random_band_limited
-from logbesov.partition import build_partition, decompose, project
+from logbesov.partition import build_partition, decompose
+
+from lattice_oracle import lattice_piece
 
 B_VALUES = (-1.0, 0.5, 1.5)
 
@@ -31,7 +33,7 @@ class Oracle:
         self.grid = f.grid
         self.k_top = partition.k_max
         self.l_top = min(self.grid.l_max, self.k_top)
-        self.pieces = [project(f, partition, k) for k in range(self.k_top + 1)]
+        self.pieces = [lattice_piece(f, partition, k) for k in range(self.k_top + 1)]
         self._cube_powers = {}
 
     def cube_powers(self, k, r, level):

@@ -14,7 +14,6 @@ from logbesov.cubes import (
     level_index_range,
 )
 from logbesov.errors import DomainError, ResolutionError
-from logbesov.gallery import make_indicator
 from logbesov.grid import INF, GridSpec, SampledFunction, make_constant, random_band_limited
 
 
@@ -49,7 +48,8 @@ def test_cube_mean_constant(grid10):
 
 def test_cube_mean_half_indicator(grid12):
     # indicator of the left half of Q = [0, 1/4): mean 0.5 within a cell
-    f = make_indicator(grid12, [(0.0, 0.125)])
+    xs = grid12.axis()
+    f = SampledFunction(grid12, (xs >= 0.0) & (xs < 0.125))
     q = DyadicCube(2, (0,))
     got = cube_mean_power(f, q, 1.0)
     assert got == pytest.approx(0.5, abs=2 * grid12.spacing / q.edge)

@@ -97,7 +97,7 @@ def test_consumers_agree_bit_for_bit_on_zero_imaginary_input(grid, spec):
     assert besov_norm(f, part, params) == besov_norm(z, part, params)
     assert tl_norm_inf(f, part, 0.0, 1.0, 2.0) == tl_norm_inf(z, part, 0.0, 1.0, 2.0)
     family = expo7_family(grid, 3, 0.0) + [("self", f)]
-    assert multiplier_lower_bound(f, part, params, family) == multiplier_lower_bound(z, part, params, family)
+    assert multiplier_lower_bound(f, part, [params], family) == multiplier_lower_bound(z, part, [params], family)
     # the moduli difference real samples in real buffers: the same bits as
     # complex samples whose imaginary part is zero
     forced = SampledFunction(grid, f.values)

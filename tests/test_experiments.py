@@ -23,7 +23,7 @@ from logbesov.gallery import expo7_family, make_exponential, make_indicator
 from logbesov.grid import INF, GridSpec
 from logbesov.norms import BesovParams
 from logbesov.paraproducts import multiplier_lower_bound
-from logbesov.partition import build_partition, project
+from logbesov.partition import build_partition, decompose
 from logbesov.workers import _map_rows
 
 
@@ -97,7 +97,7 @@ def test_exp_growth_matches_per_row_oracle():
                 else:
                     f = make_exponential(grid, (-(1 << m),))
                     params = BesovParams(0.0, b, p, INF)
-                    val, _ = multiplier_lower_bound(f, part, params, expo7_family(grid, m, b))
+                    [(val, _)] = multiplier_lower_bound(f, part, [params], expo7_family(grid, m, b))
                 expected.append(("inf" if p == INF else p, b, m, val))
     assert [(r["p"], r["b"], r["m"], r["value"]) for r in table.rows] == expected
     prefixes = [f"growth p={'inf' if p == INF else f'{p:g}'} b={b:g}:" for p in ps for b in bs]
@@ -238,12 +238,14 @@ def test_fresh_partition_first_used_by_several_threads():
     levels = range(grid.k_max + 1)
     for kind in ("radial", "tensor"):
         serial = build_partition(grid, kind)
-        expected = [(serial.symbol(k), project(f, serial, k).values) for k in levels]
+        dec = decompose(f, serial)
+        expected = [(serial.symbol(k), dec._piece(k)) for k in levels]
         fresh = build_partition(grid, kind)
         got = {}
 
         def use(t):
-            got[t] = [(fresh.symbol(k), project(f, fresh, k).values) for k in levels]
+            dec = decompose(f, fresh)
+            got[t] = [(fresh.symbol(k), dec._piece(k)) for k in levels]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

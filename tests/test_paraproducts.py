@@ -12,6 +12,8 @@ from logbesov.paraproducts import (
 )
 from logbesov.partition import decompose
 
+from lattice_oracle import lattice_partial_sum, lattice_piece
+
 
 def band_limited(grid, band, rng):
     return random_band_limited(grid, band, rng)
@@ -83,10 +85,8 @@ def test_pi1_product_support(part10, rng):
     h = band_limited(g, band, rng)
     dec_f = decompose(f, part10)
     pieces_g = decompose(h, part10).pieces
-    from logbesov.partition import partial_sum
-
     for k in range(2, part10.k_max + 1):
-        s = partial_sum(f, part10, k - 2) * pieces_g[k]
+        s = lattice_partial_sum(f, part10, k - 2) * pieces_g[k]
         if lp_norm(s, 2.0) == 0.0:
             continue
         assert band_energy_fraction(s, 2.0 ** (k - 3), 2.0 ** (k + 1)) < 1e-10
@@ -112,7 +112,7 @@ def test_lower_bound_constant(part10, rng):
     g = part10.grid
     c = make_constant(g, 1.5)
     fam = [("g1", band_limited(g, 30, rng)), ("g2", band_limited(g, 60, rng))]
-    bound, name = multiplier_lower_bound(c, part10, BesovParams(0, 0, 2.0, INF), fam)
+    [(bound, name)] = multiplier_lower_bound(c, part10, [BesovParams(0, 0, 2.0, INF)], fam)
     assert bound == pytest.approx(1.5, rel=1e-10)
     assert name in ("g1", "g2")
 
@@ -122,8 +122,8 @@ def test_lower_bound_monotone_in_family(part12, rng):
     f = make_exponential(g, (-(1 << 7),))
     params = BesovParams(0.0, 0.0, 4.0, INF)
     fam = expo7_family(g, 7, 0.0)
-    small, _ = multiplier_lower_bound(f, part12, params, fam[:2])
-    full, _ = multiplier_lower_bound(f, part12, params, fam)
+    [(small, _)] = multiplier_lower_bound(f, part12, [params], fam[:2])
+    [(full, _)] = multiplier_lower_bound(f, part12, [params], fam)
     assert full >= small - 1e-12
 
 
@@ -136,7 +136,7 @@ def test_lower_bound_dominates_linf(part12, rng):
         (f"rnd{t}", band_limited(g, 50, np.random.default_rng(900 + t))) for t in range(3)
     ]
     for f in (make_constant(g, 2.0), make_exponential(g, (3,))):
-        bound, _ = multiplier_lower_bound(f, part12, params, family)
+        [(bound, _)] = multiplier_lower_bound(f, part12, [params], family)
         assert bound >= 0.5 * lp_norm(f, INF)
 
 
@@ -145,15 +145,15 @@ def test_lower_bound_rejects_zero_member(part10):
     f = make_constant(g)
     zero = SampledFunction(g, np.zeros(g.shape, dtype=complex))
     with pytest.raises(DegenerateInputError):
-        multiplier_lower_bound(f, part10, BesovParams(0, 0, 2.0, INF), [("z", zero)])
+        multiplier_lower_bound(f, part10, [BesovParams(0, 0, 2.0, INF)], [("z", zero)])
     with pytest.raises(InvalidInputError):
-        multiplier_lower_bound(f, part10, BesovParams(0, 0, 2.0, INF), [])
+        multiplier_lower_bound(f, part10, [BesovParams(0, 0, 2.0, INF)], [])
 
 
 def test_lower_bound_sequence_form_matches_single_calls(part12):
     """One pass over several exponents gives, per entry, exactly the bound and
-    argmax name of a single-form call; the case1/case3/case4 tie at b=0
-    keeps the first name."""
+    argmax name of a call with that entry alone; the case1/case3/case4 tie
+    at b=0 keeps the first name."""
     from logbesov.gallery import family_from_spec, gallery_from_spec
 
     g = part12.grid
@@ -161,7 +161,7 @@ def test_lower_bound_sequence_form_matches_single_calls(part12):
     family = family_from_spec(g, "packets:cases=1-5,m=8,b=0")
     params = [BesovParams(0.0, 0.0, p, INF) for p in (2.0, 4.0)]
     together = multiplier_lower_bound(f, part12, params, family)
-    assert together == [multiplier_lower_bound(f, part12, pr, family) for pr in params]
+    assert together == [multiplier_lower_bound(f, part12, [pr], family)[0] for pr in params]
     assert [name for _, name in together] == ["case1", "case1"]
 
 
@@ -182,10 +182,10 @@ def test_lower_bound_sequence_form_guards(part12):
 @pytest.mark.parametrize("dim, J", [(1, 10), (2, 7)])
 @pytest.mark.parametrize("shape", ["random", "cube"])
 def test_paraproducts_match_defining_sums(dim, J, shape):
-    """Pi1, Pi3 and Pi2 equal their defining sums built from `project`,
-    `partial_sum` and `pi2_summand`."""
+    """Pi1, Pi3 and Pi2 equal their defining sums, built from the
+    full-lattice pieces and partial sums and from `pi2_summand`."""
     from logbesov.grid import GridSpec
-    from logbesov.partition import build_partition, partial_sum, project
+    from logbesov.partition import build_partition
 
     grid = GridSpec(dim, J)
     part = build_partition(grid)
@@ -195,9 +195,9 @@ def test_paraproducts_match_defining_sums(dim, J, shape):
     h = band_limited(grid, band, local)
     levels = range(2, part.k_max + 1)
     oracles = {
-        1: sum(partial_sum(f, part, k - 2).values * project(h, part, k).values for k in levels),
+        1: sum(lattice_partial_sum(f, part, k - 2).values * lattice_piece(h, part, k).values for k in levels),
         2: sum(pi2_summand(f, h, part, k).values for k in range(part.k_max + 1)),
-        3: sum(project(f, part, k).values * partial_sum(h, part, k - 2).values for k in levels),
+        3: sum(lattice_piece(f, part, k).values * lattice_partial_sum(h, part, k - 2).values for k in levels),
     }
     rep = product_report(f, h, part)
     for which, oracle in oracles.items():

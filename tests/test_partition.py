@@ -16,9 +16,9 @@ from logbesov.partition import (
     build_partition,
     decompose,
     generator_profile,
-    partial_sum,
-    project,
 )
+
+from lattice_oracle import lattice_partial_sum, lattice_piece
 
 INF = float("inf")
 
@@ -69,50 +69,51 @@ def test_delta_selection(part12):
     for m in range(2, g.k_max):
         f = make_exponential(g, (1 << m,))
         for j in range(g.k_max + 1):
-            pj = project(f, part12, j)
+            pj = lattice_piece(f, part12, j)
             target = f.values if j == m else 0.0
             assert np.abs(pj.values - target).max() < 1e-10
 
 
 def test_project_constant(part12):
     one = make_constant(part12.grid)
-    assert np.abs(project(one, part12, 0).values - 1).max() < 1e-12
+    assert np.abs(lattice_piece(one, part12, 0).values - 1).max() < 1e-12
     for k in range(1, part12.k_max + 1):
-        assert np.abs(project(one, part12, k).values).max() < 1e-12
+        assert np.abs(lattice_piece(one, part12, k).values).max() < 1e-12
 
 
 def test_project_disjoint_levels(part10, rng):
     f = random_band_limited(part10.grid, 100, rng)
     for k in (3, 5):
-        pk = project(f, part10, k)
+        pk = lattice_piece(f, part10, k)
         for j in range(part10.k_max + 1):
             if abs(j - k) >= 2:
-                assert lp_norm(project(pk, part10, j), INF) < 1e-12
+                assert lp_norm(lattice_piece(pk, part10, j), INF) < 1e-12
 
 
 def test_project_level_guard(part10):
-    one = make_constant(part10.grid)
-    with pytest.raises(LevelOverflowError):
-        project(one, part10, part10.k_max + 1)
-    # negative levels are the zero operator by convention
-    assert np.abs(project(one, part10, -1).values).max() == 0.0
+    """A level outside [0, K_max] has no symbol, so no projection."""
+    for k in (-1, part10.k_max + 1):
+        with pytest.raises(LevelOverflowError):
+            part10.symbol(k)
+        with pytest.raises(LevelOverflowError):
+            part10.cumulative_symbol(k)
 
 
 def test_partial_sum_bandlimit_and_exponential(part12, rng):
     g = part12.grid
     f = random_band_limited(g, 2.0 ** (g.k_max - 1), rng)
-    full = partial_sum(f, part12, part12.k_max)
+    full = lattice_partial_sum(f, part12, part12.k_max)
     rel = np.abs(full.values - f.values).max() / np.abs(f.values).max()
     assert rel < 1e-10
     m = 6
     e = make_exponential(g, (1 << m,))
     for k in range(0, m - 1):
-        assert lp_norm(partial_sum(e, part12, k), INF) < 1e-12
+        assert lp_norm(lattice_partial_sum(e, part12, k), INF) < 1e-12
     for k in range(m + 1, part12.k_max + 1):
-        assert np.abs(partial_sum(e, part12, k).values - e.values).max() < 1e-10
+        assert np.abs(lattice_partial_sum(e, part12, k).values - e.values).max() < 1e-10
     one = make_constant(g)
     for k in range(part12.k_max + 1):
-        assert np.abs(partial_sum(one, part12, k).values - 1).max() < 1e-12
+        assert np.abs(lattice_partial_sum(one, part12, k).values - 1).max() < 1e-12
 
 
 def test_decomposition_reconstructs(part10, rng):
@@ -152,9 +153,9 @@ def _full_lattice_cumulative(grid, kind, k):
 )
 def test_boxed_symbols_match_full_lattice(dim, kind, data):
     """Symbols stored on their boxes expand to the full-lattice formula bit
-    for bit, and the boxed products of `decompose`, `project` and
-    `partial_sum` equal the full-lattice multiplier F^{-1}(symbol F f), both
-    as the `pieces` list and as the pieces one reused buffer holds in turn."""
+    for bit, and the boxed products of `decompose` equal the full-lattice
+    multiplier F^{-1}(symbol F f), both as the `pieces` list and as the
+    pieces one reused buffer holds in turn."""
     J = data.draw(st.integers(6, 11 if dim == 1 else 8), label="J")
     g = GridSpec(dim, J)
     part = build_partition(g, kind)
@@ -173,8 +174,6 @@ def test_boxed_symbols_match_full_lattice(dim, kind, data):
         piece = np.fft.ifftn(sym * coeffs)
         assert np.array_equal(pieces[k].values, piece)
         assert np.array_equal(streamed[k], piece)
-        assert np.array_equal(project(f, part, k).values, piece)
-        assert np.array_equal(partial_sum(f, part, k).values, np.fft.ifftn(cum * coeffs))
         prev = cum
 
 
@@ -184,8 +183,8 @@ def test_telescoping_property(seed, k):
     g = GridSpec(1, 8)
     p = build_partition(g)
     f = random_band_limited(g, 30, np.random.default_rng(seed))
-    acc = sum(project(f, p, j).values for j in range(k + 1))
-    ps = partial_sum(f, p, k)
+    acc = sum(piece.values for piece in decompose(f, p).pieces[: k + 1])
+    ps = lattice_partial_sum(f, p, k)
     assert np.abs(acc - ps.values).max() <= 1e-10 * max(1.0, np.abs(f.values).max())
 
 
@@ -209,10 +208,10 @@ def test_tensor_product_indicator_factorization(grid2d):
     f2 = make_indicator(g2, "cube")
     f1 = make_indicator(g1, "cube")
     for k in range(1, p2.k_max + 1):
-        lhs = project(f2, p2, k).values
-        sk = project(f1, p1, k).values
-        s_up_k = partial_sum(f1, p1, k).values
-        s_up_km1 = partial_sum(f1, p1, k - 1).values
+        lhs = lattice_piece(f2, p2, k).values
+        sk = lattice_piece(f1, p1, k).values
+        s_up_k = lattice_partial_sum(f1, p1, k).values
+        s_up_km1 = lattice_partial_sum(f1, p1, k - 1).values
         rhs = np.outer(sk, s_up_k) + np.outer(s_up_km1, sk)
         assert np.abs(lhs - rhs).max() < 1e-8
 
@@ -231,7 +230,7 @@ def test_annular_sequence_besov_bound(part10, rng):
     for trial in range(8):
         local = np.random.default_rng(7000 + trial)
         pieces = [
-            project(random_band_limited(g, 2.0 ** (g.k_max - 1), local), part10, k)
+            lattice_piece(random_band_limited(g, 2.0 ** (g.k_max - 1), local), part10, k)
             for k in range(part10.k_max + 1)
         ]
         total = SampledFunction(g, sum(p.values for p in pieces))
@@ -244,12 +243,12 @@ def test_annular_sequence_besov_bound(part10, rng):
 
 
 def test_operations_pure(part10, rng):
-    # projections and partial sums never mutate their inputs
+    # decomposing, making the pieces and reducing them never mutate the input
     f = random_band_limited(part10.grid, 60, rng)
     before = f.values.copy()
-    project(f, part10, 3)
-    partial_sum(f, part10, 5)
-    decompose(f, part10)
+    dec = decompose(f, part10)
+    assert len(dec.pieces) == part10.k_max + 1
+    dec.analyze(cube_exponents=(1.0,), lp_exponents=(2.0,))
     assert np.array_equal(f.values, before)
 
 

@@ -145,7 +145,8 @@ def test_pi2_summand_makes_only_the_pieces_it_reads(monkeypatch):
 
 def test_decomposition_caches_no_cumulative_box():
     """`decompose` and `analyze` read the symbol boxes only; the cumulative
-    boxes phi_0(2^-k .) are built when `partial_sum` asks for them."""
+    boxes phi_0(2^-k .) are built only when `cumulative_symbol` asks for
+    them."""
     grid = GridSpec(1, 10)
     part = build_partition(grid)
     dec = decompose(make_indicator(grid, "cube"), part)
