@@ -60,7 +60,6 @@ from .grid import (
     lp_norm,
     make_constant,
     random_band_limited,
-    spectrum,
     synthesize,
 )
 from .norms import (

@@ -196,6 +196,10 @@ class CubeMeanTable:
             else:
                 self._sums.insert(0, coarser)
 
+    def finite(self) -> bool:
+        """Whether every kept cube sum is finite."""
+        return all(np.isfinite(sums).all() for sums in self._sums)
+
     def means(self, level: int) -> np.ndarray:
         """Mean over every admissible cube at `level` (array over the nu-grid)."""
         _check_level(self.grid, level)

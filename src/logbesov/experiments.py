@@ -31,7 +31,7 @@ from .gallery import (
     make_lacunary,
     make_stack,
 )
-from .grid import INF, GridSpec, SampledFunction, check_exponent, check_finite, is_inf, lp_norm, make_constant, spectrum, synthesize
+from .grid import INF, GridSpec, SampledFunction, _forward, _radius, check_exponent, check_finite, is_inf, lp_norm, make_constant
 from .norms import BesovParams, dini_norm
 from .partition import build_partition, decompose
 from .paraproducts import multiplier_lower_bound
@@ -254,9 +254,16 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
 
 
 def mollify(f: SampledFunction, width: float) -> SampledFunction:
-    """Gaussian mollification at scale `width` (spectral multiplier)."""
-    damp = np.exp(-0.5 * (width * f.grid.freq_radius()) ** 2)
-    return synthesize(f.grid, damp * spectrum(f))
+    """Gaussian mollification at scale `width` (spectral multiplier).  The
+    samples are transformed by their dtype, as `grid._forward` does, so a
+    real f is damped on its half spectrum and comes back real."""
+    coeffs = _forward(f.values)
+    axes = f.grid.freqs()
+    axes = axes[:-1] + (axes[-1][..., : coeffs.shape[-1]],)
+    coeffs *= np.exp(-0.5 * (width * _radius(axes)) ** 2)
+    if coeffs.shape == f.grid.shape:
+        return SampledFunction(f.grid, np.fft.ifftn(coeffs))
+    return SampledFunction(f.grid, np.fft.irfftn(coeffs, f.grid.shape, axes=range(f.grid.dim)))
 
 
 def run_charfun(config: ExperimentConfig) -> Table:

@@ -232,11 +232,6 @@ class FrequencyField:
         return synthesize(self.grid, self.coeffs)
 
 
-def spectrum(f: SampledFunction) -> np.ndarray:
-    """Fourier coefficients c_m with f(x) = sum_m c_m e^{i m.x} on samples."""
-    return np.fft.fftn(f.values) / f.values.size
-
-
 def _forward(values: np.ndarray) -> np.ndarray:
     """The unnormalized forward transform of `SampledFunction` samples: the
     `rfftn` half spectrum (last axis m = 0..N/2) of real (`float64`)
@@ -260,15 +255,28 @@ def lp_norm(f: SampledFunction, p: float) -> float:
 
 def _abs_lp_norm(a: np.ndarray, p: float, cell_volume: float, sup=None, in_place: bool = False) -> float:
     """`lp_norm` of samples whose moduli `a` are given; `sup` is `a.max()`
-    when the caller has it, and `in_place` lets the power overwrite `a`.
-    Finiteness is read off the max, which a NaN or an inf modulus makes
-    non-finite."""
+    when the caller has it, and `in_place` lets the power overwrite `a`."""
     sup = a.max() if sup is None else sup
+    total = 0.0
+    if np.isfinite(sup) and not is_inf(p):
+        with np.errstate(over="ignore"):
+            total = np.sum(_power(a, p, in_place))
+    return _lp_from_sum(total, p, cell_volume, sup)
+
+
+def _lp_from_sum(total: float, p: float, cell_volume: float, sup: float) -> float:
+    """The L^p norm of samples whose moduli have the max `sup` and, for a
+    finite p, p-th powers that sum to `total`.  Finiteness is read off the
+    max, which a NaN or an inf modulus makes non-finite; an infinite total
+    of finite samples is a power or a sum beyond the float range, an input
+    error naming p."""
     if not np.isfinite(sup):
         raise InvalidInputError("non-finite samples rejected")
     if is_inf(p):
         return float(sup)
-    return _root(np.sum(_power(a, p, in_place)) * cell_volume, p)
+    if math.isinf(total):
+        raise InvalidInputError(f"p={p!r} makes |f|^p overflow")
+    return _root(total * cell_volume, p)
 
 
 def _root(x: float, p: float, name: str = "p") -> float:

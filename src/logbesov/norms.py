@@ -80,10 +80,12 @@ class NormResult:
         return self.value
 
 
-def _lq_combine(terms: np.ndarray, q: float) -> float:
+def _lq_combine(terms: np.ndarray, q: float, dt: float = 1.0) -> float:
+    """(sum terms^q dt)^{1/q}, the l^q norm of `terms` with the measure `dt`
+    of each (ln 2 for the dyadic t-integrals); q = INF takes the max."""
     if is_inf(q):
         return float(terms.max()) if terms.size else 0.0
-    return _root(np.sum(terms**q), q, "q")
+    return _root(np.sum(terms**q) * dt, q, "q")
 
 
 def _weight(k: int, s: float, b: float, d: float = 0.0, *, power: float = 1.0) -> float:
@@ -181,13 +183,12 @@ def _difference_norm_grid(f: SampledFunction, shift, m: int, p: float, bufs) -> 
     real f) and one real one, overwritten.
     `modulus` passes one set for all its shifts, so a shift allocates no
     lattice array and its cost does not hinge on whether the allocator
-    hands back fresh pages.  An inf sample makes NaN differences without a
-    warning; `_abs_lp_norm` rejects them."""
+    hands back fresh pages.  The caller holds `np.errstate` for the NaN
+    differences of an inf sample, which `_abs_lp_norm` rejects."""
     vals, term, moduli = bufs
     vals.fill(0.0)
-    with np.errstate(invalid="ignore"):
-        for j, w in enumerate(_binomial_weights(m)):
-            vals += np.multiply(w, _roll_into(term, f.values, [-j * s for s in shift]), out=term)
+    for j, w in enumerate(_binomial_weights(m)):
+        vals += np.multiply(w, _roll_into(term, f.values, [-j * s for s in shift]), out=term)
     return _abs_lp_norm(np.abs(vals, out=moduli), p, f.grid.cell_volume, in_place=True)
 
 
@@ -230,7 +231,9 @@ def modulus(f: SampledFunction, m: int, t: float, p: float) -> float:
 
     h runs over grid shifts of torus length < t plus near-boundary shifts at
     |h| = t(1 - 1e-9) evaluated spectrally, so suprema attained as |h| -> t
-    are captured to high accuracy.
+    are captured to high accuracy.  Differences of finite samples, their
+    transforms or their p-th powers beyond the float range are an input
+    error naming m and p.
     """
     if m < 1:
         raise InvalidInputError("modulus order must be >= 1")
@@ -250,14 +253,20 @@ def modulus(f: SampledFunction, m: int, t: float, p: float) -> float:
         angles = np.linspace(0.0, PI, 32, endpoint=False)
         boundary_dirs = [np.array([math.cos(a), math.sin(a)]) for a in angles]
     best = 0.0
-    bufs = np.empty_like(f.values), np.empty_like(f.values), np.empty(grid.shape)
-    for s in shifts:
-        best = max(best, _difference_norm_grid(f, s, m, p, bufs))
-    del bufs  # freed before the boundary shifts allocate theirs
-    coeffs = np.fft.fftn(f.values)
-    r = t * (1.0 - 1e-9)
-    for d in boundary_dirs:
-        best = max(best, _difference_norm_spectral(coeffs, grid, r * d, m, p))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bufs = np.empty_like(f.values), np.empty_like(f.values), np.empty(grid.shape)
+            for s in shifts:
+                best = max(best, _difference_norm_grid(f, s, m, p, bufs))
+            del bufs  # freed before the boundary shifts allocate theirs
+            coeffs = np.fft.fftn(f.values)
+            r = t * (1.0 - 1e-9)
+            for d in boundary_dirs:
+                best = max(best, _difference_norm_spectral(coeffs, grid, r * d, m, p))
+    except InvalidInputError:
+        if not np.isfinite(f.values).all():
+            raise
+        raise InvalidInputError(f"m={m!r} and p={p!r} make ||Delta_h^m f||_p overflow") from None
     return best
 
 
@@ -290,10 +299,6 @@ def diffspace_norm(f: SampledFunction, params: DiffParams) -> NormResult:
     j_top = _dyadic_scale_floor(f.grid)
     weights = [_weight(j, params.s, params.b, params.d) for j in range(j_top + 1)]
     terms = [w * modulus(f, params.m, 2.0**-j, params.p) for j, w in enumerate(weights)]
-    arr = np.asarray(terms)
-    if is_inf(params.q):
-        semi = float(arr.max())
-    else:
-        semi = _root(np.sum(arr**params.q) * LN2, params.q, "q")
+    semi = _lq_combine(np.asarray(terms), params.q, LN2)
     base = lp_norm(f, params.p)
     return NormResult(base + semi, terms[-1] if terms else 0.0, terms)

@@ -53,10 +53,11 @@ makes before the helper starts (the helper's sized by its own top box).
 Per level the results are put back in level order, so they do not depend
 on the split or on the number of usable CPUs; a pass inside a runner row
 stays on that row's thread, and 1D passes stay on one worker.  A 2D pass
-that reads no L^p norm never holds a whole piece: its last inverse pass
-runs row by row (`irfft`, real pieces) or column by column (`ifft`,
-complex pieces), so it makes and reduces one band of cube rows or columns
-at a time, bit for bit as the whole piece would be.
+never holds a whole piece: its last inverse pass runs row by row (`irfft`,
+real pieces) or column by column (`ifft`, complex pieces), so it makes and
+reduces one band of cube rows or columns at a time, bit for bit as the
+whole piece would be, except that an L^p norm adds up its band sums in
+band order.
 """
 
 from __future__ import annotations
@@ -77,11 +78,13 @@ from .grid import (
     SampledFunction,
     _abs_lp_norm,
     _forward,
+    _lp_from_sum,
     _power,
     _radius,
     _read_only,
     band_energy_fraction,
     check_exponent,
+    is_inf,
 )
 from .workers import _map_rows
 
@@ -359,16 +362,20 @@ class SpectralDecomposition:
         """One pass over the pieces fills the sup norms, ||S_k f||_p for
         every p in `lp_exponents` and the cube tables of |S_k f|^r for every
         r in `cube_exponents`, skipping what is already filled.  An L^p norm
-        of a non-finite piece is an `InvalidInputError`, as in `lp_norm`.
+        of a non-finite piece is an `InvalidInputError`, as in `lp_norm`;
+        so is a power |S_k f|^p or |S_k f|^r of finite samples, or a sum of
+        them, beyond the float range: an L^p norm names p, as `lp_norm`
+        does, and the cube tables are checked once the pass is done.
 
         In 2D the pass is split between the two workers of
         `workers._map_rows`: the calling thread makes the upper levels and
         the helper the lower half of them, rounded up (the upper levels'
         first inverse passes cover larger boxes).  Each worker makes its
         pieces in its own buffers, the helper's half-layout spectrum buffer
-        cropped to its own top box, and every level is reduced as in one
-        serial pass, so the results do not depend on the split.  In 1D one
-        transform covers the lattice and the pass stays on one worker."""
+        cropped to its own top box, and a band at a time (`_reduce_bands`);
+        every level is reduced as in one serial pass, so the results do not
+        depend on the split.  In 1D one transform covers the lattice: the
+        pass stays on one worker and reduces whole pieces (`_reduce_level`)."""
         rs = list(dict.fromkeys(float(r) for r in cube_exponents if (0, float(r)) not in self._tables))
         ps = list(dict.fromkeys(check_exponent(p) for p in lp_exponents if float(p) not in self._lp_norms))
         if self._sup_norms is not None and not rs and not ps:
@@ -376,31 +383,34 @@ class SpectralDecomposition:
         k_top = self.k_max
         split = (k_top + 2) // 2 if self.grid.dim == 2 else 0
         halves, tops = [range(split, k_top + 1), range(split)], [k_top, split - 1]
-        # a 2D pass that reads no L^p norm holds one band of a piece at a time
-        banded = self.grid.dim == 2 and not ps
-        reduce = self._reduce_bands if banded else self._reduce_level
+        reduce = self._reduce_bands if self.grid.dim == 2 else self._reduce_level
         parts = _map_rows(
             lambda levels, bufs: [(k, reduce(k, bufs, rs, ps)) for k in levels],
             halves if split else halves[:1],
-            lambda worker: self._pass_buffers(tops[worker], banded),
+            lambda worker: self._pass_buffers(tops[worker]),
         )
         done = dict(itertools.chain.from_iterable(parts))  # k -> (sup, norms, tables)
         levels = [done[k] for k in range(k_top + 1)]
+        sups = np.array([sup for sup, _, _ in levels])
+        if np.isfinite(sups).all():  # so a non-finite table is a power or a sum beyond the float range
+            for i, r in enumerate(rs):
+                if not all(tables[i].finite() for _, _, tables in levels):
+                    raise InvalidInputError(f"cube means of |S_k f|^{r!r} overflow")
         if self._sup_norms is None:
-            self._sup_norms = _read_only(np.array([sup for sup, _, _ in levels]))
+            self._sup_norms = _read_only(sups)
         for i, p in enumerate(ps):
             self._lp_norms[p] = _read_only(np.array([norms[i] for _, norms, _ in levels]))
         for k, (_, _, tables) in enumerate(levels):
             self._tables.update(((k, r), table) for r, table in zip(rs, tables))
 
-    def _pass_buffers(self, top: int, banded: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _pass_buffers(self, top: int) -> tuple[np.ndarray, np.ndarray]:
         """The buffers in which one worker of `analyze` makes its levels, up
-        to `top`: `_synthesis_buffers`, or for a banded pass the buffer of
-        the first inverse pass (the half-layout spectrum, or the level-`top`
-        box's rows of the full layout) and one band of a piece (rows of a
-        real piece, columns of a complex one)."""
+        to `top`: in 1D `_synthesis_buffers`; in 2D the buffer of the first
+        inverse pass (the half-layout spectrum, or the level-`top` box's
+        rows of the full layout) and one band of a piece (rows of a real
+        piece, columns of a complex one)."""
         grid, n = self.grid, self.grid.n_samples
-        if not banded:
+        if grid.dim == 1:
             return _synthesis_buffers(grid, self.coeffs, top)
         width = max(band[-1] - band[0] for _, band in _lattice_bands(grid))
         if self.dtype == np.float64:
@@ -423,27 +433,29 @@ class SpectralDecomposition:
         last = len(ps) - 1 if not rs else None
         norms = [_abs_lp_norm(a, p, self.grid.cell_volume, sup, in_place=i == last) for i, p in enumerate(ps)]
         top = min(k, self.grid.l_max)
-        tables = [CubeMeanTable(self.grid, _power(a, r, in_place=r == rs[-1]), top=top) for r in rs]
+        with np.errstate(over="ignore"):
+            tables = [CubeMeanTable(self.grid, _power(a, r, in_place=r == rs[-1]), top=top) for r in rs]
         return sup, norms, tables
 
     def _reduce_bands(self, k: int, bufs, rs: list, ps: list) -> tuple:
-        """`_reduce_level` of a 2D f when no L^p norm is asked for (`ps`
-        empty), with the piece never held whole.  Its last inverse pass runs
-        row by row for a real piece (`irfft` along the rows) and column by
-        column for a complex one (`ifft` along the columns), so it makes the
-        piece one band of rows or of columns at a time (`_lattice_bands`),
-        which is reduced at once.  The results are those of the whole piece
-        bit for bit: every transform of a row or column is the same, the
-        max is exact, the powers are elementwise and each cube is summed as
-        `CubeMeanTable` sums it.  (An L^p norm sums the whole piece in one
-        order, which bands would change.)"""
+        """`_reduce_level` of a 2D f, with the piece never held whole.  Its
+        last inverse pass runs row by row for a real piece (`irfft` along
+        the rows) and column by column for a complex one (`ifft` along the
+        columns), so it makes the piece one band of rows or of columns at a
+        time (`_lattice_bands`), which is reduced at once.  The sup norm and
+        the cube tables are those of the whole piece bit for bit: every
+        transform of a row or column is the same, the max is exact, the
+        powers are elementwise and each cube is summed as `CubeMeanTable`
+        sums it.  An L^p norm adds up the sums of its bands' powers in band
+        order, which rounds differently from one sum over the whole piece."""
         grid, n, top = self.grid, self.grid.n_samples, _box_top(k)
         first, buf = bufs
         real = self.dtype == np.float64
         bounds = level_boundaries(grid, grid.l_max)
         finest = [np.empty((bounds.size - 1,) * 2) for _ in rs]
-        maxes = []
-        with np.errstate(invalid="ignore"):
+        maxes, totals = [], [0.0] * len(ps)
+        last = len(ps) - 1 if not rs else None  # as in `_reduce_level`
+        with np.errstate(invalid="ignore", over="ignore"):
             if real:
                 self.partition._first_passes(self.coeffs, k, first)
             else:
@@ -461,12 +473,17 @@ class SpectralDecomposition:
                     a = _moduli(np.fft.ifft(a, axis=0, out=a))
                     data, rows, cols = a[bounds[0] :], bounds, band
                 maxes.append(a.max())
+                for i, p in enumerate(ps):
+                    if not is_inf(p):
+                        totals[i] += np.sum(_power(a, p, in_place=i == last))
                 if start is not None:
                     cubes = slice(start, start + _BAND)
                     for r, sums in zip(rs, finest):
                         out = sums[cubes] if real else sums[:, cubes]
                         _band_sums(_power(data, r, in_place=r == rs[-1]), rows, cols, out)
-        return np.max(maxes), [], [CubeMeanTable(grid, finest=sums, top=min(k, grid.l_max)) for sums in finest]
+            tables = [CubeMeanTable(grid, finest=sums, top=min(k, grid.l_max)) for sums in finest]
+        sup = np.max(maxes)
+        return sup, [_lp_from_sum(total, p, grid.cell_volume, sup) for p, total in zip(ps, totals)], tables
 
     def sup_norms(self) -> np.ndarray:
         """||S_k f||_inf for every k (read-only, shared between callers)."""

@@ -1,4 +1,5 @@
-"""Littlewood-Paley pieces and partial sums from the full-lattice formula.
+"""Fourier coefficients, and Littlewood-Paley pieces and partial sums from
+the full-lattice formula.
 
 S_k f = F^{-1}(phi_k F f) and S^k f = F^{-1}(phi_0(2^-k .) F f), with the
 symbols expanded to the whole lattice and complex transforms throughout:
@@ -11,6 +12,11 @@ symbols to their formula and the pieces to these products bit for bit.
 import numpy as np
 
 from logbesov.grid import SampledFunction
+
+
+def spectrum(f):
+    """Fourier coefficients c_m with f(x) = sum_m c_m e^{i m.x} on samples."""
+    return np.fft.fftn(f.values) / f.values.size
 
 
 def lattice_piece(f, partition, k):

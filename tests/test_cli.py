@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -434,3 +435,45 @@ def test_criterion_weight_overflow_exits_2_naming_b(p, b, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: b={float(b)!r} makes a level weight overflow\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["norm", "--space", "besov", "--p", "400", "--q", "2", "--gallery", "const:c=10"], "400.0"),
+        (["norm", "--space", "tl", "--q", "400", "--gallery", "const:c=10"], "400.0"),
+        (["criteria", "--p", "400", "--b", "0", "--gallery", "const:c=10"], "400.0"),
+        (["norm", "--space", "diff", "--m", "1023", "--p", "2", "--gallery", "cube"], "m=1023"),
+    ],
+)
+def test_overflowing_power_exits_2_naming_the_exponent(argv, named, capsys):
+    """A power |S_k f|^p, a cube mean of |S_k f|^r or a difference of order
+    m beyond the float range exits 2 with one error line naming the
+    exponent or m: no numpy warning (warnings fail this test) and no
+    infinite value."""
+    assert main(["--grid", "J=8"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err and "overflow" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def _readme_cli_commands() -> list[str]:
+    """The commands of the `sh` block under README's "## CLI" heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.splitlines()
+
+
+@pytest.mark.parametrize("command", _readme_cli_commands())
+def test_readme_cli_example_runs(command, capsys, tmp_path, monkeypatch):
+    """Each documented CLI example runs in a fresh directory, with `f.sfn`
+    there for the examples that read it, and exits 0 (all checks pass) or
+    1 (a known-red check) with nothing on stderr."""
+    argv = shlex.split(command)
+    assert argv[0] == "logbesov"
+    monkeypatch.chdir(tmp_path)
+    save_sfn(tmp_path / "f.sfn", make_exponential(GridSpec(1, 12), (1 << 5,)))
+    assert main(argv[1:]) in (0, 1)
+    assert capsys.readouterr().err == ""

@@ -16,9 +16,11 @@ from logbesov.errors import InvalidInputError
 from logbesov.gallery import make_exponential, make_indicator
 import logbesov.criteria as criteria
 from logbesov.cubes import CubeMeanTable
-from logbesov.grid import INF, GridSpec, make_constant, random_band_limited
+from logbesov.grid import INF, GridSpec, make_constant, random_band_limited, synthesize
 from logbesov.norms import tl_norm_inf
 from logbesov.partition import SpectralDecomposition, _box_top, build_partition, decompose
+
+from lattice_oracle import spectrum
 
 
 # --- sufficiency terms -----------------------------------------------------
@@ -103,8 +105,6 @@ def test_pinf_term2_b0_matches_tl(part10, rng):
     for trial in range(5):
         local = np.random.default_rng(40 + trial)
         f = random_band_limited(g, 2.0 ** (part10.k_max - 1), local)
-        from logbesov.grid import spectrum, synthesize
-
         c = spectrum(f)
         f = synthesize(g, np.where(coeffs, c, 0.0))
         a = pinf_term2(f, part10, 0.0).value
@@ -115,8 +115,6 @@ def test_pinf_term2_b0_matches_tl(part10, rng):
 def test_pinf_cross_identity_b0(part10, rng):
     """b=0: pinf_term2 + pinf_term3 = ||f||_{F^0_{inf,1}} + ||f||_{B^{0,1}_{inf,inf}}
     on fields with no content below level 2."""
-    from logbesov.grid import spectrum, synthesize
-
     g = part10.grid
     keep = (g.freq_radius() >= 4) & (g.freq_radius() <= 2.0 ** (part10.k_max - 1))
     f = random_band_limited(g, 2.0 ** (part10.k_max - 1), rng)

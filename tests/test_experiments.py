@@ -160,6 +160,21 @@ def test_mollify_decays(grid10):
     assert sups[7] < 0.01 * sups[4]
 
 
+@pytest.mark.parametrize("dim, J", [(1, 10), (2, 7)])
+def test_mollify_keeps_a_real_function_real(dim, J):
+    """A real f is damped on its half spectrum: the result is `float64`, and
+    it agrees with the full-spectrum multiplier to round-off; a complex f
+    stays complex."""
+    grid = GridSpec(dim, J)
+    f = make_indicator(grid, "cube")
+    smooth = mollify(f, 2.0**-4)
+    assert smooth.values.dtype == np.float64
+    damp = np.exp(-0.5 * (2.0**-4 * grid.freq_radius()) ** 2)
+    want = np.fft.ifftn(damp * np.fft.fftn(f.values))
+    assert np.abs(smooth.values - want).max() <= 1e-15 * np.abs(want).max()
+    assert mollify(f * 1j, 2.0**-4).values.dtype == np.complex128
+
+
 def test_sandwich_small():
     # m <= K_max - 2 = J - 4: J = 13 is the smallest grid that admits m = 9
     table = run_sandwich(ExperimentConfig(log2_samples=13, m_range=(4, 9)))

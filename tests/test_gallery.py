@@ -27,11 +27,11 @@ from logbesov.gallery import (
     make_stack,
     stack_plateau_cubes,
 )
-from logbesov.grid import INF, FrequencyField, GridSpec, lp_norm, spectrum
+from logbesov.grid import INF, FrequencyField, GridSpec, lp_norm
 from logbesov.norms import BesovParams, besov_norm
 from logbesov.partition import decompose
 
-from lattice_oracle import lattice_piece
+from lattice_oracle import lattice_piece, spectrum
 
 
 # --- exponentials ---------------------------------------------------------

@@ -15,9 +15,10 @@ from logbesov.grid import (
     lp_norm,
     make_constant,
     random_band_limited,
-    spectrum,
     synthesize,
 )
+
+from lattice_oracle import spectrum
 
 
 def test_grid_invariants():

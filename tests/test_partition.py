@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from logbesov.errors import LevelOverflowError
 from logbesov.gallery import make_exponential, make_indicator
-from logbesov.grid import GridSpec, SampledFunction, lp_norm, make_constant, random_band_limited, spectrum
+from logbesov.grid import GridSpec, SampledFunction, lp_norm, make_constant, random_band_limited
 from logbesov import partition as partition_mod
 from logbesov.partition import (
     PartitionKind,
@@ -18,7 +18,7 @@ from logbesov.partition import (
     generator_profile,
 )
 
-from lattice_oracle import lattice_partial_sum, lattice_piece
+from lattice_oracle import lattice_partial_sum, lattice_piece, spectrum
 
 INF = float("inf")
 

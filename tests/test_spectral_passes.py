@@ -284,8 +284,8 @@ def test_tl_norm_matches_the_descending_running_sum(dim, J, spec, q):
 @pytest.mark.parametrize("dim, J", [(1, 12), (2, 8)])
 def test_piece_tables_hold_the_levels_up_to_the_piece(dim, J, usable_cpus):
     """The table of piece k keeps exactly the cube levels 0..min(k, l_max),
-    on the 1D pass and on the banded and whole-piece 2D passes of two
-    workers alike; a level above is a `ResolutionError` naming it."""
+    on the 1D pass and on the 2D passes of two workers, with and without
+    L^p norms, alike; a level above is a `ResolutionError` naming it."""
     usable_cpus(2)
     grid = GridSpec(dim, J)
     part = build_partition(grid)
@@ -429,22 +429,53 @@ def test_two_worker_pass_matches_one_worker_bit_for_bit(spec, usable_cpus):
 
 
 @pytest.mark.parametrize("spec", ["cube", "lacunary:beta=0.5,levels=5", "bump:l=3", "exp:m=5"])
-def test_banded_pass_matches_the_whole_pieces(spec):
-    """A 2D pass without L^p norms makes each piece a band of rows (real) or
-    columns (complex) at a time; its sup norms and cube tables are those of
-    the whole pieces bit for bit (a pass that also reads an L^p norm makes
-    whole pieces)."""
+def test_2d_pass_reductions_match_the_pieces(spec, usable_cpus):
+    """A 2D pass makes each piece a band of rows (real) or columns (complex)
+    at a time, also when it reads L^p norms: its sup norms and cube tables
+    are those of the whole pieces bit for bit, and its L^p norms, whose band
+    sums are added in band order, agree with `lp_norm` to 1e-15 relative."""
+    usable_cpus(2)
     grid = GridSpec(2, 9)
     part = build_partition(grid)
     f = gallery_from_spec(grid, spec)
-    banded, whole = decompose(f, part), decompose(f, part)
-    banded.analyze(cube_exponents=(4.0 / 3.0, 4.0))
-    whole.analyze(cube_exponents=(4.0 / 3.0, 4.0), lp_exponents=(2.0,))
-    assert banded.sup_norms().tolist() == whole.sup_norms().tolist()
-    for k in range(part.k_max + 1):
+    dec = decompose(f, part)
+    dec.analyze(cube_exponents=(4.0 / 3.0, 4.0), lp_exponents=(1.0, 3.0, INF))
+    pieces = dec.pieces
+    assert dec.sup_norms().tolist() == [np.abs(u.values).max() for u in pieces]
+    assert dec.lp_norms(INF).tolist() == dec.sup_norms().tolist()
+    for p in (1.0, 3.0):
+        for got, u in zip(dec.lp_norms(p).tolist(), pieces):
+            want = lp_norm(u, p)
+            assert abs(got - want) <= 1e-15 * want
+    for k, u in enumerate(pieces):
         for r in (4.0 / 3.0, 4.0):
+            want = CubeMeanTable(grid, np.abs(u.values) ** r)
             for level in range(min(k, grid.l_max) + 1):
-                assert np.array_equal(banded.cube_table(k, r).means(level), whole.cube_table(k, r).means(level))
+                assert np.array_equal(dec.cube_table(k, r).means(level), want.means(level))
+
+
+@pytest.mark.parametrize("dim, J", [(1, 10), (2, 8)])
+def test_whole_pieces_are_reduced_only_in_1d(dim, J, usable_cpus, monkeypatch):
+    """Every pass on a 2D grid is banded, whatever it reads; a 1D pass
+    reduces whole pieces."""
+    usable_cpus(2)
+    grid = GridSpec(dim, J)
+    part = build_partition(grid)
+    called = []
+    for name in ("_reduce_level", "_reduce_bands"):
+        real = getattr(SpectralDecomposition, name)
+
+        def recording(self, k, *args, _real=real, _name=name):
+            called.append(_name)
+            return _real(self, k, *args)
+
+        monkeypatch.setattr(SpectralDecomposition, name, recording)
+    for spec in ("cube", "exp:m=3"):
+        f = gallery_from_spec(grid, spec)
+        for cubes, lp in (((), ()), ((2.0,), ()), ((), (2.0,)), ((1.0,), (1.0, INF))):
+            decompose(f, part).analyze(cube_exponents=cubes, lp_exponents=lp)
+    want = "_reduce_level" if dim == 1 else "_reduce_bands"
+    assert called and set(called) == {want}
 
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (1 << 10,), (1 << 14,), (64, 64), (256, 256)])
@@ -483,16 +514,16 @@ def test_nonfinite_sample_on_the_helper_raises_as_serial(spec, usable_cpus, monk
         errors[n] = str(info.value)
     assert errors[1] == errors[2] == "non-finite samples rejected"
     failed = []
-    reduce_level = SpectralDecomposition._reduce_level
+    reduce_bands = SpectralDecomposition._reduce_bands
 
     def recording(self, k, *args):
         try:
-            return reduce_level(self, k, *args)
+            return reduce_bands(self, k, *args)
         except InvalidInputError:
             failed.append((k, threading.current_thread() is threading.main_thread()))
             raise
 
-    monkeypatch.setattr(SpectralDecomposition, "_reduce_level", recording)
+    monkeypatch.setattr(SpectralDecomposition, "_reduce_bands", recording)
     start = threading.active_count()
     with pytest.raises(InvalidInputError, match="non-finite samples rejected"):
         decompose(f, part).analyze(lp_exponents=(2.0,))
@@ -505,13 +536,32 @@ def test_nonfinite_sample_on_the_helper_raises_as_serial(spec, usable_cpus, monk
     assert threading.active_count() == start
 
 
+@pytest.mark.parametrize("dim, J", [(1, 8), (2, 7)])
+def test_overflowing_powers_are_input_errors(dim, J, usable_cpus):
+    """|S_0 f|^400 of the constant 10 is beyond the float range: the L^p
+    norm names p, as `lp_norm` does, and the cube tables name the exponent,
+    on the helper's levels too, without a numpy warning (warnings fail this
+    test)."""
+    usable_cpus(2)
+    grid = GridSpec(dim, J)
+    part = build_partition(grid)
+    f = make_constant(grid, 10.0)
+    with pytest.raises(InvalidInputError, match=r"^p=400.0 makes \|f\|\^p overflow$"):
+        decompose(f, part).analyze(lp_exponents=(2.0, 400.0))
+    with pytest.raises(InvalidInputError, match=r"^cube means of \|S_k f\|\^400.0 overflow$"):
+        decompose(f, part).analyze(cube_exponents=(2.0, 400.0))
+    with pytest.raises(InvalidInputError, match="^p=400.0 makes"):
+        lp_norm(f, 400.0)
+
+
 def test_complex_2d_passes_hold_two_lattice_arrays_beside_the_coefficients(usable_cpus):
     """On two workers, a 2D J=9 p = 2 verdict of a complex member peaks
     below its coefficients plus two complex lattice arrays, plus a quarter
     of one: the calling worker's box rows (in a lattice-sized array), the
     helper's, a band of columns per worker with its moduli packed in, and
-    the cube tables.  A pass that reads L^p norms makes whole pieces, one
-    lattice array per worker, and raises the moduli to p in place."""
+    the cube tables.  A pass that reads L^p norms makes the pieces in the
+    same bands: it peaks below two units (1.78 measured), and on a real
+    member below one (0.81 measured), so no worker holds a whole piece."""
     usable_cpus(2)
     grid = GridSpec(2, 9)
     part = build_partition(grid)
@@ -521,8 +571,9 @@ def test_complex_2d_passes_hold_two_lattice_arrays_beside_the_coefficients(usabl
     assert f.values.dtype == np.complex128
     unit = _complex_array_bytes(grid)
     assert _traced_peak(lambda: verdict(f, part, 2.0, 0.5)) < 3.25 * unit
-    dec = decompose(f, part)
-    assert _traced_peak(lambda: dec.analyze(lp_exponents=(2.0,))) < 2.25 * unit
+    for spec, bound in (("bump:l=3", 2.0), ("cube", 1.0)):
+        dec = decompose(gallery_from_spec(grid, spec), part)
+        assert _traced_peak(lambda: dec.analyze(lp_exponents=(2.0,))) < bound * unit
 
 
 def test_a_pass_inside_a_runner_row_stays_serial(usable_cpus, monkeypatch):
