@@ -155,6 +155,16 @@ def _exact_route(p: float) -> bool:
     return p == 1.0 or is_inf(p)
 
 
+def _exact_exponential(grid: GridSpec, m: int) -> SampledFunction:
+    """`make_exponential(grid, (2^m, 0, ...))` carrying its exact spectrum:
+    N^dim at (2^m, 0, ...) and zero elsewhere.  The grid starts at
+    x_1 = -pi, so the bin's phase is e^{-i 2^m pi} = 1 (m >= 1)."""
+    k = (1 << m,) + (0,) * (grid.dim - 1)
+    spectrum = np.zeros(grid.shape, dtype=np.complex128)
+    spectrum[k] = spectrum.size
+    return SampledFunction(grid, make_exponential(grid, k).values, spectrum)
+
+
 def _criterion_value(f, partition, p: float, b: float, *, dec=None) -> float:
     if not _exact_route(p):
         raise InvalidInputError("criterion route only for p in {1, inf}")
@@ -170,8 +180,10 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
     lower bound.  Checks: fitted exponent within +-0.15 of the law and
     value/prediction spread within a factor 3.
 
-    On the exact route each m decomposes e^{i 2^m x_1} once and reads every
-    (b, p) from it (its cube tables at r = 1 do not depend on b); on the
+    On the exact route each m decomposes e^{i 2^m x_1} once, from its exact
+    one-bin spectrum (`_exact_exponential`), and reads every (b, p) from it
+    (its cube tables at r = 1 do not depend on b); only its level m makes
+    an inverse transform, the others are exactly zero.  On the
     packet route each (b, m) builds and decomposes its functions once and
     reads them at every p.  These rows run through `_map_rows`; table rows
     and checks come out in p, b, m order.
@@ -203,7 +215,7 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
 
     # each row's decomposition dies with the row: one alive per worker bounds peak memory
     def exact_row(m: int) -> dict:
-        f = make_exponential(grid, (1 << m,) + rest)
+        f = _exact_exponential(grid, m)
         dec = decompose(f, partition)
         return {
             (p, b, m): _criterion_value(f, partition, p, b, dec=dec)
@@ -356,7 +368,7 @@ def run_sandwich(config: ExperimentConfig) -> Table:
     levels = min(grid.k_max - 1, 10)
 
     def exp_row(m: int) -> tuple[float, float]:
-        f = make_exponential(grid, (1 << m,) + (0,) * (grid.dim - 1))
+        f = _exact_exponential(grid, m)
         # stride 1 packs the most levels per stack; the uniform norm bound holds
         # for any stride (larger strides only matter for the pointwise lower bound)
         stack = make_stack(grid, StackSpec(spacing=1, offset=0, depth=m - 2, p=1.0, b=b))

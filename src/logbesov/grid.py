@@ -163,10 +163,17 @@ class SampledFunction:
     other complex samples as `complex128`.  The dtype is the one place that
     says whether a function is real: the analysis reads it to choose the
     half spectrum.  Samples already of the stored dtype are not copied.
+
+    `spectrum`, when given, is the function's exact unnormalized forward
+    transform in `_forward`'s layout for the stored dtype (`complex128`,
+    shaped `grid.half_shape` for real samples, `grid.shape` for complex
+    ones); `partition.decompose` reads it instead of transforming the
+    samples.  It takes no part in comparisons, and arithmetic drops it.
     """
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
+    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values)
@@ -181,10 +188,18 @@ class SampledFunction:
                 f"expected {self.grid.n_samples ** self.grid.dim} samples, got {vals.size}"
             )
         self.values = vals.reshape(self.grid.shape)
+        if self.spectrum is not None:
+            shape = self.grid.half_shape if vals.dtype == np.float64 else self.grid.shape
+            s = self.spectrum
+            if not isinstance(s, np.ndarray) or s.dtype != np.complex128 or s.shape != shape:
+                raise InvalidInputError(
+                    f"spectrum of {vals.dtype} samples must be a complex128 array of shape {shape}"
+                )
 
     def _combine(self, op, other) -> "SampledFunction":
         """`op` of the samples and `other`: a function on the same grid, or a
-        scalar or array that broadcasts against the samples."""
+        scalar or array that broadcasts against the samples; the result
+        carries no spectrum."""
         if isinstance(other, SampledFunction):
             if other.grid != self.grid:
                 raise InvalidInputError("grid mismatch between operands")

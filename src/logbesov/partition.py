@@ -29,9 +29,14 @@ follow numpy's order, so a complex piece is bit-identical to
 `np.fft.ifftn(symbol * fftn(f))`.
 
 `SpectralDecomposition(partition, coeffs)` keeps the forward coefficients
-of one function, not its pieces.  A pass makes the pieces S_k f of the
-levels it reads, in its order, into one set of buffers that lives as long
-as the pass (boxed multiply, pruned inverse passes).  `analyze` runs one
+of one function, not its pieces; `decompose` takes them from the
+function's exact `spectrum` when it carries one.  A pass makes the pieces
+S_k f of the levels it reads, in its order, into one set of buffers that
+lives as long as the pass (boxed multiply, pruned inverse passes).  In
+`analyze` a level whose boxed coefficients are all exactly zero (a
+constant's upper levels, every level but one of an exponential given its
+exact spectrum) makes no inverse transform; its reductions are those of
+zeros, bit for bit.  `analyze` runs one
 pass and, while a piece exists, fills from one |S_k f| every reduction
 asked for: the sup norm, the L^p norms of given exponents and, per
 exponent r, the `CubeMeanTable` of |S_k f|^r at the cube levels
@@ -204,41 +209,55 @@ class DyadicPartition:
         spec, out = _synthesis_buffers(self.grid, coeffs, k) if bufs is None else bufs
         with np.errstate(invalid="ignore"):
             self._first_passes(coeffs, k, spec)
-            if spec is not out:
-                return np.fft.irfft(spec, self.grid.n_samples, axis=-1, out=out)
-            return np.fft.ifft(spec, axis=0, out=spec)
+            return self._last_pass(spec, out)
 
-    def _first_passes(self, coeffs: np.ndarray, k: int, spec: np.ndarray) -> None:
+    def _last_pass(self, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The last inverse pass of `_synthesize`, from `spec` into `out`."""
+        if spec is not out:
+            return np.fft.irfft(spec, self.grid.n_samples, axis=-1, out=out)
+        return np.fft.ifft(spec, axis=0, out=spec)
+
+    def _first_passes(self, coeffs: np.ndarray, k: int, spec: np.ndarray) -> bool:
         """Fill `spec` with the level-k box times `coeffs` and, in 2D, run
         the first inverse pass over the box's rows (full layout) or columns
-        (half layout): `_synthesize` without its last pass.  The caller
-        holds `np.errstate(invalid="ignore")`."""
+        (half layout): `_synthesize` without its last pass.  Returns whether
+        the product has an entry that is not exactly zero (a NaN counts);
+        when it has none, `spec` is all zero, as the pass would leave it,
+        and no pass runs.  The caller holds `np.errstate(invalid="ignore")`."""
         n = self.grid.n_samples
         half = coeffs.shape != self.grid.shape
         spec.fill(0.0)
         box = self._box(k, False)
-        top = _box_top(k)
+        nonzero = False
         for lattice, sub in self._blocks(k, half):
-            np.multiply(box[sub], coeffs[lattice], out=spec[lattice])
+            block = np.multiply(box[sub], coeffs[lattice], out=spec[lattice])
+            nonzero = nonzero or bool(block.any())
+        if not nonzero:
+            return False
+        top = _box_top(k)
         if self.grid.dim == 2 and half:
             cols = spec[:, : top + 1]
             np.fft.ifft(cols, axis=0, out=cols)
         elif self.grid.dim == 2:
             for rows in (spec[: top + 1], spec[n - top :]):
                 np.fft.ifft(rows, axis=1, out=rows)
+        return True
 
-    def _box_rows(self, coeffs: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:
+    def _box_rows(self, coeffs: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray | None:
         """The rows of `_first_passes`' full-layout 2D spectrum that are not
         zero, bit for bit, made in the first 2M+1 rows of `rows`: the box's
-        rows 0..M, then -M..-1, with the first inverse pass run along them.
+        rows 0..M, then -M..-1, with the first inverse pass run along them;
+        None, with no pass run, when the boxed product is all exactly zero.
         The caller holds `np.errstate(invalid="ignore")`."""
         n, top = self.grid.n_samples, _box_top(k)
         rows = rows[: 2 * top + 1]
         rows[:, top + 1 : n - top] = 0.0
         box = self._box(k, False)
+        nonzero = False
         for lattice, sub in self._blocks(k):
-            np.multiply(box[sub], coeffs[lattice], out=rows[sub[0], lattice[1]])
-        return np.fft.ifft(rows, axis=1, out=rows)
+            block = np.multiply(box[sub], coeffs[lattice], out=rows[sub[0], lattice[1]])
+            nonzero = nonzero or bool(block.any())
+        return np.fft.ifft(rows, axis=1, out=rows) if nonzero else None
 
     def _expand(self, k: int, box: np.ndarray) -> np.ndarray:
         out = np.zeros(self.grid.shape)
@@ -259,6 +278,15 @@ class DyadicPartition:
         """phi_0(2^-k .) on the frequency lattice (= sum of symbols 0..k, exactly)."""
         self._check_level(k)
         return self._expand(k, self._box(k, cumulative=True))
+
+
+def _in_place_norm(rs: list, ps: list) -> int | None:
+    """Index in `ps` of the L^p norm whose power may overwrite |S_k f|: the
+    last finite exponent (p = inf takes no power), when no cube table reads
+    |S_k f| after the norms; None otherwise.  No lattice temporary is made
+    for it."""
+    finite = [i for i, p in enumerate(ps) if not is_inf(p)]
+    return finite[-1] if finite and not rs else None
 
 
 def _synthesis_buffers(grid: GridSpec, coeffs: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -422,15 +450,28 @@ class SpectralDecomposition:
         rows = n if top == self.k_max else 2 * _box_top(top) + 1
         return np.empty((rows, n), dtype=np.complex128), np.empty((n, width), dtype=np.complex128)
 
+    def _zero_level(self, k: int, rs: list, ps: list) -> tuple:
+        """The sup norm, L^p norms and cube tables of a level whose piece is
+        all zero, made without it: those of transformed zeros, bit for bit."""
+        grid = self.grid
+        finest = (level_boundaries(grid, grid.l_max).size - 1,) * grid.dim
+        norms = [_lp_from_sum(0.0, p, grid.cell_volume, 0.0) for p in ps]
+        return 0.0, norms, [CubeMeanTable(grid, finest=np.zeros(finest), top=min(k, grid.l_max)) for _ in rs]
+
     def _reduce_level(self, k: int, bufs, rs: list, ps: list) -> tuple:
         """The sup norm, the L^p norms (exponents `ps`) and the cube tables
         (exponents `rs`) of |S_k f|, made from one piece in `bufs`; the
-        piece is checked for finiteness once, by its max."""
-        a = _moduli(self._piece(k, bufs))
+        piece is checked for finiteness once, by its max.  A level whose
+        boxed coefficients are all exactly zero is `_zero_level`, with no
+        inverse transform."""
+        spec, out = bufs
+        with np.errstate(invalid="ignore"):
+            if not self.partition._first_passes(self.coeffs, k, spec):
+                return self._zero_level(k, rs, ps)
+            piece = self.partition._last_pass(spec, out)
+        a = _moduli(piece)
         sup = a.max()
-        # the last exponent, of a norm or a table, raises |S_k f| in place:
-        # no lattice temporary
-        last = len(ps) - 1 if not rs else None
+        last = _in_place_norm(rs, ps)
         norms = [_abs_lp_norm(a, p, self.grid.cell_volume, sup, in_place=i == last) for i, p in enumerate(ps)]
         top = min(k, self.grid.l_max)
         with np.errstate(over="ignore"):
@@ -447,19 +488,23 @@ class SpectralDecomposition:
         transform of a row or column is the same, the max is exact, the
         powers are elementwise and each cube is summed as `CubeMeanTable`
         sums it.  An L^p norm adds up the sums of its bands' powers in band
-        order, which rounds differently from one sum over the whole piece."""
+        order, which rounds differently from one sum over the whole piece.
+        A level whose boxed coefficients are all exactly zero is
+        `_zero_level`, with no inverse transform."""
         grid, n, top = self.grid, self.grid.n_samples, _box_top(k)
         first, buf = bufs
         real = self.dtype == np.float64
         bounds = level_boundaries(grid, grid.l_max)
-        finest = [np.empty((bounds.size - 1,) * 2) for _ in rs]
         maxes, totals = [], [0.0] * len(ps)
-        last = len(ps) - 1 if not rs else None  # as in `_reduce_level`
+        last = _in_place_norm(rs, ps)
         with np.errstate(invalid="ignore", over="ignore"):
             if real:
-                self.partition._first_passes(self.coeffs, k, first)
+                first = first if self.partition._first_passes(self.coeffs, k, first) else None
             else:
                 first = self.partition._box_rows(self.coeffs, k, first)
+            if first is None:
+                return self._zero_level(k, rs, ps)
+            finest = [np.empty((bounds.size - 1,) * 2) for _ in rs]
             for start, band in _lattice_bands(grid):
                 if real:  # rows band[0]..band[-1] of the piece
                     a = buf[: band[-1] - band[0]]
@@ -516,10 +561,12 @@ class SpectralDecomposition:
 
 
 def decompose(f: SampledFunction, partition: DyadicPartition) -> SpectralDecomposition:
-    """The decomposition of f: its forward coefficients, pieces made on demand."""
+    """The decomposition of f: its forward coefficients, pieces made on
+    demand.  The coefficients are f's exact `spectrum` when it carries one,
+    else the forward transform of its samples."""
     if f.grid != partition.grid:
         raise InvalidInputError("function and partition live on different grids")
-    return SpectralDecomposition(partition, _forward(f.values))
+    return SpectralDecomposition(partition, _forward(f.values) if f.spectrum is None else f.spectrum)
 
 
 def _ensure_decomposition(f, partition, dec) -> SpectralDecomposition:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from logbesov.criteria import verdict
+from logbesov.errors import InvalidInputError
 from logbesov.fileio import load_sfn, save_sfn
 from logbesov.gallery import expo7_family, gallery_from_spec, make_indicator
 from logbesov.grid import GridSpec, SampledFunction, make_constant
@@ -64,6 +65,38 @@ def test_sfn_roundtrip_keeps_the_dtype(tmp_path, grid):
         back = load_sfn(tmp_path / "f.sfn")
         assert back.values.dtype == dtype
         assert np.array_equal(back.values, f.values)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
+def test_spectrum_must_have_the_forward_layout(grid):
+    """A given spectrum is the complex128 array `_forward` would make for
+    the stored dtype: the half spectrum of real samples, the full one of
+    complex samples (zero imaginary parts count as real)."""
+    real, cplx = make_constant(grid, 2.0).values, gallery_from_spec(grid, "exp:m=3").values
+    half = np.zeros(grid.half_shape, dtype=np.complex128)
+    full = np.zeros(grid.shape, dtype=np.complex128)
+    assert SampledFunction(grid, real, half).spectrum is half
+    assert SampledFunction(grid, cplx, full).spectrum is full
+    for values, spectrum in (
+        (real, full),
+        (real + 0j, full),
+        (cplx, half),
+        (cplx, full.real),
+        (cplx, full.astype(np.complex64)),
+        (cplx, full[..., :-1]),
+        (cplx, full.tolist()),
+    ):
+        with pytest.raises(InvalidInputError, match="spectrum"):
+            SampledFunction(grid, values, spectrum)
+
+
+def test_arithmetic_drops_the_spectrum():
+    grid = GridSpec(1, 10)
+    f = make_constant(grid, 2.0)
+    f = SampledFunction(grid, f.values, np.fft.rfft(f.values))
+    g = make_indicator(grid, "cube")
+    for h in (f * g, f + g, f - g, -f, 2.0 * f, f * f):
+        assert h.spectrum is None
 
 
 class _NoImag(np.ndarray):

@@ -82,7 +82,9 @@ def test_exp_growth_m_range_guard():
 
 def test_exp_growth_matches_per_row_oracle():
     """Every row's value equals the straightforward per-(p, b, m) computation
-    on freshly built functions, and rows and checks come out in p, b, m order."""
+    on freshly built functions (on the exact route, the exponential carrying
+    its exact spectrum, as the runner builds it), and rows and checks come
+    out in p, b, m order."""
     ps, bs, ms = (1.0, INF, 2.0, 4.0), (0.0, 0.5, 2.0), range(3, 7)
     config = ExperimentConfig(log2_samples=10, b_list=bs, p_list=ps, m_range=(3, 6))
     table = run_exp_growth(config)
@@ -93,7 +95,7 @@ def test_exp_growth_matches_per_row_oracle():
         for b in bs:
             for m in ms:
                 if p == 1.0 or p == INF:
-                    val = _criterion_value(make_exponential(grid, (1 << m,)), part, p, b)
+                    val = _criterion_value(experiments._exact_exponential(grid, m), part, p, b)
                 else:
                     f = make_exponential(grid, (-(1 << m),))
                     params = BesovParams(0.0, b, p, INF)
@@ -102,6 +104,22 @@ def test_exp_growth_matches_per_row_oracle():
     assert [(r["p"], r["b"], r["m"], r["value"]) for r in table.rows] == expected
     prefixes = [f"growth p={'inf' if p == INF else f'{p:g}'} b={b:g}:" for p in ps for b in bs]
     assert [c.label.split(":")[0] + ":" for c in table.checks] == [x for x in prefixes for _ in range(2)]
+
+
+def test_exact_growth_is_the_closed_form():
+    """At p = 1 the criterion of e^{i 2^m x} has the closed form
+    1 + max(1, (1+m)^-b) + (1+m)^b sum_{j=1}^{m-1} j^-b: the L^inf norm, the
+    one nonzero piece's term and the lower pieces' tail.  From the exact
+    one-bin spectrum every row meets it to 1e-14 relative (5.6e-16
+    measured; the FFT of the samples gives 5.8e-13)."""
+    config = ExperimentConfig(log2_samples=14, p_list=(1.0,))
+    table = run_exp_growth(config)
+    assert {row["b"] for row in table.rows} == set(config.b_list)
+    assert {row["m"] for row in table.rows} == set(range(3, 11))
+    for row in table.rows:
+        b, m = row["b"], row["m"]
+        want = 1.0 + max(1.0, (1.0 + m) ** -b) + (1.0 + m) ** b * sum(j**-b for j in range(1, m))
+        assert abs(row["value"] - want) <= 1e-14 * want, (b, m)
 
 
 def test_exp_growth_decomposes_each_distinct_function_once(monkeypatch):

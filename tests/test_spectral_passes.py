@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import logbesov.experiments as experiments
 from logbesov.criteria import verdict
 from logbesov.cubes import CubeMeanTable
 from logbesov.errors import InvalidInputError, ResolutionError
@@ -51,11 +52,61 @@ def test_p2_verdict_makes_each_piece_once(monkeypatch):
 
 
 def test_exact_growth_reads_both_p_from_one_pass(monkeypatch):
+    """Each exact-route row reads every b at p = 1 and p = inf from one pass
+    over the exponential's exact spectrum: no forward transform, and one
+    inverse transform, for level m, the only level that is not zero."""
     ms = range(3, 7)
-    config = ExperimentConfig(log2_samples=10, b_list=(0.5,), p_list=(1.0, INF), m_range=(3, 6))
+    config = ExperimentConfig(log2_samples=10, b_list=(-1.0, 0.5, 2.0), p_list=(1.0, INF), m_range=(3, 6))
     calls = _count_ffts(monkeypatch)
     run_exp_growth(config)
-    assert len(calls) == len(ms) * (1 + config.grid().k_max + 1)
+    assert calls == ["ifft"] * len(ms)
+
+
+def _recorded_zero_levels(monkeypatch) -> list[int]:
+    """The levels that `SpectralDecomposition._zero_level` reduces, as a
+    list that fills as passes run."""
+    skipped = []
+    zero_level = SpectralDecomposition._zero_level
+
+    def recording(self, k, *args):
+        skipped.append(k)
+        return zero_level(self, k, *args)
+
+    monkeypatch.setattr(SpectralDecomposition, "_zero_level", recording)
+    return skipped
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("spec", ["const", "exact-exp"])
+@pytest.mark.parametrize("dim, J", [(1, 12), (2, 8)])
+def test_zero_levels_match_the_pieces_reductions(dim, J, spec, usable_cpus, monkeypatch):
+    """A real constant and an exponential carrying its exact spectrum have
+    one level that is not zero.  Every other level is reduced without a
+    transform, on one worker in 1D and on two in 2D, and its sup norm, L^p
+    norms and cube tables are those of its own piece, all zero, bit for
+    bit."""
+    usable_cpus(2)
+    grid = GridSpec(dim, J)
+    part = build_partition(grid)
+    f = make_constant(grid, 2.5) if spec == "const" else experiments._exact_exponential(grid, 3)
+    skipped = _recorded_zero_levels(monkeypatch)
+    dec = decompose(f, part)
+    ps, rs = (1.0, 2.0, 3.0, INF), (1.0, 2.0)
+    dec.analyze(cube_exponents=rs, lp_exponents=ps)
+    pieces = dec.pieces
+    assert sorted(skipped) == [k for k, u in enumerate(pieces) if not u.values.any()]
+    assert len(skipped) == part.k_max
+    for k in skipped:
+        a = np.abs(pieces[k].values)
+        assert _bits(dec.sup_norms()[k]) == _bits(a.max())
+        for p in ps:
+            assert _bits(dec.lp_norms(p)[k]) == _bits(lp_norm(pieces[k], p))
+        for r in rs:
+            table, oracle = dec.cube_table(k, r), CubeMeanTable(grid, a**r, top=min(k, grid.l_max))
+            assert [_bits(s) for s in table._sums] == [_bits(s) for s in oracle._sums]
 
 
 def test_lower_bound_reads_every_params_from_one_pass(monkeypatch):
@@ -561,7 +612,9 @@ def test_complex_2d_passes_hold_two_lattice_arrays_beside_the_coefficients(usabl
     helper's, a band of columns per worker with its moduli packed in, and
     the cube tables.  A pass that reads L^p norms makes the pieces in the
     same bands: it peaks below two units (1.78 measured), and on a real
-    member below one (0.81 measured), so no worker holds a whole piece."""
+    member below one (0.81 measured), so no worker holds a whole piece.
+    The bounds hold when the pass reads p = 1, 3 and inf too: the last
+    finite exponent, not the inf one, raises the band in place."""
     usable_cpus(2)
     grid = GridSpec(2, 9)
     part = build_partition(grid)
@@ -572,8 +625,9 @@ def test_complex_2d_passes_hold_two_lattice_arrays_beside_the_coefficients(usabl
     unit = _complex_array_bytes(grid)
     assert _traced_peak(lambda: verdict(f, part, 2.0, 0.5)) < 3.25 * unit
     for spec, bound in (("bump:l=3", 2.0), ("cube", 1.0)):
-        dec = decompose(gallery_from_spec(grid, spec), part)
-        assert _traced_peak(lambda: dec.analyze(lp_exponents=(2.0,))) < bound * unit
+        for ps in ((2.0,), (1.0, 3.0, INF)):
+            dec = decompose(gallery_from_spec(grid, spec), part)
+            assert _traced_peak(lambda: dec.analyze(lp_exponents=ps)) < bound * unit, ps
 
 
 def test_a_pass_inside_a_runner_row_stays_serial(usable_cpus, monkeypatch):
