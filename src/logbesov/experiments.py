@@ -31,7 +31,7 @@ from .gallery import (
     make_lacunary,
     make_stack,
 )
-from .grid import INF, GridSpec, SampledFunction, _forward, _radius, check_exponent, check_finite, is_inf, lp_norm, make_constant
+from .grid import INF, GridSpec, SampledFunction, _carrying, _exact_bins, _forward, _radius, check_exponent, check_finite, is_inf, lp_norm, make_constant
 from .norms import BesovParams, dini_norm
 from .partition import build_partition, decompose
 from .paraproducts import multiplier_lower_bound
@@ -155,14 +155,10 @@ def _exact_route(p: float) -> bool:
     return p == 1.0 or is_inf(p)
 
 
-def _exact_exponential(grid: GridSpec, m: int) -> SampledFunction:
-    """`make_exponential(grid, (2^m, 0, ...))` carrying its exact spectrum:
-    N^dim at (2^m, 0, ...) and zero elsewhere.  The grid starts at
-    x_1 = -pi, so the bin's phase is e^{-i 2^m pi} = 1 (m >= 1)."""
-    k = (1 << m,) + (0,) * (grid.dim - 1)
-    spectrum = np.zeros(grid.shape, dtype=np.complex128)
-    spectrum[k] = spectrum.size
-    return SampledFunction(grid, make_exponential(grid, k).values, spectrum)
+def _exact_exponential(grid: GridSpec, k: tuple[int, ...]) -> SampledFunction:
+    """`make_exponential(grid, k)` carrying its exact spectrum, one bin:
+    N^dim times the grid's phase (-1)^(k_1 + ... + k_dim) at k mod N."""
+    return _carrying(make_exponential(grid, k), _exact_bins(grid, [(k, 1.0)]))
 
 
 def _criterion_value(f, partition, p: float, b: float, *, dec=None) -> float:
@@ -185,8 +181,11 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
     (its cube tables at r = 1 do not depend on b); only its level m makes
     an inverse transform, the others are exactly zero.  On the
     packet route each (b, m) builds and decomposes its functions once and
-    reads them at every p.  These rows run through `_map_rows`; table rows
-    and checks come out in p, b, m order.
+    reads them at every p: e^{-i 2^m x_1} carries its one bin and every
+    packet its few, so a member and its product make no forward transform
+    and no inverse one for a level that holds none of their bins.  These
+    rows run through `_map_rows`; table rows and checks come out in p, b, m
+    order.
     """
     for b in config.b_list:
         check_finite(b=b)
@@ -215,7 +214,7 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
 
     # each row's decomposition dies with the row: one alive per worker bounds peak memory
     def exact_row(m: int) -> dict:
-        f = _exact_exponential(grid, m)
+        f = _exact_exponential(grid, (1 << m,) + rest)
         dec = decompose(f, partition)
         return {
             (p, b, m): _criterion_value(f, partition, p, b, dec=dec)
@@ -224,7 +223,7 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
         }
 
     def packet_row(b: float, m: int) -> dict:
-        f = make_exponential(grid, (-(1 << m),) + rest)
+        f = _exact_exponential(grid, (-(1 << m),) + rest)
         params = [BesovParams(0.0, b, p, INF) for p in packet_ps]
         bounds = multiplier_lower_bound(f, partition, params, expo7_family(grid, m, b))
         return {(p, b, m): val for p, (val, _) in zip(packet_ps, bounds)}
@@ -368,7 +367,7 @@ def run_sandwich(config: ExperimentConfig) -> Table:
     levels = min(grid.k_max - 1, 10)
 
     def exp_row(m: int) -> tuple[float, float]:
-        f = _exact_exponential(grid, m)
+        f = _exact_exponential(grid, (1 << m,) + (0,) * (grid.dim - 1))
         # stride 1 packs the most levels per stack; the uniform norm bound holds
         # for any stride (larger strides only matter for the pointwise lower bound)
         stack = make_stack(grid, StackSpec(spacing=1, offset=0, depth=m - 2, p=1.0, b=b))

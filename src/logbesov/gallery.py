@@ -22,7 +22,9 @@ from .grid import (
     FrequencyField,
     GridSpec,
     SampledFunction,
+    _carrying,
     _checked_weight,
+    _exact_bins,
     check_exponent,
     is_inf,
     make_constant,
@@ -235,10 +237,15 @@ def make_envelope(grid: GridSpec) -> FrequencyField:
     lattice-sized radius or mask.
     """
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    for axis in range(grid.dim):
-        for m in (2, -2):  # a negative index is the FFT layout's negative frequency
-            coeffs[(0,) * axis + (m,) + (0,) * (grid.dim - 1 - axis)] = 1.0
+    for m in _envelope_sphere(grid):  # a negative index is the FFT layout's negative frequency
+        coeffs[m] = 1.0
     return FrequencyField(grid, coeffs)
+
+
+def _envelope_sphere(grid: GridSpec) -> list[tuple[int, ...]]:
+    """The lattice sphere |m| = 2 that carries the envelope: (+-2, 0, ...)
+    and its images on the other axes."""
+    return [(0,) * axis + (m,) + (0,) * (grid.dim - 1 - axis) for axis in range(grid.dim) for m in (2, -2)]
 
 
 @dataclass
@@ -250,7 +257,11 @@ class PacketSpec:
 
 
 def _modulated_packets(grid: GridSpec, specs: list[PacketSpec]) -> list[SampledFunction]:
-    """The packet of every spec, on one envelope and one wave per distinct level."""
+    """The packet of every spec, on one envelope and one wave per distinct
+    level, each carrying its exact spectrum: the term alpha[j] e^{i 2^j x_1}
+    times the envelope's e^{i m.x} is one bin at 2^j e_1 + m.  The sphere's
+    frequencies m are even, where the grid's phase is 1, so the envelope's
+    coefficient 1 is also the amplitude of e^{i m.x}."""
     for spec in specs:
         if spec.m > grid.k_max - 2:
             raise LevelOverflowError(f"packet base level {spec.m} exceeds K_max-2")
@@ -262,7 +273,14 @@ def _modulated_packets(grid: GridSpec, specs: list[PacketSpec]) -> list[SampledF
     psi = make_envelope(grid).to_function()
     # a named operand: NumPy may multiply a temporary in place, which rounds complex products differently
     mods = _dyadic_wave_sums(grid, [spec.alpha for spec in specs], _cis, np.complex128)
-    return [SampledFunction(grid, psi.values * mod) for mod in mods]
+    sphere = _envelope_sphere(grid)
+    return [
+        _carrying(
+            SampledFunction(grid, psi.values * mod),
+            _exact_bins(grid, [((m[0] + (1 << j),) + m[1:], a) for j, a in spec.alpha.items() for m in sphere]),
+        )
+        for spec, mod in zip(specs, mods)
+    ]
 
 
 def make_modulated_packet(grid: GridSpec, spec: PacketSpec) -> SampledFunction:

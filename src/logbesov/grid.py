@@ -9,6 +9,7 @@ exponential test functions alias-free as long as |k_i| < N/2.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,7 +154,7 @@ class GridSpec:
         return self.spacing**self.dim
 
 
-@dataclass
+@dataclass(eq=False)
 class SampledFunction:
     """Samples of a function on the grid (row-major, shape (N,)*dim):
     `float64` exactly when the function is real, else `complex128`.
@@ -165,15 +166,19 @@ class SampledFunction:
     half spectrum.  Samples already of the stored dtype are not copied.
 
     `spectrum`, when given, is the function's exact unnormalized forward
-    transform in `_forward`'s layout for the stored dtype (`complex128`,
-    shaped `grid.half_shape` for real samples, `grid.shape` for complex
-    ones); `partition.decompose` reads it instead of transforming the
-    samples.  It takes no part in comparisons, and arithmetic drops it.
+    transform as sparse bins: a mapping from an index tuple in `_forward`'s
+    layout for the stored dtype (the half spectrum of real samples, the
+    full one of complex ones) to that bin's coefficient; every other bin is
+    zero.  `partition.decompose` builds the coefficients from it instead of
+    transforming the samples.  A product of two complex functions that
+    carry bins, one of them a single bin, carries the shifted bins
+    (`_product_bins`); every other result of arithmetic carries none.
+    Functions compare by identity.
     """
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
-    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
+    spectrum: dict[tuple[int, ...], complex] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values)
@@ -190,21 +195,20 @@ class SampledFunction:
         self.values = vals.reshape(self.grid.shape)
         if self.spectrum is not None:
             shape = self.grid.half_shape if vals.dtype == np.float64 else self.grid.shape
-            s = self.spectrum
-            if not isinstance(s, np.ndarray) or s.dtype != np.complex128 or s.shape != shape:
-                raise InvalidInputError(
-                    f"spectrum of {vals.dtype} samples must be a complex128 array of shape {shape}"
-                )
+            self.spectrum = _checked_bins(self.spectrum, shape)
 
     def _combine(self, op, other) -> "SampledFunction":
         """`op` of the samples and `other`: a function on the same grid, or a
-        scalar or array that broadcasts against the samples; the result
-        carries no spectrum."""
-        if isinstance(other, SampledFunction):
-            if other.grid != self.grid:
-                raise InvalidInputError("grid mismatch between operands")
-            other = other.values
-        return SampledFunction(self.grid, op(self.values, other))
+        scalar or array that broadcasts against the samples.  The result
+        carries a spectrum only as `_product_bins` gives one."""
+        if not isinstance(other, SampledFunction):
+            return SampledFunction(self.grid, op(self.values, other))
+        if other.grid != self.grid:
+            raise InvalidInputError("grid mismatch between operands")
+        out = SampledFunction(self.grid, op(self.values, other.values))
+        if op is np.multiply and out.values.dtype == np.complex128:
+            out.spectrum = _product_bins(self, other)
+        return out
 
     def __mul__(self, other):
         return self._combine(np.multiply, other)
@@ -219,6 +223,61 @@ class SampledFunction:
 
     def __neg__(self):
         return SampledFunction(self.grid, -self.values)
+
+
+def _checked_bins(bins, shape: tuple[int, ...]) -> dict[tuple[int, ...], complex]:
+    """A copy of the mapping `bins` whose keys are index tuples inside an
+    array of `shape` and whose values are complex; any other key, or a
+    `bins` that is not a mapping, is an input error."""
+    if not isinstance(bins, Mapping):
+        raise InvalidInputError(f"spectrum must map bin indices to coefficients, got {type(bins).__name__}")
+    out = {}
+    for k, v in bins.items():
+        inside = isinstance(k, tuple) and len(k) == len(shape)
+        if not (inside and all(isinstance(i, (int, np.integer)) and 0 <= i < n for i, n in zip(k, shape))):
+            raise InvalidInputError(f"spectrum bin {k!r} lies outside the layout of shape {shape}")
+        out[tuple(map(int, k))] = complex(v)
+    return out
+
+
+def _product_bins(f: SampledFunction, g: SampledFunction) -> dict[tuple[int, ...], complex] | None:
+    """The bins of the complex product f g when f and g both have complex
+    samples and carry bins, one of them (f first) a single bin k of
+    coefficient c: the other's bins i -> v shifted to (i + k) mod N, each
+    v times c / N^dim.  The samples of a single bin are c / N^dim times
+    e^{2 pi i k.n / N}, so the shift is exact when c = N^dim, as for the
+    exact exponential.  None otherwise."""
+    if any(h.spectrum is None or h.values.dtype != np.complex128 for h in (f, g)):
+        return None
+    if len(f.spectrum) != 1:
+        f, g = g, f
+    if len(f.spectrum) != 1:
+        return None
+    [(k, c)] = f.spectrum.items()
+    n, scale = f.grid.n_samples, c / f.values.size
+    return {tuple((i + j) % n for i, j in zip(idx, k)): scale * v for idx, v in g.spectrum.items()}
+
+
+def _exact_bins(grid: GridSpec, terms) -> dict[tuple[int, ...], complex]:
+    """The full-layout bins of sum a e^{ik.x} over the (k, a) pairs of
+    `terms`, k an integer wavevector; terms that meet in one bin are added
+    in their order.  The grid starts at x_0 = (-pi, ..., -pi), so sample n
+    of e^{ik.x} is e^{-i pi (k_1 + ... + k_dim)} e^{2 pi i k.n / N}: bin
+    k mod N holds N^dim (-1)^(k_1 + ... + k_dim) a."""
+    n, size = grid.n_samples, grid.n_samples**grid.dim
+    bins = {}
+    for k, a in terms:
+        i = tuple(ki % n for ki in k)
+        bins[i] = bins.get(i, 0.0) + (-size if sum(k) % 2 else size) * a
+    return bins
+
+
+def _carrying(f: SampledFunction, bins) -> SampledFunction:
+    """f, carrying the full-layout `bins` when its samples are complex;
+    samples that came out real carry none."""
+    if f.values.dtype == np.complex128:
+        f.spectrum = _checked_bins(bins, f.grid.shape)
+    return f
 
 
 @dataclass
@@ -255,6 +314,18 @@ def _forward(values: np.ndarray) -> np.ndarray:
     warning; the consumers' finiteness checks reject them."""
     with np.errstate(invalid="ignore", over="ignore"):
         return np.fft.fftn(values) if np.iscomplexobj(values) else np.fft.rfftn(values)
+
+
+def _coefficients(f: SampledFunction) -> np.ndarray:
+    """The unnormalized forward coefficients of f in `_forward`'s layout:
+    its exact `spectrum` bins written into zeros when it carries them, else
+    the forward transform of its samples."""
+    if f.spectrum is None:
+        return _forward(f.values)
+    coeffs = np.zeros(f.grid.half_shape if f.values.dtype == np.float64 else f.grid.shape, dtype=np.complex128)
+    for k, v in f.spectrum.items():
+        coeffs[k] = v
+    return coeffs
 
 
 def synthesize(grid: GridSpec, coeffs: np.ndarray) -> SampledFunction:

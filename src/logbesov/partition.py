@@ -29,13 +29,14 @@ follow numpy's order, so a complex piece is bit-identical to
 `np.fft.ifftn(symbol * fftn(f))`.
 
 `SpectralDecomposition(partition, coeffs)` keeps the forward coefficients
-of one function, not its pieces; `decompose` takes them from the
-function's exact `spectrum` when it carries one.  A pass makes the pieces
+of one function, not its pieces; `decompose` builds them from the
+function's exact `spectrum` bins when it carries them.  A pass makes the pieces
 S_k f of the levels it reads, in its order, into one set of buffers that
 lives as long as the pass (boxed multiply, pruned inverse passes).  In
 `analyze` a level whose boxed coefficients are all exactly zero (a
 constant's upper levels, every level but one of an exponential given its
-exact spectrum) makes no inverse transform; its reductions are those of
+exact spectrum, every level above a wave packet's top bin) makes no
+inverse transform; its reductions are those of
 zeros, bit for bit.  `analyze` runs one
 pass and, while a piece exists, fills from one |S_k f| every reduction
 asked for: the sup norm, the L^p norms of given exponents and, per
@@ -82,7 +83,7 @@ from .grid import (
     GridSpec,
     SampledFunction,
     _abs_lp_norm,
-    _forward,
+    _coefficients,
     _lp_from_sum,
     _power,
     _radius,
@@ -562,11 +563,12 @@ class SpectralDecomposition:
 
 def decompose(f: SampledFunction, partition: DyadicPartition) -> SpectralDecomposition:
     """The decomposition of f: its forward coefficients, pieces made on
-    demand.  The coefficients are f's exact `spectrum` when it carries one,
-    else the forward transform of its samples."""
+    demand.  The coefficients are f's exact `spectrum` bins, written into
+    zeros of `_forward`'s layout, when it carries them, else the forward
+    transform of its samples."""
     if f.grid != partition.grid:
         raise InvalidInputError("function and partition live on different grids")
-    return SpectralDecomposition(partition, _forward(f.values) if f.spectrum is None else f.spectrum)
+    return SpectralDecomposition(partition, _coefficients(f))
 
 
 def _ensure_decomposition(f, partition, dec) -> SpectralDecomposition:

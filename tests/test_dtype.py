@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from logbesov.criteria import verdict
+from logbesov.experiments import _exact_exponential
 from logbesov.errors import InvalidInputError
 from logbesov.fileio import load_sfn, save_sfn
-from logbesov.gallery import expo7_family, gallery_from_spec, make_indicator
+from logbesov.gallery import expo7_family, gallery_from_spec, make_exponential, make_indicator
 from logbesov.grid import GridSpec, SampledFunction, make_constant
 from logbesov.norms import BesovParams, besov_norm, modulus, tl_norm_inf
 from logbesov.paraproducts import multiplier_lower_bound
@@ -69,34 +70,70 @@ def test_sfn_roundtrip_keeps_the_dtype(tmp_path, grid):
 
 @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
 def test_spectrum_must_have_the_forward_layout(grid):
-    """A given spectrum is the complex128 array `_forward` would make for
-    the stored dtype: the half spectrum of real samples, the full one of
-    complex samples (zero imaginary parts count as real)."""
+    """A given spectrum maps index tuples of the array `_forward` would make
+    for the stored dtype (the half spectrum of real samples, the full one
+    of complex samples; zero imaginary parts count as real) to complex
+    coefficients, copied; a bin outside that layout is an input error."""
+    n, lead = grid.n_samples, (0,) * (grid.dim - 1)
     real, cplx = make_constant(grid, 2.0).values, gallery_from_spec(grid, "exp:m=3").values
-    half = np.zeros(grid.half_shape, dtype=np.complex128)
-    full = np.zeros(grid.shape, dtype=np.complex128)
-    assert SampledFunction(grid, real, half).spectrum is half
-    assert SampledFunction(grid, cplx, full).spectrum is full
+    half_top, full_top = lead + (n // 2,), lead + (n - 1,)
+    bins = {half_top: 1.0, lead + (0,): np.float64(2.0)}
+    f = SampledFunction(grid, real, bins)
+    assert f.spectrum == {half_top: 1.0 + 0j, lead + (0,): 2.0 + 0j} and f.spectrum is not bins
+    assert all(type(v) is complex for v in f.spectrum.values())
+    assert SampledFunction(grid, cplx, {full_top: 1j}).spectrum == {full_top: 1j}
     for values, spectrum in (
-        (real, full),
-        (real + 0j, full),
-        (cplx, half),
-        (cplx, full.real),
-        (cplx, full.astype(np.complex64)),
-        (cplx, full[..., :-1]),
-        (cplx, full.tolist()),
+        (real, {full_top: 1.0}),
+        (real + 0j, {lead + (n // 2 + 1,): 1.0}),
+        (cplx, {lead + (n,): 1.0}),
+        (cplx, {lead + (-1,): 1.0}),
+        (cplx, {lead + (0, 0): 1.0}),
+        (cplx, {lead + (1.0,): 1.0}),
+        (cplx, np.zeros(grid.shape, dtype=np.complex128)),
+        (cplx, [(lead + (0,), 1.0)]),
     ):
         with pytest.raises(InvalidInputError, match="spectrum"):
             SampledFunction(grid, values, spectrum)
+    if grid.dim == 1:
+        with pytest.raises(InvalidInputError, match="spectrum"):
+            SampledFunction(grid, cplx, {0: 1.0})
 
 
 def test_arithmetic_drops_the_spectrum():
+    """Sums, differences, negation, scalar products and products without a
+    one-bin complex operand carry no spectrum, and neither does a product
+    whose samples come out real."""
     grid = GridSpec(1, 10)
-    f = make_constant(grid, 2.0)
-    f = SampledFunction(grid, f.values, np.fft.rfft(f.values))
-    g = make_indicator(grid, "cube")
-    for h in (f * g, f + g, f - g, -f, 2.0 * f, f * f):
+    const = make_constant(grid, 2.0)
+    const = SampledFunction(grid, const.values, {(0,): 2.0 * grid.n_samples})
+    e = _exact_exponential(grid, (8,))
+    packet = gallery_from_spec(grid, "packet:m=5,case=1")
+    cube = make_indicator(grid, "cube")
+    assert const.spectrum and e.spectrum and packet.spectrum
+    for h in (
+        e + packet, e - packet, packet + e, -e, -packet, 2.0 * e, e * 2.0, e * 1j, packet * packet,
+        e * cube, packet * cube, const * e, e * const, packet * make_exponential(grid, (8,)), const * const,
+    ):
         assert h.spectrum is None
+    i = SampledFunction(grid, np.full(grid.shape, 1j), {(0,): 1j * grid.n_samples})
+    assert i.spectrum and (i * i).values.dtype == np.float64 and (i * i).spectrum is None
+
+
+def test_a_one_bin_product_shifts_the_bins():
+    """e^{ik.x} g, with k's one bin of coefficient N^dim, carries g's bins
+    moved by k (mod N) with their coefficients unchanged, whichever factor
+    comes first; a single bin of coefficient c scales them by c / N^dim."""
+    for grid in GRIDS:
+        n, rest = grid.n_samples, (0,) * (grid.dim - 1)
+        e = _exact_exponential(grid, (-8,) + rest)
+        packet = gallery_from_spec(grid, "packet:m=3,case=1")
+        want = {((i[0] - 8) % n,) + i[1:]: v for i, v in packet.spectrum.items()}
+        assert (e * packet).spectrum == want
+        assert (packet * e).spectrum == want
+        assert (e * e).spectrum == {((-16) % n,) + rest: complex(n**grid.dim)}
+        [(k, c)] = e.spectrum.items()
+        three_e = SampledFunction(grid, 3.0 * e.values, {k: 3.0 * c})
+        assert (packet * three_e).spectrum == {i: 3.0 * v for i, v in want.items()}
 
 
 class _NoImag(np.ndarray):

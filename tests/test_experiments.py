@@ -82,9 +82,9 @@ def test_exp_growth_m_range_guard():
 
 def test_exp_growth_matches_per_row_oracle():
     """Every row's value equals the straightforward per-(p, b, m) computation
-    on freshly built functions (on the exact route, the exponential carrying
-    its exact spectrum, as the runner builds it), and rows and checks come
-    out in p, b, m order."""
+    on freshly built functions (the exponential carrying its exact
+    spectrum on both routes, as the runner builds it), and rows and checks
+    come out in p, b, m order."""
     ps, bs, ms = (1.0, INF, 2.0, 4.0), (0.0, 0.5, 2.0), range(3, 7)
     config = ExperimentConfig(log2_samples=10, b_list=bs, p_list=ps, m_range=(3, 6))
     table = run_exp_growth(config)
@@ -95,9 +95,9 @@ def test_exp_growth_matches_per_row_oracle():
         for b in bs:
             for m in ms:
                 if p == 1.0 or p == INF:
-                    val = _criterion_value(experiments._exact_exponential(grid, m), part, p, b)
+                    val = _criterion_value(experiments._exact_exponential(grid, (1 << m,)), part, p, b)
                 else:
-                    f = make_exponential(grid, (-(1 << m),))
+                    f = experiments._exact_exponential(grid, (-(1 << m),))
                     params = BesovParams(0.0, b, p, INF)
                     [(val, _)] = multiplier_lower_bound(f, part, [params], expo7_family(grid, m, b))
                 expected.append(("inf" if p == INF else p, b, m, val))

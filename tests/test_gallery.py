@@ -11,7 +11,9 @@ from logbesov.errors import (
     LevelOverflowError,
 )
 from logbesov import gallery
+from logbesov.experiments import _exact_exponential
 from logbesov.gallery import (
+    _case_pattern,
     _plateau_profile,
     BumpSpec,
     PacketSpec,
@@ -27,9 +29,9 @@ from logbesov.gallery import (
     make_stack,
     stack_plateau_cubes,
 )
-from logbesov.grid import INF, FrequencyField, GridSpec, lp_norm
+from logbesov.grid import INF, FrequencyField, GridSpec, _forward, lp_norm
 from logbesov.norms import BesovParams, besov_norm
-from logbesov.partition import decompose
+from logbesov.partition import build_partition, decompose
 
 from lattice_oracle import lattice_piece, spectrum
 
@@ -405,6 +407,51 @@ def test_packet_family_shares_envelope_and_waves(grid12, monkeypatch):
         assert len(envelopes) == 1
         assert all(fam[name] is fam[equal[0]] for name in equal)
         assert len({id(f) for f in fam.values()}) == 5 - len(equal) + 1
+
+
+def _bins_error(grid, f) -> float:
+    """max |bins - _forward(samples)| over the lattice, relative to the max
+    modulus of the transform; the bins are written into zeros as
+    `decompose` writes them."""
+    fw = _forward(f.values)
+    return float(np.abs(decompose(f, build_partition(grid)).coeffs - fw).max() / np.abs(fw).max())
+
+
+@pytest.mark.parametrize("dim, J", [(1, 14), (2, 10)])
+def test_packet_bins_match_the_forward_transform(dim, J):
+    """Every packet, built by the family, the one-packet maker and the CLI
+    spec alike, and its product with e^{-i 2^m x_1} carry bins within 1e-12
+    of the max of the forward transform of their samples (6.0e-14 at worst
+    measured), for every admissible m; the bins' phase (-1)^k is checked,
+    not assumed."""
+    grid, rest = GridSpec(dim, J), (0,) * (dim - 1)
+    worst = 0.0
+    for m in range(3, grid.k_max - 1):
+        f = _exact_exponential(grid, (-(1 << m),) + rest)
+        distinct = []  # members of equal bins have equal samples: each is checked once
+        for b in (-2.0, 0.5, 2.0):
+            family = dict(expo7_family(grid, m, b))
+            if b == 2.0:
+                one = make_modulated_packet(grid, PacketSpec(m, _case_pattern(m, b, 2)))
+                spec = gallery_from_spec(grid, f"packet:m={m},case=4,b={b}")
+                assert one.spectrum == family["case2"].spectrum and spec.spectrum == family["case4"].spectrum
+            distinct += [g for g in family.values() if all(g.spectrum != d.spectrum for d in distinct)]
+        for g in distinct:
+            for h in (g, f * g):
+                assert h.spectrum is not None and len(h.spectrum) <= 2 * dim * (m - 2)
+                worst = max(worst, _bins_error(grid, h))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("k", [(3,), (-5,), (8,), (3, 1), (-4, 1), (6, -2)])
+def test_exact_exponential_bin_carries_the_grid_phase(k):
+    """e^{ik.x} carries one bin, N^dim (-1)^(k_1 + ... + k_dim) at k mod N,
+    which is the forward transform of its samples to 1e-12 of its max."""
+    grid = GridSpec(len(k), 10 if len(k) == 1 else 7)
+    f = _exact_exponential(grid, k)
+    n = grid.n_samples
+    assert f.spectrum == {tuple(ki % n for ki in k): complex((-1) ** sum(k) * n ** len(k))}
+    assert _bins_error(grid, f) <= 1e-12
 
 
 def test_packet_level_guard(grid10):

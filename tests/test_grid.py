@@ -117,3 +117,12 @@ def test_lp_power_mean_monotonicity(p1, p2, seed):
     m_lo = lp_norm(f, lo) / vol ** (1 / lo)
     m_hi = lp_norm(f, hi) / vol ** (1 / hi)
     assert m_lo <= m_hi * (1 + 1e-9)
+
+
+def test_functions_compare_by_identity():
+    """Two functions on one grid compare by identity, never by their sample
+    arrays (whose truth value would be ambiguous), and hash."""
+    g = GridSpec(1, 10)
+    f, same = make_constant(g), make_constant(g)
+    assert f == f and f != same and not (f == same)
+    assert len({f, same, f}) == 2

@@ -91,7 +91,7 @@ def test_zero_levels_match_the_pieces_reductions(dim, J, spec, usable_cpus, monk
     usable_cpus(2)
     grid = GridSpec(dim, J)
     part = build_partition(grid)
-    f = make_constant(grid, 2.5) if spec == "const" else experiments._exact_exponential(grid, 3)
+    f = make_constant(grid, 2.5) if spec == "const" else experiments._exact_exponential(grid, (8,) + (0,) * (dim - 1))
     skipped = _recorded_zero_levels(monkeypatch)
     dec = decompose(f, part)
     ps, rs = (1.0, 2.0, 3.0, INF), (1.0, 2.0)
@@ -121,8 +121,37 @@ def test_lower_bound_reads_every_params_from_one_pass(monkeypatch):
     params = [BesovParams(0.0, 0.5, p, INF) for p in (2.0, 4.0)]
     calls = _count_ffts(monkeypatch)
     multiplier_lower_bound(f, part, params, family)
-    # each distinct member and its product with f
-    assert len(calls) == 2 * len(distinct) * (1 + part.k_max + 1)
+    # each distinct member once, from its bins: one inverse transform per level
+    # that holds one (12 in all); each product with the sample-only f once, from
+    # its forward transform: one forward and K_max + 1 inverse transforms
+    assert sorted(calls) == ["fftn"] * len(distinct) + ["ifft"] * (12 + len(distinct) * (part.k_max + 1))
+
+
+def _levels_holding_a_bin(part, h) -> int:
+    """The levels k at which phi_k times one of h's bins is not zero."""
+    return sum(
+        any(part.symbol(k)[i] * v != 0 for i, v in h.spectrum.items()) for k in range(part.k_max + 1)
+    )
+
+
+@pytest.mark.parametrize("b", [-2.0, 0.5, 2.0])
+def test_packet_row_transforms_only_the_levels_that_hold_a_bin(monkeypatch, b):
+    """A packet-route row builds e^{-i 2^m x_1} with its one bin and the
+    packets with theirs, so no member and no product makes a forward
+    transform.  Beside the envelope's one synthesis, the row makes one
+    inverse transform per level whose boxed bins of a distinct member or
+    of its product are not all zero."""
+    grid, m = GridSpec(1, 12), 6
+    part = build_partition(grid)
+    params = [BesovParams(0.0, b, p, INF) for p in (2.0, 4.0)]
+    calls = _count_ffts(monkeypatch)
+    f = experiments._exact_exponential(grid, (-(1 << m),))
+    family = expo7_family(grid, m, b)
+    multiplier_lower_bound(f, part, params, family)
+    distinct = {id(g): g for _, g in family}.values()
+    levels = sum(_levels_holding_a_bin(part, h) for g in distinct for h in (g, f * g))
+    assert 0 < levels < 2 * len(distinct) * (part.k_max + 1)
+    assert calls == ["ifftn"] + ["ifft"] * levels
 
 
 def test_p2_verdict_holds_a_few_lattice_arrays():
