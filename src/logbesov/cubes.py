@@ -11,13 +11,16 @@ are every other level-(l+1) boundary, bit for bit, so `CubeMeanTable`
 reduces once at l_max and adds child pairs down to level 0.  Sums of
 nonnegative data are sums of nonnegative terms, so the means are
 nonnegative by construction.  The cube geometry of a level (its sample
-boundaries and counts) is computed once per grid and level.
+boundaries and counts) is computed once per grid and level, and so is the
+table of an all-zero array (`_zero_table`), which every zero level of
+every decomposition on the grid shares.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,3 +209,22 @@ class CubeMeanTable:
         if level >= len(self._sums):
             raise ResolutionError(f"cube level {level} above the table's top level {len(self._sums) - 1}")
         return self._sums[level] / _counts(self.grid, level)
+
+
+# (grid, top) -> the shared zero table; the lock makes each once, also when
+# two runner rows reach a zero level of the same (grid, top) at one time
+_ZERO_TABLES: dict[tuple[GridSpec, int], CubeMeanTable] = {}
+_ZERO_TABLES_LOCK = threading.Lock()
+
+
+def _zero_table(grid: GridSpec, top: int) -> CubeMeanTable:
+    """The `CubeMeanTable` of an all-zero array at the levels 0..top, bit
+    for bit a reduction of zeros, with read-only sums; made once per (grid,
+    top) and shared by every level whose piece is zero."""
+    with _ZERO_TABLES_LOCK:
+        if (grid, top) not in _ZERO_TABLES:
+            finest = np.zeros((level_boundaries(grid, grid.l_max).size - 1,) * grid.dim)
+            table = CubeMeanTable(grid, finest=finest, top=top)
+            table._sums = [_read_only(sums) for sums in table._sums]
+            _ZERO_TABLES[grid, top] = table
+        return _ZERO_TABLES[grid, top]

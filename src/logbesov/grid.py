@@ -8,6 +8,7 @@ exponential test functions alias-free as long as |k_i| < N/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -115,9 +116,10 @@ class GridSpec:
         # the top annulus inside the lattice.
         return self.log2_samples - 2
 
-    @property
+    @functools.cached_property
     def l_max(self) -> int:
-        # Deepest dyadic-cube level with >= 8 samples per axis (accuracy guard).
+        # Deepest dyadic-cube level with >= 8 samples per axis (accuracy guard);
+        # computed on the first read, then an attribute of the grid.
         return int(math.floor(math.log2(self.n_samples / (8.0 * TWO_PI))))
 
     def axis(self) -> np.ndarray:

@@ -28,17 +28,24 @@ the first inverse pass runs over the box's rows (full layout) or columns
 follow numpy's order, so a complex piece is bit-identical to
 `np.fft.ifftn(symbol * fftn(f))`.
 
-`SpectralDecomposition(partition, coeffs)` keeps the forward coefficients
-of one function, not its pieces; `decompose` builds them from the
-function's exact `spectrum` bins when it carries them.  A pass makes the pieces
-S_k f of the levels it reads, in its order, into one set of buffers that
-lives as long as the pass (boxed multiply, pruned inverse passes).  In
-`analyze` a level whose boxed coefficients are all exactly zero (a
-constant's upper levels, every level but one of an exponential given its
-exact spectrum, every level above a wave packet's top bin) makes no
-inverse transform; its reductions are those of
-zeros, bit for bit.  `analyze` runs one
-pass and, while a piece exists, fills from one |S_k f| every reduction
+`SpectralDecomposition(partition, coeffs, bins)` keeps the forward
+coefficients of one function, not its pieces; `decompose` builds them from
+the function's exact `spectrum` bins when it carries them, and keeps the
+bins' positions.  A pass makes the pieces S_k f of the levels it reads, in
+its order, into one set of buffers that lives as long as the pass (boxed
+spectrum, pruned inverse passes).  One routine fills a level's boxed
+spectrum (`DyadicPartition._fill_level`): without bin positions it
+multiplies the whole box; with them it reads phi_k from the cached box at
+the bins inside the box only, and writes their products into zeros.  In
+every pass (`analyze` in 1D and 2D, `pieces`, the paraproducts) a level
+whose boxed product is all exactly zero (a constant's upper levels, every
+level but one of an exponential given its exact spectrum, every level of
+a wave packet that holds none of its bins) makes no inverse transform,
+and with bin positions touches no spectrum buffer either: its piece is
+zeros and its reductions are those of zeros, bit for bit, its cube
+tables the grid's one shared zero table per top level
+(`cubes._zero_table`).  `analyze` runs one pass and, while a piece
+exists, fills from one |S_k f| every reduction
 asked for: the sup norm, the L^p norms of given exponents and, per
 exponent r, the `CubeMeanTable` of |S_k f|^r at the cube levels
 0..min(k, l_max), the only ones its readers take (no reader averages
@@ -76,7 +83,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cubes import _BAND, CubeMeanTable, _band_sums, _lattice_bands, level_boundaries
+from .cubes import _BAND, CubeMeanTable, _band_sums, _lattice_bands, _zero_table, level_boundaries
 from .errors import InvalidInputError, LevelOverflowError
 from .grid import (
     FrequencyField,
@@ -192,24 +199,29 @@ class DyadicPartition:
             self._cache[key] = box
         return self._cache[key]
 
-    def _synthesize(self, coeffs: np.ndarray, k: int, bufs=None) -> np.ndarray:
+    def _synthesize(self, coeffs: np.ndarray, k: int, bufs=None, bins=None) -> np.ndarray:
         """F^{-1}(phi_k c) for the coefficients c = `coeffs`, full or half
         (`rfftn`) spectrum: complex samples from the full one, real samples
         from the half one (both kinds of symbol are even).  `bufs` =
         `_synthesis_buffers(grid, coeffs, top)` with top >= k is
-        overwritten; without it the call makes its own.
+        overwritten; without it the call makes its own.  `bins` is passed
+        to `_fill_level`.
 
         The spectrum is zero off the level-k box, so of the inverse passes,
         which run in numpy's order, only the last one covers the lattice: in
         2D the first pass transforms the box's rows (full layout, last axis
         first, as `ifftn`) or its columns (half layout, first axis first, as
         `irfftn`).  Full-layout samples are bit-identical to
-        `np.fft.ifftn(symbol * coeffs)`.  Non-finite coefficients give
+        `np.fft.ifftn(symbol * coeffs)`.  A level whose boxed product is all
+        exactly zero makes no transform: its samples are zeros, as the
+        transform of zeros is +0, bit for bit.  Non-finite coefficients give
         non-finite samples without a warning, for the consumers to reject.
         """
         spec, out = _synthesis_buffers(self.grid, coeffs, k) if bufs is None else bufs
         with np.errstate(invalid="ignore"):
-            self._first_passes(coeffs, k, spec)
+            if not self._first_passes(coeffs, k, spec, bins):
+                out.fill(0.0)
+                return out
             return self._last_pass(spec, out)
 
     def _last_pass(self, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -218,25 +230,58 @@ class DyadicPartition:
             return np.fft.irfft(spec, self.grid.n_samples, axis=-1, out=out)
         return np.fft.ifft(spec, axis=0, out=spec)
 
-    def _first_passes(self, coeffs: np.ndarray, k: int, spec: np.ndarray) -> bool:
-        """Fill `spec` with the level-k box times `coeffs` and, in 2D, run
-        the first inverse pass over the box's rows (full layout) or columns
-        (half layout): `_synthesize` without its last pass.  Returns whether
-        the product has an entry that is not exactly zero (a NaN counts);
-        when it has none, `spec` is all zero, as the pass would leave it,
-        and no pass runs.  The caller holds `np.errstate(invalid="ignore")`."""
+    def _fill_level(self, coeffs: np.ndarray, k: int, out: np.ndarray, bins=None, rows: bool = False) -> bool:
+        """Write phi_k c, c = `coeffs`, into `out`: the level's spectrum in
+        `coeffs`' lattice indices, zero off the box (the half layout's
+        buffer may hold only the box's last-axis columns), or, with `rows`,
+        the full layout's box rows 0..M, then -M..-1, in the first 2M+1
+        rows of `out`.  Returns whether the product has an entry that is not
+        exactly zero (a NaN counts).
+
+        Without `bins` the whole box is multiplied.  `bins`, the lattice
+        indices (one array per axis) of every entry of c that may be
+        nonzero, reads phi_k at those in the box only; a level whose
+        products are all exactly zero then touches no buffer, and any other
+        one gets the products written into zeros, bit for bit the box
+        multiply (phi_k has no negative or -0 entry, so it leaves +0 off
+        the bins).  The caller holds `np.errstate(invalid="ignore")`."""
+        n, top = self.grid.n_samples, _box_top(k)
+        if rows:
+            out = out[: 2 * top + 1]
+        if bins is None:
+            if rows:
+                out[:, top + 1 : n - top] = 0.0
+            else:
+                out.fill(0.0)
+            box, nonzero = self._box(k, False), False
+            for lattice, sub in self._blocks(k, not rows and coeffs.shape != self.grid.shape):
+                block = np.multiply(box[sub], coeffs[lattice], out=out[sub[0], lattice[1]] if rows else out[lattice])
+                nonzero = nonzero or bool(block.any())
+            return nonzero
+        inside = np.logical_and.reduce([(i <= top) | (i >= n - top) for i in bins])
+        if not inside.any():
+            return False
+        at = tuple(i[inside] for i in bins)
+        at_box = tuple(np.where(i <= top, i, i + 2 * top + 1 - n) for i in at)
+        products = self._box(k, False)[at_box] * coeffs[at]
+        if not products.any():
+            return False
+        out.fill(0.0)
+        out[(at_box[0],) + at[1:] if rows else at] = products
+        return True
+
+    def _first_passes(self, coeffs: np.ndarray, k: int, spec: np.ndarray, bins=None) -> bool:
+        """Fill `spec` with the level-k box times `coeffs` (`_fill_level`)
+        and, in 2D, run the first inverse pass over the box's rows (full
+        layout) or columns (half layout): `_synthesize` without its last
+        pass.  Returns whether the product has an entry that is not exactly
+        zero (a NaN counts); when it has none, no pass runs.  The caller
+        holds `np.errstate(invalid="ignore")`."""
         n = self.grid.n_samples
-        half = coeffs.shape != self.grid.shape
-        spec.fill(0.0)
-        box = self._box(k, False)
-        nonzero = False
-        for lattice, sub in self._blocks(k, half):
-            block = np.multiply(box[sub], coeffs[lattice], out=spec[lattice])
-            nonzero = nonzero or bool(block.any())
-        if not nonzero:
+        if not self._fill_level(coeffs, k, spec, bins):
             return False
         top = _box_top(k)
-        if self.grid.dim == 2 and half:
+        if self.grid.dim == 2 and coeffs.shape != self.grid.shape:
             cols = spec[:, : top + 1]
             np.fft.ifft(cols, axis=0, out=cols)
         elif self.grid.dim == 2:
@@ -244,21 +289,16 @@ class DyadicPartition:
                 np.fft.ifft(rows, axis=1, out=rows)
         return True
 
-    def _box_rows(self, coeffs: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray | None:
+    def _box_rows(self, coeffs: np.ndarray, k: int, rows: np.ndarray, bins=None) -> np.ndarray | None:
         """The rows of `_first_passes`' full-layout 2D spectrum that are not
         zero, bit for bit, made in the first 2M+1 rows of `rows`: the box's
         rows 0..M, then -M..-1, with the first inverse pass run along them;
         None, with no pass run, when the boxed product is all exactly zero.
         The caller holds `np.errstate(invalid="ignore")`."""
-        n, top = self.grid.n_samples, _box_top(k)
-        rows = rows[: 2 * top + 1]
-        rows[:, top + 1 : n - top] = 0.0
-        box = self._box(k, False)
-        nonzero = False
-        for lattice, sub in self._blocks(k):
-            block = np.multiply(box[sub], coeffs[lattice], out=rows[sub[0], lattice[1]])
-            nonzero = nonzero or bool(block.any())
-        return np.fft.ifft(rows, axis=1, out=rows) if nonzero else None
+        if not self._fill_level(coeffs, k, rows, bins, rows=True):
+            return None
+        rows = rows[: 2 * _box_top(k) + 1]
+        return np.fft.ifft(rows, axis=1, out=rows)
 
     def _expand(self, k: int, box: np.ndarray) -> np.ndarray:
         out = np.zeros(self.grid.shape)
@@ -347,7 +387,10 @@ def build_partition(grid: GridSpec, kind: PartitionKind | str = PartitionKind.RA
 class SpectralDecomposition:
     """The frequency pieces (S_0 f, ..., S_K_max f) of one function, kept as
     its forward coefficients `coeffs` (`rfftn` half spectrum for real
-    samples, else the full `fftn` one).
+    samples, else the full `fftn` one).  `bins`, when given, holds the
+    lattice indices (one array per axis) of every coefficient that may be
+    nonzero, so that a level is made from those alone (`_fill_level`);
+    `coeffs` stays the one source of their values.
 
     `analyze` makes each piece in turn into reused buffers and, from one
     |S_k f|, fills every reduction asked for: the sup norm, the L^p norms
@@ -357,9 +400,10 @@ class SpectralDecomposition:
     `pieces` builds the whole list anew on each access.
     """
 
-    def __init__(self, partition: DyadicPartition, coeffs: np.ndarray):
+    def __init__(self, partition: DyadicPartition, coeffs: np.ndarray, bins: tuple[np.ndarray, ...] | None = None):
         self.partition = partition
         self.coeffs = coeffs
+        self.bins = bins
         self._sup_norms = None
         self._lp_norms = {}  # p -> read-only array over k
         self._tables = {}  # (k, r) -> CubeMeanTable of |S_k f|^r
@@ -380,7 +424,7 @@ class SpectralDecomposition:
 
     def _piece(self, k: int, bufs=None) -> np.ndarray:
         """S_k f, real for a real f, made in `bufs` or in new arrays."""
-        return self.partition._synthesize(self.coeffs, k, bufs)
+        return self.partition._synthesize(self.coeffs, k, bufs, self.bins)
 
     @property
     def pieces(self) -> list[SampledFunction]:
@@ -453,11 +497,11 @@ class SpectralDecomposition:
 
     def _zero_level(self, k: int, rs: list, ps: list) -> tuple:
         """The sup norm, L^p norms and cube tables of a level whose piece is
-        all zero, made without it: those of transformed zeros, bit for bit."""
+        all zero, made without it: those of transformed zeros, bit for bit.
+        Every exponent r reads the grid's one shared zero table."""
         grid = self.grid
-        finest = (level_boundaries(grid, grid.l_max).size - 1,) * grid.dim
         norms = [_lp_from_sum(0.0, p, grid.cell_volume, 0.0) for p in ps]
-        return 0.0, norms, [CubeMeanTable(grid, finest=np.zeros(finest), top=min(k, grid.l_max)) for _ in rs]
+        return 0.0, norms, [_zero_table(grid, min(k, grid.l_max))] * len(rs)
 
     def _reduce_level(self, k: int, bufs, rs: list, ps: list) -> tuple:
         """The sup norm, the L^p norms (exponents `ps`) and the cube tables
@@ -467,7 +511,7 @@ class SpectralDecomposition:
         inverse transform."""
         spec, out = bufs
         with np.errstate(invalid="ignore"):
-            if not self.partition._first_passes(self.coeffs, k, spec):
+            if not self.partition._first_passes(self.coeffs, k, spec, self.bins):
                 return self._zero_level(k, rs, ps)
             piece = self.partition._last_pass(spec, out)
         a = _moduli(piece)
@@ -500,9 +544,9 @@ class SpectralDecomposition:
         last = _in_place_norm(rs, ps)
         with np.errstate(invalid="ignore", over="ignore"):
             if real:
-                first = first if self.partition._first_passes(self.coeffs, k, first) else None
+                first = first if self.partition._first_passes(self.coeffs, k, first, self.bins) else None
             else:
-                first = self.partition._box_rows(self.coeffs, k, first)
+                first = self.partition._box_rows(self.coeffs, k, first, self.bins)
             if first is None:
                 return self._zero_level(k, rs, ps)
             finest = [np.empty((bounds.size - 1,) * 2) for _ in rs]
@@ -564,11 +608,15 @@ class SpectralDecomposition:
 def decompose(f: SampledFunction, partition: DyadicPartition) -> SpectralDecomposition:
     """The decomposition of f: its forward coefficients, pieces made on
     demand.  The coefficients are f's exact `spectrum` bins, written into
-    zeros of `_forward`'s layout, when it carries them, else the forward
-    transform of its samples."""
+    zeros of `_forward`'s layout, when it carries them, and the
+    decomposition keeps the bins' positions; else the forward transform of
+    its samples."""
     if f.grid != partition.grid:
         raise InvalidInputError("function and partition live on different grids")
-    return SpectralDecomposition(partition, _coefficients(f))
+    bins = None
+    if f.spectrum is not None:
+        bins = tuple(np.array(list(f.spectrum), dtype=np.intp).reshape(-1, f.grid.dim).T)
+    return SpectralDecomposition(partition, _coefficients(f), bins)
 
 
 def _ensure_decomposition(f, partition, dec) -> SpectralDecomposition:

@@ -15,6 +15,7 @@ from logbesov.criteria import (
 from logbesov.errors import InvalidInputError
 from logbesov.gallery import make_exponential, make_indicator
 import logbesov.criteria as criteria
+import logbesov.cubes as cubes
 from logbesov.cubes import CubeMeanTable
 from logbesov.grid import INF, GridSpec, make_constant, random_band_limited, synthesize
 from logbesov.norms import tl_norm_inf
@@ -283,6 +284,10 @@ def test_verdict_infinite_tail_is_not_invalid(part10):
 
 
 def test_verdict_p2_builds_one_table_per_piece(part10, monkeypatch):
+    """The first verdict builds one table per level whose piece is not zero
+    and, for the zero levels (level 1 of the halfspace at J=10), the grid's
+    shared zero table of each top level once; the second verdict builds
+    none."""
     builds = []
     real = CubeMeanTable.__init__
 
@@ -291,12 +296,16 @@ def test_verdict_p2_builds_one_table_per_piece(part10, monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(CubeMeanTable, "__init__", counting)
+    monkeypatch.setattr(cubes, "_ZERO_TABLES", {})
     f = make_indicator(part10.grid, "halfspace")
     dec = decompose(f, part10)
+    zero = [k for k, u in enumerate(dec.pieces) if not u.values.any()]
+    assert zero == [1]
+    expected = part10.k_max + 1 - len(zero) + len({min(k, part10.grid.l_max) for k in zero})
     verdict(f, part10, 2.0, 0.5, dec=dec)
-    assert len(builds) == part10.k_max + 1
+    assert len(builds) == expected
     verdict(f, part10, 2.0, 1.0, dec=dec)
-    assert len(builds) == part10.k_max + 1
+    assert len(builds) == expected
 
 
 def test_terms_on_shared_dec_match_fresh(part10):

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -121,3 +123,38 @@ def test_2d_cube_bands_change_no_bit(J, monkeypatch):
     table = CubeMeanTable(grid, data)
     for l, means in zip(levels, expected):
         assert np.array_equal(table.means(l), means)
+
+
+def test_zero_tables_are_made_once_and_read_only(monkeypatch):
+    """Threads that ask at once for the zero table of one (grid, top) all
+    get one table, built once, bit for bit the reduction of zeros, and
+    its sums are read-only.  More threads than CPUs and a short switch
+    interval make an unlocked check-then-build race show."""
+    monkeypatch.setattr(cubes_mod, "_ZERO_TABLES", {})
+    builds = []
+    real_init = CubeMeanTable.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CubeMeanTable, "__init__", counting)
+    grid = GridSpec(2, 8)
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(cubes_mod._zero_table(grid, 2))) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and all(table is got[0] for table in got)
+    assert len(builds) == 1
+    want = CubeMeanTable(grid, np.zeros(grid.shape), top=2)
+    assert [s.tobytes() for s in got[0]._sums] == [s.tobytes() for s in want._sums]
+    with pytest.raises(ValueError):
+        got[0]._sums[0][0, 0] = 1.0

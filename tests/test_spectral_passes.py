@@ -9,16 +9,34 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import logbesov.cubes as cubes
 import logbesov.experiments as experiments
+import logbesov.paraproducts as paraproducts
 from logbesov.criteria import verdict
 from logbesov.cubes import CubeMeanTable
 from logbesov.errors import InvalidInputError, ResolutionError
 from logbesov.experiments import ExperimentConfig, run_exp_growth
 from logbesov.gallery import expo7_family, gallery_from_spec, make_exponential, make_indicator
-from logbesov.grid import INF, GridSpec, SampledFunction, band_energy_fraction, lp_norm, make_constant
+from logbesov.grid import (
+    INF,
+    GridSpec,
+    SampledFunction,
+    _coefficients,
+    _exact_bins,
+    band_energy_fraction,
+    lp_norm,
+    make_constant,
+)
 from logbesov.norms import BesovParams, besov_norm, tl_norm_inf
 from logbesov.paraproducts import multiplier_lower_bound, pi2_summand, product_report
-from logbesov.partition import PartitionKind, SpectralDecomposition, _moduli, build_partition, decompose
+from logbesov.partition import (
+    DyadicPartition,
+    PartitionKind,
+    SpectralDecomposition,
+    _moduli,
+    build_partition,
+    decompose,
+)
 from logbesov.workers import _map_rows
 
 FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
@@ -107,6 +125,125 @@ def test_zero_levels_match_the_pieces_reductions(dim, J, spec, usable_cpus, monk
         for r in rs:
             table, oracle = dec.cube_table(k, r), CubeMeanTable(grid, a**r, top=min(k, grid.l_max))
             assert [_bits(s) for s in table._sums] == [_bits(s) for s in oracle._sums]
+
+
+def _binned(grid: GridSpec, name: str) -> SampledFunction:
+    """An input that carries exact spectrum bins, by name."""
+    tail = (0,) * (grid.dim - 1)
+    if name == "exact-exp":
+        return experiments._exact_exponential(grid, (1 << 5,) + tail)
+    if name == "packet":
+        return gallery_from_spec(grid, "packet")
+    if name == "packet*exp":
+        return gallery_from_spec(grid, "packet") * experiments._exact_exponential(grid, (-(1 << 3),) + tail)
+    # e^{i 2^4 x_1} plus a bin at 2^6 whose coefficient is exactly zero
+    f = make_exponential(grid, (1 << 4,) + tail) * (1 + 0j)
+    return SampledFunction(grid, f.values, _exact_bins(grid, [((1 << 4,) + tail, 1.0), ((1 << 6,) + tail, 0.0)]))
+
+
+def _without_bins(f: SampledFunction, partition) -> SpectralDecomposition:
+    """f's decomposition with no bin positions: every level multiplies its
+    whole box."""
+    return SpectralDecomposition(partition, _coefficients(f))
+
+
+def _reductions(dec: SpectralDecomposition) -> list[bytes]:
+    ps, rs = (1.0, 2.0, 3.0, INF), (1.0, 2.0)
+    dec.analyze(cube_exponents=rs, lp_exponents=ps)
+    out = [_bits(dec.sup_norms())] + [_bits(dec.lp_norms(p)) for p in ps]
+    for k in range(dec.k_max + 1):
+        for r in rs:
+            out += [_bits(dec.cube_table(k, r).means(l)) for l in range(min(k, dec.grid.l_max) + 1)]
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["exact-exp", "packet", "packet*exp", "zero-bin"])
+@pytest.mark.parametrize("dim, J", [(1, 12), (2, 8)])
+def test_bin_path_matches_the_box_multiply_bit_for_bit(dim, J, name, workers, usable_cpus, monkeypatch):
+    """A decomposition that keeps its bins' positions makes each level from
+    them alone; its reductions, pieces and paraproducts are those of the
+    same coefficients made by multiplying whole boxes, bit for bit, on one
+    worker and on two."""
+    usable_cpus(workers)
+    grid = GridSpec(dim, J)
+    part = build_partition(grid)
+    f = _binned(grid, name)
+    assert f.spectrum is not None
+    dec = decompose(f, part)
+    assert dec.bins is not None
+    ref = _without_bins(f, part)
+    assert _reductions(dec) == _reductions(ref)
+    assert [u.values.tobytes() for u in dec.pieces] == [u.values.tobytes() for u in ref.pieces]
+    partner = experiments._exact_exponential(grid, (1 << 2,) + (0,) * (dim - 1))
+    got = product_report(f, partner, part)
+    monkeypatch.setattr(paraproducts, "decompose", _without_bins)
+    want = product_report(f, partner, part)
+    assert _bits(got.residual) == _bits(want.residual)
+    for a, b in zip((got.pi1, got.pi2, got.pi3), (want.pi1, want.pi2, want.pi3)):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(PartitionKind))
+@pytest.mark.parametrize("dim, J", [(1, 12), (2, 8)])
+def test_symbol_boxes_hold_no_sign_bit(dim, J, kind):
+    """phi_k has no negative or -0 entry, so the box multiply leaves +0
+    wherever the coefficients are +0, as the bin path's zero fill does."""
+    part = build_partition(GridSpec(dim, J), kind)
+    assert not any(np.signbit(part._box(k, False)).any() for k in range(part.k_max + 1))
+
+
+@pytest.mark.parametrize("dim, J", [(1, 12), (2, 8)])
+def test_a_nan_bin_is_a_nonfinite_input_error(dim, J, usable_cpus):
+    """A NaN bin makes its levels non-finite on either path, and the L^p
+    norms reject them."""
+    usable_cpus(2)
+    grid = GridSpec(dim, J)
+    part = build_partition(grid)
+    k = (1 << 4,) + (0,) * (dim - 1)
+    f = SampledFunction(grid, make_exponential(grid, k).values, {tuple(i % grid.n_samples for i in k): np.nan})
+    for dec in (decompose(f, part), _without_bins(f, part)):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            dec.analyze(lp_exponents=(2.0,))
+
+
+@pytest.mark.parametrize("dim, J", [(1, 12), (2, 8)])
+def test_a_zero_level_makes_no_box_multiply_and_no_table(dim, J, usable_cpus, monkeypatch):
+    """The exact e^{i 2^6 x_1} has one level that is not zero.  The pass
+    multiplies no box, and its zero levels build no cube table: they share
+    the grid's zero tables.  Its pieces make the transforms of that level
+    alone (in 2D, the first pass over the box's two row blocks, then the
+    last pass); the others are zeros, +0 throughout."""
+    usable_cpus(2)
+    grid = GridSpec(dim, J)
+    part = build_partition(grid)
+    rs = (1.0, 2.0)
+    for top in range(grid.l_max + 1):
+        cubes._zero_table(grid, top)
+    blocks, builds = [], []
+    real_blocks, real_init = DyadicPartition._blocks, CubeMeanTable.__init__
+
+    def counting_blocks(self, *args):
+        blocks.append(args)
+        return real_blocks(self, *args)
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DyadicPartition, "_blocks", counting_blocks)
+    monkeypatch.setattr(CubeMeanTable, "__init__", counting_init)
+    dec = decompose(experiments._exact_exponential(grid, (1 << 6,) + (0,) * (dim - 1)), part)
+    dec.analyze(cube_exponents=rs)
+    assert blocks == []
+    assert len(builds) == len(rs)
+    zero = [k for k in range(part.k_max + 1) if k != 6]
+    for k in zero:
+        assert all(dec.cube_table(k, r) is cubes._zero_table(grid, min(k, grid.l_max)) for r in rs)
+    calls = _count_ffts(monkeypatch)
+    pieces = dec.pieces
+    assert calls == ["ifft"] * (1 if dim == 1 else 3)
+    assert all(not pieces[k].values.any() and not np.signbit(pieces[k].values.view(np.float64)).any() for k in zero)
 
 
 def test_lower_bound_reads_every_params_from_one_pass(monkeypatch):
