@@ -44,7 +44,6 @@ from .gallery import (
     expo7_family,
     gallery_from_spec,
     make_bump,
-    make_envelope,
     make_exponential,
     make_indicator,
     make_lacunary,
@@ -53,7 +52,6 @@ from .gallery import (
 )
 from .grid import (
     INF,
-    FrequencyField,
     GridSpec,
     SampledFunction,
     conjugate_exponent,

@@ -31,7 +31,7 @@ from .gallery import (
     make_lacunary,
     make_stack,
 )
-from .grid import INF, GridSpec, SampledFunction, _carrying, _exact_bins, _forward, _radius, check_exponent, check_finite, is_inf, lp_norm, make_constant
+from .grid import INF, GridSpec, SampledFunction, _exact_bins, _forward, _layout_radius, check_exponent, check_finite, is_inf, lp_norm, make_constant
 from .norms import BesovParams, dini_norm
 from .partition import build_partition, decompose
 from .paraproducts import multiplier_lower_bound
@@ -158,7 +158,7 @@ def _exact_route(p: float) -> bool:
 def _exact_exponential(grid: GridSpec, k: tuple[int, ...]) -> SampledFunction:
     """`make_exponential(grid, k)` carrying its exact spectrum, one bin:
     N^dim times the grid's phase (-1)^(k_1 + ... + k_dim) at k mod N."""
-    return _carrying(make_exponential(grid, k), _exact_bins(grid, [(k, 1.0)]))
+    return SampledFunction(grid, make_exponential(grid, k).values, _exact_bins(grid, [(k, 1.0)]))
 
 
 def _criterion_value(f, partition, p: float, b: float, *, dec=None) -> float:
@@ -269,9 +269,7 @@ def mollify(f: SampledFunction, width: float) -> SampledFunction:
     samples are transformed by their dtype, as `grid._forward` does, so a
     real f is damped on its half spectrum and comes back real."""
     coeffs = _forward(f.values)
-    axes = f.grid.freqs()
-    axes = axes[:-1] + (axes[-1][..., : coeffs.shape[-1]],)
-    coeffs *= np.exp(-0.5 * (width * _radius(axes)) ** 2)
+    coeffs *= np.exp(-0.5 * (width * _layout_radius(f.grid, coeffs.shape)) ** 2)
     if coeffs.shape == f.grid.shape:
         return SampledFunction(f.grid, np.fft.ifftn(coeffs))
     return SampledFunction(f.grid, np.fft.irfftn(coeffs, f.grid.shape, axes=range(f.grid.dim)))

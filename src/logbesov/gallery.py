@@ -1,7 +1,9 @@
 """Constructive test functions: exponentials, indicators, oscillating bumps,
 weighted bump stacks, modulated packets, and lacunary series.
 
-Every construction is pure and deterministic: same spec, same samples.
+Every construction is pure and deterministic: same spec, same samples.  A
+modulated packet is a trigonometric polynomial made from its exact bins,
+its samples one inverse transform of them; the other members are sampled.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from .errors import (
     LevelOverflowError,
 )
 from .grid import (
-    FrequencyField,
     GridSpec,
     SampledFunction,
-    _carrying,
     _checked_weight,
-    _exact_bins,
+    _trig_polynomial,
     check_exponent,
+    check_finite,
     is_inf,
     make_constant,
 )
@@ -180,6 +181,7 @@ class StackSpec:
 
 
 def make_stack(grid: GridSpec, spec: StackSpec) -> SampledFunction:
+    check_finite(b=spec.b)
     over_p = 0.0 if is_inf(spec.p) else grid.dim / check_exponent(spec.p, "p")
     total = np.zeros(grid.shape, dtype=np.complex128)
     for i, (lvl, anchor) in enumerate(stack_plateau_cubes(grid, spec)):
@@ -195,56 +197,18 @@ def stack_plateau_cubes(grid: GridSpec, spec: StackSpec) -> list[tuple[int, tupl
 
 
 # ---------------------------------------------------------------------------
-# dyadic wave sums
-
-
-def _cis(t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """e^{it}, made in the complex array `out`, which may be t itself."""
-    return np.exp(np.multiply(1j, t, out=out), out=out)
-
-
-def _dyadic_wave_sums(grid: GridSpec, tables, wave, dtype, sum_dtype=np.complex128) -> list[np.ndarray]:
-    """For each mapping j -> c of `tables`, the sum of c wave(2^j x_1) on the
-    grid, in increasing j; wave(2^j x_1) is made once per distinct level.
-    The modulated packets and lacunary series are such sums.
-
-    Every level makes its wave in place, `wave(t, out=t)`, in one `dtype`
-    buffer shaped like x_1 and its terms in one `sum_dtype` lattice buffer,
-    so the loop allocates nothing after its first level.
-    """
-    x1 = grid.points()[0]
-    w = np.empty(x1.shape, dtype)
-    term = np.empty(grid.shape, dtype=sum_dtype)
-    sums = [np.zeros(grid.shape, dtype=sum_dtype) for _ in tables]
-    for j in sorted(set().union(*tables)):
-        wave(np.multiply(1 << j, x1, out=w), out=w)
-        for vals, table in zip(sums, tables):
-            if j in table:
-                vals += np.multiply(table[j], np.broadcast_to(w, grid.shape), out=term)
-    return sums
-
-
-# ---------------------------------------------------------------------------
 # modulated packets (envelope on the frequency sphere |m| = 2)
-
-
-def make_envelope(grid: GridSpec) -> FrequencyField:
-    """Real envelope with unit coefficient mass on the lattice sphere |m| = 2.
-
-    The closed annulus {3/2 <= |xi| <= 2} meets the integer lattice only on
-    |m| = 2, so all admissible envelope mass sits there: on m = +-2 in 1D,
-    on (+-2, 0) and (0, +-2) in 2D.  They are written directly, with no
-    lattice-sized radius or mask.
-    """
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    for m in _envelope_sphere(grid):  # a negative index is the FFT layout's negative frequency
-        coeffs[m] = 1.0
-    return FrequencyField(grid, coeffs)
 
 
 def _envelope_sphere(grid: GridSpec) -> list[tuple[int, ...]]:
     """The lattice sphere |m| = 2 that carries the envelope: (+-2, 0, ...)
-    and its images on the other axes."""
+    and its images on the other axes.
+
+    The closed annulus {3/2 <= |xi| <= 2} meets the integer lattice only on
+    |m| = 2, so all admissible envelope mass sits there.  The envelope is
+    Psi(x) = sum of e^{i m.x} over the sphere: 2 cos(2 x_1), plus
+    2 cos(2 x_2) in 2D.
+    """
     return [(0,) * axis + (m,) + (0,) * (grid.dim - 1 - axis) for axis in range(grid.dim) for m in (2, -2)]
 
 
@@ -257,11 +221,9 @@ class PacketSpec:
 
 
 def _modulated_packets(grid: GridSpec, specs: list[PacketSpec]) -> list[SampledFunction]:
-    """The packet of every spec, on one envelope and one wave per distinct
-    level, each carrying its exact spectrum: the term alpha[j] e^{i 2^j x_1}
-    times the envelope's e^{i m.x} is one bin at 2^j e_1 + m.  The sphere's
-    frequencies m are even, where the grid's phase is 1, so the envelope's
-    coefficient 1 is also the amplitude of e^{i m.x}."""
+    """The packet of every spec, a trigonometric polynomial made from its
+    exact bins (`_trig_polynomial`): the term alpha[j] e^{i 2^j x_1} times
+    the envelope's e^{i m.x} is one bin at 2^j e_1 + m."""
     for spec in specs:
         if spec.m > grid.k_max - 2:
             raise LevelOverflowError(f"packet base level {spec.m} exceeds K_max-2")
@@ -270,16 +232,10 @@ def _modulated_packets(grid: GridSpec, specs: list[PacketSpec]) -> list[SampledF
         outside = [j for j in spec.alpha if not 1 <= j <= spec.m]
         if outside:
             raise InvalidInputError(f"modulation level {min(outside)} outside [1, m]")
-    psi = make_envelope(grid).to_function()
-    # a named operand: NumPy may multiply a temporary in place, which rounds complex products differently
-    mods = _dyadic_wave_sums(grid, [spec.alpha for spec in specs], _cis, np.complex128)
     sphere = _envelope_sphere(grid)
     return [
-        _carrying(
-            SampledFunction(grid, psi.values * mod),
-            _exact_bins(grid, [((m[0] + (1 << j),) + m[1:], a) for j, a in spec.alpha.items() for m in sphere]),
-        )
-        for spec, mod in zip(specs, mods)
+        _trig_polynomial(grid, [((m[0] + (1 << j),) + m[1:], a) for j, a in spec.alpha.items() for m in sphere])
+        for spec in specs
     ]
 
 
@@ -292,7 +248,9 @@ _PACKET_J0 = 1  # lowest modulation level of the packet families
 
 
 def _case_pattern(m: int, b: float, case: int) -> dict[int, float]:
-    """alpha of packet Case 1-5 at base level m; Cases 3 and 4 use the ambient b."""
+    """alpha of packet Case 1-5 at base level m; Cases 3 and 4 use the
+    ambient b, which must be finite in every case."""
+    check_finite(b=b)
     js = range(_PACKET_J0, m - 1)
     if case == 1:
         return {j: 1.0 for j in js}
@@ -308,8 +266,8 @@ def _case_pattern(m: int, b: float, case: int) -> dict[int, float]:
 def expo7_family(
     grid: GridSpec, m: int, b: float, cases=(1, 2, 3, 4, 5)
 ) -> list[tuple[str, SampledFunction]]:
-    """Named packet family, Cases 1-5, built on one envelope and one wave per
-    level.  Cases with equal coefficients share one member: Case 3 = Case 4
+    """Named packet family, Cases 1-5, one inverse transform per distinct
+    member.  Cases with equal coefficients share one member: Case 3 = Case 4
     at every b, Case 1 = Case 3 at b = 0, and Case 2 = Case 3 at b = 0.5.
     """
     specs = [PacketSpec(m, _case_pattern(m, b, c)) for c in cases]
@@ -323,13 +281,16 @@ def expo7_family(
 
 
 def make_lacunary(grid: GridSpec, coeffs) -> SampledFunction:
-    """sum_j c_j cos(2^j x_1), summed in `float64` for real c_j."""
+    """sum_j c_j cos(2^j x_1), summed in increasing j, in `float64` for real c_j."""
     coeffs = np.asarray(coeffs)
     if coeffs.size > grid.k_max:
         raise LevelOverflowError("too many lacunary levels for this grid")
-    dtype = np.complex128 if np.iscomplexobj(coeffs) else np.float64
-    table = dict(enumerate(coeffs.astype(dtype)))
-    return SampledFunction(grid, _dyadic_wave_sums(grid, [table], np.cos, np.float64, dtype)[0])
+    coeffs = coeffs.astype(np.complex128 if np.iscomplexobj(coeffs) else np.float64)
+    x1 = grid.points()[0]
+    vals = np.zeros(grid.shape, dtype=coeffs.dtype)
+    for j, c in enumerate(coeffs):
+        vals += c * np.cos((1 << j) * x1)
+    return SampledFunction(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +370,7 @@ def gallery_from_spec(grid: GridSpec, text: str) -> SampledFunction:
         return make_modulated_packet(grid, PacketSpec(m, _case_pattern(m, b, case)))
     if head == "lacunary":
         beta = _field(kv, "beta", "0.5", float)
+        check_finite(beta=beta)
         levels = _field(kv, "levels", str(grid.k_max - 1))
         if levels < 0:
             raise InvalidInputError(f"lacunary spec needs levels >= 0, got {levels}")

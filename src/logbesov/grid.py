@@ -3,7 +3,9 @@
 Everything downstream works with trigonometric polynomials sampled on a
 regular grid of N = 2^J points per axis, with integer frequencies in
 [-N/2, N/2).  Integer frequencies make e^{ik.x} exactly periodic, so the
-exponential test functions alias-free as long as |k_i| < N/2.
+exponential test functions alias-free as long as |k_i| < N/2.  A function
+may carry its exact spectrum as sparse bins (`SampledFunction.spectrum`);
+`_trig_polynomial` makes a sum of exponentials from its bins.
 """
 
 from __future__ import annotations
@@ -70,6 +72,13 @@ def conjugate_exponent(p: float) -> float:
     if p == 1.0:
         return INF
     return p / (p - 1.0)
+
+
+def _layout_radius(grid: GridSpec, shape: tuple[int, ...]) -> np.ndarray:
+    """|m| over coefficients of `shape`: the full lattice in FFT layout, or
+    the half spectrum of `rfftn`, whose last axis holds m = 0..N/2 only."""
+    axes = grid.freqs()
+    return _radius(axes[:-1] + (axes[-1][..., : shape[-1]],))
 
 
 def _radius(axes) -> np.ndarray:
@@ -263,49 +272,25 @@ def _product_bins(f: SampledFunction, g: SampledFunction) -> dict[tuple[int, ...
 def _exact_bins(grid: GridSpec, terms) -> dict[tuple[int, ...], complex]:
     """The full-layout bins of sum a e^{ik.x} over the (k, a) pairs of
     `terms`, k an integer wavevector; terms that meet in one bin are added
-    in their order.  The grid starts at x_0 = (-pi, ..., -pi), so sample n
-    of e^{ik.x} is e^{-i pi (k_1 + ... + k_dim)} e^{2 pi i k.n / N}: bin
-    k mod N holds N^dim (-1)^(k_1 + ... + k_dim) a."""
+    in their order, and a bin that comes to zero is left out.  The grid
+    starts at x_0 = (-pi, ..., -pi), so sample n of e^{ik.x} is
+    e^{-i pi (k_1 + ... + k_dim)} e^{2 pi i k.n / N}: bin k mod N holds
+    N^dim (-1)^(k_1 + ... + k_dim) a."""
     n, size = grid.n_samples, grid.n_samples**grid.dim
     bins = {}
     for k, a in terms:
         i = tuple(ki % n for ki in k)
         bins[i] = bins.get(i, 0.0) + (-size if sum(k) % 2 else size) * a
-    return bins
+    return {i: v for i, v in bins.items() if v != 0}
 
 
-def _carrying(f: SampledFunction, bins) -> SampledFunction:
-    """f, carrying the full-layout `bins` when its samples are complex;
-    samples that came out real carry none."""
-    if f.values.dtype == np.complex128:
-        f.spectrum = _checked_bins(bins, f.grid.shape)
-    return f
-
-
-@dataclass
-class FrequencyField:
-    """Fourier coefficients indexed by integer frequencies: the full lattice
-    (FFT layout) or, for a real function, the half lattice of `rfftn`, whose
-    last axis holds m = 0..N/2 only (the rest are their conjugates).  Only
-    the full layout synthesizes (`to_function`)."""
-
-    grid: GridSpec
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.grid.half_shape:
-            if c.size != self.grid.n_samples**self.grid.dim:
-                raise InvalidInputError("coefficient array size does not match grid")
-            c = c.reshape(self.grid.shape)
-        self.coeffs = c
-
-    @property
-    def half(self) -> bool:
-        return self.coeffs.shape == self.grid.half_shape
-
-    def to_function(self) -> SampledFunction:
-        return synthesize(self.grid, self.coeffs)
+def _trig_polynomial(grid: GridSpec, terms) -> SampledFunction:
+    """sum a e^{ik.x} over the (k, a) pairs of `terms`, carrying its exact
+    bins (`_exact_bins`).  Its samples are one `ifftn` of the bins, which
+    are N^dim-scaled, so no factor is needed.  Terms whose bins all cancel
+    give the zero function, real and with no bins."""
+    bins = _exact_bins(grid, terms)
+    return SampledFunction(grid, np.fft.ifftn(_written(bins, grid.shape)), bins)
 
 
 def _forward(values: np.ndarray) -> np.ndarray:
@@ -324,8 +309,13 @@ def _coefficients(f: SampledFunction) -> np.ndarray:
     the forward transform of its samples."""
     if f.spectrum is None:
         return _forward(f.values)
-    coeffs = np.zeros(f.grid.half_shape if f.values.dtype == np.float64 else f.grid.shape, dtype=np.complex128)
-    for k, v in f.spectrum.items():
+    return _written(f.spectrum, f.grid.half_shape if f.values.dtype == np.float64 else f.grid.shape)
+
+
+def _written(bins, shape: tuple[int, ...]) -> np.ndarray:
+    """The complex array of `shape` that holds `bins` and zeros elsewhere."""
+    coeffs = np.zeros(shape, dtype=np.complex128)
+    for k, v in bins.items():
         coeffs[k] = v
     return coeffs
 
@@ -393,23 +383,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def band_energy_fraction(f: SampledFunction | FrequencyField, radius_lo: float, radius_hi: float) -> float:
-    """Relative spectral energy of f, given by its samples or by its Fourier
-    coefficients, outside the annulus radius_lo <= |m| <= radius_hi.
-    Samples are transformed as `_forward` does, so a real function's energy
-    is read off its half spectrum, where the interior last-axis columns
-    m = 1..N/2-1 stand for their conjugate partners too and count twice."""
-    if not isinstance(f, FrequencyField):
-        f = FrequencyField(f.grid, _forward(f.values) / f.values.size)
-    c = np.abs(f.coeffs) ** 2
-    axes = f.grid.freqs()
-    if f.half:
-        c[..., 1 : f.grid.n_samples // 2] *= 2.0
-        axes = axes[:-1] + (axes[-1][..., : c.shape[-1]],)
+def band_energy_fraction(f: SampledFunction, radius_lo: float, radius_hi: float) -> float:
+    """Relative spectral energy of f outside the annulus radius_lo <= |m| <=
+    radius_hi.  The samples are transformed as `_forward` does, so a real
+    function's energy is read off its half spectrum."""
+    return _band_energy_fraction(f.grid, _forward(f.values) / f.values.size, radius_lo, radius_hi)
+
+
+def _band_energy_fraction(grid: GridSpec, coeffs: np.ndarray, radius_lo: float, radius_hi: float) -> float:
+    """`band_energy_fraction` of the coefficients `coeffs`, in the full
+    layout or in the half one of `rfftn`, where the interior last-axis
+    columns m = 1..N/2-1 stand for their conjugate partners too and count
+    twice.  A power-of-two factor of `coeffs` leaves the fraction the same
+    bit for bit."""
+    c = np.abs(coeffs) ** 2
+    if c.shape == grid.half_shape:
+        c[..., 1 : grid.n_samples // 2] *= 2.0
     total = float(c.sum())
     if total == 0.0:
         return 0.0
-    rho = _radius(axes)
+    rho = _layout_radius(grid, c.shape)
     outside = float(c[(rho < radius_lo) | (rho > radius_hi)].sum())
     return outside / total
 

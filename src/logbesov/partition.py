@@ -86,16 +86,15 @@ import numpy as np
 from .cubes import _BAND, CubeMeanTable, _band_sums, _lattice_bands, _zero_table, level_boundaries
 from .errors import InvalidInputError, LevelOverflowError
 from .grid import (
-    FrequencyField,
     GridSpec,
     SampledFunction,
     _abs_lp_norm,
+    _band_energy_fraction,
     _coefficients,
     _lp_from_sum,
     _power,
     _radius,
     _read_only,
-    band_energy_fraction,
     check_exponent,
     is_inf,
 )
@@ -601,7 +600,7 @@ class SpectralDecomposition:
         if self._tail is None:
             # unnormalized: the factor N^dim is a power of two, so the
             # fraction is the same bit for bit, without a copy of the coefficients
-            self._tail = band_energy_fraction(FrequencyField(self.grid, self.coeffs), 0.0, 2.0 ** (self.k_max - 1))
+            self._tail = _band_energy_fraction(self.grid, self.coeffs, 0.0, 2.0 ** (self.k_max - 1))
         return self._tail
 
 

@@ -1,6 +1,9 @@
-"""One SHA-256 over the analysis results of a fixed set of inputs.
+"""SHA-256 digests of the analysis results of a fixed set of inputs.
 
     python tests/analysis_digest.py
+
+It prints one digest over everything, then one per grid, partition kind and
+input, so that a change shows which inputs moved.
 
 Run from the root of a checkout; it imports `logbesov` from `src/` beside
 this directory.  The digest covers, for gallery members and for inputs that
@@ -15,7 +18,7 @@ carry exact spectrum bins, at 1D J=12 and 2D J=8 with both partition kinds:
 
 Floats enter as their bytes or their `repr`, so two versions of the code
 print the same digest only if every one of these results is the same bit
-for bit.  An input error is recorded by its class, so it counts too.
+for bit; the combined digest hashes every input's records in turn.  An input error is recorded by its class, so it counts too.
 pytest does not collect this file; it is a check to run by hand on both
 sides of a change that claims to keep the results.
 """
@@ -64,51 +67,64 @@ def _guarded(fn):
 
 
 def _records(grid: GridSpec, kind: PartitionKind):
+    """(name, records) of each input, records a generator."""
     part = build_partition(grid, kind)
     partner = _exact_exponential(grid, (1 << 2,) + (0,) * (grid.dim - 1))
     for name, f in _inputs(grid):
-        yield name, kind.value, grid.dim, grid.log2_samples
-        dec = decompose(f, part)
-        for p in PS:
-            for b in BS:
-                yield _guarded(lambda: verdict(f, part, p, b, dec=dec).to_dict())
-                for q in (1.0, INF):
-                    yield _guarded(lambda: besov_norm(f, part, BesovParams(0.0, b, p, q), dec=dec).value)
+        yield name, _input_records(grid, part, partner, name, f)
+
+
+def _input_records(grid: GridSpec, part, partner, name: str, f):
+    yield name, part.kind.value, grid.dim, grid.log2_samples
+    dec = decompose(f, part)
+    for p in PS:
         for b in BS:
-            for q in (1.0, 2.0, INF):
-                yield _guarded(lambda: tl_norm_inf(f, part, 0.0, b, q, dec=dec).value)
-        yield _guarded(lambda: dec.sup_norms().tobytes().hex())
-        for p in PS:
-            yield _guarded(lambda: dec.lp_norms(p).tobytes().hex())
-        for r in RS:
-            for k in range(part.k_max + 1):
-                table = _guarded(lambda: dec.cube_table(k, r))
-                if isinstance(table, str):
-                    yield table
-                    continue
-                for level in range(min(k, grid.l_max) + 1):
-                    yield hashlib.sha256(table.means(level).tobytes()).hexdigest()
-        for piece in dec.pieces:
-            yield hashlib.sha256(piece.values.tobytes()).hexdigest()
-        report = _guarded(lambda: product_report(f, partner, part))
-        if isinstance(report, str):
-            yield report
-        else:
-            yield repr(report.residual)
-            for pi in (report.pi1, report.pi2, report.pi3):
-                yield hashlib.sha256(pi.values.tobytes()).hexdigest()
+            yield _guarded(lambda: verdict(f, part, p, b, dec=dec).to_dict())
+            for q in (1.0, INF):
+                yield _guarded(lambda: besov_norm(f, part, BesovParams(0.0, b, p, q), dec=dec).value)
+    for b in BS:
+        for q in (1.0, 2.0, INF):
+            yield _guarded(lambda: tl_norm_inf(f, part, 0.0, b, q, dec=dec).value)
+    yield _guarded(lambda: dec.sup_norms().tobytes().hex())
+    for p in PS:
+        yield _guarded(lambda: dec.lp_norms(p).tobytes().hex())
+    for r in RS:
+        for k in range(part.k_max + 1):
+            table = _guarded(lambda: dec.cube_table(k, r))
+            if isinstance(table, str):
+                yield table
+                continue
+            for level in range(min(k, grid.l_max) + 1):
+                yield hashlib.sha256(table.means(level).tobytes()).hexdigest()
+    for piece in dec.pieces:
+        yield hashlib.sha256(piece.values.tobytes()).hexdigest()
+    report = _guarded(lambda: product_report(f, partner, part))
+    if isinstance(report, str):
+        yield report
+    else:
+        yield repr(report.residual)
+        for pi in (report.pi1, report.pi2, report.pi3):
+            yield hashlib.sha256(pi.values.tobytes()).hexdigest()
 
 
-def digest() -> str:
-    h = hashlib.sha256()
+def digests() -> tuple[str, list[str]]:
+    """The combined digest, and one line "<dim>D J=<J> <kind> <input> <digest>"
+    per grid, partition kind and input."""
+    combined, lines = hashlib.sha256(), []
     for dim, J in GRIDS:
         grid = GridSpec(dim, J)
         for kind in PartitionKind:
-            for record in _records(grid, kind):
-                h.update(json.dumps(record, sort_keys=True, default=repr).encode())
-                h.update(b"\n")
-    return h.hexdigest()
+            for name, records in _records(grid, kind):
+                own = hashlib.sha256()
+                for record in records:
+                    line = json.dumps(record, sort_keys=True, default=repr).encode() + b"\n"
+                    combined.update(line)
+                    own.update(line)
+                lines.append(f"{dim}D J={J} {kind.value} {name} {own.hexdigest()}")
+    return combined.hexdigest(), lines
 
 
 if __name__ == "__main__":
-    print(digest())
+    combined, lines = digests()
+    print(combined)
+    print("\n".join(lines))

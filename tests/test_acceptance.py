@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from logbesov.criteria import nece_term2, nece_term3, suff_term2, suff_term3
 from logbesov.experiments import ExperimentConfig, run_charfun, run_exp_growth
 from logbesov.gallery import BumpSpec, make_bump, make_exponential
-from logbesov.grid import GridSpec, band_energy_fraction as summand_band_energy, lp_norm, random_band_limited
+from logbesov.grid import GridSpec, band_energy_fraction, lp_norm, random_band_limited
 from logbesov.norms import BesovParams, besov_norm, dini_norm, modulus
 from logbesov.paraproducts import pi2_summand, product_report
 from logbesov.partition import build_partition, decompose
@@ -203,7 +203,7 @@ def test_criterion_09_paraproduct_completeness():
         for k in range(part.k_max + 1):
             s = pi2_summand(f, g, part, k, dec_f=dec_f, dec_g=dec_g)
             if lp_norm(s, 2.0) > 0:
-                worst_env = max(worst_env, summand_band_energy(s, 0.0, 5.0 * 2.0**k))
+                worst_env = max(worst_env, band_energy_fraction(s, 0.0, 5.0 * 2.0**k))
     elapsed = time.monotonic() - t0
     ok = worst_res < 1e-8 and worst_env < 1e-10 and elapsed < 60.0
     _report(9, ok, f"residual {worst_res:.2e}, envelope leakage {worst_env:.2e}, {elapsed:.1f}s")

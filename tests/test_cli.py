@@ -425,6 +425,33 @@ def test_gallery_weight_overflow_exits_2_naming_the_field(spec, name, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["criteria", "--p", "2", "--b", "0.5", "--gallery", "packet:m=6,case=3,b=nan"], "b"),
+        (["criteria", "--p", "2", "--b", "0.5", "--gallery", "packet:m=6,case=3,b=inf"], "b"),
+        (["criteria", "--p", "2", "--b", "0.5", "--gallery", "packet:m=6,case=1,b=-inf"], "b"),
+        (["criteria", "--p", "2", "--b", "0.5", "--gallery", "stack:m=2,n=5,b=nan"], "b"),
+        (["criteria", "--p", "2", "--b", "0.5", "--gallery", "stack:m=2,n=5,b=inf"], "b"),
+        (["criteria", "--p", "2", "--b", "0.5", "--gallery", "lacunary:beta=inf,levels=5"], "beta"),
+        (["criteria", "--p", "2", "--b", "0.5", "--gallery", "lacunary:beta=nan,levels=5"], "beta"),
+        (["lowerbound", "--f", "exp:m=6", "--family", "packets:m=6,b=nan", "--p", "2", "--b", "0.5"], "b"),
+    ],
+    ids=["packet-nan", "packet-inf", "packet-case1-neginf", "stack-nan", "stack-inf", "lacunary-inf", "lacunary-nan", "packets-nan"],
+)
+def test_nonfinite_spec_field_exits_2_naming_the_field(argv, name, capsys):
+    """A NaN or infinite b of a packet, packet family or stack, or beta of a
+    lacunary series, is an input error naming the field, raised before any
+    sample is made: not an unnamed non-finite-samples error, and not a
+    degenerate member that runs to exit 0."""
+    assert main(["--grid", "J=10"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} must be finite")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", ["1", "2", "4", "inf"])
 @pytest.mark.parametrize("b", ["1e6", "-1e6"])
 def test_criterion_weight_overflow_exits_2_naming_b(p, b, capsys):

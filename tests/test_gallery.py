@@ -21,7 +21,6 @@ from logbesov.gallery import (
     expo7_family,
     gallery_from_spec,
     make_bump,
-    make_envelope,
     make_exponential,
     make_indicator,
     make_lacunary,
@@ -29,10 +28,11 @@ from logbesov.gallery import (
     make_stack,
     stack_plateau_cubes,
 )
-from logbesov.grid import INF, FrequencyField, GridSpec, _forward, lp_norm
+from logbesov.grid import INF, GridSpec, SampledFunction, _exact_bins, _forward, _trig_polynomial, _written, lp_norm
 from logbesov.norms import BesovParams, besov_norm
 from logbesov.partition import build_partition, decompose
 
+import packet_oracle
 from lattice_oracle import lattice_piece, spectrum
 
 
@@ -323,37 +323,47 @@ def test_stack_pointwise_lower_bound(part12):
 # --- modulated packets -------------------------------------------------------
 
 
+# the largest gap between a packet and its integer-phase oracle, relative to
+# the oracle's max, is 1.3e-15 (1D J=12, J=14 and J=20, 2D J=10)
+ORACLE_BOUND = 1e-14
+
+
+def _oracle_error(f, want) -> float:
+    return float(np.abs(f.values - want).max() / np.abs(want).max())
+
+
 def test_envelope_annulus(grid12):
-    env = make_envelope(grid12)
+    """The envelope made from its sphere's terms carries bins only inside
+    the closed annulus 3/2 <= |xi| <= 2, some of them nonzero; its samples
+    are real to 1e-12 and match the integer-phase oracle."""
+    env = _trig_polynomial(grid12, [(m, 1.0) for m in gallery._envelope_sphere(grid12)])
+    coeffs = _written(env.spectrum, grid12.shape)
     rho = grid12.freq_radius()
     outside = (rho < 1.5) | (rho > 2.0)
-    assert np.abs(env.coeffs[outside]).max() == 0.0
-    assert np.abs(env.coeffs).max() > 0
-    psi = env.to_function()
-    assert np.abs(psi.values.imag).max() < 1e-12
+    assert np.abs(coeffs[outside]).max() == 0.0
+    assert np.abs(coeffs).max() > 0
+    assert np.abs(env.values.imag).max() < 1e-12
+    assert _oracle_error(env, packet_oracle.envelope(grid12)) <= ORACLE_BOUND
     # positivity is NOT asserted; the minimum is only reported
-    assert psi.values.real.min() < 0
+    assert env.values.real.min() < 0
 
 
 @pytest.mark.parametrize("dim, J", [(1, 7), (1, 12), (2, 7), (2, 8)])
-def test_envelope_and_packets_match_the_radius_mask_bit_for_bit(dim, J, monkeypatch):
-    """The four (2D) or two (1D) envelope coefficients written directly give
-    the envelope, and the packet family, of the |m| = 2 mask on the lattice."""
+def test_envelope_and_packets_match_the_radius_mask_bit_for_bit(dim, J):
+    """The envelope's bins, e^{i m.x} over the sphere |m| = 2, are N^dim
+    times the radius mask |m| = 2, which is where the closed annulus
+    3/2 <= |xi| <= 2 meets the lattice; a Case-5 packet's bins are the
+    envelope's shifted by 2^m e_1, and so is every other term's."""
     grid = GridSpec(dim, J)
-
-    def masked(g):
-        coeffs = np.zeros(g.shape, dtype=np.complex128)
-        coeffs[np.abs(g.freq_radius() - 2.0) < 1e-12] = 1.0
-        return FrequencyField(g, coeffs)
-
-    env = make_envelope(grid)
-    assert np.array_equal(env.coeffs, masked(grid).coeffs)
-    assert np.array_equal(env.to_function().values, masked(grid).to_function().values)
+    envelope = _written(_exact_bins(grid, [(m, 1.0) for m in gallery._envelope_sphere(grid)]), grid.shape)
+    rho = grid.freq_radius()
+    assert np.array_equal(envelope, grid.n_samples**dim * (np.abs(rho - 2.0) < 1e-12))
+    assert not envelope[(rho < 1.5) | (rho > 2.0)].any()
     m = grid.k_max - 2
-    direct = expo7_family(grid, m, 0.5)
-    monkeypatch.setattr(gallery, "make_envelope", masked)
-    for (name, f), (name0, f0) in zip(direct, expo7_family(grid, m, 0.5)):
-        assert name == name0 and np.array_equal(f.values, f0.values)
+    for alpha in ({m: 1.0}, {1: 0.5, m - 1: -2.0}):
+        f = make_modulated_packet(grid, PacketSpec(m, alpha))
+        want = sum(a * np.roll(envelope, 1 << j, axis=0) for j, a in alpha.items())
+        assert np.array_equal(_written(f.spectrum, grid.shape), want)
 
 
 def test_packet_summand_support(grid12):
@@ -368,20 +378,22 @@ def test_packet_summand_support(grid12):
 def test_packet_case5_is_shifted_envelope(grid12):
     m = 7
     f = make_modulated_packet(grid12, PacketSpec(m, {m: 1.0}))
-    manual = make_envelope(grid12).to_function() * make_exponential(grid12, (1 << m,))
-    assert np.abs(f.values - manual.values).max() < 1e-12
+    manual = packet_oracle.envelope(grid12) * packet_oracle.wave(grid12, (1 << m,))
+    assert _oracle_error(f, manual) <= ORACLE_BOUND
 
 
 def test_packet_m3_single_term(grid12):
+    """At m = 3 Case 1 keeps the one level j = 1: Psi e^{2 i x_1}, two bins."""
     fam = expo7_family(grid12, 3, 0.0, cases=(1,))
-    manual = make_envelope(grid12).to_function() * make_exponential(grid12, (2,))
-    assert np.abs(fam[0][1].values - manual.values).max() < 1e-12
+    assert _case_pattern(3, 0.0, 1) == {1: 1.0} and len(fam[0][1].spectrum) == 2
+    manual = packet_oracle.envelope(grid12) * packet_oracle.wave(grid12, (2,))
+    assert _oracle_error(fam[0][1], manual) <= ORACLE_BOUND
 
 
 def test_packet_norm_bound_case1(part12):
     """||packet||_{B^{0,b}_{p,inf}} <= C sup_j (1+j)^b |alpha_j| ||Psi||_p."""
     g = part12.grid
-    psi = make_envelope(g).to_function()
+    psi = SampledFunction(g, packet_oracle.envelope(g))
     for b in (0.0, 0.5):
         for m in (6, 8):
             fam = expo7_family(g, m, b, cases=(1,))
@@ -390,23 +402,26 @@ def test_packet_norm_bound_case1(part12):
             assert val <= 4.0 * bound
 
 
-def test_packet_family_shares_envelope_and_waves(grid12, monkeypatch):
-    """One envelope and one wave per distinct level per family; cases with
-    equal coefficients share one member."""
-    waves, envelopes = [], []
-    real_cis, real_envelope = gallery._cis, gallery.make_envelope
-    monkeypatch.setattr(gallery, "_cis", lambda t, out: waves.append(t) or real_cis(t, out))
-    monkeypatch.setattr(gallery, "make_envelope", lambda g: envelopes.append(g) or real_envelope(g))
+def test_packet_family_makes_one_inverse_transform_per_member(grid12, monkeypatch):
+    """A family build makes one `ifftn` per distinct member and no other
+    transform, and no wave of x per level; cases with equal coefficients
+    share one member."""
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        real = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
+    for name in ("exp", "cos", "sin"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
     m = 7
     shared = {0.0: ("case1", "case3", "case4"), 0.5: ("case2", "case3", "case4"), 1.0: ("case3", "case4")}
     for b, equal in shared.items():
-        waves.clear()
-        envelopes.clear()
+        calls.clear()
         fam = dict(expo7_family(grid12, m, b))
-        assert len(waves) == m - 1  # levels 1..m-2 and m
-        assert len(envelopes) == 1
         assert all(fam[name] is fam[equal[0]] for name in equal)
-        assert len({id(f) for f in fam.values()}) == 5 - len(equal) + 1
+        distinct = 5 - len(equal) + 1
+        assert len({id(f) for f in fam.values()}) == distinct
+        assert calls == ["ifftn"] * distinct
 
 
 def _bins_error(grid, f) -> float:
@@ -417,17 +432,18 @@ def _bins_error(grid, f) -> float:
     return float(np.abs(decompose(f, build_partition(grid)).coeffs - fw).max() / np.abs(fw).max())
 
 
-@pytest.mark.parametrize("dim, J", [(1, 14), (2, 10)])
-def test_packet_bins_match_the_forward_transform(dim, J):
+@pytest.mark.parametrize("dim, J, ms", [(1, 14, range(3, 11)), (2, 10, range(3, 7)), (1, 20, (16,))], ids=["1-14", "2-10", "1-20"])
+def test_packets_match_the_integer_phase_oracle(dim, J, ms):
     """Every packet, built by the family, the one-packet maker and the CLI
-    spec alike, and its product with e^{-i 2^m x_1} carry bins within 1e-12
-    of the max of the forward transform of their samples (6.0e-14 at worst
-    measured), for every admissible m; the bins' phase (-1)^k is checked,
-    not assumed."""
-    grid, rest = GridSpec(dim, J), (0,) * (dim - 1)
-    worst = 0.0
-    for m in range(3, grid.k_max - 1):
-        f = _exact_exponential(grid, (-(1 << m),) + rest)
+    spec alike, matches its integer-phase oracle within `ORACLE_BOUND` of
+    its max, for every admissible m (one m at 1D J=20).  Its product with
+    e^{-i 2^m x_1} carries bins within `ORACLE_BOUND` of the max of the
+    forward transform of the oracle's product (4.9e-16 at worst measured);
+    the bins' phase (-1)^k is checked, not assumed."""
+    grid = GridSpec(dim, J)
+    for m in ms:
+        k = (-(1 << m),) + (0,) * (dim - 1)
+        f, down = _exact_exponential(grid, k), packet_oracle.wave(grid, k)
         distinct = []  # members of equal bins have equal samples: each is checked once
         for b in (-2.0, 0.5, 2.0):
             family = dict(expo7_family(grid, m, b))
@@ -435,12 +451,17 @@ def test_packet_bins_match_the_forward_transform(dim, J):
                 one = make_modulated_packet(grid, PacketSpec(m, _case_pattern(m, b, 2)))
                 spec = gallery_from_spec(grid, f"packet:m={m},case=4,b={b}")
                 assert one.spectrum == family["case2"].spectrum and spec.spectrum == family["case4"].spectrum
-            distinct += [g for g in family.values() if all(g.spectrum != d.spectrum for d in distinct)]
-        for g in distinct:
-            for h in (g, f * g):
+            for case in (1, 2, 3, 5):
+                g = family[f"case{case}"]
+                if any(g.spectrum == d.spectrum for d in distinct):
+                    continue
+                distinct.append(g)
+                want = packet_oracle.packet(grid, _case_pattern(m, b, case))
+                assert _oracle_error(g, want) <= ORACLE_BOUND
+                h = f * g
                 assert h.spectrum is not None and len(h.spectrum) <= 2 * dim * (m - 2)
-                worst = max(worst, _bins_error(grid, h))
-    assert worst <= 1e-12
+                fw = np.fft.fftn(want * down)
+                assert np.abs(_written(h.spectrum, grid.shape) - fw).max() <= ORACLE_BOUND * np.abs(fw).max()
 
 
 @pytest.mark.parametrize("k", [(3,), (-5,), (8,), (3, 1), (-4, 1), (6, -2)])
@@ -459,6 +480,18 @@ def test_packet_level_guard(grid10):
         make_modulated_packet(grid10, PacketSpec(grid10.k_max, {3: 1.0}))
     with pytest.raises(InvalidInputError):
         make_modulated_packet(grid10, PacketSpec(5, {0: 1.0}))
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+def test_nonfinite_b_is_rejected_before_any_sample(grid10, b, monkeypatch):
+    """A non-finite b of a packet family or a stack is an input error naming
+    b, raised before any sample is made."""
+    monkeypatch.setattr(np.fft, "ifftn", None)
+    monkeypatch.setattr(gallery, "make_bump", None)
+    with pytest.raises(InvalidInputError, match="^b must be finite"):
+        expo7_family(grid10, 6, b)
+    with pytest.raises(InvalidInputError, match="^b must be finite"):
+        make_stack(grid10, StackSpec(spacing=2, depth=5, b=b))
 
 
 # --- lacunary + CLI specs ----------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from logbesov.errors import AliasingError, CapabilityError, InvalidInputError
 from logbesov.grid import (
     INF,
-    FrequencyField,
     GridSpec,
     SampledFunction,
     conjugate_exponent,
@@ -75,9 +74,6 @@ def test_roundtrip(grid10, rng):
     back = synthesize(grid10, spectrum(f))
     err = np.abs(back.values - f.values).max() / np.abs(f.values).max()
     assert err < 1e-12
-    ff = FrequencyField(grid10, spectrum(f))
-    err2 = np.abs(ff.to_function().values - f.values).max() / np.abs(f.values).max()
-    assert err2 < 1e-12
 
 
 def test_conjugate_exponent():

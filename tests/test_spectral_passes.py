@@ -275,9 +275,9 @@ def _levels_holding_a_bin(part, h) -> int:
 def test_packet_row_transforms_only_the_levels_that_hold_a_bin(monkeypatch, b):
     """A packet-route row builds e^{-i 2^m x_1} with its one bin and the
     packets with theirs, so no member and no product makes a forward
-    transform.  Beside the envelope's one synthesis, the row makes one
-    inverse transform per level whose boxed bins of a distinct member or
-    of its product are not all zero."""
+    transform.  Each distinct member's samples are one `ifftn` of its bins;
+    beside those, the row makes one inverse transform per level whose boxed
+    bins of a distinct member or of its product are not all zero."""
     grid, m = GridSpec(1, 12), 6
     part = build_partition(grid)
     params = [BesovParams(0.0, b, p, INF) for p in (2.0, 4.0)]
@@ -288,7 +288,7 @@ def test_packet_row_transforms_only_the_levels_that_hold_a_bin(monkeypatch, b):
     distinct = {id(g): g for _, g in family}.values()
     levels = sum(_levels_holding_a_bin(part, h) for g in distinct for h in (g, f * g))
     assert 0 < levels < 2 * len(distinct) * (part.k_max + 1)
-    assert calls == ["ifftn"] + ["ifft"] * levels
+    assert calls == ["ifftn"] * len(distinct) + ["ifft"] * levels
 
 
 def test_p2_verdict_holds_a_few_lattice_arrays():
