@@ -185,8 +185,8 @@ class CubeMeanTable:
 
     def __init__(self, grid: GridSpec, data=None, *, finest: np.ndarray | None = None, top: int | None = None):
         """From the lattice array `data`, or from `finest`, its cube sums at
-        l_max, made by a caller that streams the array in the bands of
-        `_lattice_bands` (`_band_sums` per band)."""
+        l_max, made by a caller that streams the array in bands (in 2D the
+        bands of `_lattice_bands`, `_band_sums` per band)."""
         self.grid = grid
         top = grid.l_max if top is None else top
         if finest is None:

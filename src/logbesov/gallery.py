@@ -349,7 +349,9 @@ def gallery_from_spec(grid: GridSpec, text: str) -> SampledFunction:
     if head == "halfspace":
         return make_indicator(grid, "halfspace")
     if head == "const":
-        return make_constant(grid, _field(kv, "c", "1", complex))
+        c = _field(kv, "c", "1", complex)
+        check_finite(c=c)
+        return make_constant(grid, c)
     if head == "bump":
         level = _field(kv, "l", "4")
         anchor = (_field(kv, "x", "0", float),) * grid.dim

@@ -10,6 +10,7 @@ may carry its exact spectrum as sparse bins (`SampledFunction.spectrum`);
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from collections.abc import Mapping
@@ -39,10 +40,11 @@ def check_exponent(p: float, name: str = "p") -> float:
     return float(p)
 
 
-def check_finite(**params: float) -> None:
-    """Smoothness parameters are finite numbers; NaN or inf is an input error."""
+def check_finite(**params: complex) -> None:
+    """Parameters are finite numbers, real or complex; NaN or inf in any
+    part is an input error naming the parameter."""
     for name, value in params.items():
-        if not math.isfinite(value):
+        if not cmath.isfinite(value):
             raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
@@ -286,11 +288,15 @@ def _exact_bins(grid: GridSpec, terms) -> dict[tuple[int, ...], complex]:
 
 def _trig_polynomial(grid: GridSpec, terms) -> SampledFunction:
     """sum a e^{ik.x} over the (k, a) pairs of `terms`, carrying its exact
-    bins (`_exact_bins`).  Its samples are one `ifftn` of the bins, which
-    are N^dim-scaled, so no factor is needed.  Terms whose bins all cancel
-    give the zero function, real and with no bins."""
+    bins (`_exact_bins`) when its samples are complex.  Its samples are one
+    `ifftn` of the bins, which are N^dim-scaled, so no factor is needed.
+    Samples that come out exactly real (a real cosine, or terms whose bins
+    all cancel) are stored as `float64`, whose half layout the full-layout
+    bins do not fit: such a function carries no bins, as a product with
+    real samples carries none (`_combine`)."""
     bins = _exact_bins(grid, terms)
-    return SampledFunction(grid, np.fft.ifftn(_written(bins, grid.shape)), bins)
+    values = np.fft.ifftn(_written(bins, grid.shape))
+    return SampledFunction(grid, values, bins if values.imag.any() else None)
 
 
 def _forward(values: np.ndarray) -> np.ndarray:

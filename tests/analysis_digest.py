@@ -20,7 +20,8 @@ Floats enter as their bytes or their `repr`, so two versions of the code
 print the same digest only if every one of these results is the same bit
 for bit; the combined digest hashes every input's records in turn.  An input error is recorded by its class, so it counts too.
 pytest does not collect this file; it is a check to run by hand on both
-sides of a change that claims to keep the results.
+sides of a change that claims to keep the results.  `test_analysis_digest.py`
+runs it, so that a change that breaks the tool fails the tests.
 """
 
 from __future__ import annotations

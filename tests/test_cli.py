@@ -436,12 +436,28 @@ def test_gallery_weight_overflow_exits_2_naming_the_field(spec, name, capsys):
         (["criteria", "--p", "2", "--b", "0.5", "--gallery", "lacunary:beta=inf,levels=5"], "beta"),
         (["criteria", "--p", "2", "--b", "0.5", "--gallery", "lacunary:beta=nan,levels=5"], "beta"),
         (["lowerbound", "--f", "exp:m=6", "--family", "packets:m=6,b=nan", "--p", "2", "--b", "0.5"], "b"),
+        (["criteria", "--p", "2", "--b", "0.5", "--gallery", "const:c=nan"], "c"),
+        (["criteria", "--p", "2", "--b", "0.5", "--gallery", "const:c=inf"], "c"),
+        (["criteria", "--p", "2", "--b", "0.5", "--gallery", "const:c=nan+1j"], "c"),
     ],
-    ids=["packet-nan", "packet-inf", "packet-case1-neginf", "stack-nan", "stack-inf", "lacunary-inf", "lacunary-nan", "packets-nan"],
+    ids=[
+        "packet-nan",
+        "packet-inf",
+        "packet-case1-neginf",
+        "stack-nan",
+        "stack-inf",
+        "lacunary-inf",
+        "lacunary-nan",
+        "packets-nan",
+        "const-nan",
+        "const-inf",
+        "const-complex-nan",
+    ],
 )
 def test_nonfinite_spec_field_exits_2_naming_the_field(argv, name, capsys):
-    """A NaN or infinite b of a packet, packet family or stack, or beta of a
-    lacunary series, is an input error naming the field, raised before any
+    """A NaN or infinite b of a packet, packet family or stack, beta of a
+    lacunary series, or c of a constant (in either part, when complex), is
+    an input error naming the field, raised before any
     sample is made: not an unnamed non-finite-samples error, and not a
     degenerate member that runs to exit 0."""
     assert main(["--grid", "J=10"] + argv) == 2

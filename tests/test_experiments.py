@@ -23,7 +23,7 @@ from logbesov.gallery import expo7_family, make_exponential, make_indicator
 from logbesov.grid import INF, GridSpec
 from logbesov.norms import BesovParams
 from logbesov.paraproducts import multiplier_lower_bound
-from logbesov.partition import build_partition, decompose
+from logbesov.partition import DyadicPartition, PartitionKind, build_partition, decompose
 from logbesov.workers import _map_rows
 
 
@@ -270,10 +270,10 @@ def test_fresh_partition_first_used_by_several_threads():
     f = make_indicator(grid, "cube")
     levels = range(grid.k_max + 1)
     for kind in ("radial", "tensor"):
-        serial = build_partition(grid, kind)
+        serial = DyadicPartition(grid, PartitionKind(kind))
         dec = decompose(f, serial)
         expected = [(serial.symbol(k), dec._piece(k)) for k in levels]
-        fresh = build_partition(grid, kind)
+        fresh = DyadicPartition(grid, PartitionKind(kind))
         got = {}
 
         def use(t):
@@ -295,6 +295,25 @@ def test_fresh_partition_first_used_by_several_threads():
         for pairs in got.values():
             for (s0, p0), (s1, p1) in zip(expected, pairs):
                 assert np.array_equal(s0, s1) and np.array_equal(p0, p1)
+
+
+def test_runner_calls_share_the_level_boxes(monkeypatch):
+    """`build_partition` gives one partition per grid and kind for the life
+    of the process, named by string or by member, so a second
+    `run_exp_growth` call, on either route, builds no level box."""
+    config = ExperimentConfig(log2_samples=10, b_list=(0.5,), p_list=(1.0, 4.0), m_range=(3, 6))
+    assert build_partition(config.grid(), "Radial") is build_partition(config.grid(), PartitionKind.RADIAL)
+    run_exp_growth(config)
+    profiles = []
+    profile = DyadicPartition._profile
+
+    def counting(self, *args):
+        profiles.append(args)
+        return profile(self, *args)
+
+    monkeypatch.setattr(DyadicPartition, "_profile", counting)
+    run_exp_growth(config)
+    assert profiles == []
 
 
 def test_sandwich_and_charfun_windows_checked_before_work(monkeypatch):

@@ -348,6 +348,20 @@ def test_envelope_annulus(grid12):
     assert env.values.real.min() < 0
 
 
+@pytest.mark.parametrize("J, k", [(6, 8), (6, 16), (6, 24), (14, 2048), (14, 4096), (14, 6144)])
+def test_real_cosine_carries_no_bins(J, k):
+    """e^{ikx} + e^{-ikx} whose `ifftn` comes out exactly real is stored as
+    real samples and carries no bins, as a product with real samples does:
+    its full-layout bins do not fit the half layout.  Its decomposition is
+    that of its samples."""
+    grid = GridSpec(1, J)
+    f = _trig_polynomial(grid, [((k,), 1), ((-k,), 1)])
+    assert f.values.dtype == np.float64 and f.spectrum is None
+    assert np.abs(f.values - 2.0 * np.cos(k * grid.axis())).max() < 1e-10
+    dec = decompose(f, build_partition(grid))
+    assert np.array_equal(dec.coeffs, _forward(f.values))
+
+
 @pytest.mark.parametrize("dim, J", [(1, 7), (1, 12), (2, 7), (2, 8)])
 def test_envelope_and_packets_match_the_radius_mask_bit_for_bit(dim, J):
     """The envelope's bins, e^{i m.x} over the sphere |m| = 2, are N^dim

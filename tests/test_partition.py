@@ -10,9 +10,9 @@ from logbesov.gallery import make_exponential, make_indicator
 from logbesov.grid import GridSpec, SampledFunction, lp_norm, make_constant, random_band_limited
 from logbesov import partition as partition_mod
 from logbesov.partition import (
+    DyadicPartition,
     PartitionKind,
     SpectralDecomposition,
-    _synthesis_buffers,
     build_partition,
     decompose,
     generator_profile,
@@ -162,7 +162,7 @@ def test_boxed_symbols_match_full_lattice(dim, kind, data):
     f = random_band_limited(g, 2.0 ** (g.k_max - 1), np.random.default_rng(data.draw(st.integers(0, 9999))))
     dec = decompose(f, part)
     pieces = dec.pieces
-    bufs = _synthesis_buffers(g, dec.coeffs, part.k_max)
+    bufs = dec._pass_buffers(part.k_max, whole=True)
     streamed = [dec._piece(k, bufs).copy() for k in range(part.k_max + 1)]
     coeffs = np.fft.fftn(f.values)
     prev = None
@@ -283,10 +283,10 @@ def test_box_blocks_change_no_bit(dim, J, kind, monkeypatch):
     grid = GridSpec(dim, J)
     levels = range(grid.k_max + 1)
     monkeypatch.setattr(partition_mod, "_BOX_BLOCK", 1 << 40)
-    whole = build_partition(grid, kind)
+    whole = DyadicPartition(grid, kind)
     expected = [(whole.symbol(k), whole.cumulative_symbol(k)) for k in levels]
     monkeypatch.setattr(partition_mod, "_BOX_BLOCK", 1)
-    rows = build_partition(grid, kind)
+    rows = DyadicPartition(grid, kind)
     for k, (sym, cum) in zip(levels, expected):
         assert np.array_equal(rows.symbol(k), sym) and np.array_equal(rows.cumulative_symbol(k), cum)
 
@@ -295,7 +295,7 @@ def test_box_blocks_change_no_bit(dim, J, kind, monkeypatch):
 def test_box_build_holds_one_block_of_temporaries(kind):
     """Building every level box at 2D J=10 peaks below 1.5 times the boxes
     it keeps (3.2 for the radial kind when each box was evaluated whole)."""
-    part = build_partition(GridSpec(2, 10), kind)
+    part = DyadicPartition(GridSpec(2, 10), kind)
     tracemalloc.start()
     try:
         for k in range(part.k_max + 1):

@@ -212,8 +212,8 @@ def test_a_zero_level_makes_no_box_multiply_and_no_table(dim, J, usable_cpus, mo
     """The exact e^{i 2^6 x_1} has one level that is not zero.  The pass
     multiplies no box, and its zero levels build no cube table: they share
     the grid's zero tables.  Its pieces make the transforms of that level
-    alone (in 2D, the first pass over the box's two row blocks, then the
-    last pass); the others are zeros, +0 throughout."""
+    alone (in 2D, the first pass over the box's packed rows, then the last
+    pass over the lattice); the others are zeros, +0 throughout."""
     usable_cpus(2)
     grid = GridSpec(dim, J)
     part = build_partition(grid)
@@ -242,7 +242,7 @@ def test_a_zero_level_makes_no_box_multiply_and_no_table(dim, J, usable_cpus, mo
         assert all(dec.cube_table(k, r) is cubes._zero_table(grid, min(k, grid.l_max)) for r in rs)
     calls = _count_ffts(monkeypatch)
     pieces = dec.pieces
-    assert calls == ["ifft"] * (1 if dim == 1 else 3)
+    assert calls == ["ifft"] * dim
     assert all(not pieces[k].values.any() and not np.signbit(pieces[k].values.view(np.float64)).any() for k in zero)
 
 
@@ -360,16 +360,24 @@ def test_pi2_summand_makes_only_the_pieces_it_reads(monkeypatch):
         assert np.array_equal(s.values, manual)
 
 
-def test_decomposition_caches_no_cumulative_box():
+def test_decomposition_caches_no_cumulative_box(monkeypatch):
     """`decompose` and `analyze` read the symbol boxes only; the cumulative
     boxes phi_0(2^-k .) are built only when `cumulative_symbol` asks for
-    them."""
+    them.  The box reads are counted, so the check holds whichever boxes
+    the shared partition already holds."""
     grid = GridSpec(1, 10)
     part = build_partition(grid)
+    reads = []
+    box = DyadicPartition._box
+
+    def recording(self, k, cumulative):
+        reads.append((k, cumulative))
+        return box(self, k, cumulative)
+
+    monkeypatch.setattr(DyadicPartition, "_box", recording)
     dec = decompose(make_indicator(grid, "cube"), part)
     dec.analyze(cube_exponents=(1.0,), lp_exponents=(2.0,))
-    assert [key for key in part._cache if key[0] == "cum"] == []
-    assert all(("sym", k) in part._cache for k in range(part.k_max + 1))
+    assert sorted(set(reads)) == [(k, False) for k in range(part.k_max + 1)]
 
 
 @pytest.mark.parametrize("spec", ["cube", "halfspace", "const", "lacunary:beta=0.5,levels=5"])
@@ -672,27 +680,36 @@ def test_2d_pass_reductions_match_the_pieces(spec, usable_cpus):
 
 
 @pytest.mark.parametrize("dim, J", [(1, 10), (2, 8)])
-def test_whole_pieces_are_reduced_only_in_1d(dim, J, usable_cpus, monkeypatch):
-    """Every pass on a 2D grid is banded, whatever it reads; a 1D pass
-    reduces whole pieces."""
+def test_every_pass_goes_through_the_one_reducer(dim, J, usable_cpus, monkeypatch):
+    """1D and 2D passes reduce every level through `_reduce`, whatever they
+    read.  A 1D pass makes whole pieces; a 2D pass makes its pieces in a
+    band buffer narrower than the lattice: rows of a real piece, columns of
+    a complex one."""
     usable_cpus(2)
     grid = GridSpec(dim, J)
+    n = grid.n_samples
     part = build_partition(grid)
-    called = []
-    for name in ("_reduce_level", "_reduce_bands"):
-        real = getattr(SpectralDecomposition, name)
+    shapes = []
+    reduce = SpectralDecomposition._reduce
 
-        def recording(self, k, *args, _real=real, _name=name):
-            called.append(_name)
-            return _real(self, k, *args)
+    def recording(self, k, bufs, *args):
+        shapes.append((self.dtype == np.float64, bufs[1].shape))
+        return reduce(self, k, bufs, *args)
 
-        monkeypatch.setattr(SpectralDecomposition, name, recording)
+    monkeypatch.setattr(SpectralDecomposition, "_reduce", recording)
+    combos = (((), ()), ((2.0,), ()), ((), (2.0,)), ((1.0,), (1.0, INF)))
     for spec in ("cube", "exp:m=3"):
         f = gallery_from_spec(grid, spec)
-        for cubes, lp in (((), ()), ((2.0,), ()), ((), (2.0,)), ((1.0,), (1.0, INF))):
+        for cubes, lp in combos:
             decompose(f, part).analyze(cube_exponents=cubes, lp_exponents=lp)
-    want = "_reduce_level" if dim == 1 else "_reduce_bands"
-    assert called and set(called) == {want}
+    assert len(shapes) == 2 * len(combos) * (part.k_max + 1)
+    assert {real for real, _ in shapes} == {True, False}
+    for real, shape in shapes:
+        if dim == 1:
+            assert shape == (n,)
+        else:
+            band, across = shape if real else shape[::-1]
+            assert band < n and across == n
 
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (1 << 10,), (1 << 14,), (64, 64), (256, 256)])
@@ -731,16 +748,16 @@ def test_nonfinite_sample_on_the_helper_raises_as_serial(spec, usable_cpus, monk
         errors[n] = str(info.value)
     assert errors[1] == errors[2] == "non-finite samples rejected"
     failed = []
-    reduce_bands = SpectralDecomposition._reduce_bands
+    reduce = SpectralDecomposition._reduce
 
     def recording(self, k, *args):
         try:
-            return reduce_bands(self, k, *args)
+            return reduce(self, k, *args)
         except InvalidInputError:
             failed.append((k, threading.current_thread() is threading.main_thread()))
             raise
 
-    monkeypatch.setattr(SpectralDecomposition, "_reduce_bands", recording)
+    monkeypatch.setattr(SpectralDecomposition, "_reduce", recording)
     start = threading.active_count()
     with pytest.raises(InvalidInputError, match="non-finite samples rejected"):
         decompose(f, part).analyze(lp_exponents=(2.0,))
