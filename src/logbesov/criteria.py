@@ -2,15 +2,17 @@
 p = 1, p = infinity, and general p, and the verdict that combines them.
 
 The terms form two families, each evaluated by one reducer over the sup
-norms and cube tables a `SpectralDecomposition` caches.  Low-high terms,
-sup_l sum_{k>=l} ((1+l)/(1+k))^b (cube average of S_k f), go through
-`_low_high` (`suff_term2` sums the per-row sups; `nece_term2`, and
-`pinf_term2` on the r = 1 tables, take the sup of the per-cube sums).
-High-low terms, sup_k sum_{j<=k-2} ((1+k)/(1+j))^b (cube sup of S_k f),
-go through `_high_low` (`suff_term3`, `nece_term3`; `pinf_term3` as one
-closed-form weight per k).  `verdict` asks its decomposition for every
-reduction its terms read before the first term runs, so one pass over the
-pieces fills them all.
+norms and the per-level stacks of cube means a `SpectralDecomposition`
+caches.  Low-high terms, sup_l sum_{k>=l} ((1+l)/(1+k))^b (cube average of
+S_k f), go through `_low_high` (`suff_term2` sums the per-row sups;
+`nece_term2`, and `pinf_term2` on the r = 1 means, take the sup of the
+per-cube sums).  High-low terms, sup_k sum_{j<=k-2} ((1+k)/(1+j))^b (cube
+sup of S_k f), go through `_high_low` (`suff_term3`, `nece_term3`;
+`pinf_term3` as one closed-form weight per k).  The stacks do not depend
+on b: b enters only as a level weight, so each term is one weight vector
+per level times a stack, and every b read from one decomposition shares
+it.  `verdict` asks its decomposition for every reduction its terms read
+before the first term runs, so one pass over the pieces fills them all.
 
 Every term reports through `_report`: the sup of its per-level values,
 tail estimates of its truncated k-series (inf and `divergent` when not
@@ -35,7 +37,6 @@ from .grid import (
     check_finite,
     conjugate_exponent,
     is_inf,
-    lp_norm,
 )
 from .partition import DyadicPartition, SpectralDecomposition, _ensure_decomposition
 
@@ -124,35 +125,37 @@ def _weights(b: float):
         raise InvalidInputError(f"b={b!r} makes a level weight overflow") from None
 
 
-def _low_high_row(dec: SpectralDecomposition, r: float, weight: float, l: int, k: int):
-    """Low-high row `weight` (mean_Q |S_k f|^r)^{1/r} over the level-l cubes
-    Q; at r = inf the scalar `weight` ||S_k f||_inf."""
-    means = dec.sup_norms()[k] if is_inf(r) else dec.cube_table(k, r).means(l) ** (1.0 / r)
-    return weight * means
-
-
 def _low_high_levels(dec: SpectralDecomposition, r: float, b: float, per_cube: bool):
-    """Low-high family: the rows of `_low_high_row` for k >= l, weighted by
-    ((1+l)/(1+k))^b and accumulated in ascending k.  Level l reads them as
-    the sup over Q of the per-cube k-sums (`per_cube`) or as the k-sum of
-    the per-row sups.  Returns the per-level values and, per level, the
-    per-row sups (the tail series).  At r = inf the levels run to K_max
-    instead of l_max.  The weights go through NumPy's power, all inside one
-    overflow check: where that is vectorized, Python's `**` can differ from
-    it in the last bit."""
+    """Low-high family: level l weights the rows (mean_Q |S_k f|^r)^{1/r}
+    over the level-l cubes Q, k >= l, by ((1+l)/(1+k))^b, one weight vector
+    times the level's stack of cube means (`cube_means`, which holds the
+    pieces that are not all zero; a zero piece's row is zeros).  Level l
+    reads them as the sup over Q of the per-cube k-sums, accumulated in
+    ascending k (`per_cube`), or as the k-sum of the per-row sups.  Returns
+    the per-level values and, per level, the per-row sups over every k >= l
+    (the tail series).  At r = inf a row is the number ||S_k f||_inf and
+    the levels run to K_max instead of l_max; only the k-sum of the rows is
+    read there.  Every weight is made before any row, through NumPy's power,
+    inside one overflow check: where that is vectorized, Python's `**` can
+    differ from it in the last bit."""
     k_top = dec.k_max
     l_top = k_top if is_inf(r) else min(dec.grid.l_max, k_top)
+    k, l = np.arange(k_top + 1)[:, None], np.arange(l_top + 1)
     with _weights(b):
-        weights = [[np.power((1.0 + l) / (1.0 + k), b) for l in range(min(k, l_top) + 1)] for k in range(k_top + 1)]
-    sups = [[] for _ in range(l_top + 1)]
-    sums = [0.0] * (l_top + 1)
-    for k in range(k_top + 1):
-        for l in range(min(k, l_top) + 1):
-            row = _low_high_row(dec, r, weights[k][l], l, k)
-            if per_cube:
-                sums[l] = sums[l] + row
-            sups[l].append(row.max())
-    per_level = [float(s.max()) for s in sums] if per_cube else [float(np.sum(row)) for row in sups]
+        weights = np.power((1.0 + l) / (1.0 + np.maximum(k, l)), b)  # column l: rows k >= l
+    per_level, sups = [], []
+    for l in range(l_top + 1):
+        if is_inf(r):
+            series = weights[l:, l] * dec.sup_norms()[l:]
+            per_level.append(float(np.sum(series)))
+            sups.append(series)
+            continue
+        ks, means = dec.cube_means(r, l)
+        rows = weights[ks, l].reshape((-1,) + (1,) * dec.grid.dim) * means ** (1.0 / r)
+        series = np.zeros(k_top + 1 - l)
+        series[ks - l] = rows.max(axis=tuple(range(1, rows.ndim)))
+        per_level.append(float(np.add.reduce(rows, axis=0).max() if per_cube else np.sum(series)))
+        sups.append(series)
     return per_level, sups
 
 
@@ -175,6 +178,8 @@ def _high_low(dec: SpectralDecomposition, r: float, b=0.0, q=1.0, *, weight=None
     sup over level-j cubes of (mean_P |S_k f|^r)^{1/r}.  At r = inf (q = 1)
     X_k(j) = ||S_k f||_inf for every j <= k-2, so the value is one weight
     times ||S_k f||_inf: the summed weights, or `weight[k]` when given.
+    Else X_k(j) is the row max of level j's stack of cube means
+    (`cube_means`), zero for a piece that is all zero.
     """
     k_top = dec.k_max
     if is_inf(r):
@@ -185,13 +190,18 @@ def _high_low(dec: SpectralDecomposition, r: float, b=0.0, q=1.0, *, weight=None
         vals[:2] = 0.0
         return _report(dec, vals.tolist(), start=2)
     j_cap = min(dec.grid.l_max, k_top)
+    j_top = min(k_top - 2, j_cap)  # the deepest cube level a k reads
+    x = np.zeros((k_top + 1, j_cap + 1))
+    for j in range(j_top + 1):
+        ks, means = dec.cube_means(r, j)
+        x[ks, j] = means.max(axis=tuple(range(1, means.ndim)))
+    k, j = np.arange(k_top + 1)[:, None], np.arange(j_cap + 1)
+    with _weights(b):
+        weights = np.power(np.where(j <= k - 2, (1.0 + k) / (1.0 + j), 1.0), b * q)  # row k: columns j <= k-2
     per_level = [0.0, 0.0]
     for k in range(2, k_top + 1):
         n = min(k - 2, j_cap) + 1
-        x = np.array([dec.cube_table(k, r).means(j).max() for j in range(n)]) ** (1.0 / r)
-        with _weights(b):
-            w = ((1.0 + k) / (1.0 + np.arange(n))) ** (b * q)
-        per_level.append(float(np.sum(w * x**q)) ** (1.0 / q))
+        per_level.append(float(np.sum(weights[k, :n] * (x[k, :n] ** (1.0 / r)) ** q)) ** (1.0 / q))
     return _report(dec, per_level, start=2, clamped=k_top - 2 > j_cap)
 
 
@@ -390,7 +400,7 @@ def verdict(
     dec = _ensure_decomposition(f, partition, dec)
     # every reduction the terms read, filled in one pass over the pieces
     dec.analyze(cube_exponents=(1.0,) if p == 1.0 or is_inf(p) else (conjugate_exponent(p), p))
-    linf = lp_norm(f, INF)
+    linf = dec._sup_of(f)
     if p == 1.0 or is_inf(p):
         t2 = pinf_term2(f, partition, b, dec=dec) if is_inf(p) else suff_term2(f, partition, p, b, dec=dec)
         t3 = suff_term3(f, partition, p, b, dec=dec)

@@ -211,6 +211,20 @@ class CubeMeanTable:
         return self._sums[level] / _counts(self.grid, level)
 
 
+def _stack(grid: GridSpec, tables: list[CubeMeanTable], level: int) -> np.ndarray:
+    """The level's cube sums of `tables`, one row per table in order, as one
+    read-only array: each table's sums at that level become a view of its
+    row, so the stack is their one copy.  Its means are `stack / _counts`,
+    bit for bit each table's `means(level)`."""
+    shape = (len(tables),) + (level_boundaries(grid, level).size - 1,) * grid.dim
+    stack = np.empty(shape)
+    for row, table in zip(stack, tables):
+        row[...] = table._sums[level]
+    for row, table in zip(_read_only(stack), tables):
+        table._sums[level] = row
+    return stack
+
+
 # (grid, top) -> the shared zero table; the lock makes each once, also when
 # two runner rows reach a zero level of the same (grid, top) at one time
 _ZERO_TABLES: dict[tuple[GridSpec, int], CubeMeanTable] = {}

@@ -25,7 +25,7 @@ from .criteria import verdict
 from .errors import InvalidInputError
 from .gallery import (
     StackSpec,
-    expo7_family,
+    expo7_families,
     make_exponential,
     make_indicator,
     make_lacunary,
@@ -178,14 +178,16 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
 
     On the exact route each m decomposes e^{i 2^m x_1} once, from its exact
     one-bin spectrum (`_exact_exponential`), and reads every (b, p) from it
-    (its cube tables at r = 1 do not depend on b); only its level m makes
-    an inverse transform, the others are exactly zero.  On the
-    packet route each (b, m) builds and decomposes its functions once and
-    reads them at every p: e^{-i 2^m x_1} carries its one bin and every
-    packet its few, so a member and its product make no forward transform
-    and no inverse one for a level that holds none of their bins.  These
-    rows run through `_map_rows`; table rows and checks come out in p, b, m
-    order.
+    (its cube means at r = 1 do not depend on b); only its level m makes
+    an inverse transform, the others are exactly zero.  On the packet route
+    each m builds the families of every b (`expo7_families`, each distinct
+    member once) and decomposes each distinct member and its product with
+    e^{-i 2^m x_1} once, read at every (b, p)
+    (b enters a Besov norm only as a level weight): e^{-i 2^m x_1} carries
+    its one bin and every packet its few, so a member and its product make
+    no forward transform and no inverse one for a level that holds none of
+    their bins.  These rows, one per m and route, run through `_map_rows`;
+    table rows and checks come out in p, b, m order.
     """
     for b in config.b_list:
         check_finite(b=b)
@@ -222,14 +224,15 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
             for p in exact_ps
         }
 
-    def packet_row(b: float, m: int) -> dict:
+    def packet_row(m: int) -> dict:
         f = _exact_exponential(grid, (-(1 << m),) + rest)
-        params = [BesovParams(0.0, b, p, INF) for p in packet_ps]
-        bounds = multiplier_lower_bound(f, partition, params, expo7_family(grid, m, b))
-        return {(p, b, m): val for p, (val, _) in zip(packet_ps, bounds)}
+        families = dict(zip(config.b_list, expo7_families(grid, m, config.b_list)))
+        params = [BesovParams(0.0, b, p, INF) for b in config.b_list for p in packet_ps]
+        bounds = multiplier_lower_bound(f, partition, params, lambda pr: families[pr.b])
+        return {(pr.p, pr.b, m): val for pr, (val, _) in zip(params, bounds)}
 
     rows = [functools.partial(exact_row, int(m)) for m in ms if exact_ps]
-    rows += [functools.partial(packet_row, b, int(m)) for b in config.b_list for m in ms if packet_ps]
+    rows += [functools.partial(packet_row, int(m)) for m in ms if packet_ps]
     value = {}  # (p, b, m) -> value
     for part in _map_rows(lambda row, _: row(), rows):
         value.update(part)

@@ -270,10 +270,20 @@ def expo7_family(
     member.  Cases with equal coefficients share one member: Case 3 = Case 4
     at every b, Case 1 = Case 3 at b = 0, and Case 2 = Case 3 at b = 0.5.
     """
-    specs = [PacketSpec(m, _case_pattern(m, b, c)) for c in cases]
-    distinct = [spec for i, spec in enumerate(specs) if spec not in specs[:i]]
+    return expo7_families(grid, m, [b], cases)[0]
+
+
+def expo7_families(
+    grid: GridSpec, m: int, bs, cases=(1, 2, 3, 4, 5)
+) -> list[list[tuple[str, SampledFunction]]]:
+    """`expo7_family` of every b in `bs`, one inverse transform per member
+    distinct across them: Cases 1, 2 and 5 do not depend on b, so every
+    family holds the same three members."""
+    specs = [[PacketSpec(m, _case_pattern(m, b, c)) for c in cases] for b in bs]
+    flat = [spec for row in specs for spec in row]
+    distinct = [spec for i, spec in enumerate(flat) if spec not in flat[:i]]
     members = _modulated_packets(grid, distinct)
-    return [(f"case{c}", members[distinct.index(spec)]) for c, spec in zip(cases, specs)]
+    return [[(f"case{c}", members[distinct.index(spec)]) for c, spec in zip(cases, row)] for row in specs]
 
 
 # ---------------------------------------------------------------------------

@@ -134,10 +134,12 @@ def tl_norm_inf(
     guard and the k-sum is truncated at K_max.
 
     The mean of the k-sum is read as sum_{k>=l} w_k^q mean_Q |S_k f|^q off
-    the cube tables of one `analyze` pass.  At q = INF the k-sum is a
-    pointwise max, so level l takes max_{k>=l} w_k ||S_k f||_inf (rounding
-    is monotone: the same bits as the max of the weighted samples).  A
-    non-finite piece is an `InvalidInputError`, as in `lp_norm`.
+    the level's stack of cube means (`cube_means`, one `analyze` pass),
+    one weight vector times the stack summed in descending k; a piece that
+    is all zero adds nothing.  At q = INF the k-sum is a pointwise max, so
+    level l takes max_{k>=l} w_k ||S_k f||_inf (rounding is monotone: the
+    same bits as the max of the weighted samples).  A non-finite piece is
+    an `InvalidInputError`, as in `lp_norm`.
     """
     check_exponent(q, "q")
     check_finite(s=s, b=b)
@@ -152,9 +154,11 @@ def tl_norm_inf(
     if is_inf(q):
         per_level = [max(w * sup for w, sup in zip(weights[l:], sups[l:])) for l in levels]
     else:
-        ks = range(dec.k_max, -1, -1)
-        sums = (sum(weights[k] * dec.cube_table(k, q).means(l) for k in ks if k >= l) for l in levels)
-        per_level = [_root(total.max(), q, "q") for total in sums]
+        w, per_level = np.array(weights), []
+        for l in levels:
+            ks, means = dec.cube_means(q, l)
+            rows = w[ks[::-1]].reshape((-1,) + (1,) * dec.grid.dim) * means[::-1]
+            per_level.append(_root(np.add.reduce(rows, axis=0).max(), q, "q"))
     return NormResult(max(per_level), tail, per_level)
 
 

@@ -126,28 +126,33 @@ def multiplier_lower_bound(
     """max over the family of ||f g||_B / ||g||_B — a lower bound for the
     multiplier operator norm of f on the (s, b, p, q) space.
 
-    `family` is a sequence of (name, SampledFunction) pairs.  The result
-    holds one (bound, argmax name) per entry of `params`.  Each distinct
-    member g and its product f g are decomposed once for every entry, one
-    decomposition alive at a time; a member whose samples equal an earlier
-    one's reuses its ratios, and ties keep the first name.
+    `family` is a sequence of (name, SampledFunction) pairs read at every
+    entry of `params`, or a function that gives the sequence of one entry.
+    The result holds one (bound, argmax name) per entry of `params`.  Each
+    distinct member g across the families (equal samples) and its product
+    f g are decomposed once, one decomposition alive at a time, and their
+    L^p norms for every p are filled in one pass: a Besov norm reads its
+    (s, b, q) only as level weights on those, so every entry is read from
+    them.  Ties keep the first name.
     """
     params = list(params)
     if not params:
         raise InvalidInputError("params must be nonempty")
-    named = list(family)
-    if not named:
+    families = [list(family(pr)) for pr in params] if callable(family) else [list(family)] * len(params)
+    if not all(families):
         raise InvalidInputError("family must be nonempty")
     best = [(-math.inf, "")] * len(params)
     seen: list[tuple[np.ndarray, list[float]]] = []
-    for name, g in named:
-        ratios = next((r for values, r in seen if np.array_equal(values, g.values)), None)
-        if ratios is None:
-            denoms = _norms_on_one_decomposition(g, partition, params)
-            if any(d <= 0 for d in denoms):
-                raise DegenerateInputError(f"family member {name!r} has zero norm")
-            numers = _norms_on_one_decomposition(f * g, partition, params)
-            ratios = [n / d for n, d in zip(numers, denoms)]
-            seen.append((g.values, ratios))
-        best = [(r, name) if r > b[0] else b for r, b in zip(ratios, best)]
+    for i, named in enumerate(families):
+        for name, g in named:
+            ratios = next((r for values, r in seen if np.array_equal(values, g.values)), None)
+            if ratios is None:
+                denoms = _norms_on_one_decomposition(g, partition, params)
+                if any(d <= 0 for d in denoms):
+                    raise DegenerateInputError(f"family member {name!r} has zero norm")
+                numers = _norms_on_one_decomposition(f * g, partition, params)
+                ratios = [n / d for n, d in zip(numers, denoms)]
+                seen.append((g.values, ratios))
+            if ratios[i] > best[i][0]:
+                best[i] = (ratios[i], name)
     return best

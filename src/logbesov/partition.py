@@ -55,11 +55,17 @@ only ones its readers take (no reader averages piece k over cubes finer
 than level k).  Each band is reduced bit for bit as the whole piece would
 be, except that an L^p norm adds up its band sums in band order.  |S_k f|
 of a complex piece is written into the first half of the band's own
-buffer (`_moduli`), so no pass holds a separate real array for it.  The
-reductions are cached, so terms called on one decomposition share them; a
-consumer that asks for all it needs up front (`verdict`, the lower bound's
-Besov norms, `tl_norm_inf`) makes one pass, and `analyze` is the only pass
-that reduces pieces.
+buffer (`_moduli`), so no pass holds a separate real array for it.  Once
+the pass is done, the level-l cube sums of every nonzero piece k >= l are
+stacked, per exponent r and cube level l, into one array in ascending k,
+and each table's sums at that level become a view of its row
+(`cubes._stack`), so the stack is their one copy; `cube_means(r, l)`
+reads a level's rows off it.  The stacks do not depend on any weight, so
+the criteria and `tl_norm_inf` weight a whole stack by one vector per
+level.  The reductions are cached, so terms called on one decomposition
+share them; a consumer that asks for all it needs up front (`verdict`, the
+lower bound's Besov norms, `tl_norm_inf`) makes one pass, and `analyze` is
+the only pass that reduces pieces.
 
 A level whose boxed product is all exactly zero (a constant's upper
 levels, every level but one of an exponential given its exact spectrum,
@@ -67,7 +73,8 @@ every level of a wave packet that holds none of its bins) makes no inverse
 transform, and with bin positions touches no spectrum buffer either: its
 piece is zeros and its reductions are those of zeros, bit for bit, its
 cube tables the grid's one shared zero table per top level
-(`cubes._zero_table`).
+(`cubes._zero_table`), which has no row in the stacks and which the
+overflow check skips.
 
 The 1D and 2D passes differ only in the band set and in the worker split:
 in 2D `analyze` splits its levels between the two workers of
@@ -84,14 +91,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .cubes import _BAND, CubeMeanTable, _band_sums, _lattice_bands, _zero_table, level_boundaries
+from .cubes import _BAND, CubeMeanTable, _band_sums, _check_level, _counts, _lattice_bands, _stack, _zero_table, level_boundaries
 from .errors import InvalidInputError, LevelOverflowError
 from .grid import (
+    INF,
     GridSpec,
     SampledFunction,
     _band_energy_fraction,
@@ -102,6 +111,7 @@ from .grid import (
     _read_only,
     check_exponent,
     is_inf,
+    lp_norm,
 )
 from .workers import _map_rows
 
@@ -314,10 +324,11 @@ class SpectralDecomposition:
 
     `analyze` makes each piece in turn into reused buffers and, from one
     |S_k f|, fills every reduction asked for: the sup norm, the L^p norms
-    and the cube tables of |S_k f|^r.  The reductions are kept for the life
-    of the object, so every term that reads one decomposition shares them;
-    a reduction not yet filled costs one more pass over the pieces.
-    `pieces` builds the whole list anew on each access.
+    and the cube tables of |S_k f|^r, whose sums it keeps stacked per cube
+    level (`cube_means`).  The reductions are kept for the life of the
+    object, so every term that reads one decomposition shares them; a
+    reduction not yet filled costs one more pass over the pieces.  `pieces`
+    builds the whole list anew on each access.
     """
 
     def __init__(self, partition: DyadicPartition, coeffs: np.ndarray, bins: tuple[np.ndarray, ...] | None = None):
@@ -327,7 +338,9 @@ class SpectralDecomposition:
         self._sup_norms = None
         self._lp_norms = {}  # p -> read-only array over k
         self._tables = {}  # (k, r) -> CubeMeanTable of |S_k f|^r
+        self._stacks = {}  # (r, l) -> (levels k, their tables' level-l sums stacked)
         self._tail = None
+        self._linf = None  # (weak reference to f, ||f||_inf) of the last f asked
 
     @property
     def grid(self) -> GridSpec:
@@ -411,7 +424,9 @@ class SpectralDecomposition:
         of a non-finite piece is an `InvalidInputError`, as in `lp_norm`;
         so is a power |S_k f|^p or |S_k f|^r of finite samples, or a sum of
         them, beyond the float range: an L^p norm names p, as `lp_norm`
-        does, and the cube tables are checked once the pass is done.
+        does, and the tables the pass made are checked once it is done (the
+        shared zero table is finite by construction).  Then each cube
+        level's sums of every r are stacked (`cube_means`).
 
         Every level is reduced by `_reduce`, in 1D and 2D alike.  In 2D the
         pass is split between the two workers of `workers._map_rows`: the
@@ -432,19 +447,25 @@ class SpectralDecomposition:
             halves if split else halves[:1],
             lambda worker: self._pass_buffers(tops[worker]),
         )
-        done = dict(itertools.chain.from_iterable(parts))  # k -> (sup, norms, tables)
+        done = dict(itertools.chain.from_iterable(parts))  # k -> (sup, norms, tables or None)
         levels = [done[k] for k in range(k_top + 1)]
+        made = {k: tables for k, (_, _, tables) in enumerate(levels) if tables is not None}
         sups = np.array([sup for sup, _, _ in levels])
         if np.isfinite(sups).all():  # so a non-finite table is a power or a sum beyond the float range
             for i, r in enumerate(rs):
-                if not all(tables[i].finite() for _, _, tables in levels):
+                if not all(tables[i].finite() for tables in made.values()):
                     raise InvalidInputError(f"cube means of |S_k f|^{r!r} overflow")
         if self._sup_norms is None:
             self._sup_norms = _read_only(sups)
         for i, p in enumerate(ps):
             self._lp_norms[p] = _read_only(np.array([norms[i] for _, norms, _ in levels]))
-        for k, (_, _, tables) in enumerate(levels):
-            self._tables.update(((k, r), table) for r, table in zip(rs, tables))
+        grid = self.grid
+        for i, r in enumerate(rs):
+            for k in range(k_top + 1):
+                self._tables[k, r] = made[k][i] if k in made else _zero_table(grid, min(k, grid.l_max))
+            for l in range(min(k_top, grid.l_max) + 1):
+                ks = [k for k in made if k >= l]
+                self._stacks[r, l] = _read_only(np.array(ks, dtype=np.intp)), _stack(grid, [made[k][i] for k in ks], l)
 
     def _pass_buffers(self, top: int, whole: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """The buffers of `_first_pass` and `_last_pass` for the levels up to
@@ -473,13 +494,13 @@ class SpectralDecomposition:
         width = max(band[-1] - band[0] for _, band in _lattice_bands(grid))
         return first, np.empty((width, n)) if real else np.empty((n, width), dtype=np.complex128)
 
-    def _zero_level(self, k: int, rs: list, ps: list) -> tuple:
-        """The sup norm, L^p norms and cube tables of a level whose piece is
-        all zero, made without it: those of transformed zeros, bit for bit.
-        Every exponent r reads the grid's one shared zero table."""
-        grid = self.grid
-        norms = [_lp_from_sum(0.0, p, grid.cell_volume, 0.0) for p in ps]
-        return 0.0, norms, [_zero_table(grid, min(k, grid.l_max))] * len(rs)
+    def _zero_level(self, k: int, ps: list) -> tuple:
+        """The sup norm and L^p norms of level k, whose piece is all zero,
+        made without it: those of transformed zeros, bit for bit.  Its cube
+        tables are None: `analyze` gives the level the grid's one shared
+        zero table for every exponent r, and no stack row."""
+        norms = [_lp_from_sum(0.0, p, self.grid.cell_volume, 0.0) for p in ps]
+        return 0.0, norms, None
 
     def _reduce(self, k: int, bufs, rs: list, ps: list) -> tuple:
         """The sup norm, the L^p norms (exponents `ps`) and the cube tables
@@ -506,7 +527,7 @@ class SpectralDecomposition:
         with np.errstate(invalid="ignore", over="ignore"):
             first = self._first_pass(k, first)
             if first is None:
-                return self._zero_level(k, rs, ps)
+                return self._zero_level(k, ps)
             finest = [np.empty((bounds.size - 1,) * grid.dim) for _ in rs]
             for start, band in bands:
                 a = _moduli(self._last_pass(k, first, band[0], band[-1], buf))
@@ -548,6 +569,29 @@ class SpectralDecomposition:
         if key not in self._tables:
             self.analyze(cube_exponents=(r,))
         return self._tables[key]
+
+    def cube_means(self, r: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ks, means): the levels k >= `level` whose piece is not all zero,
+        ascending, and one row per k of the means of |S_k f|^r over the
+        level's cubes, bit for bit `cube_table(k, r).means(level)`.  The
+        rows are read off one stack of cube sums per (r, level), which the
+        tables' sums at that level are views of; an all-zero level has no
+        row, its means being zeros."""
+        _check_level(self.grid, level)
+        key = (float(r), level)
+        if key not in self._stacks:
+            self.analyze(cube_exponents=(r,))
+        ks, sums = self._stacks[key]
+        return ks, sums / _counts(self.grid, level)
+
+    def _sup_of(self, f: SampledFunction) -> float:
+        """||f||_inf (`lp_norm`), read once and kept while the same function
+        is asked again, so every verdict that reads one decomposition for
+        its own function shares one read; any other function is read
+        anew."""
+        if self._linf is None or self._linf[0]() is not f:
+            self._linf = weakref.ref(f), lp_norm(f, INF)
+        return self._linf[1]
 
     def tail_fraction(self) -> float:
         """Fraction of the spectral energy of f outside |m| <= 2^{K_max - 1},

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,12 +14,14 @@ from logbesov.criteria import (
     verdict,
 )
 from logbesov.errors import InvalidInputError
-from logbesov.gallery import make_exponential, make_indicator
+from logbesov.experiments import ExperimentConfig, _exact_exponential, run_exp_growth
+from logbesov.gallery import gallery_from_spec, make_exponential, make_indicator
 import logbesov.criteria as criteria
 import logbesov.cubes as cubes
+import logbesov.partition as partition_mod
 from logbesov.cubes import CubeMeanTable
-from logbesov.grid import INF, GridSpec, make_constant, random_band_limited, synthesize
-from logbesov.norms import tl_norm_inf
+from logbesov.grid import INF, GridSpec, lp_norm, make_constant, random_band_limited, synthesize
+from logbesov.norms import _weight, tl_norm_inf
 from logbesov.partition import SpectralDecomposition, _box_top, build_partition, decompose
 
 from lattice_oracle import spectrum
@@ -356,3 +359,111 @@ def test_criteria_2d_smoke():
             assert 0 <= n3 <= s3 * (1 + 1e-12)
     rep = verdict(make_indicator(g, "cube"), part, 1.0, 0.0)
     assert rep.verdict == "NOT_MULTIPLIER"
+
+
+@pytest.mark.parametrize("dim, J", [(1, 10), (2, 8)])
+@pytest.mark.parametrize("spec", ["cube", "stack", "halfspace", "exact-exp"])
+def test_one_decomposition_read_at_every_b_and_p_matches_fresh_verdicts(dim, J, spec):
+    """The cube-mean stacks do not depend on b: one decomposition read at
+    the six default b and at p in {1, 2, inf}, in turn, reports what a fresh
+    verdict reports for each (b, p).  The inputs are real (`cube`),
+    complex (`stack`) and with zero levels (the 1D J=10 halfspace, level 1,
+    and an exponential carrying its exact spectrum, every level but one)."""
+    grid = GridSpec(dim, J)
+    part = build_partition(grid)
+    tail = (0,) * (dim - 1)
+    f = _exact_exponential(grid, (1 << 3,) + tail) if spec == "exact-exp" else gallery_from_spec(grid, spec)
+    dec = decompose(f, part)
+    for b in (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0):
+        for p in (1.0, 2.0, INF):
+            shared = verdict(f, part, p, b, dec=dec).to_dict()
+            fresh = verdict(f, part, p, b).to_dict()
+            assert json.dumps(shared, sort_keys=True) == json.dumps(fresh, sort_keys=True), (b, p)
+
+
+def test_verdict_reads_the_sup_of_f_once_per_decomposition(part10, monkeypatch):
+    """Every verdict that reads one decomposition for its own function
+    shares one read of ||f||_inf, and a runner row reads it once for all
+    its (b, p); a decomposition read for another function reports that
+    function's own ||.||_inf."""
+    reads = []
+
+    def counting(f, p):
+        reads.append((f, p))
+        return lp_norm(f, p)
+
+    monkeypatch.setattr(partition_mod, "lp_norm", counting)
+    f = make_indicator(part10.grid, "cube")
+    dec = decompose(f, part10)
+    for b in (0.0, 0.5, 2.0):
+        for p in (1.0, 2.0, INF):
+            assert verdict(f, part10, p, b, dec=dec).term_linf == lp_norm(f, INF)
+    assert reads == [(f, INF)]
+    g = 3.0 * make_indicator(part10.grid, "halfspace")
+    assert verdict(g, part10, 2.0, 0.5, dec=dec).term_linf == lp_norm(g, INF) == 3.0
+    assert verdict(f, part10, 2.0, 0.5, dec=dec).term_linf == lp_norm(f, INF) == 1.0
+    reads.clear()
+    config = ExperimentConfig(log2_samples=10, p_list=(1.0, INF), m_range=(3, 6))
+    run_exp_growth(config)
+    assert len(reads) == 4 and all(p == INF for _, p in reads)
+
+
+def _loop_low_high(dec, r, b, per_cube):
+    """The low-high reducer as per-(k, l) loops over each piece's cube table,
+    accumulating in ascending k."""
+    k_top = dec.k_max
+    l_top = k_top if r == INF else min(dec.grid.l_max, k_top)
+    sups, sums = [[] for _ in range(l_top + 1)], [0.0] * (l_top + 1)
+    for k in range(k_top + 1):
+        for l in range(min(k, l_top) + 1):
+            means = dec.sup_norms()[k] if r == INF else dec.cube_table(k, r).means(l) ** (1.0 / r)
+            row = np.power((1.0 + l) / (1.0 + k), b) * means
+            if per_cube:
+                sums[l] = sums[l] + row
+            sups[l].append(row.max())
+    return ([float(s.max()) for s in sums] if per_cube else [float(np.sum(s)) for s in sups]), sups
+
+
+def _loop_high_low(dec, r, b, q):
+    """The high-low reducer at a finite r as a loop over k, reading each cube
+    level's means off the piece's table."""
+    j_cap = min(dec.grid.l_max, dec.k_max)
+    per_level = [0.0, 0.0]
+    for k in range(2, dec.k_max + 1):
+        n = min(k - 2, j_cap) + 1
+        x = np.array([dec.cube_table(k, r).means(j).max() for j in range(n)]) ** (1.0 / r)
+        w = ((1.0 + k) / (1.0 + np.arange(n))) ** (b * q)
+        per_level.append(float(np.sum(w * x**q)) ** (1.0 / q))
+    return per_level
+
+
+def _loop_tl(dec, b, q):
+    """tl_norm_inf's finite-q levels: the weighted cube means summed in
+    descending k, one table at a time."""
+    weights = [_weight(k, 0.0, b, power=q) for k in range(dec.k_max + 1)]
+    levels = range(min(dec.k_max, dec.grid.l_max) + 1)
+    sums = [sum(weights[k] * dec.cube_table(k, q).means(l) for k in range(dec.k_max, -1, -1) if k >= l) for l in levels]
+    return [float(total.max()) ** (1.0 / q) for total in sums]
+
+
+@pytest.mark.parametrize("dim, J, spec", [(1, 10, "cube"), (1, 10, "exact-exp"), (2, 8, "stack"), (2, 8, "exact-exp")])
+def test_reducers_are_the_per_level_loops_bit_for_bit(dim, J, spec):
+    """Each criterion reducer and tl_norm_inf's finite-q levels, read as one
+    weight vector times a stack of cube means, give the bits of the loops
+    over every (k, l) that read each piece's table; a zero piece, which has
+    no stack row, adds what its zero table would."""
+    grid = GridSpec(dim, J)
+    part = build_partition(grid)
+    tail = (0,) * (dim - 1)
+    f = _exact_exponential(grid, (1 << 4,) + tail) if spec == "exact-exp" else gallery_from_spec(grid, spec)
+    dec = decompose(f, part)
+    for b in (-2.0, 0.0, 0.5, 1.0, 2.0):
+        for r, per_cube in ((INF, False), (1.0, False), (1.0, True), (2.0, False), (2.0, True), (1.5, True)):
+            per_level, sups = criteria._low_high_levels(dec, r, b, per_cube)
+            want, want_sups = _loop_low_high(dec, r, b, per_cube)
+            assert per_level == want
+            assert [s.tolist() for s in sups] == [[float(x) for x in s] for s in want_sups]
+        for r, q in ((1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (3.0, 3.0)):
+            assert criteria._high_low(dec, r, b, q).per_level == _loop_high_low(dec, r, b, q)
+        for q in (1.0, 2.0):
+            assert tl_norm_inf(f, part, 0.0, b, q, dec=dec).per_level == _loop_tl(dec, b, q)

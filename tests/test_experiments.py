@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import time
@@ -122,10 +123,33 @@ def test_exact_growth_is_the_closed_form():
         assert abs(row["value"] - want) <= 1e-14 * want, (b, m)
 
 
+@pytest.mark.parametrize("dim, J, m_hi", [(1, 14, 10), (2, 10, 6)])
+def test_exact_growth_is_the_closed_form_at_p_inf(dim, J, m_hi):
+    """At p = inf the row of e^{i 2^m x_1} is the low-high term, whose level
+    l reads the one nonzero piece's cube means (all 1) weighted by
+    ((1+l)/(1+m))^b over the cube levels l <= min(m, l_max), plus the
+    closed-form high-low weight w_m of its sup norm 1: (1+m)^b for b > 1,
+    (1+m) ln(1+m) at b = 1, (1+m) for b < 1.  The cube clamp at l_max
+    holds for m > l_max.  Every row meets it to 1e-14 relative (4.5e-16
+    measured)."""
+    config = ExperimentConfig(dim=dim, log2_samples=J, p_list=(INF,), m_range=(3, m_hi))
+    l_max = config.grid().l_max
+    assert l_max < m_hi
+    table = run_exp_growth(config)
+    assert {row["b"] for row in table.rows} == set(config.b_list)
+    assert {row["m"] for row in table.rows} == set(range(3, m_hi + 1))
+    for row in table.rows:
+        b, m = row["b"], row["m"]
+        low_high = max(((1.0 + l) / (1.0 + m)) ** b for l in range(min(m, l_max) + 1))
+        w = (1.0 + m) ** b if b > 1 else (1.0 + m) * math.log(1.0 + m) if b == 1 else 1.0 + m
+        want = low_high + w
+        assert abs(row["value"] - want) <= 1e-14 * want, (b, m)
+
+
 def test_exp_growth_decomposes_each_distinct_function_once(monkeypatch):
-    """One decomposition per m on the exact route, whatever the b, and one per
-    distinct packet member and one per product on the packet route, across
-    all p."""
+    """One decomposition per m on the exact route, whatever the b, and on the
+    packet route one per member that is distinct across the families of
+    every b at that m and one per its product, across all p."""
     import logbesov.experiments as experiments
     import logbesov.paraproducts as paraproducts
     import logbesov.partition as partition_mod
@@ -151,13 +175,13 @@ def test_exp_growth_decomposes_each_distinct_function_once(monkeypatch):
         assert count == 1, f"m={m}: {count} decompositions of e^(i2^m x)"
         exact += count
     distinct = 0
-    for b in bs:
-        for m in ms:
-            kept = []
+    for m in ms:
+        kept = []
+        for b in bs:
             for _, g in expo7_family(grid, m, b):
                 if not any(np.array_equal(g.values, k) for k in kept):
                     kept.append(g.values)
-            distinct += len(kept)
+        distinct += len(kept)
     assert len(inputs) - exact == 2 * distinct
 
 
@@ -255,7 +279,7 @@ def test_runner_threads_end_with_the_run(monkeypatch, usable_cpus, raise_on_help
     run_exp_growth(ExperimentConfig(log2_samples=10, b_list=(0.0,), p_list=(1.0, 2.0), m_range=(3, 6)))
     assert threading.active_count() == start
     err = InvalidInputError("no packet family on the helper thread")
-    monkeypatch.setattr(experiments, "expo7_family", raise_on_helper(err, experiments.expo7_family))
+    monkeypatch.setattr(experiments, "expo7_families", raise_on_helper(err, experiments.expo7_families))
     with pytest.raises(InvalidInputError) as info:
         run_exp_growth(ExperimentConfig(log2_samples=10, b_list=(0.0,), p_list=(4.0,), m_range=(3, 6)))
     assert info.value is err

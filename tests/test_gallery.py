@@ -18,6 +18,7 @@ from logbesov.gallery import (
     BumpSpec,
     PacketSpec,
     StackSpec,
+    expo7_families,
     expo7_family,
     gallery_from_spec,
     make_bump,
@@ -559,3 +560,19 @@ def test_gallery_reproducible_bit_for_bit(grid12):
     pa = expo7_family(grid12, 7, 0.5)[0][1]
     pb = expo7_family(grid12, 7, 0.5)[0][1]
     assert np.array_equal(pa.values, pb.values)
+
+
+def test_expo7_families_share_every_member_that_does_not_depend_on_b():
+    """The families of several b are each `expo7_family`'s, bit for bit, and
+    a member distinct across them is made once: Cases 1, 2 and 5 are one
+    object in every family, and Case 3 is a new one for each b except where
+    it equals Case 1 (b = 0) or Case 2 (b = 0.5)."""
+    grid, m, bs = GridSpec(1, 10), 6, (-1.0, 0.0, 0.5, 2.0)
+    families = expo7_families(grid, m, bs)
+    for b, family in zip(bs, families):
+        alone = expo7_family(grid, m, b)
+        assert [name for name, _ in family] == [name for name, _ in alone]
+        assert all(np.array_equal(g.values, h.values) for (_, g), (_, h) in zip(family, alone))
+    for case in (0, 1, 4):
+        assert len({id(family[case][1]) for family in families}) == 1
+    assert len({id(g) for family in families for _, g in family}) == 3 + 2

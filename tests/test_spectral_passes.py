@@ -325,6 +325,51 @@ def test_pass_reductions_match_the_pieces():
         dec.sup_norms()[0] = 0.0
 
 
+@pytest.mark.parametrize("spec", ["halfspace", "exact-exp"])
+def test_cube_means_are_the_tables_means_from_one_stack(spec):
+    """`cube_means(r, l)` holds one row per level k >= l whose piece is not
+    all zero, ascending, each bit for bit `cube_table(k, r).means(l)`, and
+    every such table's sums at level l are a view of that stack's row."""
+    grid = GridSpec(1, 10)
+    part = build_partition(grid)
+    f = experiments._exact_exponential(grid, (1 << 5,)) if spec == "exact-exp" else make_indicator(grid, spec)
+    dec = decompose(f, part)
+    nonzero = [k for k, u in enumerate(dec.pieces) if u.values.any()]
+    for r in (1.0, 2.0):
+        for level in range(grid.l_max + 1):
+            ks, means = dec.cube_means(r, level)
+            assert ks.tolist() == [k for k in nonzero if k >= level]
+            for k, row in zip(ks, means):
+                assert _bits(row) == _bits(dec.cube_table(k, r).means(level))
+            stack = dec._stacks[r, level][1]
+            assert all(dec.cube_table(k, r)._sums[level].base is stack for k in ks)
+    with pytest.raises(ResolutionError):
+        dec.cube_means(1.0, grid.l_max + 1)
+
+
+def test_cube_stacks_keep_no_second_copy_of_the_tables():
+    """After a p = 2 verdict at 1D J=16 the cube sums the decomposition keeps
+    (its stacks, and any table array outside them) take no more bytes than
+    the per-piece tables they replace: one array per piece and cube level
+    0..min(k, l_max).  p = 2 is its own conjugate, so the terms read one
+    exponent, and every piece of the cube is nonzero."""
+    grid = GridSpec(1, 16)
+    part = build_partition(grid)
+    f = make_indicator(grid, "cube")
+    dec = decompose(f, part)
+    verdict(f, part, 2.0, 0.5, dec=dec)
+    assert sorted(dec._tables) == [(k, 2.0) for k in range(grid.k_max + 1)]
+    assert all(dec._stacks[2.0, l][0].tolist() == list(range(l, grid.k_max + 1)) for l in range(grid.l_max + 1))
+    kept = {id(stack): stack.nbytes for _, stack in dec._stacks.values()}
+    for table in dec._tables.values():
+        for sums in table._sums:
+            owner = sums if sums.base is None else sums.base
+            kept.setdefault(id(owner), owner.nbytes)
+    cubes_at = [cubes.level_boundaries(grid, l).size - 1 for l in range(grid.l_max + 1)]
+    per_piece = sum(8 * sum(cubes_at[: min(k, grid.l_max) + 1]) for k in range(grid.k_max + 1))
+    assert sum(kept.values()) <= per_piece
+
+
 def test_besov_tail_reads_the_kept_coefficients(monkeypatch):
     """The tail fraction is the one `band_energy_fraction` computes from the
     samples, bit for bit, and costs no FFT of its own."""
