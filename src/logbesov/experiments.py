@@ -185,8 +185,8 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
     e^{-i 2^m x_1} once, read at every (b, p)
     (b enters a Besov norm only as a level weight): e^{-i 2^m x_1} carries
     its one bin and every packet its few, so a member and its product make
-    no forward transform and no inverse one for a level that holds none of
-    their bins.  These rows, one per m and route, run through `_map_rows`;
+    no forward transform, and no inverse one either: their L^2 and L^4
+    norms come from the bins by Parseval (`SpectralDecomposition.analyze`).  These rows, one per m and route, run through `_map_rows`;
     table rows and checks come out in p, b, m order.
     """
     for b in config.b_list:

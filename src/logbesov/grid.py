@@ -288,14 +288,22 @@ def _exact_bins(grid: GridSpec, terms) -> dict[tuple[int, ...], complex]:
 
 def _trig_polynomial(grid: GridSpec, terms) -> SampledFunction:
     """sum a e^{ik.x} over the (k, a) pairs of `terms`, carrying its exact
-    bins (`_exact_bins`) when its samples are complex.  Its samples are one
-    `ifftn` of the bins, which are N^dim-scaled, so no factor is needed.
+    bins (`_exact_bins`) when its samples are complex.  Its samples are the
+    `ifftn` of the bins, which are N^dim-scaled, so no factor is needed; in
+    2D its first (last-axis) pass runs over the rows that hold a bin only,
+    bit for bit `ifftn`.
     Samples that come out exactly real (a real cosine, or terms whose bins
     all cancel) are stored as `float64`, whose half layout the full-layout
     bins do not fit: such a function carries no bins, as a product with
     real samples carries none (`_combine`)."""
     bins = _exact_bins(grid, terms)
-    values = np.fft.ifftn(_written(bins, grid.shape))
+    values = _written(bins, grid.shape)
+    if grid.dim == 2:  # ifftn's passes in its order: the rows that hold no bin stay zero in the first
+        rows = sorted({i for i, _ in bins})
+        values[rows] = np.fft.ifft(values[rows], axis=1)
+        values = np.fft.ifft(values, axis=0)
+    else:
+        values = np.fft.ifftn(values)
     return SampledFunction(grid, values, bins if values.imag.any() else None)
 
 
@@ -358,7 +366,15 @@ def _lp_from_sum(total: float, p: float, cell_volume: float, sup: float) -> floa
         raise InvalidInputError("non-finite samples rejected")
     if is_inf(p):
         return float(sup)
-    if math.isinf(total):
+    return _lp_from_power_sum(total, p, cell_volume)
+
+
+def _lp_from_power_sum(total: float, p: float, cell_volume: float) -> float:
+    """The L^p norm, p finite, of finite samples whose p-th powers sum to
+    `total`.  A total that is not finite (inf, or NaN where a sum of
+    overflowed terms cancels) is beyond the float range: an input error
+    naming p."""
+    if not math.isfinite(total):
         raise InvalidInputError(f"p={p!r} makes |f|^p overflow")
     return _root(total * cell_volume, p)
 
@@ -396,19 +412,29 @@ def band_energy_fraction(f: SampledFunction, radius_lo: float, radius_hi: float)
     return _band_energy_fraction(f.grid, _forward(f.values) / f.values.size, radius_lo, radius_hi)
 
 
-def _band_energy_fraction(grid: GridSpec, coeffs: np.ndarray, radius_lo: float, radius_hi: float) -> float:
+def _band_energy_fraction(grid: GridSpec, coeffs: np.ndarray, radius_lo: float, radius_hi: float, bins=None) -> float:
     """`band_energy_fraction` of the coefficients `coeffs`, in the full
     layout or in the half one of `rfftn`, where the interior last-axis
     columns m = 1..N/2-1 stand for their conjugate partners too and count
-    twice.  A power-of-two factor of `coeffs` leaves the fraction the same
-    bit for bit."""
-    c = np.abs(coeffs) ** 2
-    if c.shape == grid.half_shape:
-        c[..., 1 : grid.n_samples // 2] *= 2.0
+    twice.  `bins`, the lattice indices (one array per axis) of every entry
+    of `coeffs` that may be nonzero, reads those entries alone.  A
+    power-of-two factor of `coeffs` leaves the fraction the same bit for
+    bit."""
+    n = grid.n_samples
+    half = coeffs.shape == grid.half_shape
+    if bins is None:
+        c = np.abs(coeffs) ** 2
+        if half:
+            c[..., 1 : n // 2] *= 2.0
+    else:
+        c = np.abs(coeffs[bins]) ** 2
+        if half:
+            c[(bins[-1] >= 1) & (bins[-1] < n // 2)] *= 2.0
     total = float(c.sum())
     if total == 0.0:
         return 0.0
-    rho = _layout_radius(grid, c.shape)
+    # a bin's index i <= N/2 is its frequency (up to the sign of N/2), a larger one i - N
+    rho = _layout_radius(grid, c.shape) if bins is None else _radius([np.where(i <= n // 2, i, i - n) for i in bins])
     outside = float(c[(rho < radius_lo) | (rho > radius_hi)].sum())
     return outside / total
 

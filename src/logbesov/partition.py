@@ -67,6 +67,18 @@ share them; a consumer that asks for all it needs up front (`verdict`, the
 lower bound's Besov norms, `tl_norm_inf`) makes one pass, and `analyze` is
 the only pass that reduces pieces.
 
+A pass that asks only for L^2 and L^4 norms, with no cube exponent, of a
+decomposition that carries bins in the full layout (every packet, its
+product with e^{-i 2^m x_1}, an exact exponential) makes no piece at all:
+`_bin_norms` reads each level's boxed bin products a = phi_k c from
+`_bin_products`, the routine `_fill_level` writes a spectrum from, and sums
+them by discrete Parseval, sum |S_k f|^2 = sum |a|^2 / N^dim and sum |S_k
+f|^4 as Parseval applied to (S_k f)^2, whose bins are the pairwise sums of
+the level's bins mod N.  No inverse transform and no pass buffer; the
+norms match the sample pass to a few ulps.  The sup norms of such a
+decomposition come from a sample pass only when something reads them,
+and `tail_fraction` reads the bins alone.
+
 A level whose boxed product is all exactly zero (a constant's upper
 levels, every level but one of an exponential given its exact spectrum,
 every level of a wave packet that holds none of its bins) makes no inverse
@@ -105,6 +117,7 @@ from .grid import (
     SampledFunction,
     _band_energy_fraction,
     _coefficients,
+    _lp_from_power_sum,
     _lp_from_sum,
     _power,
     _radius,
@@ -241,17 +254,30 @@ class DyadicPartition:
                 block = np.multiply(box[sub], coeffs[lattice], out=out[sub[0], lattice[1]] if rows else out[lattice])
                 nonzero = nonzero or bool(block.any())
             return nonzero
-        inside = np.logical_and.reduce([(i <= top) | (i >= n - top) for i in bins])
-        if not inside.any():
+        made = self._bin_products(coeffs, k, bins)
+        if made is None:
             return False
-        at = tuple(i[inside] for i in bins)
-        at_box = tuple(np.where(i <= top, i, i + 2 * top + 1 - n) for i in at)
-        products = self._box(k, False)[at_box] * coeffs[at]
-        if not products.any():
-            return False
+        at, at_box, products = made
         out.fill(0.0)
         out[(at_box[0],) + at[1:] if rows else at] = products
         return True
+
+    def _bin_products(self, coeffs: np.ndarray, k: int, bins) -> tuple | None:
+        """(at, at_box, a): the lattice indices `at` of the `bins` inside
+        the level-k box, their indices `at_box` in the box, and the products
+        a = phi_k c there, c = `coeffs`; or None when every product is
+        exactly zero (a NaN counts as not zero).  The one routine that reads
+        phi_k at the bins: `_fill_level` writes the products into a
+        spectrum, `SpectralDecomposition._bin_norms` sums them.  The caller
+        holds `np.errstate(invalid="ignore")`."""
+        n, top = self.grid.n_samples, _box_top(k)
+        inside = np.logical_and.reduce([(i <= top) | (i >= n - top) for i in bins])
+        if not inside.any():
+            return None
+        at = tuple(i[inside] for i in bins)
+        at_box = tuple(np.where(i <= top, i, i + 2 * top + 1 - n) for i in at)
+        products = self._box(k, False)[at_box] * coeffs[at]
+        return (at, at_box, products) if products.any() else None
 
     def _expand(self, k: int, box: np.ndarray) -> np.ndarray:
         out = np.zeros(self.grid.shape)
@@ -303,6 +329,18 @@ def _moduli(values: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape)
 
 
+def _squared_bins(s: np.ndarray, at: tuple[np.ndarray, ...], n: int) -> np.ndarray:
+    """The bins of (sum_m s_m e^{2 pi i m.x})^2 on the N = `n` lattice,
+    for the coefficients `s` at the lattice indices `at` (one array per
+    axis): the sums of s_m s_m' over the pairs of bins with m + m' = t mod
+    N per axis, B^2 products for B bins added by `np.bincount`, with no
+    lattice array."""
+    pairs = (s[:, None] * s).ravel()
+    t = functools.reduce(lambda t, i: t * n + (i[:, None] + i).ravel() % n, at, 0)
+    _, which = np.unique(t, return_inverse=True)
+    return np.bincount(which, pairs.real) + 1j * np.bincount(which, pairs.imag)
+
+
 def build_partition(grid: GridSpec, kind: PartitionKind | str = PartitionKind.RADIAL) -> DyadicPartition:
     """The one partition of `grid` and `kind` in the process: its level
     boxes, built when first read, serve every later call."""
@@ -325,9 +363,10 @@ class SpectralDecomposition:
     `analyze` makes each piece in turn into reused buffers and, from one
     |S_k f|, fills every reduction asked for: the sup norm, the L^p norms
     and the cube tables of |S_k f|^r, whose sums it keeps stacked per cube
-    level (`cube_means`).  The reductions are kept for the life of the
-    object, so every term that reads one decomposition shares them; a
-    reduction not yet filled costs one more pass over the pieces.  `pieces`
+    level (`cube_means`); L^2 and L^4 norms alone it reads off the bins
+    when it has them (`_bin_norms`).  The reductions are kept for the life
+    of the object, so every term that reads one decomposition shares them;
+    a reduction not yet filled costs one more pass over the pieces.  `pieces`
     builds the whole list anew on each access.
     """
 
@@ -428,16 +467,23 @@ class SpectralDecomposition:
         shared zero table is finite by construction).  Then each cube
         level's sums of every r are stacked (`cube_means`).
 
-        Every level is reduced by `_reduce`, in 1D and 2D alike.  In 2D the
-        pass is split between the two workers of `workers._map_rows`: the
-        calling thread makes the upper levels and the helper the lower half
-        of them, rounded up (the upper levels' first inverse passes cover
-        larger boxes), each in its own `_pass_buffers`.  Every level is
-        reduced as in one serial pass, so the results do not depend on the
-        split.  In 1D the pass stays on one worker."""
+        A pass that asks only for L^2 and L^4 norms of a decomposition that
+        carries bins in the full layout takes the bins route, `_bin_norms`,
+        with no inverse transform; it leaves the sup norms unfilled.  Every
+        other pass reduces every level by `_reduce`, in 1D and 2D alike.
+        In 2D that pass is split between the two workers of
+        `workers._map_rows`: the calling thread makes the upper levels and
+        the helper the lower half of them, rounded up (the upper levels'
+        first inverse passes cover larger boxes), each in its own
+        `_pass_buffers`.  Every level is reduced as in one serial pass, so
+        the results do not depend on the split.  In 1D the pass stays on
+        one worker."""
         rs = list(dict.fromkeys(float(r) for r in cube_exponents if (0, float(r)) not in self._tables))
         ps = list(dict.fromkeys(check_exponent(p) for p in lp_exponents if float(p) not in self._lp_norms))
         if self._sup_norms is not None and not rs and not ps:
+            return
+        if ps and not rs and self.bins is not None and self.dtype == np.complex128 and set(ps) <= {2.0, 4.0}:
+            self._bin_norms(ps)
             return
         k_top = self.k_max
         split = (k_top + 2) // 2 if self.grid.dim == 2 else 0
@@ -466,6 +512,45 @@ class SpectralDecomposition:
             for l in range(min(k_top, grid.l_max) + 1):
                 ks = [k for k in made if k >= l]
                 self._stacks[r, l] = _read_only(np.array(ks, dtype=np.intp)), _stack(grid, [made[k][i] for k in ks], l)
+
+    def _bin_norms(self, ps: list) -> None:
+        """Fill ||S_k f||_p for every p in `ps`, each 2 or 4, from each
+        level's bin products a = phi_k c (`_bin_products`), with no inverse
+        transform and no buffer.  With s = a / N^dim the samples of S_k f
+        are sum_m s_m e^{2 pi i m.n / N}, so by discrete Parseval
+
+            sum_n |S_k f|^2 = N^dim sum_m |s_m|^2,
+            sum_n |S_k f|^4 = N^dim sum_t |h_t|^2,
+
+        the second Parseval applied to (S_k f)^2, whose bins h are
+        `_squared_bins`.  The division by the power of two N^dim is exact,
+        and a term (|s_m|^2, s_m s_m' or |h_t|^2) overflows only when the
+        level's sum is beyond the float range too, so a sum that is not
+        finite is an input error naming p, as in `lp_norm`.  A non-finite
+        product means non-finite samples.  A level whose products are all
+        exactly zero is `_zero_level`."""
+        grid, n = self.grid, self.grid.n_samples
+        size = n**grid.dim
+        levels = []
+        for k in range(self.k_max + 1):
+            with np.errstate(invalid="ignore"):
+                made = self.partition._bin_products(self.coeffs, k, self.bins)
+            if made is None:
+                levels.append(self._zero_level(k, ps)[1])
+                continue
+            at, _, a = made
+            if not np.isfinite(a).all():
+                raise InvalidInputError("non-finite samples rejected")
+            s = a / size
+            norms = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                for p in ps:
+                    h = s if p == 2.0 else _squared_bins(s, at, n)
+                    total = size * float(np.sum(h.real**2 + h.imag**2))
+                    norms.append(_lp_from_power_sum(total, p, grid.cell_volume))
+            levels.append(norms)
+        for i, p in enumerate(ps):
+            self._lp_norms[p] = _read_only(np.array([norms[i] for norms in levels]))
 
     def _pass_buffers(self, top: int, whole: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """The buffers of `_first_pass` and `_last_pass` for the levels up to
@@ -595,11 +680,12 @@ class SpectralDecomposition:
 
     def tail_fraction(self) -> float:
         """Fraction of the spectral energy of f outside |m| <= 2^{K_max - 1},
-        the part the truncated k-sums miss (computed once)."""
+        the part the truncated k-sums miss (computed once, from the bins
+        alone when the decomposition carries them)."""
         if self._tail is None:
             # unnormalized: the factor N^dim is a power of two, so the
             # fraction is the same bit for bit, without a copy of the coefficients
-            self._tail = _band_energy_fraction(self.grid, self.coeffs, 0.0, 2.0 ** (self.k_max - 1))
+            self._tail = _band_energy_fraction(self.grid, self.coeffs, 0.0, 2.0 ** (self.k_max - 1), self.bins)
         return self._tail
 
 

@@ -10,8 +10,8 @@ this directory.  The digest covers, for gallery members and for inputs that
 carry exact spectrum bins, at 1D J=12 and 2D J=8 with both partition kinds:
 
 - the verdicts at p in {1, 2, 3, inf} and b in {-1, 0.5, 2};
-- Besov norms (s = 0, those b and p, q in {1, inf}) and the tl norm at
-  p = inf (q in {1, 2, inf});
+- Besov norms (s = 0, those b, p in {1, 2, 3, 4, inf}, q in {1, inf})
+  and the tl norm at p = inf (q in {1, 2, inf});
 - the sup and L^p norms of every piece and the means of its cube tables
   (r in {1, 2}), and the pieces' samples;
 - `product_report` with a fixed partner.
@@ -84,6 +84,8 @@ def _input_records(grid: GridSpec, part, partner, name: str, f):
             for q in (1.0, INF):
                 yield _guarded(lambda: besov_norm(f, part, BesovParams(0.0, b, p, q), dec=dec).value)
     for b in BS:
+        for q in (1.0, INF):
+            yield _guarded(lambda: besov_norm(f, part, BesovParams(0.0, b, 4.0, q), dec=dec).value)
         for q in (1.0, 2.0, INF):
             yield _guarded(lambda: tl_norm_inf(f, part, 0.0, b, q, dec=dec).value)
     yield _guarded(lambda: dec.sup_norms().tobytes().hex())

@@ -349,6 +349,28 @@ def test_envelope_annulus(grid12):
     assert env.values.real.min() < 0
 
 
+@pytest.mark.parametrize("J", [7, 10])
+def test_2d_trig_polynomial_samples_are_ifftn_of_its_bins(J, monkeypatch):
+    """A 2D trigonometric polynomial transforms only the rows that hold a
+    bin along the last axis, then the lattice along the first; its samples
+    are `ifftn` of its written bins bit for bit: packets, terms spread over
+    many rows, and three terms on two rows, one the Nyquist row, whose
+    first pass covers those two rows only."""
+    grid = GridSpec(2, J)
+    n, rng = grid.n_samples, np.random.default_rng(J)
+    terms = [((int(a), int(b)), complex(*rng.standard_normal(2))) for a, b in rng.integers(-n // 2, n // 2, (9, 2))]
+    members = [g for _, g in expo7_family(grid, grid.k_max - 2, 0.5)] + [_trig_polynomial(grid, terms)]
+    for f in members:
+        want = np.fft.ifftn(_written(f.spectrum, grid.shape))
+        assert np.array_equal(f.values, want) and f.values.tobytes() == want.tobytes()
+    rows = []
+    real = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda a, *args, **kw: rows.append(len(a)) or real(a, *args, **kw))
+    f = _trig_polynomial(grid, [((3, 5), 1.0), ((3, -7), 2.0), ((-n // 2, 1), 1j)])
+    assert rows == [2, n]
+    assert f.values.tobytes() == np.fft.ifftn(_written(f.spectrum, grid.shape)).tobytes()
+
+
 @pytest.mark.parametrize("J, k", [(6, 8), (6, 16), (6, 24), (14, 2048), (14, 4096), (14, 6144)])
 def test_real_cosine_carries_no_bins(J, k):
     """e^{ikx} + e^{-ikx} whose `ifftn` comes out exactly real is stored as

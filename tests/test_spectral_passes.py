@@ -1,7 +1,9 @@
 """A decomposition keeps the forward coefficients only and makes each piece
 S_k f once per pass: one forward FFT per decomposed function plus one
 inverse FFT per level (in 2D, one per axis pass), for every reduction its
-consumers ask for.  A real function is analyzed from its half spectrum."""
+consumers ask for; L^2 and L^4 norms alone of a function that carries
+bins come from the bins, with no transform.  A real function is analyzed
+from its half spectrum."""
 
 import threading
 import tracemalloc
@@ -11,6 +13,7 @@ import pytest
 
 import logbesov.cubes as cubes
 import logbesov.experiments as experiments
+import logbesov.grid as grid_mod
 import logbesov.paraproducts as paraproducts
 from logbesov.criteria import verdict
 from logbesov.cubes import CubeMeanTable
@@ -207,6 +210,95 @@ def test_a_nan_bin_is_a_nonfinite_input_error(dim, J, usable_cpus):
             dec.analyze(lp_exponents=(2.0,))
 
 
+def _bins_route_inputs(grid: GridSpec) -> list[SampledFunction]:
+    """Inputs that carry bins: those of `_binned`, the distinct packets of a
+    family and their products with e^{-i 2^5 x_1}, and frequencies -1, 0, 1
+    along x_1, whose pair sums 1 + (-1) and 0 + 0 meet only mod N."""
+    tail = (0,) * (grid.dim - 1)
+    down = experiments._exact_exponential(grid, (-(1 << 5),) + tail)
+    packets = {id(g): g for _, g in expo7_family(grid, min(6, grid.k_max - 2), 0.5)}.values()
+    names = ("exact-exp", "packet", "packet*exp", "zero-bin")
+    low = grid_mod._trig_polynomial(grid, [((1,) + tail, 1.0), ((0,) + tail, 0.5), ((-1,) + tail, 0.25)])
+    return [_binned(grid, name) for name in names] + [h for g in packets for h in (g, down * g)] + [low]
+
+
+@pytest.mark.parametrize("kind", list(PartitionKind))
+@pytest.mark.parametrize("dim, J", [(1, 12), (2, 8)])
+def test_bins_route_norms_match_the_sample_pass(dim, J, kind, monkeypatch):
+    """A pass that asks only for L^2 and L^4 norms of a decomposition that
+    carries bins reads them off the bins by Parseval, with no transform and
+    no sup norm; they match the sample pass of the same coefficients within
+    1e-13 relative, and are zero exactly where its are.  The inputs hold
+    levels with no bin, one bin and many."""
+    grid = GridSpec(dim, J)
+    part = build_partition(grid, kind)
+    held = set()
+    for f in _bins_route_inputs(grid):
+        dec, ref = decompose(f, part), _without_bins(f, part)
+        for k in range(part.k_max + 1):
+            made = part._bin_products(dec.coeffs, k, dec.bins)
+            held.add(0 if made is None else min(len(made[2]), 2))
+        calls = _count_ffts(monkeypatch)
+        dec.analyze(lp_exponents=(2.0, 4.0))
+        assert calls == [] and dec._sup_norms is None
+        monkeypatch.undo()
+        for p in (2.0, 4.0):
+            got, want = dec.lp_norms(p), ref.lp_norms(p)
+            assert np.array_equal(got == 0.0, want == 0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert held == {0, 1, 2}
+
+
+def test_other_reductions_keep_the_sample_pass(monkeypatch):
+    """The sup norms, any other p and any cube table of a decomposition that
+    carries bins come from a pass over the samples; so do the L^2 norms of
+    one without bins."""
+    grid = GridSpec(1, 10)
+    part = build_partition(grid)
+    f = _binned(grid, "packet")
+    for ask in (lambda d: d.sup_norms(), lambda d: d.lp_norms(3.0), lambda d: d.cube_table(0, 2.0)):
+        calls = _count_ffts(monkeypatch)
+        ask(decompose(f, part))
+        assert calls
+        monkeypatch.undo()
+    calls = _count_ffts(monkeypatch)
+    _without_bins(f, part).lp_norms(2.0)
+    assert calls
+
+
+@pytest.mark.parametrize("dim, J", [(1, 12), (2, 8)])
+def test_bins_route_sum_beyond_the_float_range_names_p(dim, J):
+    """Bins of modulus 1e100: the L^2 sums stay finite, the L^4 ones do not,
+    which is the input error naming p = 4 on either route."""
+    grid = GridSpec(dim, J)
+    part = build_partition(grid)
+    f = _binned(grid, "packet")
+    big = SampledFunction(grid, f.values * 1e100, {i: v * 1e100 for i, v in f.spectrum.items()})
+    for dec in (decompose(big, part), _without_bins(big, part)):
+        assert np.isfinite(dec.lp_norms(2.0)).all()
+        with pytest.raises(InvalidInputError, match=r"^p=4\.0 makes"):
+            dec.lp_norms(4.0)
+
+
+def test_tail_fraction_reads_the_bins(monkeypatch):
+    """With bins, the tail fraction reads the bins alone, no lattice radius,
+    and is the whole lattice's: exactly 0.0 when no bin lies above the top
+    annulus.  A half-layout bin counts twice inside the last axis, once at
+    m = 0 and m = N/2."""
+    grid = GridSpec(1, 10)
+    part = build_partition(grid)
+    n, top = grid.n_samples, 2 ** (grid.k_max - 1)
+    real = SampledFunction(grid, np.cos(3 * grid.axis()), {(0,): 1.0, (3,): 2.0, (top + 1,): 1.5j, (n // 2,): 0.5})
+    inputs = [_binned(grid, "packet"), _binned(grid, "zero-bin"), real]
+    inputs.append(grid_mod._trig_polynomial(grid, [((1 << 3,), 1.0), ((n // 4,), 0.5)]))
+    want = [grid_mod._band_energy_fraction(grid, _coefficients(f), 0.0, top) for f in inputs]
+    monkeypatch.setattr(grid_mod, "_layout_radius", None)
+    got = [decompose(f, part).tail_fraction() for f in inputs]
+    assert got[:2] == [0.0, 0.0]
+    assert got[2] == pytest.approx((4.5 + 0.25) / (1.0 + 8.0 + 4.5 + 0.25), rel=1e-15)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("dim, J", [(1, 12), (2, 8)])
 def test_a_zero_level_makes_no_box_multiply_and_no_table(dim, J, usable_cpus, monkeypatch):
     """The exact e^{i 2^6 x_1} has one level that is not zero.  The pass
@@ -258,17 +350,10 @@ def test_lower_bound_reads_every_params_from_one_pass(monkeypatch):
     params = [BesovParams(0.0, 0.5, p, INF) for p in (2.0, 4.0)]
     calls = _count_ffts(monkeypatch)
     multiplier_lower_bound(f, part, params, family)
-    # each distinct member once, from its bins: one inverse transform per level
-    # that holds one (12 in all); each product with the sample-only f once, from
-    # its forward transform: one forward and K_max + 1 inverse transforms
-    assert sorted(calls) == ["fftn"] * len(distinct) + ["ifft"] * (12 + len(distinct) * (part.k_max + 1))
-
-
-def _levels_holding_a_bin(part, h) -> int:
-    """The levels k at which phi_k times one of h's bins is not zero."""
-    return sum(
-        any(part.symbol(k)[i] * v != 0 for i, v in h.spectrum.items()) for k in range(part.k_max + 1)
-    )
+    # each distinct member once, from its bins: its L^2 and L^4 norms by Parseval,
+    # no transform; each product with the sample-only f once, from its forward
+    # transform: one forward and K_max + 1 inverse transforms
+    assert sorted(calls) == ["fftn"] * len(distinct) + ["ifft"] * (len(distinct) * (part.k_max + 1))
 
 
 @pytest.mark.parametrize("b", [-2.0, 0.5, 2.0])
@@ -276,8 +361,9 @@ def test_packet_row_transforms_only_the_levels_that_hold_a_bin(monkeypatch, b):
     """A packet-route row builds e^{-i 2^m x_1} with its one bin and the
     packets with theirs, so no member and no product makes a forward
     transform.  Each distinct member's samples are one `ifftn` of its bins;
-    beside those, the row makes one inverse transform per level whose boxed
-    bins of a distinct member or of its product are not all zero."""
+    beside those, the row makes no transform at all: the L^2 and L^4 norms
+    of every level of a member or of its product, the only reductions the
+    row reads, come from the level's bins by Parseval."""
     grid, m = GridSpec(1, 12), 6
     part = build_partition(grid)
     params = [BesovParams(0.0, b, p, INF) for p in (2.0, 4.0)]
@@ -286,9 +372,7 @@ def test_packet_row_transforms_only_the_levels_that_hold_a_bin(monkeypatch, b):
     family = expo7_family(grid, m, b)
     multiplier_lower_bound(f, part, params, family)
     distinct = {id(g): g for _, g in family}.values()
-    levels = sum(_levels_holding_a_bin(part, h) for g in distinct for h in (g, f * g))
-    assert 0 < levels < 2 * len(distinct) * (part.k_max + 1)
-    assert calls == ["ifftn"] * len(distinct) + ["ifft"] * levels
+    assert calls == ["ifftn"] * len(distinct)
 
 
 def test_p2_verdict_holds_a_few_lattice_arrays():
