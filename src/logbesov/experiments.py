@@ -25,13 +25,14 @@ from .criteria import verdict
 from .errors import InvalidInputError
 from .gallery import (
     StackSpec,
+    _wavevector,
     expo7_families,
     make_exponential,
     make_indicator,
     make_lacunary,
     make_stack,
 )
-from .grid import INF, GridSpec, SampledFunction, _exact_bins, _forward, _layout_radius, check_exponent, check_finite, is_inf, lp_norm, make_constant
+from .grid import INF, GridSpec, SampledFunction, _exact_bins, _forward, _from_bins, _layout_radius, check_exponent, check_finite, is_inf, lp_norm, make_constant
 from .norms import BesovParams, dini_norm
 from .partition import build_partition, decompose
 from .paraproducts import multiplier_lower_bound
@@ -157,8 +158,12 @@ def _exact_route(p: float) -> bool:
 
 def _exact_exponential(grid: GridSpec, k: tuple[int, ...]) -> SampledFunction:
     """`make_exponential(grid, k)` carrying its exact spectrum, one bin:
-    N^dim times the grid's phase (-1)^(k_1 + ... + k_dim) at k mod N."""
-    return SampledFunction(grid, make_exponential(grid, k).values, _exact_bins(grid, [(k, 1.0)]))
+    N^dim times the grid's phase (-1)^(k_1 + ... + k_dim) at k mod N.  A
+    wavevector the lattice cannot hold is rejected here; for every k but 0
+    the bin makes the samples complex, so they are made (`np.exp`) only
+    when read (`grid._from_bins`)."""
+    bins = _exact_bins(grid, [(_wavevector(grid, k), 1.0)])
+    return _from_bins(grid, bins, lambda: make_exponential(grid, k).values)
 
 
 def _criterion_value(f, partition, p: float, b: float, *, dec=None) -> float:

@@ -41,15 +41,23 @@ PI = math.pi
 
 def make_exponential(grid: GridSpec, k) -> SampledFunction:
     """Samples of e^{i k.x}; exactly one nonzero Fourier coefficient."""
-    kv = [int(ki) for ki in np.atleast_1d(np.asarray(k, dtype=object))]  # Python ints: no overflow
-    if len(kv) != grid.dim:
-        raise InvalidInputError(f"wavevector has {len(kv)} components, grid dim {grid.dim}")
-    if any(abs(ki) >= grid.n_samples // 2 for ki in kv):
-        raise AliasingError(f"|k| components must be < N/2 = {grid.n_samples // 2}")
+    kv = _wavevector(grid, k)
     xs = grid.points()
     phase = sum(ki * x for ki, x in zip(kv, xs))
     z = 1j * phase
     return SampledFunction(grid, np.exp(z, out=z))
+
+
+def _wavevector(grid: GridSpec, k) -> list[int]:
+    """The components of the wavevector `k` as Python ints (no overflow);
+    a count other than the grid's dim is an input error, and a component
+    |k_i| >= N/2 an `AliasingError`."""
+    kv = [int(ki) for ki in np.atleast_1d(np.asarray(k, dtype=object))]
+    if len(kv) != grid.dim:
+        raise InvalidInputError(f"wavevector has {len(kv)} components, grid dim {grid.dim}")
+    if any(abs(ki) >= grid.n_samples // 2 for ki in kv):
+        raise AliasingError(f"|k| components must be < N/2 = {grid.n_samples // 2}")
+    return kv
 
 
 def make_indicator(grid: GridSpec, shape: str = "cube") -> SampledFunction:

@@ -5,7 +5,8 @@ regular grid of N = 2^J points per axis, with integer frequencies in
 [-N/2, N/2).  Integer frequencies make e^{ik.x} exactly periodic, so the
 exponential test functions alias-free as long as |k_i| < N/2.  A function
 may carry its exact spectrum as sparse bins (`SampledFunction.spectrum`);
-`_trig_polynomial` makes a sum of exponentials from its bins.
+`_trig_polynomial` makes a sum of exponentials from its bins, and a function
+made from bins that fix its dtype makes its samples only when they are read.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import cmath
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,16 +168,16 @@ class GridSpec:
         return self.spacing**self.dim
 
 
-@dataclass(eq=False)
 class SampledFunction:
     """Samples of a function on the grid (row-major, shape (N,)*dim):
     `float64` exactly when the function is real, else `complex128`.
 
     Real or integer samples are stored as `float64`; complex samples whose
     imaginary part is exactly zero are stored as their real part, and any
-    other complex samples as `complex128`.  The dtype is the one place that
-    says whether a function is real: the analysis reads it to choose the
-    half spectrum.  Samples already of the stored dtype are not copied.
+    other complex samples as `complex128`.  The dtype (`dtype`) is the one
+    place that says whether a function is real: the analysis reads it to
+    choose the half spectrum.  Samples already of the stored dtype are not
+    copied.
 
     `spectrum`, when given, is the function's exact unnormalized forward
     transform as sparse bins: a mapping from an index tuple in `_forward`'s
@@ -186,29 +187,51 @@ class SampledFunction:
     transforming the samples.  A product of two complex functions that
     carry bins, one of them a single bin, carries the shifted bins
     (`_product_bins`); every other result of arithmetic carries none.
+
+    A function made from its bins (`_from_bins`: every packet, every exact
+    exponential, such a product) whose bins alone make its samples complex
+    holds no samples until `values` is first read; its `dtype`, its grid
+    and its bins are known without them, and the samples it then makes are
+    the ones it would have made at once, bit for bit.
     Functions compare by identity.
     """
 
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
-    spectrum: dict[tuple[int, ...], complex] | None = field(default=None, repr=False)
+    def __init__(self, grid: GridSpec, values, spectrum: Mapping | None = None) -> None:
+        self.grid = grid
+        self._values, self._make = _stored(grid, values), None
+        self.spectrum = None
+        if spectrum is not None:
+            self.spectrum = _checked_bins(spectrum, grid.half_shape if self._values.dtype == np.float64 else grid.shape)
 
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values)
-        if np.iscomplexobj(vals):
-            vals = vals.astype(np.complex128, copy=False)
-            if not vals.imag.any():
-                vals = np.ascontiguousarray(vals.real)
-        else:
-            vals = vals.astype(np.float64, copy=False)
-        if vals.size != self.grid.n_samples**self.grid.dim:
-            raise InvalidInputError(
-                f"expected {self.grid.n_samples ** self.grid.dim} samples, got {vals.size}"
-            )
-        self.values = vals.reshape(self.grid.shape)
-        if self.spectrum is not None:
-            shape = self.grid.half_shape if vals.dtype == np.float64 else self.grid.shape
-            self.spectrum = _checked_bins(self.spectrum, shape)
+    @classmethod
+    def _deferred(cls, grid: GridSpec, bins, make) -> "SampledFunction":
+        """The complex function of full-layout `bins` whose samples `make()`
+        gives on the first read of `values`."""
+        f = cls.__new__(cls)
+        f.grid, f._values, f._make = grid, None, make
+        f.spectrum = _checked_bins(bins, grid.shape)
+        return f
+
+    @property
+    def values(self) -> np.ndarray:
+        """The samples, made on the first read by a function built without them."""
+        if self._values is None:  # two threads that race here make the same samples twice
+            vals = _stored(self.grid, self._make())
+            assert vals.dtype == np.complex128, "bins that make the samples complex gave real ones"
+            self._values = vals
+        return self._values
+
+    @values.setter
+    def values(self, vals: np.ndarray) -> None:
+        self._values = vals
+
+    @property
+    def dtype(self) -> np.dtype:
+        """dtype of the samples, read without making them."""
+        return np.dtype(np.complex128) if self._values is None else self._values.dtype
+
+    def __repr__(self) -> str:
+        return f"SampledFunction(grid={self.grid!r})"
 
     def _combine(self, op, other) -> "SampledFunction":
         """`op` of the samples and `other`: a function on the same grid, or a
@@ -218,10 +241,8 @@ class SampledFunction:
             return SampledFunction(self.grid, op(self.values, other))
         if other.grid != self.grid:
             raise InvalidInputError("grid mismatch between operands")
-        out = SampledFunction(self.grid, op(self.values, other.values))
-        if op is np.multiply and out.values.dtype == np.complex128:
-            out.spectrum = _product_bins(self, other)
-        return out
+        bins = _product_bins(self, other) if op is np.multiply else None
+        return _from_bins(self.grid, bins, lambda: op(self.values, other.values))
 
     def __mul__(self, other):
         return self._combine(np.multiply, other)
@@ -236,6 +257,58 @@ class SampledFunction:
 
     def __neg__(self):
         return SampledFunction(self.grid, -self.values)
+
+
+def _stored(grid: GridSpec, values) -> np.ndarray:
+    """`values` as `SampledFunction` stores them, shaped to the grid: real
+    or integer samples, and complex ones whose imaginary part is exactly
+    zero, as `float64`, other complex samples as `complex128`; a count
+    that does not fill the grid is an input error."""
+    vals = np.asarray(values)
+    if np.iscomplexobj(vals):
+        vals = vals.astype(np.complex128, copy=False)
+        if not vals.imag.any():
+            vals = np.ascontiguousarray(vals.real)
+    else:
+        vals = vals.astype(np.float64, copy=False)
+    if vals.size != grid.n_samples**grid.dim:
+        raise InvalidInputError(f"expected {grid.n_samples ** grid.dim} samples, got {vals.size}")
+    return vals.reshape(grid.shape)
+
+
+def _from_bins(grid: GridSpec, bins, make) -> SampledFunction:
+    """The function whose samples `make()` gives and whose full-layout bins
+    are `bins` (None when it has none).  When the bins alone make the
+    samples complex (`_complex_bins`), it is built without samples and
+    `make` runs on the first read of `values`; else `make` runs now, and
+    the function carries the bins when its samples come out complex (real
+    samples take the half layout, which full-layout bins do not fit)."""
+    if bins is not None and _complex_bins(grid, bins):
+        return SampledFunction._deferred(grid, bins, make)
+    out = SampledFunction(grid, make())
+    if bins is not None and out.dtype == np.complex128:
+        out.spectrum = _checked_bins(bins, grid.shape)
+    return out
+
+
+def _complex_bins(grid: GridSpec, bins) -> bool:
+    """Whether the samples of the full-layout `bins` come out complex
+    whatever their round-off.  The imaginary part of the samples has the
+    coefficient (v_k - conj v_{-k}) / 2i at bin k, so by Parseval its root
+    mean square over the grid is at least half the skew
+    max_k |v_k - conj v_{-k}|, over N^dim.  Samples made by a transform of
+    the bins, or as a product of such samples and `np.exp`'s (whose phase
+    k.x errs by at most about N pi eps), miss the exact ones by a root mean
+    square below 1e-8 of sum |v| / N^dim on every grid a `GridSpec`
+    allows, so a skew above 2^-20 of sum |v|, and far above the underflow
+    range, leaves a nonzero imaginary part.  A Hermitian bin set
+    (a real cosine; e^{-i 2^m x_1} times the Case 5 packet, which is the
+    envelope) has no skew: its samples are complex by round-off, if at
+    all.  Non-finite bins fail both tests."""
+    n, size = grid.n_samples, grid.n_samples**grid.dim
+    total = sum(map(abs, bins.values()))
+    skew = max((abs(v - bins.get(tuple(-i % n for i in k), 0).conjugate()) for k, v in bins.items()), default=0.0)
+    return skew > 2.0**-20 * total and skew > 2.0**-900 * size
 
 
 def _checked_bins(bins, shape: tuple[int, ...]) -> dict[tuple[int, ...], complex]:
@@ -260,14 +333,14 @@ def _product_bins(f: SampledFunction, g: SampledFunction) -> dict[tuple[int, ...
     v times c / N^dim.  The samples of a single bin are c / N^dim times
     e^{2 pi i k.n / N}, so the shift is exact when c = N^dim, as for the
     exact exponential.  None otherwise."""
-    if any(h.spectrum is None or h.values.dtype != np.complex128 for h in (f, g)):
+    if any(h.spectrum is None or h.dtype != np.complex128 for h in (f, g)):
         return None
     if len(f.spectrum) != 1:
         f, g = g, f
     if len(f.spectrum) != 1:
         return None
     [(k, c)] = f.spectrum.items()
-    n, scale = f.grid.n_samples, c / f.values.size
+    n, scale = f.grid.n_samples, c / f.grid.n_samples**f.grid.dim
     return {tuple((i + j) % n for i, j in zip(idx, k)): scale * v for idx, v in g.spectrum.items()}
 
 
@@ -287,24 +360,29 @@ def _exact_bins(grid: GridSpec, terms) -> dict[tuple[int, ...], complex]:
 
 
 def _trig_polynomial(grid: GridSpec, terms) -> SampledFunction:
-    """sum a e^{ik.x} over the (k, a) pairs of `terms`, carrying its exact
-    bins (`_exact_bins`) when its samples are complex.  Its samples are the
-    `ifftn` of the bins, which are N^dim-scaled, so no factor is needed; in
-    2D its first (last-axis) pass runs over the rows that hold a bin only,
-    bit for bit `ifftn`.
+    """sum a e^{ik.x} over the (k, a) pairs of `terms`, made from its exact
+    bins (`_exact_bins`) by `_from_bins`: it carries them when its samples
+    are complex, and when the bins alone make them complex (every packet)
+    its samples (`_ifftn_of_bins`) are made only when they are read.
     Samples that come out exactly real (a real cosine, or terms whose bins
     all cancel) are stored as `float64`, whose half layout the full-layout
     bins do not fit: such a function carries no bins, as a product with
     real samples carries none (`_combine`)."""
     bins = _exact_bins(grid, terms)
+    return _from_bins(grid, bins, functools.partial(_ifftn_of_bins, grid, bins))
+
+
+def _ifftn_of_bins(grid: GridSpec, bins) -> np.ndarray:
+    """The samples of full-layout `bins`, the `ifftn` of the bins written
+    into zeros, which are N^dim-scaled, so no factor is needed; in 2D the
+    first (last-axis) pass runs over the rows that hold a bin only, bit for
+    bit `ifftn`."""
     values = _written(bins, grid.shape)
     if grid.dim == 2:  # ifftn's passes in its order: the rows that hold no bin stay zero in the first
         rows = sorted({i for i, _ in bins})
         values[rows] = np.fft.ifft(values[rows], axis=1)
-        values = np.fft.ifft(values, axis=0)
-    else:
-        values = np.fft.ifftn(values)
-    return SampledFunction(grid, values, bins if values.imag.any() else None)
+        return np.fft.ifft(values, axis=0)
+    return np.fft.ifftn(values)
 
 
 def _forward(values: np.ndarray) -> np.ndarray:
@@ -323,7 +401,7 @@ def _coefficients(f: SampledFunction) -> np.ndarray:
     the forward transform of its samples."""
     if f.spectrum is None:
         return _forward(f.values)
-    return _written(f.spectrum, f.grid.half_shape if f.values.dtype == np.float64 else f.grid.shape)
+    return _written(f.spectrum, f.grid.half_shape if f.dtype == np.float64 else f.grid.shape)
 
 
 def _written(bins, shape: tuple[int, ...]) -> np.ndarray:

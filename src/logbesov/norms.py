@@ -106,16 +106,25 @@ def besov_norm(
     params: BesovParams,
     *,
     dec: SpectralDecomposition | None = None,
+    weights: list[float] | None = None,
 ) -> NormResult:
     """|| {2^{ks} (1+k)^b S_k f} ||_{l^q(L^p)}, truncated at K_max.
 
     The tail diagnostic is the fraction of spectral energy above the top
     resolved annulus (2^{K_max - 1}); for band-limited inputs it is zero.
+    `weights`, when the caller has them, are the level weights of `params`
+    (`_besov_weights`), so a caller that reads many functions at one
+    params makes them once.
     """
-    weights = [_weight(k, params.s, params.b) for k in range(partition.k_max + 1)]
+    weights = _besov_weights(partition, params) if weights is None else weights
     dec = _ensure_decomposition(f, partition, dec)
     per = [w * norm for w, norm in zip(weights, dec.lp_norms(params.p).tolist())]
     return NormResult(_lq_combine(np.asarray(per), params.q), dec.tail_fraction(), per)
+
+
+def _besov_weights(partition: DyadicPartition, params: BesovParams) -> list[float]:
+    """The level weights 2^{ks} (1+k)^b, k = 0..K_max, of `params`."""
+    return [_weight(k, params.s, params.b) for k in range(partition.k_max + 1)]
 
 
 def tl_norm_inf(

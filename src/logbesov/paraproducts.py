@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .grid import SampledFunction, lp_norm
-from .norms import BesovParams, besov_norm
+from .norms import BesovParams, _besov_weights, besov_norm
 from .partition import (
     DyadicPartition,
     SpectralDecomposition,
@@ -109,12 +109,24 @@ def product_report(
     return ProductReport(pi1, pi2, pi3, residual)
 
 
-def _norms_on_one_decomposition(g: SampledFunction, partition: DyadicPartition, params_list) -> list[float]:
+def _norms_on_one_decomposition(g: SampledFunction, partition: DyadicPartition, params_list, weights) -> list[float]:
     """||g||_B for every params, read from one decomposition of g whose
-    L^p norms for every p are filled in one pass."""
+    L^p norms for every p are filled in one pass; `weights` holds the
+    level weights of each params (`_besov_weights`)."""
     dec = decompose(g, partition)
     dec.analyze(lp_exponents=[params.p for params in params_list])
-    return [besov_norm(g, partition, params, dec=dec).value for params in params_list]
+    return [besov_norm(g, partition, params, dec=dec, weights=w).value for params, w in zip(params_list, weights)]
+
+
+def _same_member(g: SampledFunction, h: SampledFunction) -> bool:
+    """Whether g and h are one member: the same object, else equal dtype
+    and bins when both carry bins (a decomposition reads nothing else), else
+    equal samples."""
+    if g is h:
+        return True
+    if g.spectrum is not None and h.spectrum is not None:
+        return g.dtype == h.dtype and g.spectrum == h.spectrum
+    return np.array_equal(g.values, h.values)
 
 
 def multiplier_lower_bound(
@@ -129,11 +141,14 @@ def multiplier_lower_bound(
     `family` is a sequence of (name, SampledFunction) pairs read at every
     entry of `params`, or a function that gives the sequence of one entry.
     The result holds one (bound, argmax name) per entry of `params`.  Each
-    distinct member g across the families (equal samples) and its product
-    f g are decomposed once, one decomposition alive at a time, and their
-    L^p norms for every p are filled in one pass: a Besov norm reads its
-    (s, b, q) only as level weights on those, so every entry is read from
-    them.  Ties keep the first name.
+    distinct member g across the families (`_same_member`: one object, or
+    equal bins, or equal samples when a member carries no bins) and its
+    product f g are decomposed once, one decomposition alive at a time, and
+    their L^p norms for every p are filled in one pass: a Besov norm reads
+    its (s, b, q) only as level weights on those, made once per entry of
+    `params`, so every entry is read from them.  Nothing here reads the
+    samples of a member or a product that carries bins, so those made from
+    their bins make none.  Ties keep the first name.
     """
     params = list(params)
     if not params:
@@ -141,18 +156,19 @@ def multiplier_lower_bound(
     families = [list(family(pr)) for pr in params] if callable(family) else [list(family)] * len(params)
     if not all(families):
         raise InvalidInputError("family must be nonempty")
+    weights = [_besov_weights(partition, pr) for pr in params]
     best = [(-math.inf, "")] * len(params)
-    seen: list[tuple[np.ndarray, list[float]]] = []
+    seen: list[tuple[SampledFunction, list[float]]] = []
     for i, named in enumerate(families):
         for name, g in named:
-            ratios = next((r for values, r in seen if np.array_equal(values, g.values)), None)
+            ratios = next((r for h, r in seen if _same_member(g, h)), None)
             if ratios is None:
-                denoms = _norms_on_one_decomposition(g, partition, params)
+                denoms = _norms_on_one_decomposition(g, partition, params, weights)
                 if any(d <= 0 for d in denoms):
                     raise DegenerateInputError(f"family member {name!r} has zero norm")
-                numers = _norms_on_one_decomposition(f * g, partition, params)
+                numers = _norms_on_one_decomposition(f * g, partition, params, weights)
                 ratios = [n / d for n, d in zip(numers, denoms)]
-                seen.append((g.values, ratios))
+                seen.append((g, ratios))
             if ratios[i] > best[i][0]:
                 best[i] = (ratios[i], name)
     return best

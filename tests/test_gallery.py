@@ -351,8 +351,9 @@ def test_envelope_annulus(grid12):
 
 @pytest.mark.parametrize("J", [7, 10])
 def test_2d_trig_polynomial_samples_are_ifftn_of_its_bins(J, monkeypatch):
-    """A 2D trigonometric polynomial transforms only the rows that hold a
-    bin along the last axis, then the lattice along the first; its samples
+    """A 2D trigonometric polynomial transforms, when its samples are first
+    read, only the rows that hold a bin along the last axis, then the
+    lattice along the first; its samples
     are `ifftn` of its written bins bit for bit: packets, terms spread over
     many rows, and three terms on two rows, one the Nyquist row, whose
     first pass covers those two rows only."""
@@ -367,6 +368,8 @@ def test_2d_trig_polynomial_samples_are_ifftn_of_its_bins(J, monkeypatch):
     real = np.fft.ifft
     monkeypatch.setattr(np.fft, "ifft", lambda a, *args, **kw: rows.append(len(a)) or real(a, *args, **kw))
     f = _trig_polynomial(grid, [((3, 5), 1.0), ((3, -7), 2.0), ((-n // 2, 1), 1j)])
+    assert rows == []
+    f.values
     assert rows == [2, n]
     assert f.values.tobytes() == np.fft.ifftn(_written(f.spectrum, grid.shape)).tobytes()
 
@@ -440,9 +443,9 @@ def test_packet_norm_bound_case1(part12):
 
 
 def test_packet_family_makes_one_inverse_transform_per_member(grid12, monkeypatch):
-    """A family build makes one `ifftn` per distinct member and no other
-    transform, and no wave of x per level; cases with equal coefficients
-    share one member."""
+    """A family build makes no transform and no wave of x; each distinct
+    member makes one `ifftn` on the first read of its samples and none on
+    later reads; cases with equal coefficients share one member."""
     calls = []
     for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
         real = getattr(np.fft, name)
@@ -458,6 +461,9 @@ def test_packet_family_makes_one_inverse_transform_per_member(grid12, monkeypatc
         assert all(fam[name] is fam[equal[0]] for name in equal)
         distinct = 5 - len(equal) + 1
         assert len({id(f) for f in fam.values()}) == distinct
+        assert calls == []
+        for f in fam.values():
+            f.values
         assert calls == ["ifftn"] * distinct
 
 

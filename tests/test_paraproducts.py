@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import logbesov.norms as norms
+import logbesov.paraproducts as paraproducts
 from logbesov.errors import DegenerateInputError, InvalidInputError
-from logbesov.gallery import expo7_family, make_exponential, make_indicator
+from logbesov.experiments import _exact_exponential
+from logbesov.gallery import PacketSpec, expo7_family, make_exponential, make_indicator, make_modulated_packet
 from logbesov.grid import INF, SampledFunction, band_energy_fraction, lp_norm, make_constant, random_band_limited
 from logbesov.norms import BesovParams, besov_norm
 from logbesov.paraproducts import (
@@ -203,3 +206,40 @@ def test_paraproducts_match_defining_sums(dim, J, shape):
     for which, oracle in oracles.items():
         got = getattr(rep, f"pi{which}").values
         assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_lower_bound_tells_members_apart_by_identity_then_bins(part10, monkeypatch):
+    """Two packets built apart with equal bins are one member: it and its
+    product are decomposed once, and neither a member nor a product makes
+    its samples; members without bins are compared by their samples."""
+    g = part10.grid
+    f = _exact_exponential(g, (-(1 << 5),))
+    a, b = (make_modulated_packet(g, PacketSpec(5, {1: 1.0, 3: 0.5})) for _ in range(2))
+    assert a is not b and a.spectrum == b.spectrum
+    made, real = [], paraproducts.decompose
+    monkeypatch.setattr(paraproducts, "decompose", lambda h, part: made.append(h) or real(h, part))
+    params = [BesovParams(0.0, 0.5, 2.0, INF)]
+    [(bound, name)] = multiplier_lower_bound(f, part10, params, [("a", a), ("b", b)])
+    assert len(made) == 2 and name == "a"
+    assert all(h._values is None for h in (a, b, *made))
+    made.clear()
+    twins = [(name, SampledFunction(g, a.values)) for name in ("c", "d")]  # equal samples, no bins
+    [(_, name)] = multiplier_lower_bound(f, part10, params, twins)
+    assert len(made) == 2 and name == "c"
+
+
+def test_lower_bound_makes_each_entrys_level_weights_once(part10, monkeypatch):
+    """The level weights of each params entry are made once per call, not
+    once per decomposition, and the bounds are the ones that `besov_norm`
+    gives with weights it makes itself."""
+    g = part10.grid
+    f = _exact_exponential(g, (-(1 << 5),))
+    family = expo7_family(g, 5, 0.5)
+    params = [BesovParams(0.0, b, p, INF) for b in (-1.0, 0.5) for p in (2.0, 4.0)]
+    made, real = [], norms._weight
+    monkeypatch.setattr(norms, "_weight", lambda *a, **k: made.append(a) or real(*a, **k))
+    bounds = multiplier_lower_bound(f, part10, params, family)
+    assert len(made) == len(params) * (part10.k_max + 1)
+    for pr, (bound, name) in zip(params, bounds):
+        member = dict(family)[name]
+        assert bound == besov_norm(f * member, part10, pr).value / besov_norm(member, part10, pr).value

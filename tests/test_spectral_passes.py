@@ -19,7 +19,7 @@ from logbesov.criteria import verdict
 from logbesov.cubes import CubeMeanTable
 from logbesov.errors import InvalidInputError, ResolutionError
 from logbesov.experiments import ExperimentConfig, run_exp_growth
-from logbesov.gallery import expo7_family, gallery_from_spec, make_exponential, make_indicator
+from logbesov.gallery import expo7_families, expo7_family, gallery_from_spec, make_exponential, make_indicator
 from logbesov.grid import (
     INF,
     GridSpec,
@@ -359,20 +359,63 @@ def test_lower_bound_reads_every_params_from_one_pass(monkeypatch):
 @pytest.mark.parametrize("b", [-2.0, 0.5, 2.0])
 def test_packet_row_transforms_only_the_levels_that_hold_a_bin(monkeypatch, b):
     """A packet-route row builds e^{-i 2^m x_1} with its one bin and the
-    packets with theirs, so no member and no product makes a forward
-    transform.  Each distinct member's samples are one `ifftn` of its bins;
-    beside those, the row makes no transform at all: the L^2 and L^4 norms
-    of every level of a member or of its product, the only reductions the
-    row reads, come from the level's bins by Parseval."""
-    grid, m = GridSpec(1, 12), 6
-    part = build_partition(grid)
-    params = [BesovParams(0.0, b, p, INF) for p in (2.0, 4.0)]
+    packets with theirs, and none of them makes its samples: the L^2 and
+    L^4 norms of every level of a member or of its product, the only
+    reductions the row reads, come from the level's bins by Parseval, and
+    members are told apart by identity or by their bins.  The one product
+    whose bins do not make its samples complex, e^{-i 2^m x_1} times the
+    Case 5 packet (the real envelope), is sampled when it is made: the
+    row's only `np.exp` and its only inverse transform (one `ifftn`, or in
+    2D two `ifft` passes), and no `np.array_equal`; 1D J=12 and 2D J=8,
+    each after a warm-up row that builds the partition's level profiles."""
+    rows = [(GridSpec(1, 12), ["ifftn"]), (GridSpec(2, 8), ["ifft", "ifft"])]
+    m, params = 4, [BesovParams(0.0, b, p, INF) for p in (2.0, 4.0)]
+
+    def row(grid):
+        """Build the row's functions; the returned call reads the bound."""
+        f = experiments._exact_exponential(grid, (-(1 << m),) + (0,) * (grid.dim - 1))
+        family = expo7_family(grid, m, b)
+        return lambda: multiplier_lower_bound(f, build_partition(grid), params, family)
+
+    for grid, _ in rows:
+        row(grid)()
     calls = _count_ffts(monkeypatch)
-    f = experiments._exact_exponential(grid, (-(1 << m),))
-    family = expo7_family(grid, m, b)
-    multiplier_lower_bound(f, part, params, family)
-    distinct = {id(g): g for _, g in family}.values()
-    assert calls == ["ifftn"] * len(distinct)
+    real_exp, real_equal = np.exp, np.array_equal
+    monkeypatch.setattr(np, "exp", lambda *a, **k: calls.append("exp") or real_exp(*a, **k))
+    monkeypatch.setattr(np, "array_equal", lambda *a, **k: calls.append("array_equal") or real_equal(*a, **k))
+    for grid, case5_transforms in rows:
+        calls.clear()
+        bound = row(grid)
+        assert calls == []
+        bound()
+        assert calls == ["exp"] + case5_transforms
+
+
+def test_packet_row_holds_no_member_samples():
+    """A packet-route row at 1D J=16 (m = 10, six b, seven distinct
+    members) makes and keeps only the samples the Case 5 product reads:
+    e^{-i 2^m x_1}'s and the Case 5 member's.  Beside them it peaks at
+    their product and one decomposition's coefficients, below 5 complex
+    lattice arrays (10.2 when every member and product was sampled, 8.2 of
+    them kept)."""
+    grid, m, bs = GridSpec(1, 16), 10, (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
+    part = build_partition(grid)
+    for k in range(part.k_max + 1):
+        part.symbol(k)
+    params = [BesovParams(0.0, b, p, INF) for b in bs for p in (2.0, 4.0)]
+    tracemalloc.start()
+    try:
+        f = experiments._exact_exponential(grid, (-(1 << m),))
+        families = dict(zip(bs, expo7_families(grid, m, bs)))
+        multiplier_lower_bound(f, part, params, lambda pr: families[pr.b])
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    members = {id(g): g for fam in families.values() for _, g in fam}.values()
+    assert len(members) == 7
+    assert [g for g in members if g._values is not None] == [families[0.0][-1][1]]
+    assert held < 3 * _complex_array_bytes(grid)
+    assert peak < 5 * _complex_array_bytes(grid)
 
 
 def test_p2_verdict_holds_a_few_lattice_arrays():
