@@ -32,7 +32,7 @@ from .gallery import (
     make_lacunary,
     make_stack,
 )
-from .grid import INF, GridSpec, SampledFunction, _exact_bins, _forward, _from_bins, _layout_radius, check_exponent, check_finite, is_inf, lp_norm, make_constant
+from .grid import INF, GridSpec, SampledFunction, _forward, _layout_radius, _trig_polynomial, check_exponent, check_finite, is_inf, lp_norm, make_constant
 from .norms import BesovParams, dini_norm
 from .partition import build_partition, decompose
 from .paraproducts import multiplier_lower_bound
@@ -157,13 +157,10 @@ def _exact_route(p: float) -> bool:
 
 
 def _exact_exponential(grid: GridSpec, k: tuple[int, ...]) -> SampledFunction:
-    """`make_exponential(grid, k)` carrying its exact spectrum, one bin:
+    """e^{ik.x} made from its exact spectrum, one bin (`_trig_polynomial`):
     N^dim times the grid's phase (-1)^(k_1 + ... + k_dim) at k mod N.  A
-    wavevector the lattice cannot hold is rejected here; for every k but 0
-    the bin makes the samples complex, so they are made (`np.exp`) only
-    when read (`grid._from_bins`)."""
-    bins = _exact_bins(grid, [(_wavevector(grid, k), 1.0)])
-    return _from_bins(grid, bins, lambda: make_exponential(grid, k).values)
+    wavevector the lattice cannot hold is rejected here."""
+    return _trig_polynomial(grid, [(_wavevector(grid, k), 1.0)])
 
 
 def _criterion_value(f, partition, p: float, b: float, *, dec=None) -> float:
@@ -202,9 +199,12 @@ def run_exp_growth(config: ExperimentConfig) -> Table:
     grid = config.grid()
     partition = build_partition(grid, config.kind)
     m_lo, m_hi = config.m_range
-    if m_lo < 2 or m_hi > grid.k_max - 2:
+    # a packet needs m >= 3 (`gallery._modulated_packets`): refused here, before any row runs
+    floor = 2 if all(map(_exact_route, config.p_list)) else 3
+    if m_lo < floor or m_hi > grid.k_max - 2:
+        why = "" if floor == 2 else "; the packet route (p not in {1, inf}) needs m >= 3"
         raise InvalidInputError(
-            f"m range [{m_lo},{m_hi}] outside [2, K_max-2]=[2,{grid.k_max - 2}]"
+            f"m range [{m_lo},{m_hi}] outside [{floor}, K_max-2]=[{floor},{grid.k_max - 2}]{why}"
         )
     if m_hi - m_lo + 1 < 4:
         raise InvalidInputError(

@@ -3,10 +3,15 @@
 Everything downstream works with trigonometric polynomials sampled on a
 regular grid of N = 2^J points per axis, with integer frequencies in
 [-N/2, N/2).  Integer frequencies make e^{ik.x} exactly periodic, so the
-exponential test functions alias-free as long as |k_i| < N/2.  A function
-may carry its exact spectrum as sparse bins (`SampledFunction.spectrum`);
-`_trig_polynomial` makes a sum of exponentials from its bins, and a function
-made from bins that fix its dtype makes its samples only when they are read.
+exponential test functions alias-free as long as |k_i| < N/2.
+
+A function is made from its samples or from its exact spectrum, sparse
+bins in the full FFT layout (`SampledFunction.spectrum`, `_from_bins`):
+every packet, every exact exponential (`_trig_polynomial` makes a sum of
+exponentials from its bins) and every product of two functions that carry
+bins.  The bins decide the dtype: such a function is real exactly when
+they are Hermitian, and it makes its samples only when they are read, by
+one routine (`_samples_of_bins`).
 """
 
 from __future__ import annotations
@@ -169,56 +174,38 @@ class GridSpec:
 
 
 class SampledFunction:
-    """Samples of a function on the grid (row-major, shape (N,)*dim):
-    `float64` exactly when the function is real, else `complex128`.
+    """A function on the grid, made from its samples or from its bins.
 
-    Real or integer samples are stored as `float64`; complex samples whose
-    imaginary part is exactly zero are stored as their real part, and any
-    other complex samples as `complex128`.  The dtype (`dtype`) is the one
-    place that says whether a function is real: the analysis reads it to
-    choose the half spectrum.  Samples already of the stored dtype are not
-    copied.
+    `SampledFunction(grid, values)` takes samples (row-major, shape
+    (N,)*dim).  Real or integer samples are stored as `float64`; complex
+    samples whose imaginary part is exactly zero are stored as their real
+    part, and any other complex samples as `complex128`.  Samples already
+    of the stored dtype are not copied.  Such a function carries no bins.
 
-    `spectrum`, when given, is the function's exact unnormalized forward
-    transform as sparse bins: a mapping from an index tuple in `_forward`'s
-    layout for the stored dtype (the half spectrum of real samples, the
-    full one of complex ones) to that bin's coefficient; every other bin is
-    zero.  `partition.decompose` builds the coefficients from it instead of
-    transforming the samples.  A product of two complex functions that
-    carry bins, one of them a single bin, carries the shifted bins
-    (`_product_bins`); every other result of arithmetic carries none.
+    `_from_bins(grid, bins)` makes a function from its exact unnormalized
+    forward transform, `spectrum`: sparse bins mapping an index tuple of
+    the full FFT layout to that bin's coefficient, every other bin zero.
+    It is real exactly when the bins are Hermitian (`_hermitian`), and it
+    holds no samples until `values` is first read (`_samples_of_bins`).
+    Every packet, every exact exponential and every product of two
+    functions that carry bins (`_product_bins`) is made this way; every
+    other result of arithmetic is made from samples.
 
-    A function made from its bins (`_from_bins`: every packet, every exact
-    exponential, such a product) whose bins alone make its samples complex
-    holds no samples until `values` is first read; its `dtype`, its grid
-    and its bins are known without them, and the samples it then makes are
-    the ones it would have made at once, bit for bit.
-    Functions compare by identity.
+    `dtype` is the one place that says whether a function is real: the
+    analysis reads it to choose the half spectrum, and the samples, once
+    made, have it.  Functions compare by identity.
     """
 
-    def __init__(self, grid: GridSpec, values, spectrum: Mapping | None = None) -> None:
+    def __init__(self, grid: GridSpec, values) -> None:
         self.grid = grid
-        self._values, self._make = _stored(grid, values), None
+        self._values = _stored(grid, values)
         self.spectrum = None
-        if spectrum is not None:
-            self.spectrum = _checked_bins(spectrum, grid.half_shape if self._values.dtype == np.float64 else grid.shape)
-
-    @classmethod
-    def _deferred(cls, grid: GridSpec, bins, make) -> "SampledFunction":
-        """The complex function of full-layout `bins` whose samples `make()`
-        gives on the first read of `values`."""
-        f = cls.__new__(cls)
-        f.grid, f._values, f._make = grid, None, make
-        f.spectrum = _checked_bins(bins, grid.shape)
-        return f
 
     @property
     def values(self) -> np.ndarray:
-        """The samples, made on the first read by a function built without them."""
+        """The samples, made on the first read by a function built from bins."""
         if self._values is None:  # two threads that race here make the same samples twice
-            vals = _stored(self.grid, self._make())
-            assert vals.dtype == np.complex128, "bins that make the samples complex gave real ones"
-            self._values = vals
+            self._values = _samples_of_bins(self.grid, self.spectrum, self._dtype)
         return self._values
 
     @values.setter
@@ -228,21 +215,22 @@ class SampledFunction:
     @property
     def dtype(self) -> np.dtype:
         """dtype of the samples, read without making them."""
-        return np.dtype(np.complex128) if self._values is None else self._values.dtype
+        return self._values.dtype if self.spectrum is None else self._dtype
 
     def __repr__(self) -> str:
         return f"SampledFunction(grid={self.grid!r})"
 
     def _combine(self, op, other) -> "SampledFunction":
         """`op` of the samples and `other`: a function on the same grid, or a
-        scalar or array that broadcasts against the samples.  The result
-        carries a spectrum only as `_product_bins` gives one."""
+        scalar or array that broadcasts against the samples.  A product of
+        two functions that carry bins is made from their product's bins."""
         if not isinstance(other, SampledFunction):
             return SampledFunction(self.grid, op(self.values, other))
         if other.grid != self.grid:
             raise InvalidInputError("grid mismatch between operands")
-        bins = _product_bins(self, other) if op is np.multiply else None
-        return _from_bins(self.grid, bins, lambda: op(self.values, other.values))
+        if op is np.multiply and self.spectrum is not None and other.spectrum is not None:
+            return _from_bins(self.grid, _product_bins(self, other))
+        return SampledFunction(self.grid, op(self.values, other.values))
 
     def __mul__(self, other):
         return self._combine(np.multiply, other)
@@ -276,39 +264,24 @@ def _stored(grid: GridSpec, values) -> np.ndarray:
     return vals.reshape(grid.shape)
 
 
-def _from_bins(grid: GridSpec, bins, make) -> SampledFunction:
-    """The function whose samples `make()` gives and whose full-layout bins
-    are `bins` (None when it has none).  When the bins alone make the
-    samples complex (`_complex_bins`), it is built without samples and
-    `make` runs on the first read of `values`; else `make` runs now, and
-    the function carries the bins when its samples come out complex (real
-    samples take the half layout, which full-layout bins do not fit)."""
-    if bins is not None and _complex_bins(grid, bins):
-        return SampledFunction._deferred(grid, bins, make)
-    out = SampledFunction(grid, make())
-    if bins is not None and out.dtype == np.complex128:
-        out.spectrum = _checked_bins(bins, grid.shape)
-    return out
+def _from_bins(grid: GridSpec, bins) -> SampledFunction:
+    """The function whose full-layout bins are `bins` (checked and copied
+    by `_checked_bins`), built without samples: `float64` exactly when the
+    bins are Hermitian, else `complex128`."""
+    f = SampledFunction.__new__(SampledFunction)
+    f.grid, f._values = grid, None
+    f.spectrum = _checked_bins(bins, grid.shape)
+    f._dtype = np.dtype(np.float64 if _hermitian(grid, f.spectrum) else np.complex128)
+    return f
 
 
-def _complex_bins(grid: GridSpec, bins) -> bool:
-    """Whether the samples of the full-layout `bins` come out complex
-    whatever their round-off.  The imaginary part of the samples has the
-    coefficient (v_k - conj v_{-k}) / 2i at bin k, so by Parseval its root
-    mean square over the grid is at least half the skew
-    max_k |v_k - conj v_{-k}|, over N^dim.  Samples made by a transform of
-    the bins, or as a product of such samples and `np.exp`'s (whose phase
-    k.x errs by at most about N pi eps), miss the exact ones by a root mean
-    square below 1e-8 of sum |v| / N^dim on every grid a `GridSpec`
-    allows, so a skew above 2^-20 of sum |v|, and far above the underflow
-    range, leaves a nonzero imaginary part.  A Hermitian bin set
-    (a real cosine; e^{-i 2^m x_1} times the Case 5 packet, which is the
-    envelope) has no skew: its samples are complex by round-off, if at
-    all.  Non-finite bins fail both tests."""
-    n, size = grid.n_samples, grid.n_samples**grid.dim
-    total = sum(map(abs, bins.values()))
-    skew = max((abs(v - bins.get(tuple(-i % n for i in k), 0).conjugate()) for k, v in bins.items()), default=0.0)
-    return skew > 2.0**-20 * total and skew > 2.0**-900 * size
+def _hermitian(grid: GridSpec, bins) -> bool:
+    """Whether v_{-k} equals conj(v_k) exactly for every bin k of the
+    full-layout `bins` (a missing bin is zero), as the bins of a real
+    function do: a bin that is its own partner (k = -k mod N, every
+    component 0 or N/2) is then real.  A NaN bin is never Hermitian."""
+    n = grid.n_samples
+    return all(bins.get(tuple(-i % n for i in k), 0j) == v.conjugate() for k, v in bins.items())
 
 
 def _checked_bins(bins, shape: tuple[int, ...]) -> dict[tuple[int, ...], complex]:
@@ -326,22 +299,37 @@ def _checked_bins(bins, shape: tuple[int, ...]) -> dict[tuple[int, ...], complex
     return out
 
 
-def _product_bins(f: SampledFunction, g: SampledFunction) -> dict[tuple[int, ...], complex] | None:
-    """The bins of the complex product f g when f and g both have complex
-    samples and carry bins, one of them (f first) a single bin k of
-    coefficient c: the other's bins i -> v shifted to (i + k) mod N, each
-    v times c / N^dim.  The samples of a single bin are c / N^dim times
-    e^{2 pi i k.n / N}, so the shift is exact when c = N^dim, as for the
-    exact exponential.  None otherwise."""
-    if any(h.spectrum is None or h.dtype != np.complex128 for h in (f, g)):
-        return None
-    if len(f.spectrum) != 1:
-        f, g = g, f
-    if len(f.spectrum) != 1:
-        return None
-    [(k, c)] = f.spectrum.items()
-    n, scale = f.grid.n_samples, c / f.grid.n_samples**f.grid.dim
-    return {tuple((i + j) % n for i, j in zip(idx, k)): scale * v for idx, v in g.spectrum.items()}
+def _bin_arrays(grid: GridSpec, bins) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(at, v): the lattice indices of the bins of the mapping `bins`, one
+    array per axis, and their coefficients, in the mapping's order."""
+    at = np.array(list(bins), dtype=np.intp).reshape(-1, grid.dim).T
+    return tuple(at), np.array(list(bins.values()), dtype=np.complex128)
+
+
+def _sparse_product(n: int, at_1, v_1: np.ndarray, at_2, v_2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, w): the bins of the product of two trigonometric polynomials on
+    the N = `n` lattice, the coefficients `v_1` at the lattice indices
+    `at_1` (one array per axis) times `v_2` at `at_2`: w_t sums v_1 v_2
+    over the pairs of bins whose indices add to t mod N per axis, the
+    B_1 B_2 pair products added by `np.bincount`, with no lattice array.
+    t is the row-major flat index of each bin, ascending."""
+    pairs = (v_1[:, None] * v_2).ravel()
+    t = functools.reduce(lambda t, ij: t * n + (ij[0][:, None] + ij[1]).ravel() % n, zip(at_1, at_2), 0)
+    t, which = np.unique(t, return_inverse=True)
+    return t, np.bincount(which, pairs.real) + 1j * np.bincount(which, pairs.imag)
+
+
+def _product_bins(f: SampledFunction, g: SampledFunction) -> dict[tuple[int, ...], complex]:
+    """The bins of the product f g of two functions that carry bins: the
+    sparse product of their bins (`_sparse_product`) over N^dim, as
+    samples are the inverse transform of their bins over N^dim.  N^dim is
+    a power of two, so the division is exact; times a single bin of
+    coefficient N^dim (an exact exponential), the other factor's bins are
+    shifted with their coefficients unchanged."""
+    grid = f.grid
+    t, w = _sparse_product(grid.n_samples, *_bin_arrays(grid, f.spectrum), *_bin_arrays(grid, g.spectrum))
+    at = np.unravel_index(t, grid.shape)
+    return dict(zip(zip(*(i.tolist() for i in at)), (w / grid.n_samples**grid.dim).tolist()))
 
 
 def _exact_bins(grid: GridSpec, terms) -> dict[tuple[int, ...], complex]:
@@ -361,22 +349,20 @@ def _exact_bins(grid: GridSpec, terms) -> dict[tuple[int, ...], complex]:
 
 def _trig_polynomial(grid: GridSpec, terms) -> SampledFunction:
     """sum a e^{ik.x} over the (k, a) pairs of `terms`, made from its exact
-    bins (`_exact_bins`) by `_from_bins`: it carries them when its samples
-    are complex, and when the bins alone make them complex (every packet)
-    its samples (`_ifftn_of_bins`) are made only when they are read.
-    Samples that come out exactly real (a real cosine, or terms whose bins
-    all cancel) are stored as `float64`, whose half layout the full-layout
-    bins do not fit: such a function carries no bins, as a product with
-    real samples carries none (`_combine`)."""
-    bins = _exact_bins(grid, terms)
-    return _from_bins(grid, bins, functools.partial(_ifftn_of_bins, grid, bins))
+    bins (`_exact_bins`) by `_from_bins`: real exactly when the terms pair
+    up as conjugates (a real cosine, an envelope), and sampled only when
+    its samples are read."""
+    return _from_bins(grid, _exact_bins(grid, terms))
 
 
-def _ifftn_of_bins(grid: GridSpec, bins) -> np.ndarray:
-    """The samples of full-layout `bins`, the `ifftn` of the bins written
-    into zeros, which are N^dim-scaled, so no factor is needed; in 2D the
-    first (last-axis) pass runs over the rows that hold a bin only, bit for
-    bit `ifftn`."""
+def _samples_of_bins(grid: GridSpec, bins, dtype: np.dtype) -> np.ndarray:
+    """The samples of the full-layout `bins`, which are N^dim-scaled, so no
+    factor is needed: for real (Hermitian) bins the `irfftn` of their half
+    layout (last index 0..N/2), exactly real; else the `ifftn` of the bins
+    written into zeros, in 2D with the first (last-axis) pass run over the
+    rows that hold a bin only, bit for bit `ifftn`."""
+    if dtype == np.float64:
+        return np.fft.irfftn(_written(bins, grid.half_shape), grid.shape, axes=range(grid.dim))
     values = _written(bins, grid.shape)
     if grid.dim == 2:  # ifftn's passes in its order: the rows that hold no bin stay zero in the first
         rows = sorted({i for i, _ in bins})
@@ -397,18 +383,22 @@ def _forward(values: np.ndarray) -> np.ndarray:
 
 def _coefficients(f: SampledFunction) -> np.ndarray:
     """The unnormalized forward coefficients of f in `_forward`'s layout:
-    its exact `spectrum` bins written into zeros when it carries them, else
-    the forward transform of its samples."""
+    its exact `spectrum` bins written into zeros when it carries them (the
+    half-layout subset for a real f), else the forward transform of its
+    samples."""
     if f.spectrum is None:
         return _forward(f.values)
     return _written(f.spectrum, f.grid.half_shape if f.dtype == np.float64 else f.grid.shape)
 
 
 def _written(bins, shape: tuple[int, ...]) -> np.ndarray:
-    """The complex array of `shape` that holds `bins` and zeros elsewhere."""
+    """The complex array of `shape` that holds the full-layout `bins` whose
+    last index lies inside it (all of them, or in the half layout of
+    `rfftn` those of last index 0..N/2), and zeros elsewhere."""
     coeffs = np.zeros(shape, dtype=np.complex128)
     for k, v in bins.items():
-        coeffs[k] = v
+        if k[-1] < shape[-1]:
+            coeffs[k] = v
     return coeffs
 
 
@@ -418,8 +408,13 @@ def synthesize(grid: GridSpec, coeffs: np.ndarray) -> SampledFunction:
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:
-    """Discrete L^p norm: (sum |f(x_i)|^p dx)^(1/p); p=INF is max |f|."""
+    """Discrete L^p norm: (sum |f(x_i)|^p dx)^(1/p); p=INF is max |f|,
+    which for a function of one bin c is the constant |c| / N^dim, read
+    without samples."""
     check_exponent(p)
+    if is_inf(p) and f.spectrum is not None and len(f.spectrum) == 1:
+        [c] = f.spectrum.values()
+        return _lp_from_sum(0.0, p, f.grid.cell_volume, abs(c) / f.grid.n_samples**f.grid.dim)
     return _abs_lp_norm(np.abs(f.values), p, f.grid.cell_volume, in_place=True)
 
 
@@ -494,20 +489,17 @@ def _band_energy_fraction(grid: GridSpec, coeffs: np.ndarray, radius_lo: float, 
     """`band_energy_fraction` of the coefficients `coeffs`, in the full
     layout or in the half one of `rfftn`, where the interior last-axis
     columns m = 1..N/2-1 stand for their conjugate partners too and count
-    twice.  `bins`, the lattice indices (one array per axis) of every entry
-    of `coeffs` that may be nonzero, reads those entries alone.  A
-    power-of-two factor of `coeffs` leaves the fraction the same bit for
-    bit."""
+    twice.  `bins`, the full bin set of which `coeffs` holds the ones in
+    its layout (lattice indices, one array per axis, and coefficients),
+    is read instead of `coeffs`.  A power-of-two factor of the
+    coefficients leaves the fraction the same bit for bit."""
     n = grid.n_samples
-    half = coeffs.shape == grid.half_shape
     if bins is None:
         c = np.abs(coeffs) ** 2
-        if half:
+        if coeffs.shape == grid.half_shape:
             c[..., 1 : n // 2] *= 2.0
     else:
-        c = np.abs(coeffs[bins]) ** 2
-        if half:
-            c[(bins[-1] >= 1) & (bins[-1] < n // 2)] *= 2.0
+        bins, c = bins[0], np.abs(bins[1]) ** 2
     total = float(c.sum())
     if total == 0.0:
         return 0.0

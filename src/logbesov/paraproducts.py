@@ -119,13 +119,13 @@ def _norms_on_one_decomposition(g: SampledFunction, partition: DyadicPartition, 
 
 
 def _same_member(g: SampledFunction, h: SampledFunction) -> bool:
-    """Whether g and h are one member: the same object, else equal dtype
-    and bins when both carry bins (a decomposition reads nothing else), else
-    equal samples."""
+    """Whether g and h are one member: the same object, else equal bins
+    when both carry bins (they decide the dtype, and a decomposition reads
+    nothing else), else equal samples."""
     if g is h:
         return True
     if g.spectrum is not None and h.spectrum is not None:
-        return g.dtype == h.dtype and g.spectrum == h.spectrum
+        return g.spectrum == h.spectrum
     return np.array_equal(g.values, h.values)
 
 

@@ -18,25 +18,28 @@ S_k f multiply the phi_k box by the coefficients only.  `build_partition`
 keeps one partition per grid and kind for the life of the process, so the
 boxes one call builds serve every later one.
 
-The coefficients come in two layouts, chosen by the dtype of the samples
-(`SampledFunction` stores them as `float64` exactly when they are real).
-Real samples keep the `rfftn` half spectrum (last axis m = 0..N/2): both
+The coefficients come in two layouts, chosen by the function's dtype
+(`SampledFunction.dtype`: `float64` exactly when the function is real,
+which for a function made from bins means Hermitian bins).  A real
+function keeps the `rfftn` half spectrum (last axis m = 0..N/2): both
 kinds of symbol are even, so every piece of a real function is real and
 is made by `irfft` into a real array, at half the coefficient and buffer
-memory.  Complex samples keep the full `fftn` spectrum and complex
+memory.  A complex function keeps the full `fftn` spectrum and complex
 pieces.
 
 `SpectralDecomposition(partition, coeffs, bins)` keeps the forward
-coefficients of one function, not its pieces; `decompose` builds them from
-the function's exact `spectrum` bins when it carries them, and keeps the
-bins' positions.  A piece is made one way, by two steps:
+coefficients of one function, not its pieces; `decompose` writes them from
+the function's exact `spectrum` bins when it carries them (the half-layout
+subset for a real function), and keeps the full bin set.  A piece is made
+one way, by two steps:
 
 - `_first_pass` fills the level's boxed spectrum by the partition's
-  `_fill_level` (without bin positions it multiplies the whole box; with
-  them it reads phi_k from the cached box at the bins inside the box only,
-  and writes their products into zeros) and runs every inverse pass but
-  the last.  The spectrum is zero off the box, so in 2D that pass covers
-  the box's columns (half layout) or its rows, packed (full layout).
+  `_fill_level` (without bins it multiplies the whole box; with them it
+  reads phi_k from the cached box at the bins inside the box and the
+  layout only, and writes their products into zeros) and runs every
+  inverse pass but the last.  The spectrum is zero off the box, so in 2D
+  that pass covers the box's columns (half layout) or its rows, packed
+  (full layout).
 - `_last_pass` makes the samples of one band: in 1D the whole piece, in
   2D rows lo..hi of a real piece (`irfft`) or columns lo..hi of a complex
   one (`ifft`).  The passes follow numpy's order, so a complex piece is
@@ -68,13 +71,14 @@ lower bound's Besov norms, `tl_norm_inf`) makes one pass, and `analyze` is
 the only pass that reduces pieces.
 
 A pass that asks only for L^2 and L^4 norms, with no cube exponent, of a
-decomposition that carries bins in the full layout (every packet, its
-product with e^{-i 2^m x_1}, an exact exponential) makes no piece at all:
-`_bin_norms` reads each level's boxed bin products a = phi_k c from
-`_bin_products`, the routine `_fill_level` writes a spectrum from, and sums
-them by discrete Parseval, sum |S_k f|^2 = sum |a|^2 / N^dim and sum |S_k
-f|^4 as Parseval applied to (S_k f)^2, whose bins are the pairwise sums of
-the level's bins mod N.  No inverse transform and no pass buffer; the
+decomposition that carries bins (every packet, its product with
+e^{-i 2^m x_1}, real or complex, an exact exponential) makes no piece at
+all: `_bin_norms` reads each level's boxed bin products a = phi_k c over
+the full bin set from `_bin_products`, the routine `_fill_level` writes a
+spectrum from, and sums them by discrete Parseval, sum |S_k f|^2 = sum
+|a|^2 / N^dim and sum |S_k f|^4 as Parseval applied to (S_k f)^2, whose
+bins are the sparse product of the level's bins with themselves
+(`grid._sparse_product`).  No inverse transform and no pass buffer; the
 norms match the sample pass to a few ulps.  The sup norms of such a
 decomposition come from a sample pass only when something reads them,
 and `tail_fraction` reads the bins alone.
@@ -116,12 +120,14 @@ from .grid import (
     GridSpec,
     SampledFunction,
     _band_energy_fraction,
+    _bin_arrays,
     _coefficients,
     _lp_from_power_sum,
     _lp_from_sum,
     _power,
     _radius,
     _read_only,
+    _sparse_product,
     check_exponent,
     is_inf,
     lp_norm,
@@ -234,13 +240,14 @@ class DyadicPartition:
         rows of `out`.  Returns whether the product has an entry that is not
         exactly zero (a NaN counts).
 
-        Without `bins` the whole box is multiplied.  `bins`, the lattice
-        indices (one array per axis) of every entry of c that may be
-        nonzero, reads phi_k at those in the box only; a level whose
-        products are all exactly zero then touches no buffer, and any other
-        one gets the products written into zeros, bit for bit the box
-        multiply (phi_k has no negative or -0 entry, so it leaves +0 off
-        the bins).  The caller holds `np.errstate(invalid="ignore")`."""
+        Without `bins` the whole box is multiplied.  `bins`, the full-layout
+        bins (`SpectralDecomposition`) of which c holds every one that
+        lies in its layout, reads phi_k at those in the box only (in the
+        half layout those of last index 0..M); a level whose products are
+        all exactly zero then touches no buffer, and any other one gets the
+        products written into zeros, bit for bit the box multiply (phi_k
+        has no negative or -0 entry, so it leaves +0 off the bins).  The
+        caller holds `np.errstate(invalid="ignore")`."""
         n, top = self.grid.n_samples, _box_top(k)
         if rows:
             out = out[: 2 * top + 1]
@@ -254,29 +261,34 @@ class DyadicPartition:
                 block = np.multiply(box[sub], coeffs[lattice], out=out[sub[0], lattice[1]] if rows else out[lattice])
                 nonzero = nonzero or bool(block.any())
             return nonzero
-        made = self._bin_products(coeffs, k, bins)
+        made = self._bin_products(k, bins)
         if made is None:
             return False
         at, at_box, products = made
+        if coeffs.shape != self.grid.shape:  # the half layout holds the bins of last index 0..M
+            half = at[-1] <= top
+            at, at_box, products = tuple(i[half] for i in at), tuple(i[half] for i in at_box), products[half]
         out.fill(0.0)
         out[(at_box[0],) + at[1:] if rows else at] = products
         return True
 
-    def _bin_products(self, coeffs: np.ndarray, k: int, bins) -> tuple | None:
-        """(at, at_box, a): the lattice indices `at` of the `bins` inside
-        the level-k box, their indices `at_box` in the box, and the products
-        a = phi_k c there, c = `coeffs`; or None when every product is
-        exactly zero (a NaN counts as not zero).  The one routine that reads
-        phi_k at the bins: `_fill_level` writes the products into a
-        spectrum, `SpectralDecomposition._bin_norms` sums them.  The caller
-        holds `np.errstate(invalid="ignore")`."""
+    def _bin_products(self, k: int, bins) -> tuple | None:
+        """(at, at_box, a): the lattice indices `at` of the full-layout
+        `bins` = (lattice indices, one array per axis, and coefficients c)
+        inside the level-k box, their indices `at_box` in the box, and the
+        products a = phi_k c there; or None when every product is exactly
+        zero (a NaN counts as not zero).  The one routine that reads phi_k
+        at the bins: `_fill_level` writes the products into a spectrum,
+        `SpectralDecomposition._bin_norms` sums them.  The caller holds
+        `np.errstate(invalid="ignore")`."""
         n, top = self.grid.n_samples, _box_top(k)
-        inside = np.logical_and.reduce([(i <= top) | (i >= n - top) for i in bins])
+        at, c = bins
+        inside = np.logical_and.reduce([(i <= top) | (i >= n - top) for i in at])
         if not inside.any():
             return None
-        at = tuple(i[inside] for i in bins)
+        at = tuple(i[inside] for i in at)
         at_box = tuple(np.where(i <= top, i, i + 2 * top + 1 - n) for i in at)
-        products = self._box(k, False)[at_box] * coeffs[at]
+        products = self._box(k, False)[at_box] * c[inside]
         return (at, at_box, products) if products.any() else None
 
     def _expand(self, k: int, box: np.ndarray) -> np.ndarray:
@@ -329,18 +341,6 @@ def _moduli(values: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape)
 
 
-def _squared_bins(s: np.ndarray, at: tuple[np.ndarray, ...], n: int) -> np.ndarray:
-    """The bins of (sum_m s_m e^{2 pi i m.x})^2 on the N = `n` lattice,
-    for the coefficients `s` at the lattice indices `at` (one array per
-    axis): the sums of s_m s_m' over the pairs of bins with m + m' = t mod
-    N per axis, B^2 products for B bins added by `np.bincount`, with no
-    lattice array."""
-    pairs = (s[:, None] * s).ravel()
-    t = functools.reduce(lambda t, i: t * n + (i[:, None] + i).ravel() % n, at, 0)
-    _, which = np.unique(t, return_inverse=True)
-    return np.bincount(which, pairs.real) + 1j * np.bincount(which, pairs.imag)
-
-
 def build_partition(grid: GridSpec, kind: PartitionKind | str = PartitionKind.RADIAL) -> DyadicPartition:
     """The one partition of `grid` and `kind` in the process: its level
     boxes, built when first read, serve every later call."""
@@ -354,11 +354,13 @@ _shared_partition = functools.cache(DyadicPartition)
 
 class SpectralDecomposition:
     """The frequency pieces (S_0 f, ..., S_K_max f) of one function, kept as
-    its forward coefficients `coeffs` (`rfftn` half spectrum for real
-    samples, else the full `fftn` one).  `bins`, when given, holds the
-    lattice indices (one array per axis) of every coefficient that may be
-    nonzero, so that a level is made from those alone (`_fill_level`);
-    `coeffs` stays the one source of their values.
+    its forward coefficients `coeffs` (`rfftn` half spectrum for a real
+    function, else the full `fftn` one).  `bins`, when given, is the
+    function's full bin set: the lattice indices of every coefficient that
+    may be nonzero (one array per axis, in the full layout whatever the
+    dtype) and those coefficients, of which `coeffs` holds the ones in its
+    layout; a level is then made from them alone (`_fill_level`), and the
+    bins readers (`_bin_norms`, `tail_fraction`) read the full set.
 
     `analyze` makes each piece in turn into reused buffers and, from one
     |S_k f|, fills every reduction asked for: the sup norm, the L^p norms
@@ -370,7 +372,7 @@ class SpectralDecomposition:
     builds the whole list anew on each access.
     """
 
-    def __init__(self, partition: DyadicPartition, coeffs: np.ndarray, bins: tuple[np.ndarray, ...] | None = None):
+    def __init__(self, partition: DyadicPartition, coeffs: np.ndarray, bins: tuple | None = None):
         self.partition = partition
         self.coeffs = coeffs
         self.bins = bins
@@ -468,7 +470,7 @@ class SpectralDecomposition:
         level's sums of every r are stacked (`cube_means`).
 
         A pass that asks only for L^2 and L^4 norms of a decomposition that
-        carries bins in the full layout takes the bins route, `_bin_norms`,
+        carries bins takes the bins route, `_bin_norms`,
         with no inverse transform; it leaves the sup norms unfilled.  Every
         other pass reduces every level by `_reduce`, in 1D and 2D alike.
         In 2D that pass is split between the two workers of
@@ -482,7 +484,7 @@ class SpectralDecomposition:
         ps = list(dict.fromkeys(check_exponent(p) for p in lp_exponents if float(p) not in self._lp_norms))
         if self._sup_norms is not None and not rs and not ps:
             return
-        if ps and not rs and self.bins is not None and self.dtype == np.complex128 and set(ps) <= {2.0, 4.0}:
+        if ps and not rs and self.bins is not None and set(ps) <= {2.0, 4.0}:
             self._bin_norms(ps)
             return
         k_top = self.k_max
@@ -522,19 +524,19 @@ class SpectralDecomposition:
             sum_n |S_k f|^2 = N^dim sum_m |s_m|^2,
             sum_n |S_k f|^4 = N^dim sum_t |h_t|^2,
 
-        the second Parseval applied to (S_k f)^2, whose bins h are
-        `_squared_bins`.  The division by the power of two N^dim is exact,
-        and a term (|s_m|^2, s_m s_m' or |h_t|^2) overflows only when the
-        level's sum is beyond the float range too, so a sum that is not
-        finite is an input error naming p, as in `lp_norm`.  A non-finite
-        product means non-finite samples.  A level whose products are all
-        exactly zero is `_zero_level`."""
+        the second Parseval applied to (S_k f)^2, whose bins h are the
+        sparse product of s with itself (`_sparse_product`).  The division
+        by the power of two N^dim is exact, and a term (|s_m|^2, s_m s_m'
+        or |h_t|^2) overflows only when the level's sum is beyond the float
+        range too, so a sum that is not finite is an input error naming p,
+        as in `lp_norm`.  A non-finite product means non-finite samples.  A
+        level whose products are all exactly zero is `_zero_level`."""
         grid, n = self.grid, self.grid.n_samples
         size = n**grid.dim
         levels = []
         for k in range(self.k_max + 1):
             with np.errstate(invalid="ignore"):
-                made = self.partition._bin_products(self.coeffs, k, self.bins)
+                made = self.partition._bin_products(k, self.bins)
             if made is None:
                 levels.append(self._zero_level(k, ps)[1])
                 continue
@@ -545,7 +547,7 @@ class SpectralDecomposition:
             norms = []
             with np.errstate(over="ignore", invalid="ignore"):
                 for p in ps:
-                    h = s if p == 2.0 else _squared_bins(s, at, n)
+                    h = s if p == 2.0 else _sparse_product(n, at, s, at, s)[1]
                     total = size * float(np.sum(h.real**2 + h.imag**2))
                     norms.append(_lp_from_power_sum(total, p, grid.cell_volume))
             levels.append(norms)
@@ -693,13 +695,11 @@ def decompose(f: SampledFunction, partition: DyadicPartition) -> SpectralDecompo
     """The decomposition of f: its forward coefficients, pieces made on
     demand.  The coefficients are f's exact `spectrum` bins, written into
     zeros of `_forward`'s layout, when it carries them, and the
-    decomposition keeps the bins' positions; else the forward transform of
+    decomposition keeps the full bin set; else the forward transform of
     its samples."""
     if f.grid != partition.grid:
         raise InvalidInputError("function and partition live on different grids")
-    bins = None
-    if f.spectrum is not None:
-        bins = tuple(np.array(list(f.spectrum), dtype=np.intp).reshape(-1, f.grid.dim).T)
+    bins = None if f.spectrum is None else _bin_arrays(f.grid, f.spectrum)
     return SpectralDecomposition(partition, _coefficients(f), bins)
 
 

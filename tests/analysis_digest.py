@@ -7,7 +7,8 @@ input, so that a change shows which inputs moved.
 
 Run from the root of a checkout; it imports `logbesov` from `src/` beside
 this directory.  The digest covers, for gallery members and for inputs that
-carry exact spectrum bins, at 1D J=12 and 2D J=8 with both partition kinds:
+carry exact spectrum bins (complex ones, and a real one that takes the half
+layout), at 1D J=12 and 2D J=8 with both partition kinds:
 
 - the verdicts at p in {1, 2, 3, inf} and b in {-1, 0.5, 2};
 - Besov norms (s = 0, those b, p in {1, 2, 3, 4, inf}, q in {1, inf})
@@ -57,6 +58,8 @@ def _inputs(grid: GridSpec):
     down = _exact_exponential(grid, (-(1 << 3),) + tail)
     yield "exact-exp:m=4", _exact_exponential(grid, (1 << 4,) + tail)
     yield "packet*exact-exp:m=-3", gallery_from_spec(grid, "packet") * down
+    # the real envelope: made from Hermitian bins, it takes the half-layout decomposition
+    yield "case5*exact-exp:m=-3", gallery_from_spec(grid, "packet:m=3,case=5") * down
 
 
 def _guarded(fn):

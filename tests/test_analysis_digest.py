@@ -13,7 +13,7 @@ DIGEST = "[0-9a-f]{64}"
 def test_digest_tool_prints_a_digest_per_input():
     combined, lines = analysis_digest.digests()
     assert re.fullmatch(DIGEST, combined)
-    inputs = len(analysis_digest.MEMBERS) + 2  # and the two inputs that carry bins
+    inputs = len(analysis_digest.MEMBERS) + 3  # and the three inputs that carry bins
     assert len(lines) == len(analysis_digest.GRIDS) * len(PartitionKind) * inputs
     for line in lines:
         assert re.fullmatch(rf"[12]D J=\d+ (radial|tensor) \S+ {DIGEST}", line), line

@@ -367,6 +367,27 @@ def test_experiment_window_too_large_for_grid_exits_2(argv, smallest, capsys):
     assert captured.err.startswith("error: ") and smallest in captured.err
 
 
+@pytest.mark.parametrize("p_list", ["2,4", "1,2"])
+def test_exp_growth_packet_route_refuses_m_under_3_before_any_row(p_list, capsys, monkeypatch):
+    """A packet needs m >= 3, so with any p off the exact route the window
+    check refuses m = 2, naming that floor, before any row runs (no packet
+    family is built); on the exact route alone m = 2 is admitted."""
+    import logbesov.experiments as experiments
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(experiments, "expo7_families", no_rows)
+    monkeypatch.setattr(experiments, "_exact_exponential", no_rows)
+    argv = ["--grid", "J=12", "exp-growth", "--p-list", p_list, "--m-min", "2", "--m-max", "6"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: m range [2,6] outside [3, K_max-2]") and "needs m >= 3" in captured.err
+    monkeypatch.undo()
+    assert main(["--grid", "J=12", "exp-growth", "--p-list", "1", "--m-min", "2", "--m-max", "6"]) in (0, 1)
+
+
 def test_sandwich_window_under_4_m_exits_2(capsys):
     assert main(["--grid", "J=14", "sandwich", "--m-min", "8", "--m-max", "10"]) == 2
     assert "fewer than the 4 values" in capsys.readouterr().err

@@ -1,106 +1,133 @@
-"""A function made from its exact bins whose bins alone make its samples
-complex (a packet, an exact exponential, a product of the two) holds no
-samples until they are read, and then they are the samples made at once,
-bit for bit.  Bins that leave the dtype open (Hermitian ones, or skews
-lost in round-off or underflow) are sampled at once, as before."""
+"""A function made from its exact bins (a packet, an exact exponential, a
+product of two such functions) holds no samples until they are read.  Its
+bins decide its dtype: it is real (`float64`) exactly when they are
+Hermitian, v_{-k} = conj(v_k) for every k, and then its samples are the
+`irfftn` of their half layout, exactly real; any other bin set is complex
+and its samples are the `ifftn` of the bins."""
 
 import numpy as np
 import pytest
 
-import logbesov.grid as grid_mod
+import packet_oracle
 from logbesov.experiments import _exact_exponential
 from logbesov.fileio import load_sfn, save_sfn
-from logbesov.gallery import expo7_family, make_exponential
-from logbesov.grid import GridSpec, SampledFunction, _product_bins, _trig_polynomial, _written
-from logbesov.partition import PartitionKind, build_partition, decompose
+from logbesov.gallery import expo7_family
+from logbesov.grid import GridSpec, _bin_arrays, _exact_bins, _product_bins, _trig_polynomial, _written
+from logbesov.partition import PartitionKind, SpectralDecomposition, build_partition, decompose
 
 GRIDS = [(1, 12), (1, 14), (2, 8), (2, 10)]
 
 
-def _sampled(f: SampledFunction) -> bool:
+def _sampled(f) -> bool:
     return f._values is not None
 
 
-def _eager(f: SampledFunction) -> SampledFunction:
-    """f built from its samples and bins at once."""
-    return SampledFunction(f.grid, f.values, f.spectrum)
+def _transform_of_bins(f) -> np.ndarray:
+    """The samples of f's bins made by numpy at once: `irfftn` of the half
+    layout for a real f, else `ifftn` of the full layout."""
+    grid = f.grid
+    if f.dtype == np.float64:
+        return np.fft.irfftn(_written(f.spectrum, grid.half_shape), grid.shape, axes=range(grid.dim))
+    return np.fft.ifftn(_written(f.spectrum, grid.shape))
+
+
+def _full_layout_hermitian(grid: GridSpec, bins) -> bool:
+    """Whether the bins written into the full layout equal the conjugates
+    of their mirror images w[-k mod N], exactly."""
+    w = _written(bins, grid.shape)
+    mirror = np.roll(np.flip(w), 1, axis=tuple(range(grid.dim)))
+    return bool(np.array_equal(w, np.conj(mirror)))
 
 
 @pytest.mark.parametrize("kind", [PartitionKind.RADIAL, PartitionKind.TENSOR], ids=["radial", "tensor"])
 @pytest.mark.parametrize("dim, J", GRIDS)
 def test_deferred_samples_are_the_eager_ones(dim, J, kind):
     """Packets, e^{-i 2^m x_1} and their products hold no samples when
-    built, yet carry their dtype and bins; their samples, once read, are
-    bytes-equal to the eager construction (`ifftn` of the bins, `np.exp`,
-    the product of the factors' samples), and their decompositions agree
-    with an eager function's of the same samples and bins."""
+    built, yet carry their dtype and bins: every one is complex but the
+    product with Case 5, the real envelope.  Their samples, once read, are
+    bytes-equal to numpy's transform of the bins made at once.  The real
+    product's decomposition holds the half-layout coefficients and the full
+    bins, and its L^2 and L^4 norms and tail are those of a full-layout
+    decomposition of the same bins, bit for bit."""
     grid = GridSpec(dim, J)
     part = build_partition(grid, kind)
     m, rest = grid.k_max - 2, (0,) * (dim - 1)
     down = _exact_exponential(grid, (-(1 << m),) + rest)
     members = list({id(g): g for _, g in expo7_family(grid, m, 0.5)}.values())
-    case5 = members[-1]
-    products = [down * g for g in members[:-1]]
+    products = [down * g for g in members]
+    envelope = products[-1]
     assert not any(map(_sampled, [down] + members + products))
-    # the product with Case 5 is the real envelope: sampled at once, from its factors' samples
-    products.append(down * case5)
     for h in [down] + members + products:
-        assert _sampled(h) == (h is down or h is case5 or h is products[-1])
-        assert h.dtype == np.complex128 and h.spectrum
-    assert products[-1].values.imag.any()  # complex by round-off, as when sampled at once
-    for g in members:
-        want = np.fft.ifftn(_written(g.spectrum, grid.shape))
-        assert g.values.dtype == want.dtype and g.values.tobytes() == want.tobytes()
-    want = make_exponential(grid, (-(1 << m),) + rest).values
-    assert down.values.dtype == want.dtype and down.values.tobytes() == want.tobytes()
+        assert h.spectrum and h.dtype == (np.float64 if h is envelope else np.complex128)
     for g, h in zip(members, products):
-        want = down.values * g.values
-        assert h.values.dtype == want.dtype and h.values.tobytes() == want.tobytes()
         assert h.spectrum == _product_bins(down, g)
-    assert products[-1].spectrum == _product_bins(down, case5)
     for h in [down] + members + products:
-        dec, ref = decompose(h, part), decompose(_eager(h), part)
-        assert np.array_equal(dec.coeffs, ref.coeffs)
-        for d in (dec, ref):
-            d.analyze(lp_exponents=(2.0, 4.0))
-        for p in (2.0, 4.0):
-            assert dec.lp_norms(p).tobytes() == ref.lp_norms(p).tobytes()
-        assert dec.tail_fraction() == ref.tail_fraction()
+        want = _transform_of_bins(h)
+        assert h.values.dtype == h.dtype == want.dtype and h.values.tobytes() == want.tobytes()
+    dec = decompose(envelope, part)
+    assert dec.coeffs.shape == grid.half_shape and dec.dtype == np.float64
+    assert np.array_equal(dec.coeffs, _written(envelope.spectrum, grid.half_shape))
+    full = SpectralDecomposition(part, _written(envelope.spectrum, grid.shape), _bin_arrays(grid, envelope.spectrum))
+    for d in (dec, full):
+        d.analyze(lp_exponents=(2.0, 4.0))
+    for p in (2.0, 4.0):
+        assert dec.lp_norms(p).tobytes() == full.lp_norms(p).tobytes()
+    assert dec.tail_fraction() == full.tail_fraction()
 
 
 @pytest.mark.parametrize("dim, J", [(1, 10), (2, 7)])
-def test_bins_that_leave_the_dtype_open_are_sampled_at_once(dim, J):
-    """A real cosine, the envelope as e^{-i 2^m x_1} times the Case 5
-    packet, a pair of conjugate complex terms, a skew of 2^-40 and terms
-    of 1e-300 are sampled when built, with the dtype the samples give;
-    a skew of 2^-10 is not."""
+def test_hermitian_bins_are_real(dim, J):
+    """A real cosine, a pair of conjugate complex terms, the envelope as
+    e^{-i 2^m x_1} times the Case 5 packet, and a set with real bins at
+    m = 0 and m = N/2 (in 2D, bins on the last-axis columns 0 and N/2) are
+    `float64`, built without samples; their samples are exactly real and
+    match the integer-phase oracle to 2e-15 of its max.  A skew of 2^-40 or
+    2^-10, and a lone tiny term, are complex."""
     grid = GridSpec(dim, J)
-    rest = (0,) * (dim - 1)
+    n, rest = grid.n_samples, (0,) * (dim - 1)
     k, c = (8,) + rest, 0.3 + 0.7j
     mirror = tuple(-i for i in k)
     m = grid.k_max - 2
     case5 = dict(expo7_family(grid, m, 0.0))["case5"]
-    envelope = _exact_exponential(grid, (-(1 << m),) + rest) * case5
-    assert _sampled(envelope) and envelope.dtype == np.complex128 and envelope.spectrum
-    cosine, conjugates = [(k, 1.0), (mirror, 1.0)], [(k, c), (mirror, c.conjugate())]
-    for terms in (cosine, conjugates, [(k, c), (mirror, c.conjugate() * (1 + 2.0**-40))], [(k, 1e-300)]):
+    edges = [((0,) * dim, 1.5), ((-n // 2,) + rest, -0.5)]
+    if dim == 2:
+        edges += [((3, 0), c), ((-3, 0), c.conjugate()), ((5, -n // 2), c), ((-5, -n // 2), c.conjugate())]
+    real = {
+        "cosine": [(k, 1.0), (mirror, 1.0)],
+        "conjugates": [(k, c), (mirror, c.conjugate())],
+        "edges": edges,
+    }
+    made = {name: _trig_polynomial(grid, terms) for name, terms in real.items()}
+    made["envelope"] = _exact_exponential(grid, (-(1 << m),) + rest) * case5
+    for name, f in made.items():
+        assert f.dtype == np.float64 and not _sampled(f), name
+        assert _full_layout_hermitian(grid, f.spectrum)
+        assert f.values.dtype == np.float64
+        want = packet_oracle.envelope(grid)
+        if name != "envelope":
+            want = sum(a * packet_oracle.wave(grid, kk) for kk, a in real[name])
+        assert np.abs(f.values - want).max() <= 2e-15 * np.abs(want).max(), name
+    for terms in (
+        [(k, c), (mirror, c.conjugate() * (1 + 2.0**-40))],
+        [(k, c), (mirror, c.conjugate() * (1 + 2.0**-10))],
+        [(k, 1e-300)],
+    ):
         f = _trig_polynomial(grid, terms)
-        assert _sampled(f)
-        eager = SampledFunction(grid, np.fft.ifftn(_written(grid_mod._exact_bins(grid, terms), grid.shape)))
-        assert f.dtype == eager.dtype and f.values.tobytes() == eager.values.tobytes()
-        assert (f.spectrum is None) == (f.dtype == np.float64)
-    skewed = _trig_polynomial(grid, [(k, c), (mirror, c.conjugate() * (1 + 2.0**-10))])
-    assert not _sampled(skewed) and skewed.values.imag.any()
+        assert f.dtype == np.complex128 and not _full_layout_hermitian(grid, f.spectrum)
+        assert f.values.dtype == np.complex128
 
 
 @pytest.mark.parametrize("dim, J", [(1, 9), (2, 6)])
 def test_deferred_dtype_is_the_dtype_of_the_samples(dim, J):
     """Over random term sets (some bins paired with their conjugates, some
-    with a perturbed partner, some alone), the dtype known before the
-    samples is the dtype of the samples made at once, and so are the
-    samples: `float64` exactly when they come out real."""
+    with a partner off by a relative 1e-8, some alone), the dtype known
+    before the samples is the dtype of the samples, `float64` exactly when
+    the bins written into the full layout are Hermitian.  Complex samples
+    are `ifftn` of the bins bit for bit; real ones are the real part of it
+    to round-off, whose imaginary part is round-off too."""
     grid = GridSpec(dim, J)
     n, rng = grid.n_samples, np.random.default_rng(J)
+    dtypes = []
     for _ in range(60):
         terms = []
         for _ in range(int(rng.integers(1, 5))):
@@ -111,9 +138,18 @@ def test_deferred_dtype_is_the_dtype_of_the_samples(dim, J):
             if mode:  # the conjugate partner, exact or off by a relative 1e-8
                 terms.append((tuple(-i for i in k), a.conjugate() * (1.0 if mode == 1 else 1 + 1e-8)))
         f = _trig_polynomial(grid, terms)
-        eager = SampledFunction(grid, np.fft.ifftn(_written(grid_mod._exact_bins(grid, terms), grid.shape)))
-        assert f.dtype == eager.dtype
-        assert f.values.dtype == eager.values.dtype and f.values.tobytes() == eager.values.tobytes()
+        dtype = f.dtype
+        assert (dtype == np.float64) == _full_layout_hermitian(grid, f.spectrum)
+        assert f.values.dtype == dtype
+        full = np.fft.ifftn(_written(_exact_bins(grid, terms), grid.shape))
+        if dtype == np.complex128:
+            assert f.values.tobytes() == full.tobytes()
+        else:
+            scale = np.abs(full).max()
+            assert np.abs(f.values - full.real).max() <= 1e-14 * scale
+            assert np.abs(full.imag).max() <= 1e-14 * scale
+        dtypes.append(dtype)
+    assert set(dtypes) == {np.dtype(np.float64), np.dtype(np.complex128)}
 
 
 @pytest.mark.parametrize("dim, J", [(1, 10), (2, 7)])

@@ -16,7 +16,7 @@ from logbesov.experiments import _exact_exponential
 from logbesov.errors import InvalidInputError
 from logbesov.fileio import load_sfn, save_sfn
 from logbesov.gallery import expo7_family, gallery_from_spec, make_exponential, make_indicator
-from logbesov.grid import GridSpec, SampledFunction, make_constant
+from logbesov.grid import GridSpec, SampledFunction, _from_bins, make_constant
 from logbesov.norms import BesovParams, besov_norm, modulus, tl_norm_inf
 from logbesov.paraproducts import multiplier_lower_bound
 from logbesov.partition import build_partition, decompose
@@ -70,53 +70,52 @@ def test_sfn_roundtrip_keeps_the_dtype(tmp_path, grid):
 
 @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
 def test_spectrum_must_have_the_forward_layout(grid):
-    """A given spectrum maps index tuples of the array `_forward` would make
-    for the stored dtype (the half spectrum of real samples, the full one
-    of complex samples; zero imaginary parts count as real) to complex
-    coefficients, copied; a bin outside that layout is an input error."""
+    """Bins map index tuples of the full `fftn` layout, whatever the dtype,
+    to complex coefficients, copied; a bin outside that layout, or bins
+    that are not a mapping, are an input error."""
     n, lead = grid.n_samples, (0,) * (grid.dim - 1)
-    real, cplx = make_constant(grid, 2.0).values, gallery_from_spec(grid, "exp:m=3").values
-    half_top, full_top = lead + (n // 2,), lead + (n - 1,)
-    bins = {half_top: 1.0, lead + (0,): np.float64(2.0)}
-    f = SampledFunction(grid, real, bins)
-    assert f.spectrum == {half_top: 1.0 + 0j, lead + (0,): 2.0 + 0j} and f.spectrum is not bins
-    assert all(type(v) is complex for v in f.spectrum.values())
-    assert SampledFunction(grid, cplx, {full_top: 1j}).spectrum == {full_top: 1j}
-    for values, spectrum in (
-        (real, {full_top: 1.0}),
-        (real + 0j, {lead + (n // 2 + 1,): 1.0}),
-        (cplx, {lead + (n,): 1.0}),
-        (cplx, {lead + (-1,): 1.0}),
-        (cplx, {lead + (0, 0): 1.0}),
-        (cplx, {lead + (1.0,): 1.0}),
-        (cplx, np.zeros(grid.shape, dtype=np.complex128)),
-        (cplx, [(lead + (0,), 1.0)]),
+    full_top = lead + (n - 1,)
+    bins = {lead + (n // 2,): 1.0, lead + (0,): np.float64(2.0)}
+    f = _from_bins(grid, bins)
+    assert f.spectrum == {lead + (n // 2,): 1.0 + 0j, lead + (0,): 2.0 + 0j} and f.spectrum is not bins
+    assert all(type(v) is complex for v in f.spectrum.values()) and f.dtype == np.float64
+    assert _from_bins(grid, {full_top: 1j}).spectrum == {full_top: 1j}
+    for spectrum in (
+        {lead + (n,): 1.0},
+        {lead + (-1,): 1.0},
+        {lead + (0, 0): 1.0},
+        {lead + (1.0,): 1.0},
+        np.zeros(grid.shape, dtype=np.complex128),
+        [(lead + (0,), 1.0)],
     ):
         with pytest.raises(InvalidInputError, match="spectrum"):
-            SampledFunction(grid, values, spectrum)
+            _from_bins(grid, spectrum)
     if grid.dim == 1:
         with pytest.raises(InvalidInputError, match="spectrum"):
-            SampledFunction(grid, cplx, {0: 1.0})
+            _from_bins(grid, {0: 1.0})
 
 
 def test_arithmetic_drops_the_spectrum():
-    """Sums, differences, negation, scalar products and products without a
-    one-bin complex operand carry no spectrum, and neither does a product
-    whose samples come out real."""
+    """Sums, differences, negation, scalar products and products with a
+    factor made from samples carry no spectrum; a product of two functions
+    that carry bins is made from its product's bins, real when they are
+    Hermitian."""
     grid = GridSpec(1, 10)
-    const = make_constant(grid, 2.0)
-    const = SampledFunction(grid, const.values, {(0,): 2.0 * grid.n_samples})
+    const = _from_bins(grid, {(0,): 2.0 * grid.n_samples})
     e = _exact_exponential(grid, (8,))
     packet = gallery_from_spec(grid, "packet:m=5,case=1")
     cube = make_indicator(grid, "cube")
     assert const.spectrum and e.spectrum and packet.spectrum
     for h in (
-        e + packet, e - packet, packet + e, -e, -packet, 2.0 * e, e * 2.0, e * 1j, packet * packet,
-        e * cube, packet * cube, const * e, e * const, packet * make_exponential(grid, (8,)), const * const,
+        e + packet, e - packet, packet + e, -e, -packet, 2.0 * e, e * 2.0, e * 1j,
+        e * cube, packet * cube, packet * make_exponential(grid, (8,)),
     ):
         assert h.spectrum is None
-    i = SampledFunction(grid, np.full(grid.shape, 1j), {(0,): 1j * grid.n_samples})
-    assert i.spectrum and (i * i).values.dtype == np.float64 and (i * i).spectrum is None
+    for h in (packet * packet, const * e, e * const, const * const):
+        assert h.spectrum and h._values is None
+    i = _from_bins(grid, {(0,): 1j * grid.n_samples})
+    assert i.dtype == np.complex128 and (i * i).dtype == np.float64 and (i * i).spectrum == {(0,): -1.0 * grid.n_samples}
+    assert (i * i).values.dtype == np.float64 and np.array_equal((i * i).values, np.full(grid.shape, -1.0))
 
 
 def test_a_one_bin_product_shifts_the_bins():
@@ -132,7 +131,7 @@ def test_a_one_bin_product_shifts_the_bins():
         assert (packet * e).spectrum == want
         assert (e * e).spectrum == {((-16) % n,) + rest: complex(n**grid.dim)}
         [(k, c)] = e.spectrum.items()
-        three_e = SampledFunction(grid, 3.0 * e.values, {k: 3.0 * c})
+        three_e = _from_bins(grid, {k: 3.0 * c})
         assert (packet * three_e).spectrum == {i: 3.0 * v for i, v in want.items()}
 
 

@@ -158,7 +158,7 @@ def test_exp_growth_decomposes_each_distinct_function_once(monkeypatch):
     inputs = []
 
     def counting(f, partition):
-        inputs.append(f.values)
+        inputs.append(f.spectrum)
         return original(f, partition)
 
     # every module name the runner and the lower bound reach decompose by
@@ -170,8 +170,8 @@ def test_exp_growth_decomposes_each_distinct_function_once(monkeypatch):
     grid = config.grid()
     exact = 0
     for m in ms:
-        e = make_exponential(grid, (1 << m,)).values
-        count = sum(np.array_equal(e, v) for v in inputs)
+        e = experiments._exact_exponential(grid, (1 << m,)).spectrum
+        count = inputs.count(e)
         assert count == 1, f"m={m}: {count} decompositions of e^(i2^m x)"
         exact += count
     distinct = 0
@@ -179,8 +179,8 @@ def test_exp_growth_decomposes_each_distinct_function_once(monkeypatch):
         kept = []
         for b in bs:
             for _, g in expo7_family(grid, m, b):
-                if not any(np.array_equal(g.values, k) for k in kept):
-                    kept.append(g.values)
+                if g.spectrum not in kept:
+                    kept.append(g.spectrum)
         distinct += len(kept)
     assert len(inputs) - exact == 2 * distinct
 
@@ -254,7 +254,7 @@ def test_helper_thread_error_exits_2_without_traceback(monkeypatch, capsys, usab
     usable_cpus(2)
     start = threading.active_count()
     err = InvalidInputError("exponential refused on the helper thread")
-    monkeypatch.setattr(experiments, "make_exponential", raise_on_helper(err, experiments.make_exponential))
+    monkeypatch.setattr(experiments, "_exact_exponential", raise_on_helper(err, experiments._exact_exponential))
     argv = ["--grid", "J=10", "exp-growth", "--p-list", "1", "--b-list", "0", "--m-min", "3", "--m-max", "6"]
     assert main(argv) == 2
     captured = capsys.readouterr()

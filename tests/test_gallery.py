@@ -375,17 +375,19 @@ def test_2d_trig_polynomial_samples_are_ifftn_of_its_bins(J, monkeypatch):
 
 
 @pytest.mark.parametrize("J, k", [(6, 8), (6, 16), (6, 24), (14, 2048), (14, 4096), (14, 6144)])
-def test_real_cosine_carries_no_bins(J, k):
-    """e^{ikx} + e^{-ikx} whose `ifftn` comes out exactly real is stored as
-    real samples and carries no bins, as a product with real samples does:
-    its full-layout bins do not fit the half layout.  Its decomposition is
-    that of its samples."""
+def test_real_cosine_is_real_and_keeps_its_bins(J, k):
+    """e^{ikx} + e^{-ikx} has Hermitian bins: it is `float64`, carries its
+    two full-layout bins, and its samples, `irfft` of the half layout, are
+    2 cos(kx).  Its decomposition holds the half-layout subset, the
+    forward transform of its samples to round-off, and the full bins."""
     grid = GridSpec(1, J)
     f = _trig_polynomial(grid, [((k,), 1), ((-k,), 1)])
-    assert f.values.dtype == np.float64 and f.spectrum is None
+    assert f.dtype == np.float64 and f.spectrum == _exact_bins(grid, [((k,), 1), ((-k,), 1)])
+    assert len(f.spectrum) == 2 and f.values.dtype == np.float64
     assert np.abs(f.values - 2.0 * np.cos(k * grid.axis())).max() < 1e-10
     dec = decompose(f, build_partition(grid))
-    assert np.array_equal(dec.coeffs, _forward(f.values))
+    assert dec.coeffs.shape == grid.half_shape and len(dec.bins[1]) == 2
+    assert np.abs(dec.coeffs - _forward(f.values)).max() <= 1e-12 * grid.n_samples
 
 
 @pytest.mark.parametrize("dim, J", [(1, 7), (1, 12), (2, 7), (2, 8)])

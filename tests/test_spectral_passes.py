@@ -26,6 +26,7 @@ from logbesov.grid import (
     SampledFunction,
     _coefficients,
     _exact_bins,
+    _from_bins,
     band_energy_fraction,
     lp_norm,
     make_constant,
@@ -140,8 +141,7 @@ def _binned(grid: GridSpec, name: str) -> SampledFunction:
     if name == "packet*exp":
         return gallery_from_spec(grid, "packet") * experiments._exact_exponential(grid, (-(1 << 3),) + tail)
     # e^{i 2^4 x_1} plus a bin at 2^6 whose coefficient is exactly zero
-    f = make_exponential(grid, (1 << 4,) + tail) * (1 + 0j)
-    return SampledFunction(grid, f.values, _exact_bins(grid, [((1 << 4,) + tail, 1.0), ((1 << 6,) + tail, 0.0)]))
+    return _from_bins(grid, {**_exact_bins(grid, [((1 << 4,) + tail, 1.0)]), ((1 << 6) % grid.n_samples,) + tail: 0.0})
 
 
 def _without_bins(f: SampledFunction, partition) -> SpectralDecomposition:
@@ -204,7 +204,7 @@ def test_a_nan_bin_is_a_nonfinite_input_error(dim, J, usable_cpus):
     grid = GridSpec(dim, J)
     part = build_partition(grid)
     k = (1 << 4,) + (0,) * (dim - 1)
-    f = SampledFunction(grid, make_exponential(grid, k).values, {tuple(i % grid.n_samples for i in k): np.nan})
+    f = _from_bins(grid, {tuple(i % grid.n_samples for i in k): np.nan})
     for dec in (decompose(f, part), _without_bins(f, part)):
         with pytest.raises(InvalidInputError, match="non-finite"):
             dec.analyze(lp_exponents=(2.0,))
@@ -236,7 +236,7 @@ def test_bins_route_norms_match_the_sample_pass(dim, J, kind, monkeypatch):
     for f in _bins_route_inputs(grid):
         dec, ref = decompose(f, part), _without_bins(f, part)
         for k in range(part.k_max + 1):
-            made = part._bin_products(dec.coeffs, k, dec.bins)
+            made = part._bin_products(k, dec.bins)
             held.add(0 if made is None else min(len(made[2]), 2))
         calls = _count_ffts(monkeypatch)
         dec.analyze(lp_exponents=(2.0, 4.0))
@@ -273,7 +273,7 @@ def test_bins_route_sum_beyond_the_float_range_names_p(dim, J):
     grid = GridSpec(dim, J)
     part = build_partition(grid)
     f = _binned(grid, "packet")
-    big = SampledFunction(grid, f.values * 1e100, {i: v * 1e100 for i, v in f.spectrum.items()})
+    big = _from_bins(grid, {i: v * 1e100 for i, v in f.spectrum.items()})
     for dec in (decompose(big, part), _without_bins(big, part)):
         assert np.isfinite(dec.lp_norms(2.0)).all()
         with pytest.raises(InvalidInputError, match=r"^p=4\.0 makes"):
@@ -281,14 +281,16 @@ def test_bins_route_sum_beyond_the_float_range_names_p(dim, J):
 
 
 def test_tail_fraction_reads_the_bins(monkeypatch):
-    """With bins, the tail fraction reads the bins alone, no lattice radius,
-    and is the whole lattice's: exactly 0.0 when no bin lies above the top
-    annulus.  A half-layout bin counts twice inside the last axis, once at
-    m = 0 and m = N/2."""
+    """With bins, the tail fraction reads the full bin set alone, no lattice
+    radius, and is the whole lattice's: exactly 0.0 when no bin lies above
+    the top annulus.  A real function's bins are Hermitian, and the tail
+    reads both of each conjugate pair, as its half layout counts the
+    interior last-axis columns twice and m = 0 and m = N/2 once."""
     grid = GridSpec(1, 10)
     part = build_partition(grid)
     n, top = grid.n_samples, 2 ** (grid.k_max - 1)
-    real = SampledFunction(grid, np.cos(3 * grid.axis()), {(0,): 1.0, (3,): 2.0, (top + 1,): 1.5j, (n // 2,): 0.5})
+    real = _from_bins(grid, {(0,): 1.0, (3,): 2.0, (n - 3,): 2.0, (top + 1,): 1.5j, (n - top - 1,): -1.5j, (n // 2,): 0.5})
+    assert real.dtype == np.float64
     inputs = [_binned(grid, "packet"), _binned(grid, "zero-bin"), real]
     inputs.append(grid_mod._trig_polynomial(grid, [((1 << 3,), 1.0), ((n // 4,), 0.5)]))
     want = [grid_mod._band_energy_fraction(grid, _coefficients(f), 0.0, top) for f in inputs]
@@ -359,45 +361,52 @@ def test_lower_bound_reads_every_params_from_one_pass(monkeypatch):
 @pytest.mark.parametrize("b", [-2.0, 0.5, 2.0])
 def test_packet_row_transforms_only_the_levels_that_hold_a_bin(monkeypatch, b):
     """A packet-route row builds e^{-i 2^m x_1} with its one bin and the
-    packets with theirs, and none of them makes its samples: the L^2 and
-    L^4 norms of every level of a member or of its product, the only
-    reductions the row reads, come from the level's bins by Parseval, and
-    members are told apart by identity or by their bins.  The one product
-    whose bins do not make its samples complex, e^{-i 2^m x_1} times the
-    Case 5 packet (the real envelope), is sampled when it is made: the
-    row's only `np.exp` and its only inverse transform (one `ifftn`, or in
-    2D two `ifft` passes), and no `np.array_equal`; 1D J=12 and 2D J=8,
-    each after a warm-up row that builds the partition's level profiles."""
-    rows = [(GridSpec(1, 12), ["ifftn"]), (GridSpec(2, 8), ["ifft", "ifft"])]
-    m, params = 4, [BesovParams(0.0, b, p, INF) for p in (2.0, 4.0)]
+    packets of `expo7_families` with theirs, Case 5 included, and makes no
+    samples and no transform at all: the L^2 and L^4 norms of every level
+    of a member or of its product, the only reductions the row reads, come
+    from the level's bins by Parseval, and members are told apart by
+    identity or by their bins.  The product with the Case 5 packet is the
+    real envelope, made from its Hermitian bins like every other product.
+    The bins' sample maker raises, and no `np.exp`, inverse transform or
+    `np.array_equal` runs; 1D J=12 and 2D J=8, each after a warm-up row
+    that builds the partition's level profiles."""
+    grids = [GridSpec(1, 12), GridSpec(2, 8)]
+    m, bs = 4, (b, 0.0)
+    params = [BesovParams(0.0, b_, p, INF) for b_ in bs for p in (2.0, 4.0)]
 
     def row(grid):
         """Build the row's functions; the returned call reads the bound."""
         f = experiments._exact_exponential(grid, (-(1 << m),) + (0,) * (grid.dim - 1))
-        family = expo7_family(grid, m, b)
-        return lambda: multiplier_lower_bound(f, build_partition(grid), params, family)
+        families = dict(zip(bs, expo7_families(grid, m, bs)))
+        assert families[b][-1][0] == "case5" and (f * families[b][-1][1]).dtype == np.float64
+        return lambda: multiplier_lower_bound(f, build_partition(grid), params, lambda pr: families[pr.b])
 
-    for grid, _ in rows:
+    for grid in grids:
         row(grid)()
     calls = _count_ffts(monkeypatch)
     real_exp, real_equal = np.exp, np.array_equal
     monkeypatch.setattr(np, "exp", lambda *a, **k: calls.append("exp") or real_exp(*a, **k))
     monkeypatch.setattr(np, "array_equal", lambda *a, **k: calls.append("array_equal") or real_equal(*a, **k))
-    for grid, case5_transforms in rows:
+
+    def no_samples(*args):
+        raise AssertionError("a packet row made samples")
+
+    monkeypatch.setattr(grid_mod, "_samples_of_bins", no_samples)
+    for grid in grids:
         calls.clear()
         bound = row(grid)
-        assert calls == []
         bound()
-        assert calls == ["exp"] + case5_transforms
+        assert calls == []
 
 
 def test_packet_row_holds_no_member_samples():
     """A packet-route row at 1D J=16 (m = 10, six b, seven distinct
-    members) makes and keeps only the samples the Case 5 product reads:
-    e^{-i 2^m x_1}'s and the Case 5 member's.  Beside them it peaks at
-    their product and one decomposition's coefficients, below 5 complex
-    lattice arrays (10.2 when every member and product was sampled, 8.2 of
-    them kept)."""
+    members) makes and keeps no samples: e^{-i 2^m x_1}, the members and
+    their products, the Case 5 product included, are made from their
+    bins.  It keeps under half a complex lattice array and peaks at one
+    decomposition's coefficients, below 1.5 (10.2 when every member and
+    product was sampled, 8.2 of them kept; 4.2 and 2.2 when only the Case 5
+    product and its factors were)."""
     grid, m, bs = GridSpec(1, 16), 10, (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
     part = build_partition(grid)
     for k in range(part.k_max + 1):
@@ -413,9 +422,9 @@ def test_packet_row_holds_no_member_samples():
         tracemalloc.stop()
     members = {id(g): g for fam in families.values() for _, g in fam}.values()
     assert len(members) == 7
-    assert [g for g in members if g._values is not None] == [families[0.0][-1][1]]
-    assert held < 3 * _complex_array_bytes(grid)
-    assert peak < 5 * _complex_array_bytes(grid)
+    assert not any(g._values is not None for g in [f, *members])
+    assert held < 0.5 * _complex_array_bytes(grid)
+    assert peak < 1.5 * _complex_array_bytes(grid)
 
 
 def test_p2_verdict_holds_a_few_lattice_arrays():
