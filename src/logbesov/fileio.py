@@ -96,12 +96,15 @@ def save_dpu(path, partition: DyadicPartition) -> None:
 
 def load_dpu(path) -> tuple[DyadicPartition, list[np.ndarray]]:
     """Load a partition export; returns the rebuilt partition and the stored
-    symbol arrays (so round-trip checks can compare them)."""
+    symbol arrays (so round-trip checks can compare them).  A header whose
+    `K_max` is not the grid's, J - 2, is an input error."""
     header, payload = _read(path, "dpu")
     grid = GridSpec(_header_field(path, header, "dim", default=1), _header_field(path, header, "J"))
     partition = build_partition(grid, _header_field(path, header, "kind", PartitionKind))
     n = grid.n_samples**grid.dim
     k_max = _header_field(path, header, "K_max")
+    if k_max != grid.k_max:
+        raise InvalidInputError(f"{path}: K_max {k_max} is not J - 2 = {grid.k_max}")
     if payload.size != (k_max + 1) * n:
         raise InvalidInputError(f"{path}: truncated symbol payload")
     symbols = [

@@ -11,7 +11,8 @@ every packet, every exact exponential (`_trig_polynomial` makes a sum of
 exponentials from its bins) and every product of two functions that carry
 bins.  The bins decide the dtype: such a function is real exactly when
 they are Hermitian, and it makes its samples only when they are read, by
-one routine (`_samples_of_bins`).
+one routine (`_samples_of_bins`), the one writer of bins into a lattice
+array: products, norms and decompositions read the bins themselves.
 """
 
 from __future__ import annotations
@@ -311,12 +312,28 @@ def _sparse_product(n: int, at_1, v_1: np.ndarray, at_2, v_2: np.ndarray) -> tup
     the N = `n` lattice, the coefficients `v_1` at the lattice indices
     `at_1` (one array per axis) times `v_2` at `at_2`: w_t sums v_1 v_2
     over the pairs of bins whose indices add to t mod N per axis, the
-    B_1 B_2 pair products added by `np.bincount`, with no lattice array.
-    t is the row-major flat index of each bin, ascending."""
+    B_1 B_2 pair products added by `_summed`, with no lattice array.  t is
+    the row-major flat index of each bin, ascending."""
     pairs = (v_1[:, None] * v_2).ravel()
     t = functools.reduce(lambda t, ij: t * n + (ij[0][:, None] + ij[1]).ravel() % n, zip(at_1, at_2), 0)
-    t, which = np.unique(t, return_inverse=True)
-    return t, np.bincount(which, pairs.real) + 1j * np.bincount(which, pairs.imag)
+    return _summed(t, pairs)
+
+
+def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, w): the distinct `keys`, ascending, and at each the sum of the
+    complex `values` that carry it, added in their order (`np.bincount`)."""
+    u, which = np.unique(keys, return_inverse=True)
+    return u, np.bincount(which, values.real) + 1j * np.bincount(which, values.imag)
+
+
+def _level_sums(values: np.ndarray, level: np.ndarray, levels: int) -> np.ndarray:
+    """Per level 0..`levels`-1, `np.sum` of the nonnegative `values` of that
+    (ascending) `level`, bit for bit, +0 for none: `np.add.reduceat` adds a
+    segment's first entry to the pairwise sum of the rest, so each segment
+    starts with a +0 of its own."""
+    padded = np.zeros(values.size + levels)
+    padded[np.arange(values.size) + level + 1] = values  # entry i has level_i + 1 zeros before it
+    return np.add.reduceat(padded, np.arange(levels) + np.searchsorted(level, np.arange(levels)))
 
 
 def _product_bins(f: SampledFunction, g: SampledFunction) -> dict[tuple[int, ...], complex]:
@@ -379,16 +396,6 @@ def _forward(values: np.ndarray) -> np.ndarray:
     warning; the consumers' finiteness checks reject them."""
     with np.errstate(invalid="ignore", over="ignore"):
         return np.fft.fftn(values) if np.iscomplexobj(values) else np.fft.rfftn(values)
-
-
-def _coefficients(f: SampledFunction) -> np.ndarray:
-    """The unnormalized forward coefficients of f in `_forward`'s layout:
-    its exact `spectrum` bins written into zeros when it carries them (the
-    half-layout subset for a real f), else the forward transform of its
-    samples."""
-    if f.spectrum is None:
-        return _forward(f.values)
-    return _written(f.spectrum, f.grid.half_shape if f.dtype == np.float64 else f.grid.shape)
 
 
 def _written(bins, shape: tuple[int, ...]) -> np.ndarray:
@@ -489,10 +496,9 @@ def _band_energy_fraction(grid: GridSpec, coeffs: np.ndarray, radius_lo: float, 
     """`band_energy_fraction` of the coefficients `coeffs`, in the full
     layout or in the half one of `rfftn`, where the interior last-axis
     columns m = 1..N/2-1 stand for their conjugate partners too and count
-    twice.  `bins`, the full bin set of which `coeffs` holds the ones in
-    its layout (lattice indices, one array per axis, and coefficients),
-    is read instead of `coeffs`.  A power-of-two factor of the
-    coefficients leaves the fraction the same bit for bit."""
+    twice, or of full-layout `bins` (lattice indices, one array per axis,
+    and coefficients), read instead when given.  A power-of-two factor of
+    the coefficients leaves the fraction the same bit for bit."""
     n = grid.n_samples
     if bins is None:
         c = np.abs(coeffs) ** 2

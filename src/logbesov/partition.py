@@ -13,33 +13,29 @@ in floating point.  The TENSOR kind replaces |xi| by per-axis profiles
 Both phi_0(2^-k .) and phi_k vanish outside the box |m_i| < 3/2 2^k, so a
 partition stores level k only on that box (FFT layout, two index ranges
 per axis).  `symbol` and `cumulative_symbol` expand it to the full lattice
-on each call, bit-identical to evaluating the formula there; the pieces
-S_k f multiply the phi_k box by the coefficients only.  `build_partition`
-keeps one partition per grid and kind for the life of the process, so the
-boxes one call builds serve every later one.
+on each call, bit-identical to evaluating the formula there.
+`build_partition` keeps one partition per grid and kind for the life of
+the process, so the boxes one call builds serve every later one.  Points
+other than a box's, such as a function's bins, read phi_k from the same
+profile routine (`_symbols_at`), bit for bit the box's entries.
 
-The coefficients come in two layouts, chosen by the function's dtype
+`SpectralDecomposition` keeps one function, not its pieces: its forward
+coefficients when it is made from samples, its full-layout bins when it
+is made from them, never both.  Its dtype is the function's
 (`SampledFunction.dtype`: `float64` exactly when the function is real,
 which for a function made from bins means Hermitian bins).  A real
-function keeps the `rfftn` half spectrum (last axis m = 0..N/2): both
-kinds of symbol are even, so every piece of a real function is real and
-is made by `irfft` into a real array, at half the coefficient and buffer
-memory.  A complex function keeps the full `fftn` spectrum and complex
-pieces.
+function's pieces come from the `rfftn` half spectrum (last axis m =
+0..N/2): both kinds of symbol are even, so every piece is real and made
+by `irfft` into a real array, at half the buffer memory.  A complex
+function's come from the full `fftn` spectrum.  A piece is made one way,
+by two steps:
 
-`SpectralDecomposition(partition, coeffs, bins)` keeps the forward
-coefficients of one function, not its pieces; `decompose` writes them from
-the function's exact `spectrum` bins when it carries them (the half-layout
-subset for a real function), and keeps the full bin set.  A piece is made
-one way, by two steps:
-
-- `_first_pass` fills the level's boxed spectrum by the partition's
-  `_fill_level` (without bins it multiplies the whole box; with them it
-  reads phi_k from the cached box at the bins inside the box and the
-  layout only, and writes their products into zeros) and runs every
-  inverse pass but the last.  The spectrum is zero off the box, so in 2D
-  that pass covers the box's columns (half layout) or its rows, packed
-  (full layout).
+- `_first_pass` fills the level's boxed spectrum (`_fill_level`: phi_k
+  times the coefficients over the whole box, or the level's row of the
+  table of phi_k times each bin, written into zeros at the bins inside the
+  box and the layout) and runs every inverse pass but the last.  The
+  spectrum is zero off the box, so in 2D that pass covers the box's
+  columns (half layout) or its rows, packed (full layout).
 - `_last_pass` makes the samples of one band: in 1D the whole piece, in
   2D rows lo..hi of a real piece (`irfft`) or columns lo..hi of a complex
   one (`ifft`).  The passes follow numpy's order, so a complex piece is
@@ -71,22 +67,16 @@ lower bound's Besov norms, `tl_norm_inf`) makes one pass, and `analyze` is
 the only pass that reduces pieces.
 
 A pass that asks only for L^2 and L^4 norms, with no cube exponent, of a
-decomposition that carries bins (every packet, its product with
-e^{-i 2^m x_1}, real or complex, an exact exponential) makes no piece at
-all: `_bin_norms` reads each level's boxed bin products a = phi_k c over
-the full bin set from `_bin_products`, the routine `_fill_level` writes a
-spectrum from, and sums them by discrete Parseval, sum |S_k f|^2 = sum
-|a|^2 / N^dim and sum |S_k f|^4 as Parseval applied to (S_k f)^2, whose
-bins are the sparse product of the level's bins with themselves
-(`grid._sparse_product`).  No inverse transform and no pass buffer; the
-norms match the sample pass to a few ulps.  The sup norms of such a
-decomposition come from a sample pass only when something reads them,
-and `tail_fraction` reads the bins alone.
+decomposition made from bins (every packet, its product with
+e^{-i 2^m x_1}, an exact exponential) makes no piece at all: `_bin_norms`
+sums phi_k times each bin by discrete Parseval, every level at once, to a
+few ulps of the sample pass.  Its sup norms come from a sample pass only
+when something reads them, and `tail_fraction` reads the bins alone.
 
 A level whose boxed product is all exactly zero (a constant's upper
 levels, every level but one of an exponential given its exact spectrum,
 every level of a wave packet that holds none of its bins) makes no inverse
-transform, and with bin positions touches no spectrum buffer either: its
+transform, and made from bins touches no spectrum buffer either: its
 piece is zeros and its reductions are those of zeros, bit for bit, its
 cube tables the grid's one shared zero table per top level
 (`cubes._zero_table`), which has no row in the stacks and which the
@@ -121,13 +111,14 @@ from .grid import (
     SampledFunction,
     _band_energy_fraction,
     _bin_arrays,
-    _coefficients,
+    _forward,
+    _level_sums,
     _lp_from_power_sum,
     _lp_from_sum,
     _power,
     _radius,
     _read_only,
-    _sparse_product,
+    _summed,
     check_exponent,
     is_inf,
     lp_norm,
@@ -203,13 +194,20 @@ class DyadicPartition:
             self._cache[key] = [tuple(zip(*pairs)) for pairs in itertools.product(*axes)]
         return self._cache[key]
 
-    def _profile(self, first: np.ndarray, m: np.ndarray, scale: float) -> np.ndarray:
-        """phi_0(xi / scale) on the box rows whose first coordinate is in
-        `first`; every other axis holds the box's coordinates `m`."""
-        axes = [first] + [m] * (self.grid.dim - 1)
+    def _profile(self, axes, scale) -> np.ndarray:
+        """phi_0(xi / scale) at the points of the broadcastable per-axis
+        coordinates `axes` (a box block's sparse meshgrid, or bins), `scale`
+        broadcasting too; elementwise, so no point depends on another."""
         if self.kind is PartitionKind.RADIAL:
-            return generator_profile(_radius(np.meshgrid(*axes, indexing="ij", sparse=True)) / scale)
-        return functools.reduce(np.multiply.outer, [generator_profile(np.abs(a) / scale) for a in axes])
+            return generator_profile(_radius(axes) / scale)
+        return functools.reduce(np.multiply, [generator_profile(np.abs(a) / scale) for a in axes])
+
+    def _symbols_at(self, xi) -> np.ndarray:
+        """phi_k, one row per level k, at the points of signed frequencies
+        `xi` (a 1D array per axis): bit for bit the level box's entries
+        there, and zero off the box, where both terms of phi_k are."""
+        scales = np.ldexp(1.0, np.arange(self.k_max + 1))[:, None]
+        return np.diff(self._profile(xi, scales), axis=0, prepend=0.0)
 
     def _box(self, k: int, cumulative: bool) -> np.ndarray:
         """phi_0(2^-k .) (cumulative) or phi_k on the level-k box.
@@ -225,71 +223,33 @@ class DyadicPartition:
             box = np.empty((m.size,) * self.grid.dim)
             rows = max(1, _BOX_BLOCK // m.size ** (self.grid.dim - 1))
             for start in range(0, m.size, rows):
-                first, block = m[start : start + rows], box[start : start + rows]
-                block[...] = self._profile(first, m, float(1 << k))
+                block = box[start : start + rows]
+                axes = np.meshgrid(m[start : start + rows], *[m] * (self.grid.dim - 1), indexing="ij", sparse=True)
+                block[...] = self._profile(axes, float(1 << k))
                 if not cumulative and k > 0:
-                    block -= self._profile(first, m, float(1 << (k - 1)))
+                    block -= self._profile(axes, float(1 << (k - 1)))
             self._cache[key] = box
         return self._cache[key]
 
-    def _fill_level(self, coeffs: np.ndarray, k: int, out: np.ndarray, bins=None, rows: bool = False) -> bool:
-        """Write phi_k c, c = `coeffs`, into `out`: the level's spectrum in
-        `coeffs`' lattice indices, zero off the box (the half layout's
-        buffer may hold only the box's last-axis columns), or, with `rows`,
-        the full layout's box rows 0..M, then -M..-1, in the first 2M+1
-        rows of `out`.  Returns whether the product has an entry that is not
-        exactly zero (a NaN counts).
-
-        Without `bins` the whole box is multiplied.  `bins`, the full-layout
-        bins (`SpectralDecomposition`) of which c holds every one that
-        lies in its layout, reads phi_k at those in the box only (in the
-        half layout those of last index 0..M); a level whose products are
-        all exactly zero then touches no buffer, and any other one gets the
-        products written into zeros, bit for bit the box multiply (phi_k
-        has no negative or -0 entry, so it leaves +0 off the bins).  The
+    def _fill_level(self, coeffs: np.ndarray, k: int, out: np.ndarray, rows: bool = False) -> bool:
+        """Write phi_k c, c = `coeffs`, over the whole level-k box into
+        `out`: the level's spectrum in `coeffs`' lattice indices, zero off
+        the box (the half layout's buffer may hold only the box's last-axis
+        columns), or, with `rows`, the full layout's box rows 0..M, then
+        -M..-1, in the first 2M+1 rows of `out`.  Returns whether the
+        product has an entry that is not exactly zero (a NaN counts).  The
         caller holds `np.errstate(invalid="ignore")`."""
         n, top = self.grid.n_samples, _box_top(k)
         if rows:
             out = out[: 2 * top + 1]
-        if bins is None:
-            if rows:
-                out[:, top + 1 : n - top] = 0.0
-            else:
-                out.fill(0.0)
-            box, nonzero = self._box(k, False), False
-            for lattice, sub in self._blocks(k, not rows and coeffs.shape != self.grid.shape):
-                block = np.multiply(box[sub], coeffs[lattice], out=out[sub[0], lattice[1]] if rows else out[lattice])
-                nonzero = nonzero or bool(block.any())
-            return nonzero
-        made = self._bin_products(k, bins)
-        if made is None:
-            return False
-        at, at_box, products = made
-        if coeffs.shape != self.grid.shape:  # the half layout holds the bins of last index 0..M
-            half = at[-1] <= top
-            at, at_box, products = tuple(i[half] for i in at), tuple(i[half] for i in at_box), products[half]
-        out.fill(0.0)
-        out[(at_box[0],) + at[1:] if rows else at] = products
-        return True
-
-    def _bin_products(self, k: int, bins) -> tuple | None:
-        """(at, at_box, a): the lattice indices `at` of the full-layout
-        `bins` = (lattice indices, one array per axis, and coefficients c)
-        inside the level-k box, their indices `at_box` in the box, and the
-        products a = phi_k c there; or None when every product is exactly
-        zero (a NaN counts as not zero).  The one routine that reads phi_k
-        at the bins: `_fill_level` writes the products into a spectrum,
-        `SpectralDecomposition._bin_norms` sums them.  The caller holds
-        `np.errstate(invalid="ignore")`."""
-        n, top = self.grid.n_samples, _box_top(k)
-        at, c = bins
-        inside = np.logical_and.reduce([(i <= top) | (i >= n - top) for i in at])
-        if not inside.any():
-            return None
-        at = tuple(i[inside] for i in at)
-        at_box = tuple(np.where(i <= top, i, i + 2 * top + 1 - n) for i in at)
-        products = self._box(k, False)[at_box] * c[inside]
-        return (at, at_box, products) if products.any() else None
+            out[:, top + 1 : n - top] = 0.0
+        else:
+            out.fill(0.0)
+        box, nonzero = self._box(k, False), False
+        for lattice, sub in self._blocks(k, not rows and coeffs.shape != self.grid.shape):
+            block = np.multiply(box[sub], coeffs[lattice], out=out[sub[0], lattice[1]] if rows else out[lattice])
+            nonzero = nonzero or bool(block.any())
+        return nonzero
 
     def _expand(self, k: int, box: np.ndarray) -> np.ndarray:
         out = np.zeros(self.grid.shape)
@@ -353,14 +313,9 @@ _shared_partition = functools.cache(DyadicPartition)
 
 
 class SpectralDecomposition:
-    """The frequency pieces (S_0 f, ..., S_K_max f) of one function, kept as
-    its forward coefficients `coeffs` (`rfftn` half spectrum for a real
-    function, else the full `fftn` one).  `bins`, when given, is the
-    function's full bin set: the lattice indices of every coefficient that
-    may be nonzero (one array per axis, in the full layout whatever the
-    dtype) and those coefficients, of which `coeffs` holds the ones in its
-    layout; a level is then made from them alone (`_fill_level`), and the
-    bins readers (`_bin_norms`, `tail_fraction`) read the full set.
+    """The frequency pieces (S_0 f, ..., S_K_max f) of one function of
+    `dtype`, kept as its forward `coeffs` (`_forward`'s layout) or as its
+    full-layout `bins` (lattice indices, one array per axis, and values).
 
     `analyze` makes each piece in turn into reused buffers and, from one
     |S_k f|, fills every reduction asked for: the sup norm, the L^p norms
@@ -372,8 +327,9 @@ class SpectralDecomposition:
     builds the whole list anew on each access.
     """
 
-    def __init__(self, partition: DyadicPartition, coeffs: np.ndarray, bins: tuple | None = None):
+    def __init__(self, partition: DyadicPartition, dtype, coeffs: np.ndarray | None = None, bins: tuple | None = None):
         self.partition = partition
+        self.dtype = np.dtype(dtype)
         self.coeffs = coeffs
         self.bins = bins
         self._sup_norms = None
@@ -391,10 +347,41 @@ class SpectralDecomposition:
     def k_max(self) -> int:
         return self.partition.k_max
 
-    @property
-    def dtype(self) -> np.dtype:
-        """dtype of the pieces: `float64` for a real function (half spectrum)."""
-        return np.dtype(np.complex128 if self.coeffs.shape == self.grid.shape else np.float64)
+    @functools.cached_property
+    def _bin_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(inside, a), built once, a row per level k and a column per bin:
+        whether the bin's signed frequency xi lies in the level-k box, |xi_a|
+        <= M_k on every axis, and there a = phi_k(xi) c (`_symbols_at`), +0
+        elsewhere, so a NaN bin reaches only the levels whose box holds it."""
+        n = self.grid.n_samples
+        at, c = self.bins
+        xi = [np.where(i <= n // 2, i, i - n) for i in at]
+        tops = np.array([_box_top(k) for k in range(self.k_max + 1)])
+        inside = np.max(np.abs(xi), axis=0) <= tops[:, None]
+        a = np.zeros(inside.shape, dtype=np.complex128)
+        with np.errstate(invalid="ignore"):
+            np.multiply(self.partition._symbols_at(xi), c, out=a, where=inside)
+        return inside, a
+
+    def _fill_level(self, k: int, out: np.ndarray, rows: bool) -> bool:
+        """`DyadicPartition._fill_level` of the coefficients; from bins, row
+        k of `_bin_table` at the bins inside the box and the layout (in the
+        half one, of last index 0..M) written into zeros, bit for bit the box
+        multiply, or, if it is all exactly zero (a NaN is not), nothing."""
+        if self.coeffs is not None:
+            return self.partition._fill_level(self.coeffs, k, out, rows)
+        inside, a = self._bin_table
+        if not a[k].any():
+            return False
+        n, top = self.grid.n_samples, _box_top(k)
+        keep = inside[k] & (self.bins[0][-1] <= top) if self.dtype == np.float64 else inside[k]
+        at = tuple(i[keep] for i in self.bins[0])
+        if rows:
+            out = out[: 2 * top + 1]
+            at = (np.where(at[0] <= top, at[0], at[0] + 2 * top + 1 - n),) + at[1:]
+        out.fill(0.0)
+        out[at] = a[k, keep]
+        return True
 
     def _first_pass(self, k: int, buf: np.ndarray) -> np.ndarray | None:
         """Level k's boxed spectrum made in `buf` (`_fill_level`) with every
@@ -407,7 +394,7 @@ class SpectralDecomposition:
         that are not zero, bit for bit.  The caller holds
         `np.errstate(invalid="ignore")`."""
         top, packed = _box_top(k), self.grid.dim == 2 and self.dtype == np.complex128
-        if not self.partition._fill_level(self.coeffs, k, buf, self.bins, rows=packed):
+        if not self._fill_level(k, buf, packed):
             return None
         if packed:
             buf = buf[: 2 * top + 1]
@@ -469,10 +456,10 @@ class SpectralDecomposition:
         shared zero table is finite by construction).  Then each cube
         level's sums of every r are stacked (`cube_means`).
 
-        A pass that asks only for L^2 and L^4 norms of a decomposition that
-        carries bins takes the bins route, `_bin_norms`,
-        with no inverse transform; it leaves the sup norms unfilled.  Every
-        other pass reduces every level by `_reduce`, in 1D and 2D alike.
+        A pass that asks only for L^2 and L^4 norms of a decomposition made
+        from bins takes the bins route, `_bin_norms`, with no inverse
+        transform; it leaves the sup norms unfilled.  Every other pass
+        reduces every level by `_reduce`, in 1D and 2D alike.
         In 2D that pass is split between the two workers of
         `workers._map_rows`: the calling thread makes the upper levels and
         the helper the lower half of them, rounded up (the upper levels'
@@ -516,43 +503,45 @@ class SpectralDecomposition:
                 self._stacks[r, l] = _read_only(np.array(ks, dtype=np.intp)), _stack(grid, [made[k][i] for k in ks], l)
 
     def _bin_norms(self, ps: list) -> None:
-        """Fill ||S_k f||_p for every p in `ps`, each 2 or 4, from each
-        level's bin products a = phi_k c (`_bin_products`), with no inverse
-        transform and no buffer.  With s = a / N^dim the samples of S_k f
-        are sum_m s_m e^{2 pi i m.n / N}, so by discrete Parseval
+        """Fill ||S_k f||_p for every level k and every p in `ps`, each 2 or
+        4, from the bin table a = phi_k c (`_bin_table`), every level at
+        once, with no transform and no buffer.  With s = a / N^dim the
+        samples of S_k f are sum_m s_m e^{2 pi i m.n / N}, so by Parseval
 
             sum_n |S_k f|^2 = N^dim sum_m |s_m|^2,
             sum_n |S_k f|^4 = N^dim sum_t |h_t|^2,
 
-        the second Parseval applied to (S_k f)^2, whose bins h are the
-        sparse product of s with itself (`_sparse_product`).  The division
-        by the power of two N^dim is exact, and a term (|s_m|^2, s_m s_m'
-        or |h_t|^2) overflows only when the level's sum is beyond the float
-        range too, so a sum that is not finite is an input error naming p,
-        as in `lp_norm`.  A non-finite product means non-finite samples.  A
-        level whose products are all exactly zero is `_zero_level`."""
+        the second applied to (S_k f)^2, whose bins h are the sparse product
+        of s with itself.  Each level adds its own terms in the order of a
+        pass over it alone: h_t over its pairs of bins, row-major (one
+        `_summed` over the keys (k, t) of every level), then |s_m|^2 and
+        |h_t|^2 over its bins and keys, ascending (`_level_sums`).  A term
+        overflows only when its level's sum is beyond the float range too,
+        so a sum that is not finite is an input error naming p, as in
+        `lp_norm`, unless the level's products are not finite: non-finite
+        samples.  A level whose products are all exactly zero reads +0."""
         grid, n = self.grid, self.grid.n_samples
-        size = n**grid.dim
-        levels = []
-        for k in range(self.k_max + 1):
-            with np.errstate(invalid="ignore"):
-                made = self.partition._bin_products(k, self.bins)
-            if made is None:
-                levels.append(self._zero_level(k, ps)[1])
-                continue
-            at, _, a = made
-            if not np.isfinite(a).all():
-                raise InvalidInputError("non-finite samples rejected")
-            s = a / size
-            norms = []
-            with np.errstate(over="ignore", invalid="ignore"):
-                for p in ps:
-                    h = s if p == 2.0 else _sparse_product(n, at, s, at, s)[1]
-                    total = size * float(np.sum(h.real**2 + h.imag**2))
-                    norms.append(_lp_from_power_sum(total, p, grid.cell_volume))
-            levels.append(norms)
+        size, levels = n**grid.dim, self.k_max + 1
+        inside, a = self._bin_table
+        s = a / size
+        sums = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in ps:
+                if p == 2.0:
+                    h, level = s[inside], np.nonzero(inside)[0]
+                else:
+                    t = functools.reduce(lambda t, at: t * n + (at[:, None] + at) % n, self.bins[0], 0)
+                    k, i, j = np.nonzero(inside[:, :, None] & inside[:, None, :])
+                    keys, h = _summed(k * size + t[i, j], s[k, i] * s[k, j])
+                    level = keys // size
+                sums.append(size * _level_sums(h.real**2 + h.imag**2, level, levels))
+        totals = np.array(sums)
+        bad = np.flatnonzero(~np.isfinite(totals).all(axis=0))
+        if bad.size and not np.isfinite(a[bad[0]]).all():
+            raise InvalidInputError("non-finite samples rejected")
+        norms = [[_lp_from_power_sum(t, p, grid.cell_volume) for p, t in zip(ps, col)] for col in totals.T]
         for i, p in enumerate(ps):
-            self._lp_norms[p] = _read_only(np.array([norms[i] for norms in levels]))
+            self._lp_norms[p] = _read_only(np.array([row[i] for row in norms]))
 
     def _pass_buffers(self, top: int, whole: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """The buffers of `_first_pass` and `_last_pass` for the levels up to
@@ -581,14 +570,6 @@ class SpectralDecomposition:
         width = max(band[-1] - band[0] for _, band in _lattice_bands(grid))
         return first, np.empty((width, n)) if real else np.empty((n, width), dtype=np.complex128)
 
-    def _zero_level(self, k: int, ps: list) -> tuple:
-        """The sup norm and L^p norms of level k, whose piece is all zero,
-        made without it: those of transformed zeros, bit for bit.  Its cube
-        tables are None: `analyze` gives the level the grid's one shared
-        zero table for every exponent r, and no stack row."""
-        norms = [_lp_from_sum(0.0, p, self.grid.cell_volume, 0.0) for p in ps]
-        return 0.0, norms, None
-
     def _reduce(self, k: int, bufs, rs: list, ps: list) -> tuple:
         """The sup norm, the L^p norms (exponents `ps`) and the cube tables
         (exponents `rs`) of |S_k f|, made in `bufs` (`_pass_buffers`) one
@@ -601,8 +582,10 @@ class SpectralDecomposition:
         sums it.  An L^p norm adds up its bands' sums in band order, which
         in 2D rounds differently from one sum over the whole piece.  The
         piece is checked for finiteness once, by its max.  A level whose
-        boxed product is all exactly zero is `_zero_level`, with no inverse
-        transform."""
+        boxed product is all exactly zero makes no inverse transform: its
+        sup and L^p norms are those of transformed zeros, bit for bit, and
+        its tables None, for `analyze` to give it the grid's one shared zero
+        table for every r, and no stack row."""
         grid, n = self.grid, self.grid.n_samples
         first, buf = bufs
         bounds = level_boundaries(grid, grid.l_max)
@@ -614,7 +597,7 @@ class SpectralDecomposition:
         with np.errstate(invalid="ignore", over="ignore"):
             first = self._first_pass(k, first)
             if first is None:
-                return self._zero_level(k, ps)
+                return 0.0, [_lp_from_sum(0.0, p, grid.cell_volume, 0.0) for p in ps], None
             finest = [np.empty((bounds.size - 1,) * grid.dim) for _ in rs]
             for start, band in bands:
                 a = _moduli(self._last_pass(k, first, band[0], band[-1], buf))
@@ -692,15 +675,14 @@ class SpectralDecomposition:
 
 
 def decompose(f: SampledFunction, partition: DyadicPartition) -> SpectralDecomposition:
-    """The decomposition of f: its forward coefficients, pieces made on
-    demand.  The coefficients are f's exact `spectrum` bins, written into
-    zeros of `_forward`'s layout, when it carries them, and the
-    decomposition keeps the full bin set; else the forward transform of
-    its samples."""
+    """The decomposition of f, of f's dtype, its pieces made on demand: from
+    f's exact `spectrum` bins when it carries them, else from the forward
+    transform of its samples."""
     if f.grid != partition.grid:
         raise InvalidInputError("function and partition live on different grids")
-    bins = None if f.spectrum is None else _bin_arrays(f.grid, f.spectrum)
-    return SpectralDecomposition(partition, _coefficients(f), bins)
+    if f.spectrum is None:
+        return SpectralDecomposition(partition, f.dtype, coeffs=_forward(f.values))
+    return SpectralDecomposition(partition, f.dtype, bins=_bin_arrays(f.grid, f.spectrum))
 
 
 def _ensure_decomposition(f, partition, dec) -> SpectralDecomposition:

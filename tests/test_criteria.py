@@ -255,7 +255,7 @@ def test_nonfinite_piece_noted_by_every_term(part10):
     m = _box_top(part10.k_max - 1) + 1  # outside every lower level's box
     assert m <= _box_top(part10.k_max) and m < coeffs.shape[-1]
     coeffs[m] = np.nan
-    dec = SpectralDecomposition(part10, coeffs)
+    dec = SpectralDecomposition(part10, f.dtype, coeffs)
     finite = [bool(np.isfinite(dec._piece(k)).all()) for k in range(part10.k_max + 1)]
     assert finite == [True] * part10.k_max + [False]
     reports = [

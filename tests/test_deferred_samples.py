@@ -46,8 +46,9 @@ def test_deferred_samples_are_the_eager_ones(dim, J, kind):
     built, yet carry their dtype and bins: every one is complex but the
     product with Case 5, the real envelope.  Their samples, once read, are
     bytes-equal to numpy's transform of the bins made at once.  The real
-    product's decomposition holds the half-layout coefficients and the full
-    bins, and its L^2 and L^4 norms and tail are those of a full-layout
+    product's decomposition holds its full bins and no coefficient array:
+    its pieces are those of its half-layout coefficients written into
+    zeros, and its L^2 and L^4 norms and tail those of a complex
     decomposition of the same bins, bit for bit."""
     grid = GridSpec(dim, J)
     part = build_partition(grid, kind)
@@ -65,9 +66,10 @@ def test_deferred_samples_are_the_eager_ones(dim, J, kind):
         want = _transform_of_bins(h)
         assert h.values.dtype == h.dtype == want.dtype and h.values.tobytes() == want.tobytes()
     dec = decompose(envelope, part)
-    assert dec.coeffs.shape == grid.half_shape and dec.dtype == np.float64
-    assert np.array_equal(dec.coeffs, _written(envelope.spectrum, grid.half_shape))
-    full = SpectralDecomposition(part, _written(envelope.spectrum, grid.shape), _bin_arrays(grid, envelope.spectrum))
+    assert dec.coeffs is None and dec.dtype == np.float64
+    half = SpectralDecomposition(part, np.float64, _written(envelope.spectrum, grid.half_shape))
+    assert [u.values.tobytes() for u in dec.pieces] == [u.values.tobytes() for u in half.pieces]
+    full = SpectralDecomposition(part, np.complex128, bins=_bin_arrays(grid, envelope.spectrum))
     for d in (dec, full):
         d.analyze(lp_exponents=(2.0, 4.0))
     for p in (2.0, 4.0):

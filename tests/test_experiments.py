@@ -321,23 +321,19 @@ def test_fresh_partition_first_used_by_several_threads():
                 assert np.array_equal(s0, s1) and np.array_equal(p0, p1)
 
 
-def test_runner_calls_share_the_level_boxes(monkeypatch):
+def test_runner_calls_share_the_level_boxes():
     """`build_partition` gives one partition per grid and kind for the life
     of the process, named by string or by member, so a second
-    `run_exp_growth` call, on either route, builds no level box."""
+    `run_exp_growth` call, on either route, adds nothing to what the
+    partition holds (no call reads a level box: every function a growth
+    row decomposes is made from bins)."""
     config = ExperimentConfig(log2_samples=10, b_list=(0.5,), p_list=(1.0, 4.0), m_range=(3, 6))
-    assert build_partition(config.grid(), "Radial") is build_partition(config.grid(), PartitionKind.RADIAL)
+    part = build_partition(config.grid(), "Radial")
+    assert part is build_partition(config.grid(), PartitionKind.RADIAL)
     run_exp_growth(config)
-    profiles = []
-    profile = DyadicPartition._profile
-
-    def counting(self, *args):
-        profiles.append(args)
-        return profile(self, *args)
-
-    monkeypatch.setattr(DyadicPartition, "_profile", counting)
+    held = dict(part._cache)
     run_exp_growth(config)
-    assert profiles == []
+    assert part._cache.keys() == held.keys() and all(part._cache[key] is v for key, v in held.items())
 
 
 def test_sandwich_and_charfun_windows_checked_before_work(monkeypatch):

@@ -95,3 +95,15 @@ def test_dpu_roundtrip(tmp_path):
     for k in range(part.k_max + 1):
         assert np.array_equal(symbols[k], part.symbol(k))
         assert np.array_equal(rebuilt.symbol(k), part.symbol(k))
+
+
+@pytest.mark.parametrize("k_max, levels", [(2, 3), (-1, 0), (7, 8)])
+def test_dpu_k_max_other_than_j_minus_2_is_input_error(tmp_path, k_max, levels):
+    """A J=8 export rebuilds a partition of K_max = 6 (7 levels).  A header
+    whose K_max says otherwise is an input error, even when the payload
+    holds exactly the levels it names (none for a negative K_max)."""
+    path = tmp_path / "levels.dpu"
+    header = f'{{"format": "dpu", "kind": "radial", "dim": 1, "J": 8, "K_max": {k_max}}}'
+    path.write_bytes(header.encode() + b"\n" + b"\x00" * (8 * levels * 256))
+    with pytest.raises(InvalidInputError, match="K_max"):
+        load_dpu(path)

@@ -10,6 +10,7 @@ from logbesov.grid import (
     INF,
     GridSpec,
     SampledFunction,
+    _level_sums,
     conjugate_exponent,
     lp_norm,
     make_constant,
@@ -122,3 +123,16 @@ def test_functions_compare_by_identity():
     f, same = make_constant(g), make_constant(g)
     assert f == f and f != same and not (f == same)
     assert len({f, same, f}) == 2
+
+
+def test_level_sums_are_numpys_sums_bit_for_bit():
+    """Each level's sum of nonnegative values is `np.sum` of that level's
+    values, in their order, bit for bit, across numpy's pairwise blocks
+    (levels of 0 to 400 values), and +0 for a level with none."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        counts = rng.integers(0, 400, size=rng.integers(1, 8))
+        values = rng.random(counts.sum()) * 10.0 ** rng.integers(-8, 8, counts.sum())
+        level = np.repeat(np.arange(counts.size), counts)
+        want = [np.sum(v) for v in np.split(values, np.cumsum(counts)[:-1])]
+        assert _level_sums(values, level, counts.size).tobytes() == np.array(want).tobytes()

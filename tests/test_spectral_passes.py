@@ -24,9 +24,11 @@ from logbesov.grid import (
     INF,
     GridSpec,
     SampledFunction,
-    _coefficients,
     _exact_bins,
+    _forward,
     _from_bins,
+    _lp_from_power_sum,
+    _written,
     band_energy_fraction,
     lp_norm,
     make_constant,
@@ -37,6 +39,7 @@ from logbesov.partition import (
     DyadicPartition,
     PartitionKind,
     SpectralDecomposition,
+    _box_top,
     _moduli,
     build_partition,
     decompose,
@@ -85,16 +88,19 @@ def test_exact_growth_reads_both_p_from_one_pass(monkeypatch):
 
 
 def _recorded_zero_levels(monkeypatch) -> list[int]:
-    """The levels that `SpectralDecomposition._zero_level` reduces, as a
-    list that fills as passes run."""
+    """The levels whose boxed product `SpectralDecomposition._first_pass`
+    finds all zero, so that no transform runs, as a list that fills as
+    passes run."""
     skipped = []
-    zero_level = SpectralDecomposition._zero_level
+    first_pass = SpectralDecomposition._first_pass
 
     def recording(self, k, *args):
-        skipped.append(k)
-        return zero_level(self, k, *args)
+        first = first_pass(self, k, *args)
+        if first is None:
+            skipped.append(k)
+        return first
 
-    monkeypatch.setattr(SpectralDecomposition, "_zero_level", recording)
+    monkeypatch.setattr(SpectralDecomposition, "_first_pass", recording)
     return skipped
 
 
@@ -118,8 +124,9 @@ def test_zero_levels_match_the_pieces_reductions(dim, J, spec, usable_cpus, monk
     dec = decompose(f, part)
     ps, rs = (1.0, 2.0, 3.0, INF), (1.0, 2.0)
     dec.analyze(cube_exponents=rs, lp_exponents=ps)
+    skipped = sorted(skipped)
     pieces = dec.pieces
-    assert sorted(skipped) == [k for k, u in enumerate(pieces) if not u.values.any()]
+    assert skipped == [k for k, u in enumerate(pieces) if not u.values.any()]
     assert len(skipped) == part.k_max
     for k in skipped:
         a = np.abs(pieces[k].values)
@@ -144,10 +151,18 @@ def _binned(grid: GridSpec, name: str) -> SampledFunction:
     return _from_bins(grid, {**_exact_bins(grid, [((1 << 4,) + tail, 1.0)]), ((1 << 6) % grid.n_samples,) + tail: 0.0})
 
 
+def _coefficients(f: SampledFunction) -> np.ndarray:
+    """f's forward coefficients in the layout of its dtype: its bins written
+    into zeros when it carries them, else the transform of its samples."""
+    if f.spectrum is None:
+        return _forward(f.values)
+    return _written(f.spectrum, f.grid.half_shape if f.dtype == np.float64 else f.grid.shape)
+
+
 def _without_bins(f: SampledFunction, partition) -> SpectralDecomposition:
-    """f's decomposition with no bin positions: every level multiplies its
-    whole box."""
-    return SpectralDecomposition(partition, _coefficients(f))
+    """f's decomposition from its coefficients, with no bins: every level
+    multiplies its whole box."""
+    return SpectralDecomposition(partition, f.dtype, _coefficients(f))
 
 
 def _reductions(dec: SpectralDecomposition) -> list[bytes]:
@@ -162,19 +177,27 @@ def _reductions(dec: SpectralDecomposition) -> list[bytes]:
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", ["exact-exp", "packet", "packet*exp", "zero-bin"])
-@pytest.mark.parametrize("dim, J", [(1, 12), (2, 8)])
-def test_bin_path_matches_the_box_multiply_bit_for_bit(dim, J, name, workers, usable_cpus, monkeypatch):
-    """A decomposition that keeps its bins' positions makes each level from
-    them alone; its reductions, pieces and paraproducts are those of the
-    same coefficients made by multiplying whole boxes, bit for bit, on one
-    worker and on two."""
+@pytest.mark.parametrize(
+    "dim, J, kind",
+    [
+        pytest.param(dim, J, kind, id=f"{dim}-{J}" + ("-tensor" if kind is PartitionKind.TENSOR else ""))
+        for dim, J in [(1, 12), (2, 8)]
+        for kind in PartitionKind
+    ],
+)
+def test_bin_path_matches_the_box_multiply_bit_for_bit(dim, J, kind, name, workers, usable_cpus, monkeypatch):
+    """A decomposition made from bins makes each level from them alone,
+    through phi_k read at the bins; its reductions, pieces and
+    paraproducts are those of the same coefficients made by multiplying
+    whole boxes, bit for bit, for either partition kind, on one worker and
+    on two."""
     usable_cpus(workers)
     grid = GridSpec(dim, J)
-    part = build_partition(grid)
+    part = build_partition(grid, kind)
     f = _binned(grid, name)
     assert f.spectrum is not None
     dec = decompose(f, part)
-    assert dec.bins is not None
+    assert dec.bins is not None and dec.coeffs is None
     ref = _without_bins(f, part)
     assert _reductions(dec) == _reductions(ref)
     assert [u.values.tobytes() for u in dec.pieces] == [u.values.tobytes() for u in ref.pieces]
@@ -197,29 +220,58 @@ def test_symbol_boxes_hold_no_sign_bit(dim, J, kind):
 
 
 @pytest.mark.parametrize("dim, J", [(1, 12), (2, 8)])
-def test_a_nan_bin_is_a_nonfinite_input_error(dim, J, usable_cpus):
+def test_a_nan_bin_is_a_nonfinite_input_error(dim, J, usable_cpus, monkeypatch):
     """A NaN bin makes its levels non-finite on either path, and the L^p
-    norms reject them."""
+    norms reject them.  It reaches only the levels whose box holds it
+    (|m| = 16: levels 4 and up): beside a bin at m = 1, where phi_k
+    vanishes for every k but 0, levels 1 to 3 are zero and make no
+    transform, and the lower levels' pieces are finite and the same on
+    both paths, bit for bit."""
     usable_cpus(2)
     grid = GridSpec(dim, J)
     part = build_partition(grid)
     k = (1 << 4,) + (0,) * (dim - 1)
-    f = _from_bins(grid, {tuple(i % grid.n_samples for i in k): np.nan})
+    f = _from_bins(grid, {tuple(i % grid.n_samples for i in k): np.nan, (1,) + (0,) * (dim - 1): 1.0})
+    pieces, calls = [], _count_ffts(monkeypatch)
     for dec in (decompose(f, part), _without_bins(f, part)):
+        calls.clear()
+        pieces.append([dec._piece(k) for k in range(part.k_max + 1)])
+        assert len(calls) == dim * (part.k_max - 2)
+        assert [bool(np.isfinite(u).all()) for u in pieces[-1]] == [k < 4 for k in range(part.k_max + 1)]
         with pytest.raises(InvalidInputError, match="non-finite"):
             dec.analyze(lp_exponents=(2.0,))
+    assert [u.tobytes() for u in pieces[0][:4]] == [u.tobytes() for u in pieces[1][:4]]
 
 
 def _bins_route_inputs(grid: GridSpec) -> list[SampledFunction]:
     """Inputs that carry bins: those of `_binned`, the distinct packets of a
-    family and their products with e^{-i 2^5 x_1}, and frequencies -1, 0, 1
-    along x_1, whose pair sums 1 + (-1) and 0 + 0 meet only mod N."""
+    family and their products with e^{-i 2^5 x_1}, frequencies -1, 0, 1
+    along x_1, whose pair sums 1 + (-1) and 0 + 0 meet only mod N, and
+    seven frequencies of distinct amplitudes, whose pair sums meet up to
+    six times."""
     tail = (0,) * (grid.dim - 1)
     down = experiments._exact_exponential(grid, (-(1 << 5),) + tail)
     packets = {id(g): g for _, g in expo7_family(grid, min(6, grid.k_max - 2), 0.5)}.values()
     names = ("exact-exp", "packet", "packet*exp", "zero-bin")
     low = grid_mod._trig_polynomial(grid, [((1,) + tail, 1.0), ((0,) + tail, 0.5), ((-1,) + tail, 0.25)])
-    return [_binned(grid, name) for name in names] + [h for g in packets for h in (g, down * g)] + [low]
+    many = grid_mod._trig_polynomial(grid, [((m,) + tail, 1.0 + 0.1 * m) for m in (-5, -3, -2, 0, 1, 4, 6)])
+    return [_binned(grid, name) for name in names] + [h for g in packets for h in (g, down * g)] + [low, many]
+
+
+def _per_level_bin_norms(dec: SpectralDecomposition, p: float) -> np.ndarray:
+    """||S_k f||_p, p = 2 or 4, by Parseval from each level's own bins,
+    one level at a time: phi_k read off `symbol(k)` at the bins inside the
+    box, the squared bins of a level by `_sparse_product`."""
+    grid, n = dec.grid, dec.grid.n_samples
+    size, (at, c), norms = n**grid.dim, dec.bins, []
+    for k in range(dec.k_max + 1):
+        top = _box_top(k)
+        inside = np.logical_and.reduce([(i <= top) | (i >= n - top) for i in at])
+        at_k = tuple(i[inside] for i in at)
+        s = dec.partition.symbol(k)[at_k] * c[inside] / size
+        h = s if p == 2.0 else grid_mod._sparse_product(n, at_k, s, at_k, s)[1]
+        norms.append(_lp_from_power_sum(size * float(np.sum(h.real**2 + h.imag**2)), p, grid.cell_volume))
+    return np.array(norms)
 
 
 @pytest.mark.parametrize("kind", list(PartitionKind))
@@ -228,16 +280,21 @@ def test_bins_route_norms_match_the_sample_pass(dim, J, kind, monkeypatch):
     """A pass that asks only for L^2 and L^4 norms of a decomposition that
     carries bins reads them off the bins by Parseval, with no transform and
     no sup norm; they match the sample pass of the same coefficients within
-    1e-13 relative, and are zero exactly where its are.  The inputs hold
-    levels with no bin, one bin and many."""
+    1e-13 relative, and are zero exactly where its are.  Every level is
+    summed in the order of a pass over that level alone, so the norms are
+    those of one, bit for bit (the inputs' bins are real; a level of one
+    bin whose coefficient is neither real nor imaginary may differ in the
+    last bit of its L^4 norm, as numpy's complex product of that one bin
+    with itself rounds it either way).  The inputs hold levels that are
+    zero, that hold one bin and that hold many (counted on the bin table:
+    a row that is not all zero, and its bins inside the box)."""
     grid = GridSpec(dim, J)
     part = build_partition(grid, kind)
     held = set()
     for f in _bins_route_inputs(grid):
         dec, ref = decompose(f, part), _without_bins(f, part)
-        for k in range(part.k_max + 1):
-            made = part._bin_products(k, dec.bins)
-            held.add(0 if made is None else min(len(made[2]), 2))
+        inside, a = dec._bin_table
+        held |= {min(int(np.count_nonzero(row)), 2) if a[k].any() else 0 for k, row in enumerate(inside)}
         calls = _count_ffts(monkeypatch)
         dec.analyze(lp_exponents=(2.0, 4.0))
         assert calls == [] and dec._sup_norms is None
@@ -246,6 +303,7 @@ def test_bins_route_norms_match_the_sample_pass(dim, J, kind, monkeypatch):
             got, want = dec.lp_norms(p), ref.lp_norms(p)
             assert np.array_equal(got == 0.0, want == 0.0)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            assert got.tobytes() == _per_level_bin_norms(dec, p).tobytes()
     assert held == {0, 1, 2}
 
 
@@ -367,9 +425,10 @@ def test_packet_row_transforms_only_the_levels_that_hold_a_bin(monkeypatch, b):
     from the level's bins by Parseval, and members are told apart by
     identity or by their bins.  The product with the Case 5 packet is the
     real envelope, made from its Hermitian bins like every other product.
-    The bins' sample maker raises, and no `np.exp`, inverse transform or
-    `np.array_equal` runs; 1D J=12 and 2D J=8, each after a warm-up row
-    that builds the partition's level profiles."""
+    The bins' sample maker and the level boxes raise, no inverse transform
+    or `np.array_equal` runs, and `np.exp` runs only on the generator at
+    the bins, never on as many points as a lattice axis holds; 1D J=12 and
+    2D J=8, each after a warm-up row."""
     grids = [GridSpec(1, 12), GridSpec(2, 8)]
     m, bs = 4, (b, 0.0)
     params = [BesovParams(0.0, b_, p, INF) for b_ in bs for p in (2.0, 4.0)]
@@ -383,30 +442,78 @@ def test_packet_row_transforms_only_the_levels_that_hold_a_bin(monkeypatch, b):
 
     for grid in grids:
         row(grid)()
-    calls = _count_ffts(monkeypatch)
+    calls, exps = _count_ffts(monkeypatch), []
     real_exp, real_equal = np.exp, np.array_equal
-    monkeypatch.setattr(np, "exp", lambda *a, **k: calls.append("exp") or real_exp(*a, **k))
+    monkeypatch.setattr(np, "exp", lambda x, *a, **k: exps.append(np.size(x)) or real_exp(x, *a, **k))
     monkeypatch.setattr(np, "array_equal", lambda *a, **k: calls.append("array_equal") or real_equal(*a, **k))
 
-    def no_samples(*args):
-        raise AssertionError("a packet row made samples")
+    def forbidden(*args):
+        raise AssertionError("a packet row made samples or read a level box")
 
-    monkeypatch.setattr(grid_mod, "_samples_of_bins", no_samples)
+    monkeypatch.setattr(grid_mod, "_samples_of_bins", forbidden)
+    monkeypatch.setattr(DyadicPartition, "_box", forbidden)
     for grid in grids:
         calls.clear()
+        exps.clear()
         bound = row(grid)
         bound()
         assert calls == []
+        assert 0 < max(exps) < grid.n_samples
+
+
+def _arrays(obj):
+    """The arrays `obj` holds: itself, or those in its items, values or
+    attributes (a partition's excluded), recursively."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for v in obj for a in _arrays(v)]
+    if isinstance(obj, dict):
+        return _arrays(list(obj.values()))
+    if type(obj).__module__.startswith("logbesov") and hasattr(obj, "__dict__"):
+        return _arrays([v for k, v in vars(obj).items() if k != "partition"])
+    return []
+
+
+@pytest.mark.parametrize("kind", list(PartitionKind))
+@pytest.mark.parametrize("dim, J", [(1, 12), (2, 10)])
+def test_growth_rows_read_no_box_and_hold_no_lattice_array(dim, J, kind, monkeypatch):
+    """Exact rows (p = 1) and packet rows (p = 2, Cases 1-5) of
+    `run_exp_growth` read no level box: every function they decompose is
+    made from bins, and its decomposition reads phi_k at the bins, holds no
+    coefficient array and, once its rows are read, no array of an eighth of
+    the lattice or more (cube sums are the largest).  The 2D grid is J=10,
+    as at J=8 the window [3, K_max - 2] holds fewer than the four m of the
+    fit."""
+
+    def no_box(*args):
+        raise AssertionError("a growth row read a level box")
+
+    made, init = [], SpectralDecomposition.__init__
+
+    def recording(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DyadicPartition, "_box", no_box)
+    monkeypatch.setattr(SpectralDecomposition, "__init__", recording)
+    config = ExperimentConfig(dim=dim, log2_samples=J, kind=kind.value, b_list=(0.5,), p_list=(1.0, 2.0), m_range=(3, 6))
+    run_exp_growth(config)
+    assert len(made) > 4 * 2  # four exponentials, then per packet row the members and their products
+    assert all(dec.coeffs is None and dec.bins is not None for dec in made)
+    assert max(a.size for dec in made for a in _arrays(dec)) < config.grid().n_samples ** dim // 8
 
 
 def test_packet_row_holds_no_member_samples():
     """A packet-route row at 1D J=16 (m = 10, six b, seven distinct
     members) makes and keeps no samples: e^{-i 2^m x_1}, the members and
     their products, the Case 5 product included, are made from their
-    bins.  It keeps under half a complex lattice array and peaks at one
-    decomposition's coefficients, below 1.5 (10.2 when every member and
-    product was sampled, 8.2 of them kept; 4.2 and 2.2 when only the Case 5
-    product and its factors were)."""
+    bins, and their decompositions hold no coefficient array.  It keeps
+    under half a complex lattice array and peaks below 0.35 of one (0.24
+    measured, its bin pairs; 1.09 when each decomposition held its
+    coefficients, 10.2 when every member and product was sampled, 8.2 of
+    them kept; 4.2 and 2.2 when only the Case 5 product and its factors
+    were)."""
     grid, m, bs = GridSpec(1, 16), 10, (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
     part = build_partition(grid)
     for k in range(part.k_max + 1):
@@ -424,7 +531,7 @@ def test_packet_row_holds_no_member_samples():
     assert len(members) == 7
     assert not any(g._values is not None for g in [f, *members])
     assert held < 0.5 * _complex_array_bytes(grid)
-    assert peak < 1.5 * _complex_array_bytes(grid)
+    assert peak < 0.35 * _complex_array_bytes(grid)
 
 
 def test_p2_verdict_holds_a_few_lattice_arrays():
